@@ -66,6 +66,14 @@ def _substitute(text: str, subs: dict[str, str]) -> str:
     return text
 
 
+def _field(doc: dict, key: str, kind: type, wanted: str, default=None):
+    """doc[key] (or the default when absent), which must be of the given type."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise UsageError(f'"{key}" must be {wanted}')
+    return value
+
+
 def load_document(path: str, set_flags: list[str] | None):
     """Read an algebra document; returns (algebra, info dict for the report)."""
     with open(path, "rb") as fh:
@@ -79,18 +87,26 @@ def load_document(path: str, set_flags: list[str] | None):
         cli_subs[name.strip()] = value.strip()
     stripped = text.strip()
     if stripped.startswith("{"):
-        doc = json.loads(stripped)
-        subs = dict(doc.get("substitutions", {}))
-        subs.update(cli_subs)
+        try:
+            doc = json.loads(stripped)
+        except RecursionError:
+            raise UsageError("document nests too deeply") from None
+        subs = _field(doc, "substitutions", dict, "an object of strings", {})
+        if not all(isinstance(v, str) for v in subs.values()):
+            raise UsageError('"substitutions" must be an object of strings')
+        subs = {**subs, **cli_subs}
         has_salamon = "salamon" in doc
         has_json = "dim" in doc or "d" in doc
         if has_salamon == has_json:
             raise UsageError('document must have exactly one of "salamon" or "dim"+"d"')
         if has_salamon:
-            g = parse_salamon(_substitute(doc["salamon"], subs))
+            g = parse_salamon(_substitute(_field(doc, "salamon", str, "a string"), subs))
         else:
-            dim = int(doc["dim"])
-            dmap = doc.get("d", {})
+            try:
+                dim = int(doc["dim"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise UsageError('"dim" must be an integer') from None
+            dmap = _field(doc, "d", dict, "an object", {})
             diffs = []
             for k in range(1, dim + 1):
                 lit = dmap.get(str(k), "0")

@@ -10,6 +10,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .linalg import det
+
 MAX_DIM = 14
 
 Coeff = Fraction | int
@@ -189,7 +191,7 @@ class KForm:
         for mask, c in self.terms.items():
             idx = indices_of(mask)
             rows = [[v.components[i - 1] for i in idx] for v in vectors]
-            total += c * _det(rows)
+            total += c * det(rows)
         return total
 
     def __repr__(self) -> str:
@@ -221,28 +223,6 @@ class KForm:
 
     def wedge(self, other: "KForm") -> "KForm":
         return wedge(self, other)
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination (tiny matrices)."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 class Vector:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import KForm, Vector, interior, mask_of, wedge
+from .exterior import KForm, Vector, indices_of, interior, merge_sign
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -100,13 +100,11 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "diffs", diffs)
         # c^k_ij = -(d e_k)(E_i, E_j): bracket of basis pairs, i < j (sparse)
-        table = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                mask = (1 << (i - 1)) | (1 << (j - 1))
-                comps = tuple(-f.terms.get(mask, Fraction(0)) for f in diffs)
-                if any(comps):
-                    table[(i, j)] = comps
+        columns: dict[tuple[int, int], list[Fraction]] = {}
+        for k, f in enumerate(diffs):
+            for mask, c in f.terms.items():
+                columns.setdefault(indices_of(mask), [Fraction(0)] * n)[k] = -c
+        table = {pair: tuple(comps) for pair, comps in sorted(columns.items())}
         object.__setattr__(self, "_bracket_table", table)
         failures = []
         for k, f in enumerate(diffs, start=1):
@@ -144,18 +142,25 @@ class LieAlgebra:
         """Antiderivation extension of the generator differentials."""
         if form.dim != self.dim:
             raise ValueError(f"dimension mismatch: {form.dim} vs {self.dim}")
-        out = KForm.zero(self.dim, form.degree + 1 if form.degree < self.dim else self.dim)
+        # d(e_i ^ rest) = d e_i ^ rest - e_i ^ d(rest): slot p of a monomial
+        # contributes (-1)^p d e_{i_p} ^ (the monomial without i_p)
+        terms: dict[int, Fraction] = {}
         for mask, c in form.terms.items():
-            sign = 1
             rem = mask
             while rem:
                 low = rem & -rem
                 rem ^= low
-                i = low.bit_length()
-                rest = KForm(self.dim, mask.bit_count() - 1, {mask ^ low: sign * c})
-                out = out + wedge(self.diffs[i - 1], rest)
-                sign = -sign
-        return out
+                rest = mask ^ low
+                coeff = c
+                if (mask & (low - 1)).bit_count() & 1:
+                    coeff = -c
+                for dmask, dc in self.diffs[low.bit_length() - 1].terms.items():
+                    if dmask & rest:
+                        continue
+                    m = dmask | rest
+                    v = dc * coeff if merge_sign(dmask, rest) > 0 else -(dc * coeff)
+                    terms[m] = terms[m] + v if m in terms else v
+        return KForm(self.dim, form.degree + 1 if form.degree < self.dim else self.dim, terms)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """[v, w], component k equal to -(d e_k)(v, w)."""

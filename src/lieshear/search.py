@@ -9,7 +9,7 @@ from math import comb
 from .exterior import KForm, Vector, indices_of
 from .geometry import preserves_closure
 from .lie import LieAlgebra
-from .shear import ShearData, ShearReport, shear_candidate, validate_shear
+from .shear import ShearBase, ShearData, ShearReport, shear_candidate, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -88,7 +88,8 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
 
     Candidates are ordered by (term count, monomial tuple, coefficient tuple);
     each hit passes validate_shear, every preservation predicate, and a
-    Jacobi re-check of the constructed algebra.
+    Jacobi re-check of the constructed algebra.  The (base, X, alpha) part
+    of the shear is prepared once, before the first candidate.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -96,6 +97,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     support = spec.effective_support()
     nonzero = tuple(c for c in spec.coefficients if c)
     n = spec.base.dim
+    base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -105,7 +107,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                     terms[(1 << (i - 1)) | (1 << (j - 1))] = c
                 f0 = KForm(n, 2, terms)
                 data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
-                report = validate_shear(spec.base, data)
+                report = validate_shear(spec.base, data, base)
                 if not report.valid:
                     continue
                 if not all(preserves_closure(spec.base, spec.X, f0, s) for s in spec.preserve):

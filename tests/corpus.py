@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lieshear import KForm, LieAlgebra, Vector, parse_salamon
+from lieshear import KForm, LieAlgebra, ShearData, Vector, parse_salamon
 
 HEISENBERG = "(0,0,12)"
 ABELIAN3 = "(0,0,0)"
@@ -139,4 +139,41 @@ def frame_ideal_indices(g: LieAlgebra) -> list[int]:
                 break
         if ok:
             out.append(k)
+    return out
+
+
+def random_shears(count: int = 220, seed: int = 2024):
+    """Seeded (algebra, ShearData) pairs on frame ideals, valid and invalid.
+
+    The same stream as acceptance criterion 6: the paper algebras plus random
+    solvable almost-abelian ones of dims 5-7, alpha sometimes with a leg off
+    X, random F0 and a mix of transfer constants.
+    """
+    rng = random.Random(seed)
+    bases = list(paper_algebras())
+    for dim in (5, 6, 7):
+        for _ in range(5):
+            cand = random_almost_abelian(rng, dim)
+            if cand.jacobi_check().passed and cand.series().is_solvable:
+                bases.append(cand)
+    a_pool = [Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3)]
+    out = []
+    while len(out) < count:
+        g = bases[len(out) % len(bases)]
+        ideals = frame_ideal_indices(g)
+        if not ideals:
+            bases.remove(g)
+            continue
+        k = rng.choice(ideals)
+        alpha = mono(g.dim, (k,))
+        if rng.random() < 0.3:
+            extra = rng.choice([i for i in range(1, g.dim + 1) if i != k])
+            alpha = alpha + mono(g.dim, (extra,), rng.choice([Fraction(1), Fraction(-2)]))
+        data = ShearData(
+            X=Vector.basis(g.dim, k),
+            alpha=alpha,
+            F0=random_form(rng, g.dim, 2, max_terms=3),
+            a=rng.choice(a_pool),
+        )
+        out.append((g, data))
     return out

@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from lieshear.cli import main
 
@@ -86,6 +92,52 @@ class TestSubstitutions:
         code, out, _ = run(capsys, "algebra-check", files["json_doc"])
         assert code == 0
         assert "algebra: (0,0,12,2.13)" in out
+
+
+WRONG_SHAPE_DOCUMENTS = {
+    '{"dim":3,"d":[1,2]}': '"d" must be an object',
+    '{"salamon":5}': '"salamon" must be a string',
+    '{"salamon":"(0,0,12)","substitutions":[1]}': '"substitutions" must be an object of strings',
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+documents = st.fixed_dictionaries({}, optional={
+    "salamon": st.sampled_from(["(0,0,12)", "(0,0,a)", "(13,0)", ""]) | json_values,
+    "dim": st.integers(-1, 15) | json_values,
+    "d": st.dictionaries(st.sampled_from(["1", "2", "3", "0", "x"]),
+                         st.sampled_from(["e12", "a*e12", "0", "", "e1"]) | json_values,
+                         max_size=3) | json_values,
+    "substitutions": st.dictionaries(st.sampled_from(["a", "b", "1x"]),
+                                     st.sampled_from(["1", "1/2", "x"]) | json_values,
+                                     max_size=2) | json_values,
+})
+
+
+class TestDocumentShape:
+    @pytest.mark.parametrize("text", list(WRONG_SHAPE_DOCUMENTS))
+    def test_wrong_shape_is_a_usage_error(self, capsys, tmp_path, text):
+        p = tmp_path / "doc.alg"
+        p.write_text(text)
+        code, out, err = run(capsys, "algebra-check", str(p), "--json")
+        assert (code, out) == (1, "")
+        assert err == f"error: {WRONG_SHAPE_DOCUMENTS[text]}\n"
+
+    @given(documents, st.sampled_from(["algebra-check", "shear-lines"]),
+           st.lists(st.sampled_from(["a=2", "b=1/2", "a", "1x=3", "a=x"]), max_size=2))
+    def test_any_document_ends_in_a_documented_exit_code(self, doc, command, sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.alg"
+            path.write_text(json.dumps(doc))
+            argv = [command, str(path), "--json"] + [f"--set={s}" for s in sets]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestShearCommand:

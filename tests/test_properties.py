@@ -1,15 +1,18 @@
 """Property-based checks of the algebraic laws behind every construction."""
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from corpus import frame_ideal_indices, paper_algebras, random_almost_abelian
+from corpus import frame_ideal_indices, paper_algebras, random_shears
 from lieshear import (
     KForm,
     LieAlgebra,
+    ShearBase,
     ShearData,
+    ShearReport,
     Vector,
     hodge_star_orthonormal,
     interior,
@@ -227,3 +230,24 @@ class TestShearLaws:
         for j in range(g.dim):
             if j != k - 1:
                 assert out.diffs[j] == g.diffs[j]
+
+
+RANDOM_SHEARS = random_shears()
+
+
+class TestPreparedShearBase:
+    def test_eta0_vanishes_on_xi_identically(self):
+        for g, data in RANDOM_SHEARS:
+            rep = validate_shear(g, data)
+            assert rep.eta_0(data.X) == 0
+            assert rep.conditions["eta0_vanishes_on_xi"] is True
+
+    def test_prepared_base_gives_the_same_report(self):
+        valid = 0
+        for g, data in RANDOM_SHEARS:
+            base = ShearBase.prepare(g, data.X, data.alpha)
+            prepared, fresh = validate_shear(g, data, base), validate_shear(g, data)
+            for f in fields(ShearReport):
+                assert getattr(prepared, f.name) == getattr(fresh, f.name), f.name
+            valid += fresh.valid
+        assert 10 < valid < len(RANDOM_SHEARS) - 10

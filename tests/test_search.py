@@ -15,6 +15,7 @@ from lieshear import (
     enumerate_f0,
     is_closed,
     parse_salamon,
+    shear,
     shear_candidate,
 )
 
@@ -63,6 +64,22 @@ class TestEnumerate:
         assert "e23" in found
         for h in hits:
             assert is_closed(h.sheared, psi4()) or h.f0.is_zero()
+
+    def test_decomposes_dalpha_once_per_search(self, monkeypatch):
+        calls = []
+        real = shear.decompose_dalpha
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(shear, "decompose_dalpha", counted)
+        g = parse_salamon(S5)
+        spec = spec_on(g, 4, max_terms=2)
+        assert len(enumerate_f0(spec)) == spec.candidate_count() == 73
+        assert len(calls) == 1
+        enumerate_f0(spec)
+        assert len(calls) == 2
 
     def test_zero_coefficient_set_gives_identity_only(self):
         g = parse_salamon(S5)

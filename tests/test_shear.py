@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +18,12 @@ from corpus import (
     random_almost_abelian,
     random_form,
 )
+import lieshear
 from lieshear import (
     InvalidShearError,
     KForm,
     LieAlgebra,
+    ShearBase,
     ShearData,
     ShearDataError,
     TwistError,
@@ -200,6 +207,51 @@ class TestApplyShear:
         assert out.jacobi_check().passed
         for k in range(1, 6):
             assert out.diffs[k - 1] == ds_form(g, data, mono(5, (k,)))
+
+    def test_jacobi_recheck_survives_python_O(self):
+        # validate_shear forced to call an invalid F0 valid: the Jacobi re-check
+        # of the built algebra must still refuse it with assertions compiled out
+        script = textwrap.dedent(f"""
+            import dataclasses, sys
+            from lieshear import KForm, ShearData, Vector, apply_shear, parse_salamon, shear
+            real = shear.validate_shear
+            shear.validate_shear = lambda g, data, base=None: dataclasses.replace(
+                real(g, data, base), valid=True)
+            g = parse_salamon({S5!r})
+            data = ShearData(X=Vector.basis(5, 4), alpha=KForm.monomial(5, (4,)),
+                             F0=KForm.monomial(5, (1, 4)))
+            try:
+                apply_shear(g, data)
+            except AssertionError as exc:
+                print("raised", sys.flags.optimize, exc)
+            else:
+                print("returned", sys.flags.optimize)
+        """)
+        src = str(Path(lieshear.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.startswith("raised 1 validity/Jacobi equivalence broken"), proc.stderr
+
+
+class TestShearBase:
+    def test_equal_algebra_is_accepted(self):
+        base = ShearBase.prepare(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,)))
+        g = parse_salamon(S5)
+        assert base.g is not g
+        assert validate_shear(g, data_on(g, 4, mono(5, (1, 3))), base).valid
+
+    @pytest.mark.parametrize("other", ["algebra", "X", "alpha"])
+    def test_base_for_other_data_raises(self, other):
+        g = parse_salamon("(0,0,12,0)")
+        x, alpha = Vector.basis(4, 4), mono(4, (4,))
+        base = ShearBase.prepare(LieAlgebra.abelian(4) if other == "algebra" else g, x, alpha)
+        if other == "X":
+            x = Vector([0, 0, 1, 1])
+        if other == "alpha":
+            alpha = alpha + mono(4, (1,))
+        with pytest.raises(ShearDataError, match=f"another {other}"):
+            validate_shear(g, ShearData(X=x, alpha=alpha, F0=mono(4, (1, 2))), base)
 
 
 class TestApplyTwist:
