@@ -74,10 +74,19 @@ def _field(doc: dict, key: str, kind: type, wanted: str, default=None):
     return value
 
 
+def _input_info(path: str, raw: bytes) -> dict:
+    """The report's "input" object: the document's path and its sha256."""
+    return {"path": path, "sha256": _digest(raw)}
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def load_document(path: str, set_flags: list[str] | None):
     """Read an algebra document; returns (algebra, info dict for the report)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read(path)
     text = raw.decode("utf-8")
     cli_subs: dict[str, str] = {}
     for item in set_flags or []:
@@ -117,8 +126,7 @@ def load_document(path: str, set_flags: list[str] | None):
             g = LieAlgebra(diffs)
     else:
         g = parse_salamon(_substitute(stripped, cli_subs))
-    info = {"path": path, "sha256": _digest(raw)}
-    return g, info
+    return g, _input_info(path, raw)
 
 
 def _algebra_str(g: LieAlgebra) -> str:
@@ -542,9 +550,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_CAP
     except shear.InvalidShearError as exc:
+        # every command loads its document first, so it is read here again
         report = {
-            "command": "shear",
-            "input": {"path": getattr(args, "file", ""), "sha256": ""},
+            "command": args.cmd,
+            "input": _input_info(args.file, _read(args.file)),
             "result": {"report": _report_json(exc.report)},
         }
         _emit(report, EXIT_INVALID_DATA, args.json)

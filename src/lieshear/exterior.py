@@ -1,8 +1,11 @@
 """Exact exterior algebra over the rationals on a fixed frame e_1, ..., e_n.
 
 Monomials e_{i1...ik} (indices strictly increasing) are stored as bitmasks,
-so wedge signs reduce to popcount parity.  All coefficients are
-`fractions.Fraction`; nothing is ever rounded.
+so wedge signs reduce to popcount parity.  Coefficients are exact
+rationals, stored canonically: an `int` when integral, a `fractions.Fraction`
+otherwise, never zero, so nothing is ever rounded and integer arithmetic runs
+at `int` speed.  `int` and `Fraction` compare and hash alike, so the stored
+type never shows in `==`, `hash` or `str`.  Vector components stay `Fraction`.
 """
 from __future__ import annotations
 
@@ -23,6 +26,15 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, Rational):  # int, or a user-supplied rational type
         return Fraction(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
+
+
+def _as_coeff(c) -> Coeff:
+    """Canonical stored coefficient: int when integral, else Fraction."""
+    if type(c) is not int:
+        c = _as_fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 def mask_of(indices: Iterable[int], dim: int) -> int:
@@ -63,7 +75,9 @@ def merge_sign(a: int, b: int) -> int:
 class KForm:
     """Homogeneous exterior form of fixed degree on an n-dimensional frame.
 
-    Immutable value type: term map monomial-mask -> nonzero Fraction.
+    Immutable value type: term map monomial-mask -> nonzero coefficient, an
+    int when integral and a Fraction otherwise.  The constructor checks
+    every mask and coefficient; the kernel's own results come from `_make`.
     """
 
     __slots__ = ("dim", "degree", "terms")
@@ -73,7 +87,7 @@ class KForm:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
         if not 0 <= degree <= dim:
             raise ValueError(f"degree must be in 0..{dim}, got {degree}")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Coeff] = {}
         if terms:
             for mask, c in terms.items():
                 if mask >> dim:
@@ -82,7 +96,7 @@ class KForm:
                     raise ValueError(
                         f"monomial {indices_of(mask)} has degree {mask.bit_count()}, expected {degree}"
                     )
-                c = _as_fraction(c)
+                c = _as_coeff(c)
                 if c:
                     clean[mask] = c
         object.__setattr__(self, "dim", dim)
@@ -100,7 +114,7 @@ class KForm:
 
     @classmethod
     def scalar(cls, dim: int, value) -> "KForm":
-        return cls(dim, 0, {0: _as_fraction(value)})
+        return cls(dim, 0, {0: value})
 
     @classmethod
     def monomial(cls, dim: int, indices: Sequence[int], coeff=1) -> "KForm":
@@ -115,19 +129,19 @@ class KForm:
             bit = 1 << (i - 1)
             sign *= merge_sign(mask, bit)
             mask |= bit
-        return cls(dim, len(seq), {mask: sign * _as_fraction(coeff)})
+        return cls(dim, len(seq), {mask: sign * _as_coeff(coeff)})
 
     # -- predicates and canonical views ------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """Terms sorted lexicographically on index sets (canonical public order)."""
         return sorted(((indices_of(m), c) for m, c in self.terms.items()), key=lambda t: t[0])
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        return self.terms.get(mask_of(sorted(indices), self.dim), Fraction(0))
+        return Fraction(self.terms.get(mask_of(sorted(indices), self.dim), 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -148,11 +162,11 @@ class KForm:
             raise ValueError(f"degree mismatch in sum: {self.degree} vs {other.degree}")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return KForm(self.dim, self.degree, terms)
+            terms[m] = terms[m] + c if m in terms else c
+        return _make(self.dim, self.degree, terms)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.dim, self.degree, {m: -c for m, c in self.terms.items()})
+        return _make(self.dim, self.degree, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "KForm") -> "KForm":
         if not isinstance(other, KForm):
@@ -160,8 +174,8 @@ class KForm:
         return self + (-other)
 
     def __mul__(self, scalar) -> "KForm":
-        c = _as_fraction(scalar)
-        return KForm(self.dim, self.degree, {m: c * v for m, v in self.terms.items()})
+        c = _as_coeff(scalar)
+        return _make(self.dim, self.degree, {m: c * v for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -185,9 +199,14 @@ class KForm:
         for v in vectors:
             if v.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
-        if self.degree == 0:
-            return self.terms.get(0, Fraction(0))
         total = Fraction(0)
+        if self.degree == 0:
+            return total + self.terms.get(0, 0)
+        if self.degree == 1:  # the pairing sum_i c_i v_i, each 1x1 determinant
+            comps = vectors[0].components
+            for mask, c in self.terms.items():
+                total += c * comps[mask.bit_length() - 1]
+            return total
         for mask, c in self.terms.items():
             idx = indices_of(mask)
             rows = [[v.components[i - 1] for i in idx] for v in vectors]
@@ -223,6 +242,27 @@ class KForm:
 
     def wedge(self, other: "KForm") -> "KForm":
         return wedge(self, other)
+
+
+def _make(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:
+    """KForm from a term dict the kernel built itself, without re-validation.
+
+    The caller vouches that every mask fits `dim` and has `degree` bits and
+    that every value is an int or a Fraction; this only drops zeros and
+    demotes integral Fractions to int.
+    """
+    form = object.__new__(KForm)
+    _set_dim(form, dim)
+    _set_degree(form, degree)
+    _set_terms(form, {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items() if c
+    })
+    return form
+
+
+# the slot setters, which KForm.__setattr__ would refuse
+_set_dim, _set_degree, _set_terms = KForm.dim.__set__, KForm.degree.__set__, KForm.terms.__set__
 
 
 class Vector:
@@ -293,24 +333,15 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         return KForm.zero(a.dim, min(degree, a.dim))
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, Coeff] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue
             m = ma | mb
-            c = ca * cb * merge_sign(ma, mb)
-            terms[m] = terms.get(m, Fraction(0)) + c
-    return KForm(a.dim, degree, terms)
-
-
-def wedge_all(forms: Sequence[KForm]) -> KForm:
-    if not forms:
-        raise ValueError("empty wedge product")
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
+            c = ca * cb if merge_sign(ma, mb) > 0 else -(ca * cb)
+            terms[m] = terms[m] + c if m in terms else c
+    return _make(a.dim, degree, terms)
 
 
 def interior(v: Vector, a: KForm) -> KForm:
@@ -319,20 +350,21 @@ def interior(v: Vector, a: KForm) -> KForm:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
-    terms: dict[int, Fraction] = {}
+    # the components in stored-coefficient form, so integral ones multiply as int
+    comps = [c.numerator if c.denominator == 1 else c for c in v.components]
+    terms: dict[int, Coeff] = {}
     for mask, c in a.terms.items():
         rem = mask
         while rem:
             low = rem & -rem
             rem ^= low
-            i = low.bit_length()  # frame index of this slot
-            comp = v.components[i - 1]
+            comp = comps[low.bit_length() - 1]
             if comp:
                 # slot position parity inside the monomial
-                sign = -1 if (mask & (low - 1)).bit_count() & 1 else 1
+                t = comp * c if not (mask & (low - 1)).bit_count() & 1 else -(comp * c)
                 m2 = mask ^ low
-                terms[m2] = terms.get(m2, Fraction(0)) + sign * comp * c
-    return KForm(a.dim, a.degree - 1, terms)
+                terms[m2] = terms[m2] + t if m2 in terms else t
+    return _make(a.dim, a.degree - 1, terms)
 
 
 def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:
@@ -347,7 +379,7 @@ def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:
     for mask, c in a.terms.items():
         comp = full ^ mask
         terms[comp] = c * merge_sign(mask, comp) * orientation
-    return KForm(a.dim, a.dim - a.degree, terms)
+    return _make(a.dim, a.dim - a.degree, terms)
 
 
 def pullback(matrix: Sequence[Sequence], a: KForm) -> KForm:
@@ -359,7 +391,7 @@ def pullback(matrix: Sequence[Sequence], a: KForm) -> KForm:
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n}x{n}")
     rows = [
-        KForm(n, 1, {1 << j: _as_fraction(matrix[i][j]) for j in range(n)})
+        KForm(n, 1, {1 << j: matrix[i][j] for j in range(n)})
         for i in range(n)
     ]
     out = KForm.zero(n, a.degree)

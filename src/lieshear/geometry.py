@@ -147,7 +147,6 @@ def type_components(js: ComplexStructure, f2: KForm) -> tuple[KForm, KForm]:
     half = Fraction(1, 2)
     f11 = half * (f2 + pulled)
     anti = half * (f2 - pulled)
-    assert anti + f11 == f2
     return anti, f11
 
 
@@ -237,7 +236,7 @@ def phi_stability(phi: KForm) -> PhiStabilityReport:
     full = (1 << 7) - 1
     contractions = [interior(Vector.basis(7, i), phi) for i in range(1, 8)]
     b = [
-        [wedge(wedge(contractions[i], contractions[j]), phi).terms.get(full, Fraction(0)) for j in range(7)]
+        [Fraction(wedge(wedge(contractions[i], contractions[j]), phi).terms.get(full, 0)) for j in range(7)]
         for i in range(7)
     ]
     if linalg.is_positive_definite(b):
@@ -288,8 +287,7 @@ class StructureSpec:
         """Run the appropriate verifier; returns its report (or bare verdict)."""
         if self.kind == "symplectic":
             return symplectic_check(g, self.forms["omega"])
-        if self.kind == "kahler":
-            assert self.metric is not None and self.j is not None
+        if self.kind == "kahler":  # __post_init__ requires its metric and J
             return kahler_check(g, self.metric, self.j, self.forms["omega"])
         if self.kind == "half-flat":
             return half_flat_check(g, self.forms["omega"], self.forms["rho_minus"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import KForm, Vector, indices_of, interior, merge_sign
+from .exterior import Coeff, KForm, Vector, _make, indices_of, interior, merge_sign
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -100,10 +100,10 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "diffs", diffs)
         # c^k_ij = -(d e_k)(E_i, E_j): bracket of basis pairs, i < j (sparse)
-        columns: dict[tuple[int, int], list[Fraction]] = {}
+        columns: dict[tuple[int, int], list[Coeff]] = {}
         for k, f in enumerate(diffs):
             for mask, c in f.terms.items():
-                columns.setdefault(indices_of(mask), [Fraction(0)] * n)[k] = -c
+                columns.setdefault(indices_of(mask), [0] * n)[k] = -c
         table = {pair: tuple(comps) for pair, comps in sorted(columns.items())}
         object.__setattr__(self, "_bracket_table", table)
         failures = []
@@ -144,7 +144,7 @@ class LieAlgebra:
             raise ValueError(f"dimension mismatch: {form.dim} vs {self.dim}")
         # d(e_i ^ rest) = d e_i ^ rest - e_i ^ d(rest): slot p of a monomial
         # contributes (-1)^p d e_{i_p} ^ (the monomial without i_p)
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, Coeff] = {}
         for mask, c in form.terms.items():
             rem = mask
             while rem:
@@ -160,7 +160,7 @@ class LieAlgebra:
                     m = dmask | rest
                     v = dc * coeff if merge_sign(dmask, rest) > 0 else -(dc * coeff)
                     terms[m] = terms[m] + v if m in terms else v
-        return KForm(self.dim, form.degree + 1 if form.degree < self.dim else self.dim, terms)
+        return _make(self.dim, form.degree + 1 if form.degree < self.dim else self.dim, terms)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """[v, w], component k equal to -(d e_k)(v, w)."""
@@ -238,8 +238,7 @@ class LieAlgebra:
         rep = self.series()
         if not rep.is_nilpotent:
             raise ValueError("twist filtration requires a nilpotent algebra")
-        r = rep.step_length
-        assert r is not None
+        r = rep.step_length  # an int: the algebra is nilpotent
         terms = [linalg.span_rref(linalg.identity(self.dim))] + list(rep.lower_central)
         # terms[k] = n^(k) with n^(0) = g; chain[i] = Ann(n^(r-i)), i = 0..r-1
         chain = [self._annihilator(terms[r - i]) for i in range(r)]

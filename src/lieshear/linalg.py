@@ -49,17 +49,9 @@ def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
     return rref(vectors)[0]
 
 
-def rank(vectors: Sequence[Sequence]) -> int:
-    return len(span_rref(vectors))
-
-
 def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     b = span_rref(basis)
     return len(span_rref(list(b) + [list(v)])) == len(b)
-
-
-def subspace_le(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    return all(in_span(b, row) for row in a)
 
 
 def subspace_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
@@ -205,7 +197,9 @@ def _divide_out_root(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
     for k in range(n, 0, -1):
         acc = coeffs[k] + acc * root
         out[k - 1] = acc
-    assert coeffs[0] + acc * root == 0
+    remainder = coeffs[0] + acc * root
+    if remainder:
+        raise ArithmeticError(f"{root} is not a root: remainder {remainder}")
     return out
 
 

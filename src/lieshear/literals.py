@@ -91,7 +91,8 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
         else:
             raise LiteralError(f"expected a monomial like e13, got {body!r}")
         total = part if total is None else total + part
-    assert total is not None
+    if total is None:
+        raise LiteralError(f"malformed expression {text!r}")
     if degree is not None and not total.is_zero() and total.degree != degree:
         raise LiteralError(f"expected a degree-{degree} form, got degree {total.degree}")
     return total

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .exterior import KForm, Vector, interior, wedge
@@ -84,7 +85,7 @@ class ShearData:
             if val != 0:
                 raise ShearDataError(f"eta_g(X) must vanish, got {val}")
 
-    @property
+    @cached_property
     def f_eff(self) -> KForm:
         """Effective deformation -(1/a) * F0 entering the new differential."""
         return (-1 / self.a) * self.F0
@@ -94,9 +95,10 @@ class ShearData:
 class DecompResult:
     """d(alpha) = eta ^ alpha + f with both parts annihilating X.
 
-    eta_bracket is the one-form defined by [A, X] = eta_bracket(A) * X; under
-    the d-sign convention used here it is the negative of eta, and is recorded
-    without reconciling the two.
+    eta_bracket is the one-form defined by [A, X] = eta_bracket(A) * X.  It
+    is -eta, by the sign convention d(alpha)(A, B) = -alpha([A, B]): as X
+    spans an ideal and alpha(X) = 1, eta_bracket(A) = alpha([A, X])
+    = -d(alpha)(A, X) = d(alpha)(X, A) = (X . d(alpha))(A) = -eta(A).
     """
 
     eta: KForm
@@ -150,13 +152,7 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
     eta = -1 * interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
     f = dalpha - wedge(eta, alpha)
-    # the bracket-based eta: [E_i, X] = mu_i X
-    mus = []
-    for i in range(1, g.dim + 1):
-        b = g.bracket(Vector.basis(g.dim, i), X)
-        mus.append(alpha(b))
-    eta_bracket = KForm(g.dim, 1, {1 << k: m for k, m in enumerate(mus) if m})
-    return DecompResult(eta=eta, f=f, eta_bracket=eta_bracket)
+    return DecompResult(eta=eta, f=f, eta_bracket=-eta)  # see DecompResult
 
 
 @dataclass(frozen=True)

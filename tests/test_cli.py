@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -191,6 +193,22 @@ class TestTwistCommand:
         code, _, err = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "e13")
         assert code == 3
         assert "V1" in err
+
+    def test_invalid_shear_report_names_command_and_input(self, capsys, files, monkeypatch):
+        from lieshear import shear
+
+        validate = shear.validate_shear
+        monkeypatch.setattr(shear, "validate_shear",
+                            lambda *a, **k: dataclasses.replace(validate(*a, **k), valid=False))
+        code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-e12", "--json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["command"] == "twist"
+        assert report["input"] == {
+            "path": files["h3"],
+            "sha256": hashlib.sha256(Path(files["h3"]).read_bytes()).hexdigest(),
+        }
+        assert report["exit_status"] == 3 and report["result"]["report"]["valid"] is False
 
 
 class TestFormDs:

@@ -48,6 +48,36 @@ class TestKForm:
         assert f(Vector.basis(3, 2), Vector.basis(3, 1)) == -1
         assert f(Vector.basis(3, 1), Vector.basis(3, 3)) == 0
 
+    def test_public_constructors_keep_every_check(self):
+        with pytest.raises(TypeError):
+            KForm(3, 1, {0b001: 0.5})
+        with pytest.raises(TypeError):
+            mono(3, (1,), 2.0)
+        with pytest.raises(TypeError):
+            KForm.scalar(3, 1.0)
+        with pytest.raises(TypeError):
+            mono(3, (1,)) * 0.5
+        with pytest.raises(ValueError):
+            KForm(3, 1, {0b1000: 1})  # e4 does not fit dimension 3
+        with pytest.raises(ValueError):
+            KForm(3, 1, {0b011: 1})  # e12 is not a one-form
+
+    def test_coefficients_stored_canonically(self):
+        f = KForm(3, 1, {0b001: Fraction(4, 2), 0b010: Fraction(1, 2), 0b100: True})
+        assert f.terms == {0b001: 2, 0b010: Fraction(1, 2), 0b100: 1}
+        assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
+        assert type(mono(3, (2, 1), Fraction(3)).terms[0b011]) is int
+
+    def test_public_results_are_fractions(self):
+        f = mono(3, (1, 2), 3)
+        value = f(Vector.basis(3, 1), Vector.basis(3, 2))
+        assert value == 3 and type(value) is Fraction
+        assert type(f.coefficient((1, 2))) is Fraction
+        assert type(f.coefficient((1, 3))) is Fraction
+        assert type(KForm.scalar(3, 2)()) is Fraction
+        assert type(mono(3, (1,))(Vector.basis(3, 2))) is Fraction
+        assert type(Vector([1, 2]).components[0]) is Fraction
+
 
 class TestWedge:
     def test_basis_case(self):

@@ -165,7 +165,7 @@ class TestSeries:
             rep = g.series()
             for chain in (rep.lower_central, rep.derived):
                 for big, small in zip(chain, chain[1:]):
-                    assert linalg.subspace_le(small, big)
+                    assert all(linalg.in_span(big, row) for row in small)
             if rep.is_nilpotent:
                 assert rep.is_solvable
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from lieshear import linalg
 
 
@@ -16,7 +18,7 @@ class TestRref:
 
     def test_rank_and_span(self):
         basis = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-        assert linalg.rank(basis) == 2
+        assert len(linalg.span_rref(basis)) == 2
         assert linalg.in_span(basis, [F(1), F(1), F(2)])
         assert not linalg.in_span(basis, [F(0), F(0), F(1)])
 
@@ -92,6 +94,12 @@ class TestCharpolyRoots:
         roots, leftover = linalg.rational_roots([F(0), F(0), F(-1), F(1)])
         assert roots == [(F(0), 2), (F(1), 1)]
         assert leftover == 0
+
+    def test_divide_out_a_non_root_raises(self):
+        # x^2 - 1 divided by x - 2 leaves remainder 3
+        with pytest.raises(ArithmeticError):
+            linalg._divide_out_root([F(-1), F(0), F(1)], F(2))
+        assert linalg._divide_out_root([F(-1), F(0), F(1)], F(1)) == [F(1), F(1)]
 
     def test_restrict_operator(self):
         op = [[F(2), F(0), F(0)], [F(0), F(3), F(0)], [F(0), F(0), F(5)]]

@@ -18,6 +18,7 @@ from lieshear import (
     interior,
     parse_salamon,
     print_salamon,
+    linalg,
     shear_candidate,
     validate_shear,
     wedge,
@@ -54,6 +55,58 @@ def form_pairs(draw, total_max=None):
 @st.composite
 def vectors(draw, dim):
     return Vector([draw(coeffs) for _ in range(dim)])
+
+
+@st.composite
+def public_forms(draw, dim, degree, max_terms=4):
+    """A form built by the public constructor from Fraction values, integral
+    ones such as Fraction(4, 2) included."""
+    monomials = list(combinations(range(1, dim + 1), degree))
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=min(max_terms, len(monomials))))
+    return KForm(dim, degree, {
+        sum(1 << (i - 1) for i in idx): Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+        for idx in chosen
+    })
+
+
+def assert_canonical(form: KForm) -> None:
+    """Stored coefficients are nonzero, int exactly when integral, and the
+    public constructor fed Fraction values rebuilds the same form."""
+    for c in form.terms.values():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    rebuilt = KForm(form.dim, form.degree, {m: Fraction(c) for m, c in form.terms.items()})
+    assert rebuilt == form and hash(rebuilt) == hash(form) and str(rebuilt) == str(form)
+    assert [(m, type(c)) for m, c in rebuilt.terms.items()] == [
+        (m, type(c)) for m, c in form.terms.items()
+    ]
+
+
+class TestCanonicalCoefficients:
+    @given(st.data())
+    def test_every_operation_stores_canonical_terms(self, data):
+        g = data.draw(st.sampled_from(ALGEBRAS))
+        n = g.dim
+        ka = data.draw(st.integers(0, n))
+        a = data.draw(public_forms(n, ka))
+        b = data.draw(public_forms(n, ka))
+        c = data.draw(public_forms(n, data.draw(st.integers(0, n - ka))))
+        s = data.draw(coeffs)
+        v = data.draw(vectors(n))
+        for form in (a, b, c, a + b, a - b, -a, s * a, a * s, wedge(a, c), interior(v, a), g.d(a)):
+            assert_canonical(form)
+
+
+class TestOneFormEvaluation:
+    @given(st.data())
+    def test_pairing_equals_per_term_determinants(self, data):
+        n = data.draw(st.integers(1, 7))
+        alpha = data.draw(forms(dim=n, degree=1, max_terms=n))
+        v = data.draw(vectors(n))
+        by_det = Fraction(0)
+        for (i,), c in alpha.sorted_terms():
+            by_det += c * linalg.det([[v.components[i - 1]]])
+        assert alpha(v) == by_det
 
 
 class TestWedgeLaws:
@@ -233,6 +286,16 @@ class TestShearLaws:
 
 
 RANDOM_SHEARS = random_shears()
+
+
+class TestDecomposition:
+    def test_eta_bracket_matches_the_bracket(self):
+        # eta_bracket(E_i) = alpha([E_i, X]), computed here from g.bracket
+        for g, data in RANDOM_SHEARS:
+            n = g.dim
+            mus = [data.alpha(g.bracket(Vector.basis(n, i), data.X)) for i in range(1, n + 1)]
+            by_bracket = KForm(n, 1, {1 << k: mu for k, mu in enumerate(mus)})
+            assert validate_shear(g, data).decomp.eta_bracket == by_bracket
 
 
 class TestPreparedShearBase:

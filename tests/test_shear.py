@@ -71,6 +71,11 @@ class TestShearData:
         d = data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
         assert d.f_eff == mono(4, (2, 3), Fraction(-1, 2))
 
+    def test_f_eff_computed_once(self):
+        d = data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
+        assert d.f_eff is d.f_eff
+        assert d == data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
+
 
 class TestDecompose:
     def test_solvable_example(self):
