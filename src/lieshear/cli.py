@@ -129,17 +129,8 @@ def load_document(path: str, set_flags: list[str] | None):
     return g, _input_info(path, raw)
 
 
-def _algebra_str(g: LieAlgebra) -> str:
-    return print_salamon(g)
-
-
 def _subspace_json(basis) -> list[str]:
     return [literals.format_vector(Vector(row)) for row in basis]
-
-
-def _subspace_text(basis) -> str:
-    rows = _subspace_json(basis)
-    return "span{" + ", ".join(rows) + "}" if rows else "0"
 
 
 # -- commands -----------------------------------------------------------------
@@ -150,7 +141,7 @@ def cmd_algebra_check(args) -> tuple[dict, int]:
     jac = g.jacobi_check()
     result: dict = {
         "dim": g.dim,
-        "algebra": _algebra_str(g),
+        "algebra": print_salamon(g),
         "jacobi": {
             "passed": jac.passed,
             "failures": [{"generator": k, "d2": str(f)} for k, f in jac.failures],
@@ -218,11 +209,11 @@ def cmd_shear(args) -> tuple[dict, int]:
     _require_jacobi(g)
     data = _parse_shear_flags(g, args)
     report = shear.validate_shear(g, data)
-    result = {"algebra": _algebra_str(g), "report": _report_json(report)}
+    result = {"algebra": print_salamon(g), "report": _report_json(report)}
     code = EXIT_OK if report.valid else EXIT_INVALID_DATA
     if report.valid and not args.validate_only:
         sheared = shear.apply_shear(g, data)
-        result["sheared"] = _algebra_str(sheared)
+        result["sheared"] = print_salamon(sheared)
     return {"command": "shear", "input": info, "result": result}, code
 
 
@@ -232,7 +223,7 @@ def cmd_twist(args) -> tuple[dict, int]:
     alpha = literals.parse_form(args.alpha, g.dim, degree=1)
     f2 = literals.parse_form(args.f, g.dim, degree=2)
     twisted = shear.apply_twist(g, alpha, f2)
-    result = {"algebra": _algebra_str(g), "twisted": _algebra_str(twisted)}
+    result = {"algebra": print_salamon(g), "twisted": print_salamon(twisted)}
     return {"command": "twist", "input": info, "result": result}, EXIT_OK
 
 
@@ -242,7 +233,7 @@ def cmd_form_ds(args) -> tuple[dict, int]:
     data = _parse_shear_flags(g, args)
     form = literals.parse_form(args.form, g.dim)
     out = shear.ds_form(g, data, form)
-    result = {"algebra": _algebra_str(g), "form": str(form), "ds": str(out)}
+    result = {"algebra": print_salamon(g), "form": str(form), "ds": str(out)}
     return {"command": "form-ds", "input": info, "result": result}, EXIT_OK
 
 
@@ -275,7 +266,7 @@ def cmd_check_structure(args) -> tuple[dict, int]:
         jstruct = geometry.ComplexStructure(literals.parse_matrix(args.j, g.dim))
     spec = geometry.StructureSpec(kind=kind, forms=forms, metric=metric, j=jstruct)
     outcome = spec.check(g)
-    result: dict = {"algebra": _algebra_str(g), "type": kind}
+    result: dict = {"algebra": print_salamon(g), "type": kind}
     if isinstance(outcome, bool):
         result["passed"] = outcome
     elif isinstance(outcome, geometry.KahlerReport):
@@ -327,9 +318,9 @@ def cmd_search(args) -> tuple[dict, int]:
     )
     hits = search.enumerate_f0(spec)
     result = {
-        "algebra": _algebra_str(g),
+        "algebra": print_salamon(g),
         "candidates": spec.candidate_count(),
-        "hits": [{"f0": str(h.f0), "sheared": _algebra_str(h.sheared)} for h in hits],
+        "hits": [{"f0": str(h.f0), "sheared": print_salamon(h.sheared)} for h in hits],
     }
     return {"command": "search", "input": info, "result": result}, EXIT_OK
 
@@ -342,7 +333,7 @@ def cmd_shear_lines(args) -> tuple[dict, int]:
     except ValueError as exc:  # abelian / not solvable: construction-data class
         raise shear.ShearDataError(str(exc)) from None
     result = {
-        "algebra": _algebra_str(g),
+        "algebra": print_salamon(g),
         "derived_subalgebra": _subspace_json(rep.derived_subalgebra),
         "target": _subspace_json(rep.target),
         "acting": [literals.format_vector(v) for v in rep.acting],

@@ -350,8 +350,7 @@ def interior(v: Vector, a: KForm) -> KForm:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
-    # the components in stored-coefficient form, so integral ones multiply as int
-    comps = [c.numerator if c.denominator == 1 else c for c in v.components]
+    comps = v.components
     terms: dict[int, Coeff] = {}
     for mask, c in a.terms.items():
         rem = mask
@@ -360,6 +359,9 @@ def interior(v: Vector, a: KForm) -> KForm:
             rem ^= low
             comp = comps[low.bit_length() - 1]
             if comp:
+                # stored-coefficient form, so an integral component multiplies as int
+                if comp.denominator == 1:
+                    comp = comp.numerator
                 # slot position parity inside the monomial
                 t = comp * c if not (mask & (low - 1)).bit_count() & 1 else -(comp * c)
                 m2 = mask ^ low

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import Coeff, KForm, Vector, _make, indices_of, interior, merge_sign
+from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -78,11 +78,11 @@ class ShearLineReport:
 class LieAlgebra:
     """Lie algebra of dimension n given by the two-forms d e_1, ..., d e_n.
 
-    Structure constants and the Jacobi verdict are computed eagerly, so
-    instances are safe to share between threads.
+    Only the Jacobi verdict is computed eagerly; brackets are read off the
+    d e_k when asked for.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("dim", "diffs", "_bracket_table", "_jacobi", "_series")
+    __slots__ = ("dim", "diffs", "_jacobi", "_series")
 
     def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
         diffs = tuple(diffs)
@@ -99,13 +99,6 @@ class LieAlgebra:
         diffs = tuple(f if f.degree == 2 else KForm.zero(n, 2) for f in diffs)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "diffs", diffs)
-        # c^k_ij = -(d e_k)(E_i, E_j): bracket of basis pairs, i < j (sparse)
-        columns: dict[tuple[int, int], list[Coeff]] = {}
-        for k, f in enumerate(diffs):
-            for mask, c in f.terms.items():
-                columns.setdefault(indices_of(mask), [0] * n)[k] = -c
-        table = {pair: tuple(comps) for pair, comps in sorted(columns.items())}
-        object.__setattr__(self, "_bracket_table", table)
         failures = []
         for k, f in enumerate(diffs, start=1):
             dd = self.d(f)
@@ -168,17 +161,17 @@ class LieAlgebra:
             raise ValueError("dimension mismatch in bracket")
         if not self._jacobi.passed:
             warnings.warn("bracket on an algebra failing the Jacobi identity", RuntimeWarning)
-        return self._bracket_raw(v, w)
+        return Vector(linalg.mat_vec(self._ad(v), w.components))
 
-    def _bracket_raw(self, v: Vector, w: Vector) -> Vector:
-        comps = [Fraction(0)] * self.dim
-        for (i, j), target in self._bracket_table.items():
-            coeff = v.components[i - 1] * w.components[j - 1] - v.components[j - 1] * w.components[i - 1]
-            if coeff:
-                for k in range(self.dim):
-                    if target[k]:
-                        comps[k] += coeff * target[k]
-        return Vector(comps)
+    def _ad(self, v: Vector) -> list[list[Coeff]]:
+        # row k of ad(v) is the covector w -> [v, w]_k = -(v . d e_k)(w)
+        rows = []
+        for f in self.diffs:
+            row: list[Coeff] = [0] * self.dim
+            for mask, c in interior(v, f).terms.items():
+                row[mask.bit_length() - 1] = -c
+            rows.append(row)
+        return rows
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
@@ -194,10 +187,11 @@ class LieAlgebra:
     def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         vecs = []
         for u in left:
+            ad_u = self._ad(Vector(u))
             for v in right:
-                b = self._bracket_raw(Vector(u), Vector(v))
-                if not b.is_zero():
-                    vecs.append(list(b.components))
+                b = linalg.mat_vec(ad_u, v)
+                if any(b):
+                    vecs.append(b)
         return linalg.span_rref(vecs)
 
     def _compute_series(self) -> SeriesReport:
@@ -241,14 +235,11 @@ class LieAlgebra:
         r = rep.step_length  # an int: the algebra is nilpotent
         terms = [linalg.span_rref(linalg.identity(self.dim))] + list(rep.lower_central)
         # terms[k] = n^(k) with n^(0) = g; chain[i] = Ann(n^(r-i)), i = 0..r-1
-        chain = [self._annihilator(terms[r - i]) for i in range(r)]
+        chain = [linalg.nullspace(terms[r - i], ncols=self.dim) for i in range(r)]
         for i in range(r):
             inside = chain[i + 1] if i + 1 < r else ()
             self._check_d_in_lambda2(chain[i], inside, i)
         return Filtration(chain=tuple(chain))
-
-    def _annihilator(self, vectors: Subspace) -> Subspace:
-        return linalg.nullspace(vectors, ncols=self.dim)
 
     def _check_d_in_lambda2(self, covectors: Subspace, inside: Subspace, level: int) -> None:
         # F in Lambda^2 U  iff  i_v F = 0 for every v in the annihilator of U
@@ -282,17 +273,12 @@ class LieAlgebra:
         if codim == 2:
             stacked = []
             for u in dsub:
-                ad_u = self._ad_matrix(Vector(u))
-                stacked.extend(ad_u)
+                stacked.extend(self._ad(Vector(u)))
             cent = linalg.nullspace(stacked, ncols=self.dim)
             if any(not linalg.in_span(dsub, z) for z in cent):
                 return True, "derived subalgebra extends by a centralizing line to an abelian hyperplane"
             return False, "no centralizer of the derived subalgebra outside itself"
         return None, "undecided: abelian derived subalgebra of codimension >= 3"
-
-    def _ad_matrix(self, v: Vector) -> list[list[Fraction]]:
-        cols = [self._bracket_raw(v, Vector.basis(self.dim, j)).components for j in range(1, self.dim + 1)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- shear line discovery --------------------------------------------------
 
@@ -323,7 +309,7 @@ class LieAlgebra:
         spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
         nonrational = False
         for a_vec in acting:
-            ad = self._ad_matrix(a_vec)
+            ad = self._ad(a_vec)
             refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
             for eigs, basis in spaces:
                 restricted = linalg.restrict_operator(ad, basis)
@@ -333,22 +319,16 @@ class LieAlgebra:
                 if leftover:
                     nonrational = True
                 k = len(basis)
+                to_ambient = linalg.transpose(basis)
+                # each (chain, root) pair occurs once: roots are distinct
                 for root, _mult in roots:
                     shifted = [
                         [restricted[i][j] - (root if i == j else 0) for j in range(k)]
                         for i in range(k)
                     ]
-                    for coords in linalg.nullspace(shifted, ncols=k):
-                        amb = [Fraction(0)] * self.dim
-                        for c, brow in zip(coords, basis):
-                            for t in range(self.dim):
-                                amb[t] += c * brow[t]
-                        refined.append((eigs + (root,), linalg.span_rref([amb])))
-                # regroup eigenvectors that share the same eigenvalue chain
-            merged: dict[tuple[Fraction, ...], list[list[Fraction]]] = {}
-            for eigs, basis in refined:
-                merged.setdefault(eigs, []).extend([list(r) for r in basis])
-            spaces = [(eigs, linalg.span_rref(rows)) for eigs, rows in sorted(merged.items())]
+                    eigvecs = [linalg.mat_vec(to_ambient, c) for c in linalg.nullspace(shifted, ncols=k)]
+                    refined.append((eigs + (root,), linalg.span_rref(eigvecs)))
+            spaces = sorted(refined)
         eig = tuple(EigenSpace(eigenvalues=e, basis=b) for e, b in spaces)
         return ShearLineReport(
             derived_subalgebra=dsub,

@@ -93,15 +93,15 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | N
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
+    return transpose([mat_vec(a, col) for col in zip(*b)])
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
+    """A v for int or Fraction entries, skipping the zero entries of A.
+
+    The Fraction start keeps every result entry a Fraction, never an int.
+    """
+    return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
 
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
@@ -152,15 +152,16 @@ def restrict_operator(op: Sequence[Sequence], basis: Sequence[Sequence]) -> Matr
 
     Column j holds the coordinates of op(basis[j]).
     """
-    cols = []
-    bt = transpose(_rows(basis))  # solve against basis^T x = op(b_j)
-    for b in basis:
-        image = mat_vec(op, b)
-        coords = solve(bt, image)
-        if coords is None:
-            return None
-        cols.append(coords)
-    return transpose(cols)
+    # one elimination of [basis^T | op(b_1) ... op(b_k)] solves every column
+    k = len(basis)
+    images = [mat_vec(op, b) for b in basis]
+    red, pivots = rref([list(col) + [img[t] for img in images] for t, col in enumerate(zip(*basis))])
+    if any(pc >= k for pc in pivots):  # some op(b_j) leaves the span
+        return None
+    out = [[Fraction(0)] * k for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        out[pc] = list(red[r][k:])
+    return out
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

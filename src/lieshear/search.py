@@ -1,12 +1,12 @@
 """Bounded exhaustive enumeration of deformation two-forms giving valid shears."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .exterior import KForm, Vector, indices_of
+from .exterior import KForm, Vector
 from .geometry import preserves_closure
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearReport, shear_candidate, validate_shear

@@ -120,18 +120,13 @@ class ShearReport:
     conditions: dict[str, bool | None] = field(repr=False)
 
 
-def _w_basis(g: LieAlgebra, X: Vector) -> tuple[tuple[Fraction, ...], ...]:
-    # covectors annihilating X
-    return linalg.nullspace([list(X.components)], ncols=g.dim)
-
-
 def _covector_form(g: LieAlgebra, row) -> KForm:
     return KForm(g.dim, 1, {1 << k: c for k, c in enumerate(row) if c})
 
 
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     """None when span(X) is an ideal, else a covector w of Ann(X) with i_X dw != 0."""
-    for row in _w_basis(g, X):
+    for row in linalg.nullspace([X.components], ncols=g.dim):  # covectors annihilating X
         w = _covector_form(g, row)
         if not interior(X, g.d(w)).is_zero():
             return w

@@ -277,6 +277,9 @@ class TestShearLines:
                         from lieshear import linalg
 
                         assert linalg.in_span([row], b.components) or b.is_zero()
+                    # and each acting vector scales x by its eigenvalue in the chain
+                    for a, lam in zip(rep.acting, es.eigenvalues, strict=True):
+                        assert g.bracket(a, x) == lam * x
 
 
 class TestAlmostAbelian:

@@ -107,3 +107,21 @@ class TestCharpolyRoots:
         assert linalg.restrict_operator(op, basis) == [[F(2), F(0)], [F(0), F(3)]]
         tilted = [[F(0), F(1), F(1)]]  # not invariant under diag(2,3,5)
         assert linalg.restrict_operator(op, tilted) is None
+        # a tilted invariant plane of a non-diagonal operator: w1 -> 2 w1 + w2, w2 -> -w1 + 3 w2
+        op = [[2, 0, 1], [0, 3, 1], [-3, 2, 5]]
+        plane = [[F(1), F(1), F(0)], [F(0), F(1), F(-1)]]
+        restricted = linalg.restrict_operator(op, plane)
+        assert restricted == [[F(2), F(-1)], [F(1), F(3)]]
+        for j, b in enumerate(plane):
+            coords = linalg.solve(linalg.transpose(plane), linalg.mat_vec(op, b))
+            assert [row[j] for row in restricted] == list(coords)
+        assert linalg.restrict_operator(op, [[F(0), F(0), F(1)]]) is None
+
+    def test_products_of_int_matrices_are_fractions(self):
+        # charpoly divides traces of such products by k, which two ints would make a float
+        a = [[1, 2], [0, -3]]
+        v = linalg.mat_vec(a, [4, 5])
+        m = linalg.mat_mul(a, a)
+        assert v == [F(14), F(-15)] and m == [[F(1), F(-4)], [F(0), F(9)]]
+        zero = linalg.mat_vec([[0, 0]], [4, 5])  # every entry of the row skipped
+        assert all(type(x) is Fraction for x in [*v, *m[0], *m[1], *zero])

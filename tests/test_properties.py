@@ -1,4 +1,5 @@
 """Property-based checks of the algebraic laws behind every construction."""
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -251,6 +252,17 @@ class TestJacobiEquivalence:
     def test_on_corpus(self):
         for g in ALGEBRAS:
             assert bracket_jacobi_oracle(g)
+
+    @given(st.data())
+    def test_bracket_is_minus_d_on_the_pair(self, data):
+        # [v, w]_k = -(d e_k)(v, w), the pairing evaluated by determinants
+        g = LieAlgebra(data.draw(algebra_diffs()))
+        v, w = data.draw(vectors(g.dim)), data.draw(vectors(g.dim))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "bracket on an algebra failing", RuntimeWarning)
+            b = g.bracket(v, w)
+        for k in range(g.dim):
+            assert b.components[k] == -g.diffs[k](v, w)
 
 
 class TestSalamonRoundtrip:
