@@ -69,7 +69,8 @@ def _substitute(text: str, subs: dict[str, str]) -> str:
 def _field(doc: dict, key: str, kind: type, wanted: str, default=None):
     """doc[key] (or the default when absent), which must be of the given type."""
     value = doc.get(key, default)
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but true and false are not numbers
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise UsageError(f'"{key}" must be {wanted}')
     return value
 
@@ -111,10 +112,7 @@ def load_document(path: str, set_flags: list[str] | None):
         if has_salamon:
             g = parse_salamon(_substitute(_field(doc, "salamon", str, "a string"), subs))
         else:
-            try:
-                dim = int(doc["dim"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise UsageError('"dim" must be an integer') from None
+            dim = _field(doc, "dim", int, "an integer")
             dmap = _field(doc, "d", dict, "an object", {})
             diffs = []
             for k in range(1, dim + 1):

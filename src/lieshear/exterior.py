@@ -369,6 +369,34 @@ def interior(v: Vector, a: KForm) -> KForm:
     return _make(a.dim, a.degree - 1, terms)
 
 
+def one_form(row: Sequence) -> KForm:
+    """The one-form sum_k row[k] e_{k+1} of a coordinate row."""
+    return KForm(len(row), 1, {1 << k: c for k, c in enumerate(row) if c})
+
+
+def form_row(form: KForm) -> list[Coeff]:
+    """Coordinate row of a one-form, the inverse of `one_form`."""
+    if form.degree != 1 and form.terms:
+        raise ValueError(f"expected a one-form, got degree {form.degree}")
+    row: list[Coeff] = [0] * form.dim
+    for mask, c in form.terms.items():
+        row[mask.bit_length() - 1] = c
+    return row
+
+
+def _first_leg(form: KForm, vectors: Sequence[Sequence]) -> tuple[Vector, KForm] | None:
+    """The first v of `vectors` with v . form != 0, and that leg, or None.
+
+    The form lies in Lambda^k U exactly when none is found on a basis of Ann(U).
+    """
+    for comps in vectors:
+        v = Vector(comps)
+        leg = interior(v, form)
+        if leg.terms:
+            return v, leg
+    return None
+
+
 def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:
     """Hodge star for the frame declared orthonormal with volume e_1...e_n.
 
@@ -392,10 +420,7 @@ def pullback(matrix: Sequence[Sequence], a: KForm) -> KForm:
     n = a.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n}x{n}")
-    rows = [
-        KForm(n, 1, {1 << j: matrix[i][j] for j in range(n)})
-        for i in range(n)
-    ]
+    rows = [one_form(row) for row in matrix]
     out = KForm.zero(n, a.degree)
     for mask, c in a.terms.items():
         image = KForm.scalar(n, c)

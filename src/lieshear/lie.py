@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
+from .exterior import Coeff, KForm, Vector, _first_leg, _make, form_row, interior, merge_sign, one_form
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -70,7 +70,7 @@ class ShearLineReport:
 
     derived_subalgebra: Subspace
     target: Subspace                 # last nonzero term of the lower central series of g'
-    acting: tuple[Vector, ...]       # frame representatives of a complement of g'
+    acting: tuple[Vector, ...]       # first frame vectors completing g', in index order
     eigenspaces: tuple[EigenSpace, ...]
     nonrational_present: bool        # char poly kept a nonconstant factor with no rational root
 
@@ -165,13 +165,8 @@ class LieAlgebra:
 
     def _ad(self, v: Vector) -> list[list[Coeff]]:
         # row k of ad(v) is the covector w -> [v, w]_k = -(v . d e_k)(w)
-        rows = []
-        for f in self.diffs:
-            row: list[Coeff] = [0] * self.dim
-            for mask, c in interior(v, f).terms.items():
-                row[mask.bit_length() - 1] = -c
-            rows.append(row)
-        return rows
+        minus_v = -1 * v
+        return [form_row(interior(minus_v, f)) for f in self.diffs]
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
@@ -237,20 +232,11 @@ class LieAlgebra:
         # terms[k] = n^(k) with n^(0) = g; chain[i] = Ann(n^(r-i)), i = 0..r-1
         chain = [linalg.nullspace(terms[r - i], ncols=self.dim) for i in range(r)]
         for i in range(r):
-            inside = chain[i + 1] if i + 1 < r else ()
-            self._check_d_in_lambda2(chain[i], inside, i)
+            # d V_i in Lambda^2 V_{i+1}: no d phi has a leg along the vectors
+            # V_{i+1} = Ann(n^(r-i-1)) kills, which are n^(r-i-1) itself
+            if any(_first_leg(self.d(one_form(row)), terms[r - i - 1]) for row in chain[i]):
+                raise RuntimeError(f"filtration violated: d V_{i} leaves Lambda^2 V_{i + 1}")
         return Filtration(chain=tuple(chain))
-
-    def _check_d_in_lambda2(self, covectors: Subspace, inside: Subspace, level: int) -> None:
-        # F in Lambda^2 U  iff  i_v F = 0 for every v in the annihilator of U
-        perp = linalg.nullspace(inside, ncols=self.dim)
-        for row in covectors:
-            dphi = self.d(KForm(self.dim, 1, {1 << k: c for k, c in enumerate(row) if c}))
-            for v in perp:
-                if not interior(Vector(v), dphi).is_zero():
-                    raise RuntimeError(
-                        f"filtration violated: d V_{level} leaves Lambda^2 V_{level + 1}"
-                    )
 
     def is_almost_abelian(self) -> tuple[bool | None, str]:
         """Does the algebra admit an abelian ideal of codimension one?
@@ -275,7 +261,7 @@ class LieAlgebra:
             for u in dsub:
                 stacked.extend(self._ad(Vector(u)))
             cent = linalg.nullspace(stacked, ncols=self.dim)
-            if any(not linalg.in_span(dsub, z) for z in cent):
+            if len(linalg.span_rref(list(dsub) + list(cent))) > len(dsub):  # cent not inside g'
                 return True, "derived subalgebra extends by a centralizing line to an abelian hyperplane"
             return False, "no centralizer of the derived subalgebra outside itself"
         return None, "undecided: abelian derived subalgebra of codimension >= 3"
@@ -299,13 +285,7 @@ class LieAlgebra:
                 raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
             terms.append(nxt)
         target = terms[-2]  # last nonzero term (n itself when n is abelian)
-        acting = []
-        current = list(dsub)
-        for j in range(1, self.dim + 1):
-            cand = [Fraction(i == j - 1) for i in range(self.dim)]
-            if not linalg.in_span(current, cand):
-                acting.append(Vector(cand))
-                current.append(cand)
+        acting = [Vector.basis(self.dim, j + 1) for j in linalg.complement(dsub, self.dim)]
         spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
         nonrational = False
         for a_vec in acting:

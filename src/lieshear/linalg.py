@@ -1,8 +1,18 @@
-"""Exact linear algebra over Fraction: RREF, subspaces, char polys, rational roots.
+"""Exact linear algebra over the rationals: RREF, subspaces, char polys, rational roots.
 
-Matrices are lists of row tuples/lists of Fractions.  Subspaces are represented
-by their reduced row echelon basis (zero rows dropped), which makes every
-subspace computation deterministic and equality a tuple comparison.
+Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`;
+the entries of every matrix or vector returned are `Fraction`.  Subspaces are
+represented by their reduced row echelon basis (zero rows dropped), which
+makes every subspace computation deterministic and equality a tuple
+comparison.  The subspace questions of the package are asked here:
+
+- `span_rref(rows)`: the canonical basis of span(rows);
+- `in_span(basis, v)`: is v in span(basis)?
+- `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
+- `complement(basis, ncols)`: the column indices j whose unit vectors
+  greedily complete span(basis) to the whole space;
+- `solve(M, b)`: one solution of M x = b;
+- `restrict_operator(op, basis)`: the matrix of op on an invariant subspace.
 """
 from __future__ import annotations
 
@@ -54,17 +64,13 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     return len(span_rref(list(b) + [list(v)])) == len(b)
 
 
-def subspace_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    return span_rref(a) == span_rref(b)
-
-
 def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Row, ...]:
     """Echelon basis of {x : M x = 0} for the matrix with the given rows."""
     m = _rows(vectors)
     if not m:
         if ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
-        return span_rref([[Fraction(i == j) for j in range(ncols)] for i in range(ncols)])
+        return tuple(tuple(row) for row in identity(ncols))  # already echelon
     n = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(n) if c not in pivots]
@@ -78,18 +84,32 @@ def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Ro
     return span_rref(basis)
 
 
+def complement(basis: Sequence[Sequence], ncols: int) -> tuple[int, ...]:
+    """Column indices j, increasing, whose unit vectors u_j greedily complete span(basis).
+
+    Greedy takes u_j when it is outside span(basis, u_0, ..., u_{j-1}), that is
+    when column j of Ann(basis) is independent of the columns before it: the
+    leading columns of the annihilator's echelon basis.
+    """
+    return tuple(next(j for j, x in enumerate(row) if x) for row in nullspace(basis, ncols))
+
+
+def _solve_columns(matrix: Sequence[Sequence], columns: Sequence[Sequence], n: int) -> Matrix | None:
+    """X with M X = B for M with n columns and B = [b_1 ... b_k], or None if
+    any b_j is out of reach; one elimination of [M | B] solves every column."""
+    red, pivots = rref([list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)])
+    if pivots and pivots[-1] >= n:  # a pivot in the right-hand sides
+        return None
+    x = [[Fraction(0)] * len(columns) for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        x[pc] = list(red[r][n:])
+    return x
+
+
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
     """One exact solution of M x = b, or None if inconsistent."""
-    m = _rows(matrix)
-    n = len(m[0])
-    aug = [row + [Fraction(v)] for row, v in zip(m, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:  # pivot in the rhs column
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return tuple(x)
+    x = _solve_columns(matrix, [rhs], len(matrix[0]))
+    return None if x is None else tuple(row[0] for row in x)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -152,16 +172,7 @@ def restrict_operator(op: Sequence[Sequence], basis: Sequence[Sequence]) -> Matr
 
     Column j holds the coordinates of op(basis[j]).
     """
-    # one elimination of [basis^T | op(b_1) ... op(b_k)] solves every column
-    k = len(basis)
-    images = [mat_vec(op, b) for b in basis]
-    red, pivots = rref([list(col) + [img[t] for img in images] for t, col in enumerate(zip(*basis))])
-    if any(pc >= k for pc in pivots):  # some op(b_j) leaves the span
-        return None
-    out = [[Fraction(0)] * k for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        out[pc] = list(red[r][k:])
-    return out
+    return _solve_columns(transpose(basis), [mat_vec(op, b) for b in basis], len(basis))
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .exterior import KForm, Vector, interior, wedge
+from .exterior import KForm, Vector, _first_leg, form_row, interior, one_form, wedge
 from .lie import LieAlgebra
 
 CONDITION_NAMES = (
@@ -120,14 +120,10 @@ class ShearReport:
     conditions: dict[str, bool | None] = field(repr=False)
 
 
-def _covector_form(g: LieAlgebra, row) -> KForm:
-    return KForm(g.dim, 1, {1 << k: c for k, c in enumerate(row) if c})
-
-
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     """None when span(X) is an ideal, else a covector w of Ann(X) with i_X dw != 0."""
     for row in linalg.nullspace([X.components], ncols=g.dim):  # covectors annihilating X
-        w = _covector_form(g, row)
+        w = one_form(row)
         if not interior(X, g.d(w)).is_zero():
             return w
     return None
@@ -308,32 +304,26 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     if not g.d(f2).is_zero():
         raise TwistError("F must be closed")
     chain = g.twist_filtration().chain
-    alpha_row = _form_row(alpha)
+    alpha_row = form_row(alpha)
     v1 = chain[1] if len(chain) > 1 else ()
     if linalg.in_span(v1, alpha_row):
         raise TwistError("alpha must lie outside V1")
     if len(chain) > 1:
         _require_in_lambda2(g, f2, v1, "V1")
-        w_rows = list(v1)
+        w_rows = v1
     else:
         # step-one (abelian) base: the V1 constraint degenerates; F only needs
         # to avoid an alpha-leg, so W is completed from the support of F
-        w_rows = [list(r) for r in _support_rows(f2)]
+        w_rows = _support_rows(f2)
         if linalg.in_span(w_rows, alpha_row):
             raise TwistError("F must have no alpha-leg on an abelian base")
-    for j in range(1, g.dim + 1):
-        if len(w_rows) == g.dim - 1:
-            break
-        cand = [Fraction(i == j - 1) for i in range(g.dim)]
-        if linalg.in_span(w_rows, cand):
-            continue
-        if linalg.in_span(list(w_rows) + [cand], alpha_row):
-            continue
-        w_rows.append(cand)
-    if len(w_rows) != g.dim - 1:
-        raise TwistError("no splitting with alpha outside W exists")
-    x = Vector(linalg.solve([list(r) for r in w_rows] + [list(alpha_row)],
-                            [Fraction(0)] * (g.dim - 1) + [Fraction(1)]))
+    # W is an echelon basis and alpha is outside span(W), so W + alpha has
+    # |W| + 1 independent rows and n - 1 - |W| frame covectors complete it:
+    # W and they are always n - 1 rows, with alpha a basis of g*, so a
+    # splitting g* = W + span(alpha) with alpha outside W always exists
+    frame = linalg.identity(g.dim)
+    w_rows = [*w_rows, *(frame[j] for j in linalg.complement([*w_rows, alpha_row], g.dim))]
+    x = Vector(linalg.solve(w_rows + [alpha_row], [0] * (g.dim - 1) + [1]))
     data = ShearData(X=x, alpha=alpha, F0=f2, a=Fraction(-1))
     report = validate_shear(g, data)
     if not (report.decomp.eta.is_zero() and report.eta_prime.is_zero()):
@@ -341,31 +331,17 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     return _sheared(g, data, report)
 
 
-def _form_row(alpha: KForm) -> list[Fraction]:
-    row = [Fraction(0)] * alpha.dim
-    for mask, c in alpha.terms.items():
-        row[mask.bit_length() - 1] = c
-    return row
-
-
 def _support_rows(f2: KForm) -> tuple[tuple[Fraction, ...], ...]:
     # smallest coordinate subspace argument does not apply to covectors in
     # general position, so use the honest support: the span of i_v F over all v
-    rows = []
-    for i in range(1, f2.dim + 1):
-        contraction = interior(Vector.basis(f2.dim, i), f2)
-        if not contraction.is_zero():
-            rows.append(_form_row(contraction))
-    return linalg.span_rref(rows)
+    return linalg.span_rref([form_row(interior(Vector.basis(f2.dim, i), f2))
+                             for i in range(1, f2.dim + 1)])
 
 
 def _require_in_lambda2(g: LieAlgebra, f2: KForm, covectors, label: str) -> None:
     from .literals import format_vector
 
-    perp = linalg.nullspace(covectors, ncols=g.dim)
-    for v in perp:
-        leg = interior(Vector(v), f2)
-        if not leg.is_zero():
-            raise TwistError(
-                f"F is not in Lambda^2 {label}: i_v F = {leg} for v = {format_vector(Vector(v))}"
-            )
+    found = _first_leg(f2, linalg.nullspace(covectors, ncols=g.dim))
+    if found is not None:
+        v, leg = found
+        raise TwistError(f"F is not in Lambda^2 {label}: i_v F = {leg} for v = {format_vector(v)}")

@@ -100,6 +100,9 @@ WRONG_SHAPE_DOCUMENTS = {
     '{"dim":3,"d":[1,2]}': '"d" must be an object',
     '{"salamon":5}': '"salamon" must be a string',
     '{"salamon":"(0,0,12)","substitutions":[1]}': '"substitutions" must be an object of strings',
+    '{"dim":3.9,"d":{"3":"e12"}}': '"dim" must be an integer',
+    '{"dim":"3","d":{"3":"e12"}}': '"dim" must be an integer',
+    '{"dim":true,"d":{}}': '"dim" must be an integer',
 }
 
 json_values = st.recursive(

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import random_form
 from lieshear import KForm, Vector, hodge_star_orthonormal, interior, pullback, wedge
+from lieshear.exterior import form_row, one_form
 
 
 def mono(dim, idx, c=1):
@@ -99,6 +100,18 @@ class TestWedge:
 
     def test_repeated_index_kills_term(self):
         assert wedge(mono(3, (1, 2)), mono(3, (2, 3))).is_zero()
+
+
+class TestOneFormRows:
+    def test_round_trip(self):
+        row = [Fraction(0), Fraction(2, 3), Fraction(-1)]
+        alpha = one_form(row)
+        assert alpha == Fraction(2, 3) * mono(3, (2,)) - mono(3, (3,))
+        assert form_row(alpha) == row and form_row(KForm.zero(3, 2)) == [0, 0, 0]
+
+    def test_rejects_higher_degree(self):
+        with pytest.raises(ValueError):
+            form_row(mono(3, (1, 2)))
 
 
 class TestInterior:

@@ -299,6 +299,9 @@ class TestAlmostAbelian:
         # (0,0,12): derived = span{E3}, codim 2; E3 is central -> almost abelian
         verdict, _ = parse_salamon("(0,0,12)").is_almost_abelian()
         assert verdict is True
+        # r2 + r2: derived = span{E2, E4}, codim 2, and only g' itself centralizes it
+        verdict, reason = parse_salamon("(0,12,0,34)").is_almost_abelian()
+        assert verdict is False and "no centralizer" in reason
 
 
 class TestBracketWarning:

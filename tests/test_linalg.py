@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from lieshear import linalg
 
@@ -25,7 +27,45 @@ class TestRref:
     def test_subspace_equality_is_representation_free(self):
         a = [[F(1), F(1)], [F(1), F(-1)]]
         b = [[F(1), F(0)], [F(0), F(1)]]
-        assert linalg.subspace_eq(a, b)
+        assert linalg.span_rref(a) == linalg.span_rref(b)
+
+
+def greedy_completion(basis, ncols):
+    # the reference: add each unit vector outside the span so far, in index order
+    picked, current = [], [list(row) for row in basis]
+    for j in range(ncols):
+        unit = [F(i == j) for i in range(ncols)]
+        if not linalg.in_span(current, unit):
+            picked.append(j)
+            current.append(unit)
+    return tuple(picked)
+
+
+@st.composite
+def row_sets(draw):
+    ncols = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=ncols + 1))
+    if rows and draw(st.booleans()):  # a dependent row: a combination of the others
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(ncols)])
+    return rows, ncols
+
+
+class TestComplement:
+    @given(row_sets())
+    def test_matches_the_greedy_loop(self, case):
+        rows, ncols = case
+        picked = linalg.complement(rows, ncols)
+        assert picked == greedy_completion(rows, ncols)
+        assert len(picked) == ncols - len(linalg.span_rref(rows))
+
+    def test_edge_cases(self):
+        assert linalg.complement([], 3) == (0, 1, 2)
+        assert linalg.complement([[F(0), F(0), F(0)]], 3) == (0, 1, 2)
+        assert linalg.complement(linalg.identity(3), 3) == ()
+        assert linalg.complement([[F(1), F(1), F(0)], [F(2), F(2), F(0)]], 3) == (0, 2)
+        assert linalg.complement([[F(0), F(1), F(1)]], 3) == (0, 1)
 
 
 class TestNullspaceSolve:
@@ -116,6 +156,7 @@ class TestCharpolyRoots:
             coords = linalg.solve(linalg.transpose(plane), linalg.mat_vec(op, b))
             assert [row[j] for row in restricted] == list(coords)
         assert linalg.restrict_operator(op, [[F(0), F(0), F(1)]]) is None
+        assert linalg.restrict_operator(op, []) == []  # the zero subspace
 
     def test_products_of_int_matrices_are_fractions(self):
         # charpoly divides traces of such products by k, which two ints would make a float

@@ -295,6 +295,26 @@ class TestApplyTwist:
         assert print_salamon(out) == "(0,0,12,12+13)"
         assert out.jacobi_check().passed
 
+    def test_alpha_off_the_frame(self):
+        h3 = parse_salamon("(0,0,12)")
+        alpha = mono(3, (1,)) + mono(3, (3,))
+        assert print_salamon(apply_twist(h3, alpha, mono(3, (1, 2), -1))) == "(0,0,0)"
+        # V1 = span(e1, e2, e3) is completed to W by e4, so X = E5 / 2
+        g = parse_salamon("(0,0,0,12,13)")
+        alpha = mono(5, (1,)) - mono(5, (4,)) + 2 * mono(5, (5,))
+        out = apply_twist(g, alpha, mono(5, (2, 3)))
+        assert print_salamon(out) == "(0,0,0,12,13+1/2.23)"
+        assert out.jacobi_check().passed
+
+    def test_abelian_base_splits_from_the_support_of_f(self):
+        ab4 = LieAlgebra.abelian(4)
+        assert print_salamon(apply_twist(ab4, mono(4, (4,)), mono(4, (1, 2)))) == "(0,0,0,12)"
+        # W = span(e1, e2) completed by e4, so X = E3
+        alpha = mono(4, (2,)) + mono(4, (3,))
+        assert print_salamon(apply_twist(ab4, alpha, mono(4, (1, 2)))) == "(0,0,12,0)"
+        with pytest.raises(TwistError, match="alpha-leg"):
+            apply_twist(ab4, mono(4, (1,)) + mono(4, (2,)), mono(4, (1, 2)))
+
 
 class TestDsForm:
     def test_kahler_omega(self):
