@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import geometry, literals, search, shear
 from .exterior import KForm, Vector
-from .lie import LieAlgebra, SalamonError, parse_salamon, print_salamon
+from .lie import LieAlgebra, parse_salamon, print_salamon
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -53,10 +53,6 @@ def _verdict(ok: bool | None) -> str:
     return word
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _substitute(text: str, subs: dict[str, str]) -> str:
     for name in sorted(subs):
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
@@ -75,19 +71,11 @@ def _field(doc: dict, key: str, kind: type, wanted: str, default=None):
     return value
 
 
-def _input_info(path: str, raw: bytes) -> dict:
-    """The report's "input" object: the document's path and its sha256."""
-    return {"path": path, "sha256": _digest(raw)}
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def load_document(path: str, set_flags: list[str] | None):
-    """Read an algebra document; returns (algebra, info dict for the report)."""
-    raw = _read(path)
+    """Read an algebra document; returns (algebra, the report's "input" object:
+    the document's path and its sha256)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     text = raw.decode("utf-8")
     cli_subs: dict[str, str] = {}
     for item in set_flags or []:
@@ -124,7 +112,7 @@ def load_document(path: str, set_flags: list[str] | None):
             g = LieAlgebra(diffs)
     else:
         g = parse_salamon(_substitute(stripped, cli_subs))
-    return g, _input_info(path, raw)
+    return g, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _subspace_json(basis) -> list[str]:
@@ -134,8 +122,7 @@ def _subspace_json(basis) -> list[str]:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_algebra_check(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
+def cmd_algebra_check(g: LieAlgebra, args) -> tuple[dict, int]:
     jac = g.jacobi_check()
     result: dict = {
         "dim": g.dim,
@@ -145,24 +132,22 @@ def cmd_algebra_check(args) -> tuple[dict, int]:
             "failures": [{"generator": k, "d2": str(f)} for k, f in jac.failures],
         },
     }
-    code = EXIT_OK
-    if jac.passed:
-        rep = g.series()
-        verdict, reason = g.is_almost_abelian() if not rep.is_abelian else (True, "abelian")
-        result["classification"] = {
-            "abelian": rep.is_abelian,
-            "nilpotent": rep.is_nilpotent,
-            "solvable": rep.is_solvable,
-            "step_length": rep.step_length,
-            "derived_length": rep.derived_length,
-            "almost_abelian": verdict,
-            "almost_abelian_reason": reason,
-        }
-        result["lower_central"] = [_subspace_json(s) for s in rep.lower_central]
-        result["derived"] = [_subspace_json(s) for s in rep.derived]
-    else:
-        code = EXIT_JACOBI
-    return {"command": "algebra-check", "input": info, "result": result}, code
+    if not jac.passed:
+        return result, EXIT_JACOBI
+    rep = g.series()
+    verdict, reason = g.is_almost_abelian() if not rep.is_abelian else (True, "abelian")
+    result["classification"] = {
+        "abelian": rep.is_abelian,
+        "nilpotent": rep.is_nilpotent,
+        "solvable": rep.is_solvable,
+        "step_length": rep.step_length,
+        "derived_length": rep.derived_length,
+        "almost_abelian": verdict,
+        "almost_abelian_reason": reason,
+    }
+    result["lower_central"] = [_subspace_json(s) for s in rep.lower_central]
+    result["derived"] = [_subspace_json(s) for s in rep.derived]
+    return result, EXIT_OK
 
 
 def _parse_shear_flags(g: LieAlgebra, args) -> shear.ShearData:
@@ -174,15 +159,6 @@ def _parse_shear_flags(g: LieAlgebra, args) -> shear.ShearData:
     if getattr(args, "eta_g", None):
         eta_g = literals.parse_form(args.eta_g, g.dim, degree=1)
     return shear.ShearData(X=x, alpha=alpha, F0=f0, a=a, eta_g=eta_g)
-
-
-def _require_jacobi(g: LieAlgebra) -> None:
-    if not g.jacobi_check().passed:
-        raise JacobiFailure()
-
-
-class JacobiFailure(Exception):
-    pass
 
 
 def _report_json(report: shear.ShearReport) -> dict:
@@ -202,42 +178,32 @@ def _report_json(report: shear.ShearReport) -> dict:
     }
 
 
-def cmd_shear(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_shear(g: LieAlgebra, args) -> tuple[dict, int]:
     data = _parse_shear_flags(g, args)
     report = shear.validate_shear(g, data)
     result = {"algebra": print_salamon(g), "report": _report_json(report)}
-    code = EXIT_OK if report.valid else EXIT_INVALID_DATA
-    if report.valid and not args.validate_only:
-        sheared = shear.apply_shear(g, data)
-        result["sheared"] = print_salamon(sheared)
-    return {"command": "shear", "input": info, "result": result}, code
+    if not report.valid:
+        return result, EXIT_INVALID_DATA
+    if not args.validate_only:
+        result["sheared"] = print_salamon(shear._sheared(g, data, report))
+    return result, EXIT_OK
 
 
-def cmd_twist(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_twist(g: LieAlgebra, args) -> tuple[dict, int]:
     alpha = literals.parse_form(args.alpha, g.dim, degree=1)
     f2 = literals.parse_form(args.f, g.dim, degree=2)
     twisted = shear.apply_twist(g, alpha, f2)
-    result = {"algebra": print_salamon(g), "twisted": print_salamon(twisted)}
-    return {"command": "twist", "input": info, "result": result}, EXIT_OK
+    return {"algebra": print_salamon(g), "twisted": print_salamon(twisted)}, EXIT_OK
 
 
-def cmd_form_ds(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_form_ds(g: LieAlgebra, args) -> tuple[dict, int]:
     data = _parse_shear_flags(g, args)
     form = literals.parse_form(args.form, g.dim)
     out = shear.ds_form(g, data, form)
-    result = {"algebra": print_salamon(g), "form": str(form), "ds": str(out)}
-    return {"command": "form-ds", "input": info, "result": result}, EXIT_OK
+    return {"algebra": print_salamon(g), "form": str(form), "ds": str(out)}, EXIT_OK
 
 
-def cmd_check_structure(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_check_structure(g: LieAlgebra, args) -> tuple[dict, int]:
     kind = args.type
     forms: dict[str, KForm] = {}
     metric = jstruct = None
@@ -281,12 +247,10 @@ def cmd_check_structure(args) -> tuple[dict, int]:
         result["passed"] = outcome.stable
         result["definiteness"] = outcome.definiteness
         result["b_matrix"] = [[str(x) for x in row] for row in outcome.b_matrix]
-    return {"command": "check-structure", "input": info, "result": result}, EXIT_OK
+    return result, EXIT_OK
 
 
-def cmd_search(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
     x = literals.parse_vector(args.x, g.dim)
     alpha = literals.parse_form(args.alpha, g.dim, degree=1)
     coeffs = tuple(literals.parse_rational(c) for c in args.coeffs.split(","))
@@ -320,12 +284,10 @@ def cmd_search(args) -> tuple[dict, int]:
         "candidates": spec.candidate_count(),
         "hits": [{"f0": str(h.f0), "sheared": print_salamon(h.sheared)} for h in hits],
     }
-    return {"command": "search", "input": info, "result": result}, EXIT_OK
+    return result, EXIT_OK
 
 
-def cmd_shear_lines(args) -> tuple[dict, int]:
-    g, info = load_document(args.file, args.set)
-    _require_jacobi(g)
+def cmd_shear_lines(g: LieAlgebra, args) -> tuple[dict, int]:
     try:
         rep = g.find_shear_lines()
     except ValueError as exc:  # abelian / not solvable: construction-data class
@@ -341,7 +303,7 @@ def cmd_shear_lines(args) -> tuple[dict, int]:
         ],
         "nonrational_present": rep.nonrational_present,
     }
-    return {"command": "shear-lines", "input": info, "result": result}, EXIT_OK
+    return result, EXIT_OK
 
 
 # -- rendering ------------------------------------------------------------------
@@ -515,45 +477,30 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command: parse argv, load the document, apply the Jacobi gate,
+    call the handler and emit its result wrapped in the report envelope."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        report, code = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except JacobiFailure:
-        print("error: input algebra fails the Jacobi identity", file=sys.stderr)
-        return EXIT_JACOBI
-    except (SalamonError, literals.LiteralError, json.JSONDecodeError, OSError,
-            UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        args = build_parser().parse_args(_normalize_argv(list(argv)))
+        g, info = load_document(args.file, args.set)
+        # algebra-check reports the Jacobi failures instead of refusing them
+        if args.cmd != "algebra-check" and not g.jacobi_check().passed:
+            print("error: input algebra fails the Jacobi identity", file=sys.stderr)
+            return EXIT_JACOBI
+        result, code = args.handler(g, args)
     except search.SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_CAP
     except shear.InvalidShearError as exc:
-        # every command loads its document first, so it is read here again
-        report = {
-            "command": args.cmd,
-            "input": _input_info(args.file, _read(args.file)),
-            "result": {"report": _report_json(exc.report)},
-        }
-        _emit(report, EXIT_INVALID_DATA, args.json)
-        return EXIT_INVALID_DATA
+        result, code = {"report": _report_json(exc.report)}, EXIT_INVALID_DATA
     except (shear.ShearDataError, shear.TwistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:  # parse, literal, JSON and decode errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(report, code, args.json)
+    _emit({"command": args.cmd, "input": info, "result": result}, code, args.json)
     return code
 
 

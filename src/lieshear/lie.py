@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import Coeff, KForm, Vector, _first_leg, _make, form_row, interior, merge_sign, one_form
+from .exterior import Coeff, KForm, Vector, _first_leg, _make, interior, merge_sign, one_form
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -164,9 +164,20 @@ class LieAlgebra:
         return Vector(linalg.mat_vec(self._ad(v), w.components))
 
     def _ad(self, v: Vector) -> list[list[Coeff]]:
-        # row k of ad(v) is the covector w -> [v, w]_k = -(v . d e_k)(w)
-        minus_v = -1 * v
-        return [form_row(interior(minus_v, f)) for f in self.diffs]
+        # row k of ad(v) is the covector w -> [v, w]_k = -(v . d e_k)(w): a term
+        # c e_ij (i < j) of d e_k puts -c v_i in column j and +c v_j in column i
+        comps = [x.numerator if x.denominator == 1 else x for x in v.components]
+        rows = []
+        for f in self.diffs:
+            row: list[Coeff] = [0] * self.dim
+            for mask, c in f.terms.items():
+                i = (mask & -mask).bit_length() - 1
+                j = mask.bit_length() - 1
+                row[j] -= c * comps[i]
+                row[i] += c * comps[j]
+            # entries as interior leaves them: int when integral
+            rows.append([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
+        return rows
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi

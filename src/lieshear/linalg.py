@@ -66,13 +66,12 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
 
 def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Row, ...]:
     """Echelon basis of {x : M x = 0} for the matrix with the given rows."""
-    m = _rows(vectors)
-    if not m:
+    if not vectors:
         if ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
         return tuple(tuple(row) for row in identity(ncols))  # already echelon
-    n = len(m[0])
-    red, pivots = rref(m)
+    n = len(vectors[0])
+    red, pivots = rref(vectors)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

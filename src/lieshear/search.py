@@ -9,7 +9,7 @@ from math import comb
 from .exterior import KForm, Vector
 from .geometry import preserves_closure
 from .lie import LieAlgebra
-from .shear import ShearBase, ShearData, ShearReport, shear_candidate, validate_shear
+from .shear import ShearBase, ShearData, ShearReport, _sheared, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -112,10 +112,6 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                     continue
                 if not all(preserves_closure(spec.base, spec.X, f0, s) for s in spec.preserve):
                     continue
-                sheared = shear_candidate(spec.base, data)
-                if not sheared.jacobi_check().passed:
-                    raise AssertionError(
-                        f"validity/Jacobi equivalence broken for F0 = {f0}"
-                    )
+                sheared = _sheared(spec.base, data, report)
                 hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
     return hits

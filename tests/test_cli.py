@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -12,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from lieshear.cli import main
+from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 PSI_LITERAL = "e1425 + e1436 + e2536 - e4567 + e4237 + e1267 + e1537"
 
@@ -42,6 +43,10 @@ def files(tmp_path):
         p.write_text(text)
         paths[name] = str(p)
     return paths
+
+
+def subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def run(capsys, *argv):
@@ -173,16 +178,32 @@ class TestShearCommand:
         assert "valid: pass" in out
         assert "sheared:" not in out
 
-    def test_jacobi_gate(self, capsys, files):
-        code, _, err = run(capsys, "shear", files["bad"],
-                           "--x", "E4", "--alpha", "e4", "--f0", "e12")
-        assert code == 2
-
     def test_bad_alpha_exit_3(self, capsys, files):
         code, _, err = run(capsys, "shear", files["s5"],
                            "--x", "E4", "--alpha", "e5", "--f0", "e13")
         assert code == 3
         assert "alpha(X)" in err
+
+
+GATED_COMMANDS = {
+    "shear": ["--x", "E4", "--alpha", "e4", "--f0", "e12"],
+    "twist": ["--alpha", "e4", "--f", "e12"],
+    "form-ds": ["--x", "E4", "--alpha", "e4", "--f0", "e12", "--form", "e1"],
+    "check-structure": ["--type", "symplectic", "--omega", "e12+e34"],
+    "search": ["--x", "E4", "--alpha", "e4"],
+    "shear-lines": [],
+}
+
+
+class TestJacobiGate:
+    @pytest.mark.parametrize("command", list(GATED_COMMANDS))
+    def test_jacobi_gate(self, capsys, files, command):
+        code, out, err = run(capsys, command, files["bad"], "--json", *GATED_COMMANDS[command])
+        assert (code, out) == (2, "")
+        assert err == "error: input algebra fails the Jacobi identity\n"
+
+    def test_every_other_command_is_gated(self):
+        assert set(subcommands(build_parser())) == {"algebra-check", *GATED_COMMANDS}
 
 
 class TestTwistCommand:
@@ -203,8 +224,18 @@ class TestTwistCommand:
         validate = shear.validate_shear
         monkeypatch.setattr(shear, "validate_shear",
                             lambda *a, **k: dataclasses.replace(validate(*a, **k), valid=False))
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if file == files["h3"]:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
         code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-e12", "--json")
         assert code == 3
+        assert opened == [files["h3"]]  # the report reuses the one read
         report = json.loads(out)
         assert report["command"] == "twist"
         assert report["input"] == {
@@ -345,6 +376,31 @@ class TestReports:
         err = capsys.readouterr().err
         assert code == 1
         assert "error" in err
+
+
+class TestArgv:
+    def test_value_flags_are_the_parsers_value_options(self):
+        parser = build_parser()
+        taking = {
+            (command, flag, action)
+            for command, sub in subcommands(parser).items()
+            for action in sub._actions if action.nargs != 0
+            for flag in action.option_strings
+        }
+        assert {flag for _, flag, _ in taking} == _VALUE_FLAGS
+        for command, flag, action in sorted(taking, key=lambda t: t[:2]):
+            # the other required options get a valid value, this one "-e1"
+            argv = [command, "doc.alg"]
+            for other in subcommands(parser)[command]._actions:
+                if other.required and other.option_strings and other is not action:
+                    argv += [other.option_strings[0], (other.choices or ["x"])[0]]
+            argv += [flag, "-e1"]
+            try:
+                args = parser.parse_args(_normalize_argv(argv))
+            except UsageError as exc:  # the value reached the option: int or choice check
+                assert "'-e1'" in str(exc), (flag, str(exc))
+            else:
+                assert getattr(args, action.dest) in ("-e1", ["-e1"]), flag
 
 
 class TestHighDimensionDocuments:

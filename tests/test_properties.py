@@ -24,6 +24,7 @@ from lieshear import (
     validate_shear,
     wedge,
 )
+from lieshear.exterior import form_row
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -263,6 +264,16 @@ class TestJacobiEquivalence:
             b = g.bracket(v, w)
         for k in range(g.dim):
             assert b.components[k] == -g.diffs[k](v, w)
+
+    @given(st.data())
+    def test_ad_rows_are_minus_v_into_each_d(self, data):
+        # row k of ad(v) is the one-form -(v . d e_k), entry types included
+        g = LieAlgebra(data.draw(algebra_diffs()))
+        v = data.draw(vectors(g.dim))
+        reference = [form_row(interior(-1 * v, f)) for f in g.diffs]
+        ad = g._ad(v)
+        assert ad == reference
+        assert [list(map(type, row)) for row in ad] == [list(map(type, row)) for row in reference]
 
 
 class TestSalamonRoundtrip:

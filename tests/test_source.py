@@ -43,3 +43,18 @@ def test_every_top_level_definition_is_used_or_exported():
         and not any(node.name in used for j, used in enumerate(uses) if j != i)
     ]
     assert SOURCES and not unused, unused
+
+
+def test_environment_is_read_only_for_no_color():
+    # README: no environment variable other than NO_COLOR is read
+    names = {"environ", "getenv", "environb", "getenvb"}
+    found = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and sub.attr in names
+                        or isinstance(sub, ast.Name) and sub.id in names
+                        or isinstance(sub, ast.alias) and sub.name in names):
+                    found.add((path.name, owner))
+    assert found == {("cli.py", "_color_enabled")}, found
