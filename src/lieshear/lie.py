@@ -14,6 +14,8 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from . import linalg
 from .exterior import Coeff, KForm, Vector, _first_leg, _make, interior, merge_sign, one_form
@@ -161,12 +163,13 @@ class LieAlgebra:
             raise ValueError("dimension mismatch in bracket")
         if not self._jacobi.passed:
             warnings.warn("bracket on an algebra failing the Jacobi identity", RuntimeWarning)
-        return Vector(linalg.mat_vec(self._ad(v), w.components))
+        return Vector(linalg.mat_vec(self._ad(v.components), w.components))
 
-    def _ad(self, v: Vector) -> list[list[Coeff]]:
-        # row k of ad(v) is the covector w -> [v, w]_k = -(v . d e_k)(w): a term
-        # c e_ij (i < j) of d e_k puts -c v_i in column j and +c v_j in column i
-        comps = [x.numerator if x.denominator == 1 else x for x in v.components]
+    def _ad(self, v: Sequence[Coeff]) -> list[list[Coeff]]:
+        # row k of ad(v), v given by its components, is the covector
+        # w -> [v, w]_k = -(v . d e_k)(w): a term c e_ij (i < j) of d e_k puts
+        # -c v_i in column j and +c v_j in column i
+        comps = [x.numerator if x.denominator == 1 else x for x in v]
         rows = []
         for f in self.diffs:
             row: list[Coeff] = [0] * self.dim
@@ -191,11 +194,17 @@ class LieAlgebra:
     # -- series and classification -------------------------------------------
 
     def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
+        # a span is blind to the scale of each bracket: bracket primitive integer
+        # rows through the primitive integer multiple of each ad matrix, taken
+        # as a whole (scaling its rows apart would turn the brackets)
+        n = self.dim
+        right_ints = [linalg.primitive(v) for v in right]
         vecs = []
         for u in left:
-            ad_u = self._ad(Vector(u))
-            for v in right:
-                b = linalg.mat_vec(ad_u, v)
+            flat = linalg.primitive([x for row in self._ad(linalg.primitive(u)) for x in row])
+            ad_u = [flat[k:k + n] for k in range(0, n * n, n)]
+            for v in right_ints:
+                b = [sum(map(mul, row, v)) for row in ad_u]
                 if any(b):
                     vecs.append(b)
         return linalg.span_rref(vecs)
@@ -270,7 +279,7 @@ class LieAlgebra:
         if codim == 2:
             stacked = []
             for u in dsub:
-                stacked.extend(self._ad(Vector(u)))
+                stacked.extend(self._ad(u))
             cent = linalg.nullspace(stacked, ncols=self.dim)
             if len(linalg.span_rref(list(dsub) + list(cent))) > len(dsub):  # cent not inside g'
                 return True, "derived subalgebra extends by a centralizing line to an abelian hyperplane"
@@ -300,7 +309,7 @@ class LieAlgebra:
         spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
         nonrational = False
         for a_vec in acting:
-            ad = self._ad(a_vec)
+            ad = self._ad(a_vec.components)
             refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
             for eigs, basis in spaces:
                 restricted = linalg.restrict_operator(ad, basis)

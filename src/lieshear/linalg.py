@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals: RREF, subspaces, char polys, rational roots.
 
 Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`;
-the entries of every matrix or vector returned are `Fraction`.  Subspaces are
-represented by their reduced row echelon basis (zero rows dropped), which
-makes every subspace computation deterministic and equality a tuple
-comparison.  The subspace questions of the package are asked here:
+the entries of every matrix or vector returned are `Fraction`.  The arithmetic
+inside runs on `int`s: `rref` and `det` eliminate on each row's primitive
+integer multiple (`primitive`), which has the same span and leads to the same
+reduced echelon form, and `charpoly` works on the integer matrix L*A; only
+the returned entries are built as Fractions.  Subspaces are represented by
+their reduced row echelon basis (zero rows dropped), which makes every
+subspace computation deterministic and equality a tuple comparison.  The
+subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `in_span(basis, v)`: is v in span(basis)?
@@ -17,41 +21,62 @@ comparison.  The subspace questions of the package are asked here:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Row = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
 
 
-def _rows(vectors: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in vectors]
+def primitive(row: Sequence) -> list[int]:
+    """The primitive integer multiple of a rational row: the lcm of the
+    denominators clears them, then the gcd of the entries is divided out.
+
+    Scaling a row keeps its span and the reduced echelon form it leads to, so
+    elimination can run on these rows.  The zero row maps to the zero row.
+    """
+    dens = [x.denominator for x in row]
+    scale = lcm(*dens)
+    if scale == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = _rows(vectors)
-    if not m:
-        return (), ()
-    ncols = len(m[0])
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan on primitive integer rows: eliminating column c
+    with pivot p from a row with entry f there is row <- p*row - f*pivot_row,
+    kept primitive.  Only the output rows, divided by their pivots, are Fractions.
+    """
+    m = [primitive(row) for row in vectors]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    zero = Fraction(0)
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(m, pivots)
+    ), tuple(pivots)
 
 
 def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
@@ -128,7 +153,8 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def is_symmetric(a: Sequence[Sequence]) -> bool:
@@ -142,23 +168,34 @@ def leading_principal_minors(a: Sequence[Sequence]) -> list[Fraction]:
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    m = _rows(a)
+    """Determinant by fraction-free Bareiss elimination on the primitive rows,
+    divided by the product of the scales that made the rows primitive."""
+    m: list[list[int]] = []
+    scale = Fraction(1)  # the product of row_i / primitive(row_i)
+    for row in a:
+        p = primitive(row)
+        j = next((j for j, x in enumerate(p) if x), None)
+        if j is None:
+            return Fraction(0)
+        scale *= Fraction(row[j]) / p[j]
+        m.append(p)
     n = len(m)
-    out = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if m[r][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        p = m[c][c]
         for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return out
+            f = m[r][c]
+            # exact: every entry is a minor of the primitive matrix
+            tail = [(p * x - f * y) // prev for x, y in zip(m[r][c + 1:], m[c][c + 1:])]
+            m[r] = [0] * (c + 1) + tail
+        prev = p
+    return scale * (sign * prev)
 
 
 def is_positive_definite(a: Sequence[Sequence]) -> bool:
@@ -177,20 +214,25 @@ def restrict_operator(op: Sequence[Sequence], basis: Sequence[Sequence]) -> Matr
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
     """Characteristic polynomial det(xI - A), coefficients ascending, monic.
 
-    Faddeev-LeVerrier; exact over the rationals.
+    Faddeev-LeVerrier on the integer matrix L*A, L the lcm of the entries'
+    denominators: the coefficient of x^(n-k) of L*A is L^k times that of A,
+    and each of its trace divisions by k is exact over the integers.
     """
     n = len(a)
-    m = _rows(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity(n)
+    scale = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"trace of step {k} is not divisible by {k}")
         coeffs[n - k] = ck
         for i in range(n):
             mk[i][i] += ck
-    return coeffs
+    return [Fraction(c, scale ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

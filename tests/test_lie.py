@@ -174,6 +174,49 @@ class TestSeries:
             parse_salamon("(0,12,0,23)").series()
 
 
+def subspace_text(basis):
+    return "; ".join(" ".join(str(x) for x in row) for row in basis)
+
+
+# structure constants 1/2 and 1/3 (with the sums and multiples the Jacobi
+# identity forces): brackets of scaled integer rows must span the same
+# subspaces; the expected strings are those of Fraction-row elimination
+NON_INTEGRAL = [
+    (
+        "(1/2.15,1/3.25,1/2.12+5/6.35,1/3.12+5/6.45,0)",
+        ["1 0 0 0 0; 0 1 0 0 0; 0 0 1 0 0; 0 0 0 1 0", "0 0 1 2/3 0", ""],
+        ["1 0 0 0 0; 0 1 0 0 0; 0 0 1 0 0; 0 0 0 1 0"],
+        [(("5/6",), "0 0 1 2/3 0")],
+    ),
+    (
+        "(1/2.14,1/3.24+2/3.14,1/6.34+1/2.24,0)",
+        ["1 0 0 0; 0 1 0 0; 0 0 1 0", ""],
+        ["1 0 0 0; 0 1 0 0; 0 0 1 0"],
+        [(("1/6",), "0 0 1 0"), (("1/3",), "0 1 3 0"), (("1/2",), "1 4 6 0")],
+    ),
+    (
+        "(1/2.16,1/3.26,2/3.21+5/6.36,3/2.23+7/6.46,1/2.12+5/6.56,0)",
+        [
+            "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0",
+            "0 0 1 0 -3/4 0; 0 0 0 1 0 0",
+            "",
+        ],
+        ["1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0"],
+        [(("7/6",), "0 0 0 1 0 0")],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, derived, lower, eigenspaces", NON_INTEGRAL)
+def test_non_integral_structure_constants(text, derived, lower, eigenspaces):
+    g = parse_salamon(text)
+    rep = g.series()
+    assert [subspace_text(t) for t in rep.derived] == derived
+    assert [subspace_text(t) for t in rep.lower_central] == lower
+    lines = g.find_shear_lines()
+    assert [(tuple(map(str, e.eigenvalues)), subspace_text(e.basis)) for e in lines.eigenspaces] == eigenspaces
+    assert not lines.nonrational_present
+
 class TestFiltration:
     def test_heisenberg(self):
         chain = parse_salamon("(0,0,12)").twist_filtration().chain

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -159,10 +160,134 @@ class TestCharpolyRoots:
         assert linalg.restrict_operator(op, []) == []  # the zero subspace
 
     def test_products_of_int_matrices_are_fractions(self):
-        # charpoly divides traces of such products by k, which two ints would make a float
+        # the Fraction start keeps results Fractions: two ints would divide to a float
         a = [[1, 2], [0, -3]]
         v = linalg.mat_vec(a, [4, 5])
         m = linalg.mat_mul(a, a)
         assert v == [F(14), F(-15)] and m == [[F(1), F(-4)], [F(0), F(9)]]
         zero = linalg.mat_vec([[0, 0]], [4, 5])  # every entry of the row skipped
         assert all(type(x) is Fraction for x in [*v, *m[0], *m[1], *zero])
+
+
+# -- Fraction reference implementations ----------------------------------------
+# Gauss-Jordan, Gaussian elimination and Faddeev-LeVerrier on Fraction rows.
+# The reduced echelon form, the determinant and the characteristic polynomial
+# are unique, so the integer versions in linalg must agree with them exactly.
+
+
+def reference_rref(vectors):
+    m = [[Fraction(x) for x in row] for row in vectors]
+    if not m:
+        return (), ()
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def reference_det(a):
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return out
+
+
+def reference_charpoly(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*mk)] for row in m]
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            mk[i][i] += ck
+    return coeffs
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=40, max_cols=8, square=False):
+    ncols = draw(st.integers(0, max_cols))
+    nrows = ncols if square else draw(st.integers(0, max_rows))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        # zero rows, duplicates and negated copies, in place to keep the shape
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        kind = draw(st.sampled_from(["zero", "duplicate", "negated"]))
+        rows[i] = [0] * ncols if kind == "zero" else [x if kind == "duplicate" else -x for x in rows[j]]
+    return rows
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestIntegerElimination:
+    @given(matrices())
+    def test_rref_matches_fraction_gauss_jordan(self, rows):
+        got = linalg.rref(rows)
+        assert got == reference_rref(rows)
+        assert all_fractions(got[0])
+
+    @given(matrices(max_cols=7, square=True))
+    def test_charpoly_matches_fraction_faddeev_leverrier(self, a):
+        got = linalg.charpoly(a)
+        assert got == reference_charpoly(a)
+        assert all(type(c) is Fraction for c in got)
+
+    @given(matrices(max_cols=7, square=True))
+    def test_det_matches_fraction_elimination(self, a):
+        got = linalg.det(a)
+        assert got == reference_det(a) and type(got) is Fraction
+
+    def test_empty_matrix(self):
+        assert linalg.charpoly([]) == [Fraction(1)]
+        assert linalg.det([]) == Fraction(1)
+        assert linalg.rref([]) == ((), ())
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))
+    def test_primitive_keeps_the_span(self, row):
+        p = linalg.primitive(row)
+        assert all(type(x) is int for x in p)
+        assert linalg.span_rref([p]) == linalg.span_rref([row])
+        assert gcd(*p) == 1 if any(row) else p == [0] * len(row)
+
+    def test_primitive_examples(self):
+        assert linalg.primitive([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+        assert linalg.primitive([4, -6, Fraction(8)]) == [2, -3, 4]
+        assert linalg.primitive([0, Fraction(0)]) == [0, 0]
+        assert linalg.primitive([]) == []

@@ -271,7 +271,7 @@ class TestJacobiEquivalence:
         g = LieAlgebra(data.draw(algebra_diffs()))
         v = data.draw(vectors(g.dim))
         reference = [form_row(interior(-1 * v, f)) for f in g.diffs]
-        ad = g._ad(v)
+        ad = g._ad(v.components)
         assert ad == reference
         assert [list(map(type, row)) for row in ad] == [list(map(type, row)) for row in reference]
 

@@ -58,3 +58,19 @@ def test_environment_is_read_only_for_no_color():
                         or isinstance(sub, ast.alias) and sub.name in names):
                     found.add((path.name, owner))
     assert found == {("cli.py", "_color_enabled")}, found
+
+
+def test_no_floats_or_tolerances():
+    # arithmetic is exact: no float literal, no float(), no square root or
+    # tolerance compare; a float made at run time by `/` on two ints is caught
+    # by the entry-type checks of the linalg tests instead
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+        ]
+        found += [f"{path.name}: {name}" for name in sorted(_names_used(tree) & {"float", "sqrt", "isclose"})]
+    assert SOURCES and not found, found
