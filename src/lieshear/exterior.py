@@ -175,6 +175,8 @@ class KForm:
 
     def __mul__(self, scalar) -> "KForm":
         c = _as_coeff(scalar)
+        if c == 1:
+            return self  # immutable, so the form itself is its own multiple
         return _make(self.dim, self.degree, {m: c * v for m, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -204,9 +206,12 @@ class KForm:
             return total + self.terms.get(0, 0)
         if self.degree == 1:  # the pairing sum_i c_i v_i, each 1x1 determinant
             comps = vectors[0].components
+            acc: Coeff = 0  # stays an int while every factor is integral
             for mask, c in self.terms.items():
-                total += c * comps[mask.bit_length() - 1]
-            return total
+                x = comps[mask.bit_length() - 1]
+                if x:
+                    acc += c * (x.numerator if x.denominator == 1 else x)
+            return Fraction(acc)
         for mask, c in self.terms.items():
             idx = indices_of(mask)
             rows = [[v.components[i - 1] for i in idx] for v in vectors]
@@ -348,9 +353,13 @@ def interior(v: Vector, a: KForm) -> KForm:
     """Interior product v . a (antiderivation; degree drops by one)."""
     if v.dim != a.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
+    return _contract(v.components, a)
+
+
+def _contract(comps: Sequence[Fraction], a: KForm) -> KForm:
+    # the interior product with the vector of the given components
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
-    comps = v.components
     terms: dict[int, Coeff] = {}
     for mask, c in a.terms.items():
         rem = mask
@@ -390,10 +399,11 @@ def _first_leg(form: KForm, vectors: Sequence[Sequence]) -> tuple[Vector, KForm]
     The form lies in Lambda^k U exactly when none is found on a basis of Ann(U).
     """
     for comps in vectors:
-        v = Vector(comps)
-        leg = interior(v, form)
+        if len(comps) != form.dim:
+            raise ValueError(f"dimension mismatch: {len(comps)} vs {form.dim}")
+        leg = _contract(comps, form)
         if leg.terms:
-            return v, leg
+            return Vector(comps), leg
     return None
 
 

@@ -14,7 +14,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -80,8 +80,10 @@ class ShearLineReport:
 class LieAlgebra:
     """Lie algebra of dimension n given by the two-forms d e_1, ..., d e_n.
 
-    Only the Jacobi verdict is computed eagerly; brackets are read off the
-    d e_k when asked for.  Instances are safe to share between threads.
+    Only the Jacobi verdict is computed eagerly.  Brackets are read off the
+    terms of the d e_k when asked for, by the one formula of `_columns`; no
+    bracket table or ad matrix is kept.  Instances are safe to share between
+    threads.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series")
@@ -163,24 +165,39 @@ class LieAlgebra:
             raise ValueError("dimension mismatch in bracket")
         if not self._jacobi.passed:
             warnings.warn("bracket on an algebra failing the Jacobi identity", RuntimeWarning)
-        return Vector(linalg.mat_vec(self._ad(v.components), w.components))
+        cols = _columns(self._terms(), w.components, self.dim)
+        out = [Fraction(0)] * self.dim
+        for x, col in zip(v.components, cols):
+            if x:
+                out = [o + x * c for o, c in zip(out, col)]
+        return Vector(out)
+
+    def _terms(self, integral: bool = False) -> list[tuple[int, int, int, Coeff]]:
+        """(i, j, k, c) for each term c e_ij (0-based i < j) of d e_k.
+
+        With `integral`, every c is scaled to an int by the lcm of all their
+        denominators; a span of brackets is blind to that common factor.
+        """
+        terms = [
+            ((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
+            for k, f in enumerate(self.diffs)
+            for mask, c in f.terms.items()
+        ]
+        if integral:
+            scale = lcm(*(c.denominator for *_, c in terms))
+            if scale != 1:
+                terms = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in terms]
+        return terms
 
     def _ad(self, v: Sequence[Coeff]) -> list[list[Coeff]]:
-        # row k of ad(v), v given by its components, is the covector
-        # w -> [v, w]_k = -(v . d e_k)(w): a term c e_ij (i < j) of d e_k puts
-        # -c v_i in column j and +c v_j in column i
+        # ad(v), v given by its components: column j is [v, E_j] = -[E_j, v];
+        # entries as interior leaves them, int when integral
         comps = [x.numerator if x.denominator == 1 else x for x in v]
-        rows = []
-        for f in self.diffs:
-            row: list[Coeff] = [0] * self.dim
-            for mask, c in f.terms.items():
-                i = (mask & -mask).bit_length() - 1
-                j = mask.bit_length() - 1
-                row[j] -= c * comps[i]
-                row[i] += c * comps[j]
-            # entries as interior leaves them: int when integral
-            rows.append([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
-        return rows
+        cols = _columns(self._terms(), comps, self.dim)
+        return [
+            [-x if type(x) is int or x.denominator != 1 else -x.numerator for x in row]
+            for row in zip(*cols)
+        ]
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
@@ -195,16 +212,21 @@ class LieAlgebra:
 
     def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         # a span is blind to the scale of each bracket: bracket primitive integer
-        # rows through the primitive integer multiple of each ad matrix, taken
-        # as a whole (scaling its rows apart would turn the brackets)
+        # rows through the structure constants scaled to ints by one common lcm.
+        # One pass over the terms per right row v gives the columns [E_i, v];
+        # then [u, v] sums u_i [E_i, v] over the nonzero u_i only, a column
+        # lookup for the unit rows of a lower-central step
         n = self.dim
-        right_ints = [linalg.primitive(v) for v in right]
+        terms = self._terms(integral=True)
+        supports = [[(i, x) for i, x in enumerate(linalg.primitive(u)) if x] for u in left]
+        supports = [s for s in supports if s]
         vecs = []
-        for u in left:
-            flat = linalg.primitive([x for row in self._ad(linalg.primitive(u)) for x in row])
-            ad_u = [flat[k:k + n] for k in range(0, n * n, n)]
-            for v in right_ints:
-                b = [sum(map(mul, row, v)) for row in ad_u]
+        for v in right:
+            cols = _columns(terms, linalg.primitive(v), n)
+            for (i, x), *rest in supports:
+                b = cols[i] if x == 1 else [x * c for c in cols[i]]
+                for i, x in rest:
+                    b = [p + x * c for p, c in zip(b, cols[i])]
                 if any(b):
                     vecs.append(b)
         return linalg.span_rref(vecs)
@@ -337,6 +359,21 @@ class LieAlgebra:
             eigenspaces=eig,
             nonrational_present=nonrational,
         )
+
+
+def _columns(terms: Sequence[tuple[int, int, int, Coeff]], v: Sequence[Coeff], n: int) -> list[list[Coeff]]:
+    """The brackets [E_i, v], i = 1..n, from the (i, j, k, c) terms of `LieAlgebra._terms`.
+
+    This is the package's one bracket formula: a term c e_ij of d e_k gives
+    [u, v]_k the share -c (u_i v_j - u_j v_i), so [u, v] = sum_i u_i [E_i, v].
+    """
+    cols: list[list[Coeff]] = [[0] * n for _ in range(n)]
+    for i, j, k, c in terms:
+        if v[j]:
+            cols[i][k] -= c * v[j]
+        if v[i]:
+            cols[j][k] += c * v[i]
+    return cols
 
 
 # -- shorthand notation -------------------------------------------------------

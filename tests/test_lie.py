@@ -11,6 +11,7 @@ from lieshear import (
     Vector,
     parse_salamon,
     print_salamon,
+    pullback,
 )
 
 
@@ -216,6 +217,75 @@ def test_non_integral_structure_constants(text, derived, lower, eigenspaces):
     lines = g.find_shear_lines()
     assert [(tuple(map(str, e.eigenvalues)), subspace_text(e.basis)) for e in lines.eigenspaces] == eigenspaces
     assert not lines.nonrational_present
+
+def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
+    """g in the coframe f = P e for a random unimodular integer P made of
+    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
+    so nearly every d f_k has nearly every term."""
+    rng = random.Random(seed)
+    n = g.dim
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]  # P^-1
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    zero = KForm.zero(n, 2)
+    return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
+
+
+# dense-basis algebras: a dim-8 nilpotent algebra (216 terms) and g_lm(1,2)
+# (121 terms); the expected strings are those of the dense ad-matrix brackets
+DENSE_BASIS = [
+    (
+        lambda: change_basis(parse_salamon("(0,0,0,12,13,14+23,15+24,16+25)"), 8, 20),
+        [
+            "1 0 0 -1 0 0 0 0; 0 1 0 0 0 0 -1 -5; 0 0 1 0 0 0 1/2 3; 0 0 0 0 1 0 1 -4; 0 0 0 0 0 1 0 -3",
+            "1 0 0 -1 -3/7 -1/28 -3/7 51/28; 0 1 0 0 0 -5/2 -1 5/2; 0 0 1 0 3/7 1/28 13/14 33/28",
+            "1 -1/6 -4/3 -1 -1 1/3 -3/2 -1/6",
+            "",
+        ],
+        ["1 0 0 -1 0 0 0 0; 0 1 0 0 0 0 -1 -5; 0 0 1 0 0 0 1/2 3; 0 0 0 0 1 0 1 -4; 0 0 0 0 0 1 0 -3", ""],
+        "1 0 0 -1 0 0 0 0; 0 1 0 0 0 0 -1 -5; 0 0 1 0 0 0 1/2 3; 0 0 0 0 1 0 1 -4; 0 0 0 0 0 1 0 -3",
+        "1 0 0 0 0 0 0 0; 0 1 0 0 0 0 0 0; 0 0 1 0 0 0 0 0",
+        [(("0", "0", "0"), "1 0 1 -1 0 0 1/2 3; 0 1 14 0 6 -2 12 19")],
+    ),
+    (
+        lambda: change_basis(g_lm(1, 2), 8, 16),
+        ["1 0 0 0 0 0 2; 0 1 0 0 0 0 -4/5; 0 0 1 0 0 0 0; 0 0 0 1 0 0 -4/5; 0 0 0 0 1 0 -1/5; 0 0 0 0 0 1 -8/5"],
+        [
+            "1 0 0 0 0 0 2; 0 1 0 0 0 0 -4/5; 0 0 1 0 0 0 0; 0 0 0 1 0 0 -4/5; 0 0 0 0 1 0 -1/5; 0 0 0 0 0 1 -8/5",
+            "",
+        ],
+        "1 0 0 0 0 0 2; 0 1 0 0 0 0 -4/5; 0 0 1 0 0 0 0; 0 0 0 1 0 0 -4/5; 0 0 0 0 1 0 -1/5; 0 0 0 0 0 1 -8/5",
+        "1 0 0 0 0 0 0",
+        [
+            (("-30",), "1 -2 0 0 0 1 2"),
+            (("-20",), "1 -3 -1/2 2 -4 1 2"),
+            (("-10",), "1 -3 0 2 -4 1 2"),
+            (("10",), "0 0 0 1 -7/3 0 -1/3"),
+            (("20",), "0 1 0 5 -10 -1/2 -2"),
+            (("30",), "0 0 0 1 -2 0 -2/5"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("make, lower, derived, target, acting, eigenspaces", DENSE_BASIS)
+def test_dense_basis_series_and_shear_lines(make, lower, derived, target, acting, eigenspaces):
+    g = make()
+    assert g.jacobi_check().passed
+    rep = g.series()
+    assert [subspace_text(t) for t in rep.lower_central] == lower
+    assert [subspace_text(t) for t in rep.derived] == derived
+    lines = g.find_shear_lines()
+    assert subspace_text(lines.target) == target
+    assert subspace_text([v.components for v in lines.acting]) == acting
+    assert [(tuple(map(str, e.eigenvalues)), subspace_text(e.basis)) for e in lines.eigenspaces] == eigenspaces
+    assert not lines.nonrational_present
+
 
 class TestFiltration:
     def test_heisenberg(self):

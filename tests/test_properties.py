@@ -3,6 +3,7 @@ import warnings
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -274,6 +275,87 @@ class TestJacobiEquivalence:
         ad = g._ad(v.components)
         assert ad == reference
         assert [list(map(type, row)) for row in ad] == [list(map(type, row)) for row in reference]
+
+
+def reference_ad(g: LieAlgebra, v) -> list[list]:
+    """ad(v) built entry by entry, as the package did before brackets were
+    read off the terms of d e_k: a term c e_ij (i < j) of d e_k puts -c v_i in
+    column j and +c v_j in column i of row k."""
+    comps = [x.numerator if x.denominator == 1 else x for x in v]
+    rows = []
+    for f in g.diffs:
+        row = [0] * g.dim
+        for mask, c in f.terms.items():
+            i = (mask & -mask).bit_length() - 1
+            j = mask.bit_length() - 1
+            row[j] -= c * comps[i]
+            row[i] += c * comps[j]
+        rows.append([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
+    return rows
+
+
+def reference_bracket_span(g: LieAlgebra, left, right):
+    """The dense span of brackets: the primitive integer multiple of ad(u) for
+    each left row u, applied to each primitive right row with n^2 products."""
+    n = g.dim
+    right_ints = [linalg.primitive(v) for v in right]
+    vecs = []
+    for u in left:
+        flat = linalg.primitive([x for row in reference_ad(g, linalg.primitive(u)) for x in row])
+        ad_u = [flat[k:k + n] for k in range(0, n * n, n)]
+        for v in right_ints:
+            b = [sum(map(mul, row, v)) for row in ad_u]
+            if any(b):
+                vecs.append(b)
+    return linalg.span_rref(vecs)
+
+
+structure_constants = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5)])
+row_entries = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-2, 5)])
+
+
+@st.composite
+def structure_diffs(draw):
+    """d e_k with int and Fraction structure constants, Jacobi or not."""
+    n = draw(st.integers(2, 6))
+    pairs = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in combinations(range(1, n + 1), 2)]
+    return [
+        KForm(n, 2, {mask: draw(structure_constants) for mask in draw(st.lists(st.sampled_from(pairs), max_size=5))})
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def row_lists(draw, n):
+    """Rows in no echelon form, with zero rows and duplicates among them."""
+    rows = draw(st.lists(st.tuples(*[row_entries] * n), max_size=4))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (Fraction(0),) * n)
+    return rows
+
+
+class TestSparseBrackets:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_bracket_span_matches_dense_reference(self, data):
+        g = LieAlgebra(data.draw(structure_diffs()))
+        left, right = data.draw(row_lists(g.dim)), data.draw(row_lists(g.dim))
+        assert g._bracket_span(left, right) == reference_bracket_span(g, left, right)
+        full = linalg.span_rref(linalg.identity(g.dim))  # a lower-central step
+        assert g._bracket_span(full, right) == reference_bracket_span(g, full, right)
+        assert g._bracket_span(left, left) == reference_bracket_span(g, left, left)
+
+    @given(st.data())
+    def test_bracket_is_ad_applied(self, data):
+        g = LieAlgebra(data.draw(structure_diffs()))
+        v, w = data.draw(vectors(g.dim)), data.draw(vectors(g.dim))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "bracket on an algebra failing", RuntimeWarning)
+            b = g.bracket(v, w)
+        assert b.components == tuple(linalg.mat_vec(g._ad(v.components), w.components))
+        assert all(type(x) is Fraction for x in b.components)
 
 
 class TestSalamonRoundtrip:

@@ -45,6 +45,25 @@ def test_every_top_level_definition_is_used_or_exported():
     assert SOURCES and not unused, unused
 
 
+def test_every_module_level_import_is_used():
+    # a leftover import (an operator.mul whose last caller went) is dead code;
+    # __future__ imports and the package's re-exports in __init__.py are exempt
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    exported = path.name == "__init__.py" and name in lieshear.__all__
+                    if name not in used and not exported:
+                        unused.append(f"{path.name}: {name}")
+    assert SOURCES and not unused, unused
+
+
 def test_environment_is_read_only_for_no_color():
     # README: no environment variable other than NO_COLOR is read
     names = {"environ", "getenv", "environb", "getenvb"}
