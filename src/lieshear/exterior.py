@@ -353,13 +353,9 @@ def interior(v: Vector, a: KForm) -> KForm:
     """Interior product v . a (antiderivation; degree drops by one)."""
     if v.dim != a.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
-    return _contract(v.components, a)
-
-
-def _contract(comps: Sequence[Fraction], a: KForm) -> KForm:
-    # the interior product with the vector of the given components
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
+    comps = v.components
     terms: dict[int, Coeff] = {}
     for mask, c in a.terms.items():
         rem = mask
@@ -391,20 +387,6 @@ def form_row(form: KForm) -> list[Coeff]:
     for mask, c in form.terms.items():
         row[mask.bit_length() - 1] = c
     return row
-
-
-def _first_leg(form: KForm, vectors: Sequence[Sequence]) -> tuple[Vector, KForm] | None:
-    """The first v of `vectors` with v . form != 0, and that leg, or None.
-
-    The form lies in Lambda^k U exactly when none is found on a basis of Ann(U).
-    """
-    for comps in vectors:
-        if len(comps) != form.dim:
-            raise ValueError(f"dimension mismatch: {len(comps)} vs {form.dim}")
-        leg = _contract(comps, form)
-        if leg.terms:
-            return Vector(comps), leg
-    return None
 
 
 def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:

@@ -11,14 +11,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exterior import KForm, Vector, interior, pullback, wedge
+from .exterior import KForm, Vector, _as_fraction, interior, pullback, wedge
 from .lie import LieAlgebra
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_matrix(rows: Sequence[Sequence], n: int, what: str) -> Matrix:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    m = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{what} must be {n}x{n}")
     return m

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .exterior import Coeff, KForm, Vector, _first_leg, _make, interior, merge_sign, one_form
+from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
 
 Subspace = tuple[tuple[Fraction, ...], ...]
 
@@ -52,8 +52,9 @@ class SeriesReport:
 class Filtration:
     """Dual filtration V_0 > V_1 > ... > V_{r-1} with V_i = Ann(n^(r-i)).
 
-    Each V_i satisfies d V_i in Lambda^2 V_{i+1} (verified on construction);
-    chain entries are echelon covector bases.
+    Each V_i satisfies d V_i in Lambda^2 V_{i+1}, by the proof in
+    `LieAlgebra.twist_filtration` (the tests check it through `d`); chain
+    entries are echelon covector bases.
     """
 
     chain: tuple[Subspace, ...]
@@ -81,9 +82,10 @@ class LieAlgebra:
     """Lie algebra of dimension n given by the two-forms d e_1, ..., d e_n.
 
     Only the Jacobi verdict is computed eagerly.  Brackets are read off the
-    terms of the d e_k when asked for, by the one formula of `_columns`; no
-    bracket table or ad matrix is kept.  Instances are safe to share between
-    threads.
+    terms of the d e_k when asked for, by the one formula of `_columns`: the
+    bracket, the series, the centralizer, the shear lines and the ideal test
+    of a shear all go through it, and no bracket table or ad matrix is ever
+    built.  Instances are safe to share between threads.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series")
@@ -189,16 +191,6 @@ class LieAlgebra:
                 terms = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in terms]
         return terms
 
-    def _ad(self, v: Sequence[Coeff]) -> list[list[Coeff]]:
-        # ad(v), v given by its components: column j is [v, E_j] = -[E_j, v];
-        # entries as interior leaves them, int when integral
-        comps = [x.numerator if x.denominator == 1 else x for x in v]
-        cols = _columns(self._terms(), comps, self.dim)
-        return [
-            [-x if type(x) is int or x.denominator != 1 else -x.numerator for x in row]
-            for row in zip(*cols)
-        ]
-
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
 
@@ -269,15 +261,13 @@ class LieAlgebra:
         rep = self.series()
         if not rep.is_nilpotent:
             raise ValueError("twist filtration requires a nilpotent algebra")
-        r = rep.step_length  # an int: the algebra is nilpotent
-        terms = [linalg.span_rref(linalg.identity(self.dim))] + list(rep.lower_central)
-        # terms[k] = n^(k) with n^(0) = g; chain[i] = Ann(n^(r-i)), i = 0..r-1
-        chain = [linalg.nullspace(terms[r - i], ncols=self.dim) for i in range(r)]
-        for i in range(r):
-            # d V_i in Lambda^2 V_{i+1}: no d phi has a leg along the vectors
-            # V_{i+1} = Ann(n^(r-i-1)) kills, which are n^(r-i-1) itself
-            if any(_first_leg(self.d(one_form(row)), terms[r - i - 1]) for row in chain[i]):
-                raise RuntimeError(f"filtration violated: d V_{i} leaves Lambda^2 V_{i + 1}")
+        # chain[i] = Ann(n^(r-i)), i = 0..r-1, from n^(r) = 0 up to n^(1).
+        # d V_i in Lambda^2 V_{i+1} holds by construction, so it is not checked:
+        # with k = r-i, V_{i+1} = Ann(n^(k-1)), and a two-form lies in
+        # Lambda^2 V_{i+1} when X . d(phi) = 0 for every X in n^(k-1) (n^(0) = g).
+        # For phi in V_i = Ann(n^(k)), (X . d(phi))(A) = -phi([X, A]) = 0, since
+        # [X, A] lies in n^(k) = [g, n^(k-1)], which `_bracket_span` builds.
+        chain = [linalg.nullspace(n_k, ncols=self.dim) for n_k in reversed(rep.lower_central)]
         return Filtration(chain=tuple(chain))
 
     def is_almost_abelian(self) -> tuple[bool | None, str]:
@@ -299,14 +289,18 @@ class LieAlgebra:
         if codim == 1:
             return True, "derived subalgebra is an abelian ideal of codimension one"
         if codim == 2:
-            stacked = []
-            for u in dsub:
-                stacked.extend(self._ad(u))
-            cent = linalg.nullspace(stacked, ncols=self.dim)
+            cent = self._centralizer(dsub)
             if len(linalg.span_rref(list(dsub) + list(cent))) > len(dsub):  # cent not inside g'
                 return True, "derived subalgebra extends by a centralizing line to an abelian hyperplane"
             return False, "no centralizer of the derived subalgebra outside itself"
         return None, "undecided: abelian derived subalgebra of codimension >= 3"
+
+    def _centralizer(self, rows: Subspace) -> Subspace:
+        # {v : [v, u] = 0 for every row u}, [v, u] = sum_i v_i [E_i, u]: each u gives
+        # the rows of the matrix whose columns are the [E_i, u]
+        terms = self._terms()
+        stacked = [row for u in rows for row in zip(*_columns(terms, u, self.dim))]
+        return linalg.nullspace(stacked, ncols=self.dim)
 
     # -- shear line discovery --------------------------------------------------
 
@@ -320,21 +314,24 @@ class LieAlgebra:
             raise ValueError("abelian algebra has no canonical line")
         dsub = rep.derived[0]
         # lower central series of n = g' (brackets taken inside n)
-        terms: list[Subspace] = [dsub]
-        while terms[-1]:
-            nxt = self._bracket_span(dsub, terms[-1])
-            if nxt == terms[-1]:
+        lower: list[Subspace] = [dsub]
+        while lower[-1]:
+            nxt = self._bracket_span(dsub, lower[-1])
+            if nxt == lower[-1]:
                 raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
-            terms.append(nxt)
-        target = terms[-2]  # last nonzero term (n itself when n is abelian)
-        acting = [Vector.basis(self.dim, j + 1) for j in linalg.complement(dsub, self.dim)]
+            lower.append(nxt)
+        target = lower[-2]  # last nonzero term (n itself when n is abelian)
+        complement = linalg.complement(dsub, self.dim)
+        terms = self._terms()
         spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
         nonrational = False
-        for a_vec in acting:
-            ad = self._ad(a_vec.components)
+        for gen in complement:
             refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
             for eigs, basis in spaces:
-                restricted = linalg.restrict_operator(ad, basis)
+                # the acting frame vector maps each basis row b to [E_gen, b],
+                # column gen of the brackets [E_i, b]
+                images = [_columns(terms, b, self.dim)[gen] for b in basis]
+                restricted = linalg.restrict_operator(basis, images)
                 if restricted is None:
                     raise RuntimeError("complement action does not preserve the target subspace")
                 roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
@@ -355,7 +352,7 @@ class LieAlgebra:
         return ShearLineReport(
             derived_subalgebra=dsub,
             target=target,
-            acting=tuple(acting),
+            acting=tuple(Vector.basis(self.dim, j + 1) for j in complement),
             eigenspaces=eig,
             nonrational_present=nonrational,
         )

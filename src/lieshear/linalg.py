@@ -16,7 +16,8 @@ subspace questions of the package are asked here:
 - `complement(basis, ncols)`: the column indices j whose unit vectors
   greedily complete span(basis) to the whole space;
 - `solve(M, b)`: one solution of M x = b;
-- `restrict_operator(op, basis)`: the matrix of op on an invariant subspace.
+- `restrict_operator(basis, images)`: the matrix on an invariant subspace of
+  the operator given by the images of its basis.
 """
 from __future__ import annotations
 
@@ -203,12 +204,13 @@ def is_positive_definite(a: Sequence[Sequence]) -> bool:
     return is_symmetric(a) and all(mi > 0 for mi in leading_principal_minors(a))
 
 
-def restrict_operator(op: Sequence[Sequence], basis: Sequence[Sequence]) -> Matrix | None:
-    """Matrix of the operator in the given subspace basis, or None if not invariant.
+def restrict_operator(basis: Sequence[Sequence], images: Sequence[Sequence]) -> Matrix | None:
+    """Matrix in the given subspace basis of the operator with op(basis[j]) =
+    images[j], or None if some image leaves the subspace.
 
-    Column j holds the coordinates of op(basis[j]).
+    Column j holds the coordinates of images[j].
     """
-    return _solve_columns(transpose(basis), [mat_vec(op, b) for b in basis], len(basis))
+    return _solve_columns(transpose(basis), images, len(basis))
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

@@ -7,9 +7,14 @@ Form literals are sums of terms `[rational "*"] "e" digits`, e.g.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .exterior import KForm, Vector
+
+# Fraction("1e30000000") expands 10**30000000 before it can fail, so exponents are
+# bounded first, by CPython's default digit limit of int-string conversions
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")
 
 
 class LiteralError(ValueError):
@@ -17,8 +22,12 @@ class LiteralError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
+    s = text.strip().replace(" ", "")
+    exp = _EXPONENT.search(s)
+    if exp and (len(digits := exp[1].replace("_", "").lstrip("0")) > 4 or int(digits or 0) > 4300):
+        raise LiteralError(f"bad rational {text!r}: exponent beyond +-4300")
     try:
-        return Fraction(text.strip().replace(" ", ""))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise LiteralError(f"bad rational {text!r}: {exc}") from None
 

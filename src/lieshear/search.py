@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .exterior import KForm, Vector
+from .exterior import KForm, Vector, _as_fraction
 from .geometry import preserves_closure
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearReport, _sheared, validate_shear
@@ -42,11 +42,11 @@ class SearchSpec:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        coeffs = tuple(sorted({Fraction(c) for c in self.coefficients}))
+        coeffs = tuple(sorted({_as_fraction(c) for c in self.coefficients}))
         if Fraction(0) not in coeffs:
             raise ValueError("coefficient set must contain 0")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "a", _as_fraction(self.a))
         if self.max_terms < 0:
             raise ValueError("max_terms must be nonnegative")
         if self.support is not None:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
-from .exterior import KForm, Vector, _first_leg, form_row, interior, one_form, wedge
-from .lie import LieAlgebra
+from .exterior import KForm, Vector, _as_fraction, form_row, interior, one_form, wedge
+from .lie import LieAlgebra, _columns
 
 CONDITION_NAMES = (
     "xi_ideal",
@@ -63,7 +64,7 @@ class ShearData:
     eta_g: KForm | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "a", _as_fraction(self.a))
         dims = {self.X.dim, self.alpha.dim, self.F0.dim}
         if self.eta_g is not None:
             dims.add(self.eta_g.dim)
@@ -121,11 +122,16 @@ class ShearReport:
 
 
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
-    """None when span(X) is an ideal, else a covector w of Ann(X) with i_X dw != 0."""
+    """None when span(X) is an ideal, else a covector w of Ann(X) with i_X dw != 0.
+
+    (i_X dw)(E_i) = -w([X, E_i]) = w([E_i, X]): one pass of the bracket formula
+    gives every [E_i, X], on integer multiples, as a zero test is blind to scale.
+    """
+    brackets = _columns(g._terms(integral=True), linalg.primitive(X.components), g.dim)
     for row in linalg.nullspace([X.components], ncols=g.dim):  # covectors annihilating X
-        w = one_form(row)
-        if not interior(X, g.d(w)).is_zero():
-            return w
+        w = linalg.primitive(row)
+        if any(sum(map(mul, w, b)) for b in brackets):
+            return one_form(row)
     return None
 
 
@@ -341,7 +347,8 @@ def _support_rows(f2: KForm) -> tuple[tuple[Fraction, ...], ...]:
 def _require_in_lambda2(g: LieAlgebra, f2: KForm, covectors, label: str) -> None:
     from .literals import format_vector
 
-    found = _first_leg(f2, linalg.nullspace(covectors, ncols=g.dim))
-    if found is not None:
-        v, leg = found
-        raise TwistError(f"F is not in Lambda^2 {label}: i_v F = {leg} for v = {format_vector(v)}")
+    # F lies in Lambda^2 U exactly when i_v F = 0 on a basis of the vectors U kills
+    for v in map(Vector, linalg.nullspace(covectors, ncols=g.dim)):
+        leg = interior(v, f2)
+        if not leg.is_zero():
+            raise TwistError(f"F is not in Lambda^2 {label}: i_v F = {leg} for v = {format_vector(v)}")

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -370,6 +371,15 @@ class TestReports:
         )
         assert proc.returncode == 0
         assert "jacobi: pass" in proc.stdout
+
+    def test_huge_exponent_is_refused_at_once(self, capsys, files):
+        # Fraction alone would expand 10**30000000 for about a minute, then fail
+        start = time.perf_counter()
+        code, out, err = run(capsys, "shear", files["h3"], "--x", "E3", "--alpha", "e3",
+                             "--f0", "e12", "--a", "1e30000000")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == "error: bad rational '1e30000000': exponent beyond +-4300\n"
 
     def test_usage_error_exit_1(self, capsys):
         code = main(["shear"])

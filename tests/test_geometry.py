@@ -105,6 +105,16 @@ class TestNijenhuis:
         with pytest.raises(ValueError):
             ComplexStructure([[1, 0], [0, 1]])
 
+    def test_matrices_must_be_exact(self):
+        with pytest.raises(TypeError):
+            ComplexStructure([[0, -1.0], [1, 0]])
+        with pytest.raises(TypeError):
+            Metric([[1, 0], [0, 0.5]])
+        j = ComplexStructure([[0, -1], [1, 0]])
+        metric = Metric([[Fraction(1, 3), 0], [0, 2]])
+        assert j.j == ((0, -1), (1, 0)) and metric.gram == ((Fraction(1, 3), 0), (0, 2))
+        assert all(type(x) is Fraction for m in (j.j, metric.gram) for row in m for x in row)
+
 
 def _dphi_anti_invariant_test(g, js):
     """Independent integrability test: for each generator covector phi with

@@ -9,10 +9,13 @@ from lieshear import (
     LieAlgebra,
     SalamonError,
     Vector,
+    interior,
+    linalg,
     parse_salamon,
     print_salamon,
     pullback,
 )
+from lieshear.exterior import one_form
 
 
 class TestParseSalamon:
@@ -316,11 +319,20 @@ class TestFiltration:
             parse_salamon("(51,52,53,2.54,0)").twist_filtration()
 
     def test_inclusion_property_on_corpus(self):
-        rng = random.Random(12)
-        nilpotents = [parse_salamon(s) for s in ["(0,0,12)", "(0,0,12,13)", "(0,0,0,12)", "(0,0,12,13,14+23)"]]
+        nilpotents = [parse_salamon(s) for s in ["(0,0,12)", "(0,0,12,13)", "(0,0,0,12)", "(0,0,12,13,14+23)",
+                                                 "(0,0,12,13,14+23,34-25)", "(0,0,0,12,13,14+23)"]]
+        nilpotents += [g for g in paper_algebras() if g.series().is_nilpotent]
         for g in nilpotents:
             assert g.jacobi_check().passed
-            g.twist_filtration()  # raises internally if d V_i leaves Lambda^2 V_{i+1}
+            chain = g.twist_filtration().chain
+            for i, v_i in enumerate(chain):
+                # d V_i in Lambda^2 V_{i+1}: no d(phi) has a leg along the
+                # vectors V_{i+1} kills (every vector when V_{i+1} = V_r = 0)
+                v_next = chain[i + 1] if i + 1 < len(chain) else ()
+                killed = linalg.nullspace(v_next, ncols=g.dim)
+                for row in v_i:
+                    dphi = g.d(one_form(row))
+                    assert all(interior(Vector(v), dphi).is_zero() for v in killed), (i, row)
 
 
 class TestLieDerivative:

@@ -143,21 +143,27 @@ class TestCharpolyRoots:
         assert linalg._divide_out_root([F(-1), F(0), F(1)], F(1)) == [F(1), F(1)]
 
     def test_restrict_operator(self):
+        def restrict(op, basis):  # the operator given by the images of the basis
+            return linalg.restrict_operator(basis, [linalg.mat_vec(op, b) for b in basis])
+
         op = [[F(2), F(0), F(0)], [F(0), F(3), F(0)], [F(0), F(0), F(5)]]
         basis = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-        assert linalg.restrict_operator(op, basis) == [[F(2), F(0)], [F(0), F(3)]]
+        assert restrict(op, basis) == [[F(2), F(0)], [F(0), F(3)]]
         tilted = [[F(0), F(1), F(1)]]  # not invariant under diag(2,3,5)
-        assert linalg.restrict_operator(op, tilted) is None
+        assert restrict(op, tilted) is None
         # a tilted invariant plane of a non-diagonal operator: w1 -> 2 w1 + w2, w2 -> -w1 + 3 w2
         op = [[2, 0, 1], [0, 3, 1], [-3, 2, 5]]
         plane = [[F(1), F(1), F(0)], [F(0), F(1), F(-1)]]
-        restricted = linalg.restrict_operator(op, plane)
+        restricted = restrict(op, plane)
         assert restricted == [[F(2), F(-1)], [F(1), F(3)]]
         for j, b in enumerate(plane):
             coords = linalg.solve(linalg.transpose(plane), linalg.mat_vec(op, b))
             assert [row[j] for row in restricted] == list(coords)
-        assert linalg.restrict_operator(op, [[F(0), F(0), F(1)]]) is None
-        assert linalg.restrict_operator(op, []) == []  # the zero subspace
+        # int images, as the bracket formula leaves them, give the same matrix
+        int_images = [[2, 3, -1], [-1, 2, -3]]
+        assert linalg.restrict_operator(plane, int_images) == restricted
+        assert restrict(op, [[F(0), F(0), F(1)]]) is None
+        assert linalg.restrict_operator([], []) == []  # the zero subspace
 
     def test_products_of_int_matrices_are_fractions(self):
         # the Fraction start keeps results Fractions: two ints would divide to a float

@@ -85,6 +85,18 @@ class TestParseRational:
         with pytest.raises(LiteralError):
             parse_rational("1/0")
 
+    def test_exponents_up_to_the_bound_expand(self):
+        assert parse_rational("2.5e-3") == Fraction(1, 400)
+        assert parse_rational("1E+0004300") == 10**4300
+        assert parse_rational("-1e-4300") == Fraction(-1, 10**4300)
+        assert parse_rational("1e1_0") == 10**10
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E+0004301", "1e-4301", "0e5000", "1e4_301",
+                                      "1e30000000", "1e" + "9" * 5000])
+    def test_exponents_beyond_the_bound_are_refused_unexpanded(self, text):
+        with pytest.raises(LiteralError, match="exponent beyond"):
+            parse_rational(text)
+
 
 class TestParseMatrix:
     def test_square(self):

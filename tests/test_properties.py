@@ -25,7 +25,8 @@ from lieshear import (
     validate_shear,
     wedge,
 )
-from lieshear.exterior import form_row
+from lieshear.exterior import one_form
+from lieshear.shear import check_xi_ideal
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -266,16 +267,6 @@ class TestJacobiEquivalence:
         for k in range(g.dim):
             assert b.components[k] == -g.diffs[k](v, w)
 
-    @given(st.data())
-    def test_ad_rows_are_minus_v_into_each_d(self, data):
-        # row k of ad(v) is the one-form -(v . d e_k), entry types included
-        g = LieAlgebra(data.draw(algebra_diffs()))
-        v = data.draw(vectors(g.dim))
-        reference = [form_row(interior(-1 * v, f)) for f in g.diffs]
-        ad = g._ad(v.components)
-        assert ad == reference
-        assert [list(map(type, row)) for row in ad] == [list(map(type, row)) for row in reference]
-
 
 def reference_ad(g: LieAlgebra, v) -> list[list]:
     """ad(v) built entry by entry, as the package did before brackets were
@@ -336,6 +327,33 @@ def row_lists(draw, n):
     return rows
 
 
+def reference_check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
+    """The ideal test through d, as the package ran it before it read the
+    brackets [E_i, X] off the terms of d e_k: the first covector w of Ann(X)
+    with i_X dw != 0, or None."""
+    for row in linalg.nullspace([X.components], ncols=g.dim):
+        w = one_form(row)
+        if not interior(X, g.d(w)).is_zero():
+            return w
+    return None
+
+
+@st.composite
+def ideal_probes(draw):
+    """An algebra and a vector X: either a random X, which seldom spans an
+    ideal, or a multiple of a frame vector E_k made to span one by keeping
+    terms with the index k only in d e_k."""
+    diffs = draw(structure_diffs())
+    n = len(diffs)
+    if draw(st.booleans()):
+        return LieAlgebra(diffs), draw(vectors(n))
+    k = draw(st.integers(0, n - 1))
+    kept = [f if m == k else KForm(n, 2, {mask: c for mask, c in f.terms.items() if not mask >> k & 1})
+            for m, f in enumerate(diffs)]
+    scale = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    return LieAlgebra(kept), scale * Vector.basis(n, k + 1)
+
+
 class TestSparseBrackets:
     @given(st.data())
     @settings(max_examples=60)
@@ -354,8 +372,23 @@ class TestSparseBrackets:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "bracket on an algebra failing", RuntimeWarning)
             b = g.bracket(v, w)
-        assert b.components == tuple(linalg.mat_vec(g._ad(v.components), w.components))
+        assert b.components == tuple(linalg.mat_vec(reference_ad(g, v.components), w.components))
         assert all(type(x) is Fraction for x in b.components)
+
+    @given(st.data())
+    def test_centralizer_is_the_nullspace_of_reference_ad_rows(self, data):
+        # {v : [u, v] = 0 for every row u}, the rows of ad(u) stacked
+        g = LieAlgebra(data.draw(structure_diffs()))
+        rows = data.draw(row_lists(g.dim))
+        stacked = [r for u in rows for r in reference_ad(g, u)]
+        assert g._centralizer(rows) == linalg.nullspace(stacked, ncols=g.dim)
+
+    @given(ideal_probes())
+    def test_xi_ideal_matches_the_d_based_reference(self, probe):
+        g, x = probe
+        found, reference = check_xi_ideal(g, x), reference_check_xi_ideal(g, x)
+        assert found == reference
+        assert str(found) == str(reference)
 
 
 class TestSalamonRoundtrip:

@@ -32,6 +32,16 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             spec_on(g, 1, coefficients=(Fraction(1),))
 
+    def test_constant_and_coefficients_must_be_exact(self):
+        g = LieAlgebra.abelian(3)
+        with pytest.raises(TypeError):
+            spec_on(g, 1, a=0.5)
+        with pytest.raises(TypeError):
+            spec_on(g, 1, coefficients=(0, 1, 0.5))
+        spec = spec_on(g, 1, a=2, coefficients=(1, 0, Fraction(1, 2)))
+        assert spec.a == 2 and spec.coefficients == (0, Fraction(1, 2), 1)
+        assert all(type(c) is Fraction for c in (spec.a, *spec.coefficients))
+
     def test_default_support_kills_x(self):
         g = parse_salamon(S5)
         support = spec_on(g, 4).effective_support()

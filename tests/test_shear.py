@@ -71,6 +71,14 @@ class TestShearData:
         d = data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
         assert d.f_eff == mono(4, (2, 3), Fraction(-1, 2))
 
+    def test_constant_must_be_exact(self):
+        # a float would silently become a binary fraction, 0.1 = 3602879701896397/2**55
+        with pytest.raises(TypeError):
+            data_on(LieAlgebra.abelian(3), 1, KForm.zero(3, 2), a=0.1)
+        for a in (2, Fraction(1, 3)):
+            d = data_on(LieAlgebra.abelian(3), 1, KForm.zero(3, 2), a=a)
+            assert d.a == a and type(d.a) is Fraction
+
     def test_f_eff_computed_once(self):
         d = data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
         assert d.f_eff is d.f_eff
@@ -109,6 +117,19 @@ class TestDecompose:
         with pytest.raises(ShearDataError) as err:
             decompose_dalpha(g, Vector.basis(3, 1), mono(3, (1,)))
         assert "not an ideal" in str(err.value)
+
+    @pytest.mark.parametrize("algebra, x, alpha, w", [
+        # the first covector of Ann(X) that fails, not always the first one
+        ("(0,0,12,13)", [1, 2, 0, 0], (1,), "e3"),
+        ("(0,0,12,13,14+23)", [0, 1, 0, 0, 0], (2,), "e3"),
+        ("(51,52,53,2.54,0)", [1, 0, 0, 0, 1], (1,), "e1 - e5"),
+        ("(0,-1/2.13,12,0)", [3, 0, 0, 1], (4,), "e2"),
+    ])
+    def test_non_ideal_error_names_the_first_failing_covector(self, algebra, x, alpha, w):
+        g = parse_salamon(algebra)
+        with pytest.raises(ShearDataError) as err:
+            decompose_dalpha(g, Vector(x), mono(g.dim, alpha))
+        assert str(err.value) == f"span(X) is not an ideal: i_X d({w}) != 0"
 
     def test_rejects_unnormalized_alpha(self):
         g = LieAlgebra.abelian(3)
