@@ -135,7 +135,7 @@ def cmd_algebra_check(g: LieAlgebra, args) -> tuple[dict, int]:
     if not jac.passed:
         return result, EXIT_JACOBI
     rep = g.series()
-    verdict, reason = g.is_almost_abelian() if not rep.is_abelian else (True, "abelian")
+    verdict, reason = g.is_almost_abelian()
     result["classification"] = {
         "abelian": rep.is_abelian,
         "nilpotent": rep.is_nilpotent,

@@ -280,7 +280,7 @@ class LieAlgebra:
         if rep.is_abelian:
             return True, "abelian"
         dsub = rep.derived[0]
-        if self._bracket_span(dsub, dsub):
+        if len(rep.derived) == 1 or rep.derived[1]:  # [g', g'] != 0
             return False, (
                 "derived subalgebra is non-abelian and every codimension-one "
                 "abelian ideal would have to contain it"
@@ -341,10 +341,9 @@ class LieAlgebra:
                 to_ambient = linalg.transpose(basis)
                 # each (chain, root) pair occurs once: roots are distinct
                 for root, _mult in roots:
-                    shifted = [
-                        [restricted[i][j] - (root if i == j else 0) for j in range(k)]
-                        for i in range(k)
-                    ]
+                    shifted = [list(row) for row in restricted]
+                    for i in range(k):
+                        shifted[i][i] -= root
                     eigvecs = [linalg.mat_vec(to_ambient, c) for c in linalg.nullspace(shifted, ncols=k)]
                     refined.append((eigs + (root,), linalg.span_rref(eigvecs)))
             spaces = sorted(refined)

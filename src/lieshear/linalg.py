@@ -4,8 +4,11 @@ Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`;
 the entries of every matrix or vector returned are `Fraction`.  The arithmetic
 inside runs on `int`s: `rref` and `det` eliminate on each row's primitive
 integer multiple (`primitive`), which has the same span and leads to the same
-reduced echelon form, and `charpoly` works on the integer matrix L*A; only
-the returned entries are built as Fractions.  Subspaces are represented by
+reduced echelon form, `charpoly` works on the integer matrix L*A, and
+`rational_roots` bisects integer polynomials; only the returned entries are
+built as Fractions.  `rational_roots` neither factors nor searches divisors:
+its work is polynomial in the bit length of the coefficients, so no input
+makes it run unbounded.  Subspaces are represented by
 their reduced row echelon basis (zero rows dropped), which makes every
 subspace computation deterministic and equality a tuple comparison.  The
 subspace questions of the package are asked here:
@@ -91,22 +94,29 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
 
 
 def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Row, ...]:
-    """Echelon basis of {x : M x = 0} for the matrix with the given rows."""
+    """Echelon basis of {x : M x = 0} for the matrix with the given rows.
+
+    One elimination of M with its columns reversed: in the reversed form, free
+    column f gives the kernel vector that is 1 at f, 0 at the other free
+    columns and nonzero only at pivot columns before f.  Reversed back and
+    taken in descending f, these vectors are already the reduced echelon basis.
+    """
     if not vectors:
         if ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
         return tuple(tuple(row) for row in identity(ncols))  # already echelon
     n = len(vectors[0])
-    red, pivots = rref(vectors)
-    free = [c for c in range(n) if c not in pivots]
+    red, pivots = rref([row[::-1] for row in vectors])
     basis = []
-    for fc in free:
+    for fc in reversed(range(n)):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
-        basis.append(v)
-    return span_rref(basis)
+        basis.append(tuple(v[::-1]))
+    return tuple(basis)
 
 
 def complement(basis: Sequence[Sequence], ncols: int) -> tuple[int, ...]:
@@ -237,24 +247,10 @@ def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
     return [Fraction(c, scale ** (n - i)) for i, c in enumerate(coeffs)]
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _divide_out_root(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); exact, remainder must vanish
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for k in range(n, 0, -1):
-        acc = coeffs[k] + acc * root
-        out[k - 1] = acc
-    remainder = coeffs[0] + acc * root
-    if remainder:
-        raise ArithmeticError(f"{root} is not a root: remainder {remainder}")
+def _horner(q: Sequence[int], y: int) -> int:
+    out = 0
+    for c in reversed(q):
+        out = out * y + c
     return out
 
 
@@ -262,55 +258,54 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     """All rational roots with multiplicity, plus the degree left unfactored.
 
     The leftover degree is nonzero exactly when non-rational (real or complex)
-    roots are present.
+    roots are present.  Nothing is factored and no divisor is searched.  With p
+    the primitive integer polynomial, a its leading coefficient and d its
+    degree, the rational roots of p are y/a for the integer roots y of the
+    monic q(y) = a^(d-1) p(y/a), whose roots lie in [-B, B] for the Fujiwara
+    bound B = 2 max_i 2^ceil(bits(q_i)/(d-i)).  Going up from the linear
+    derivative of q to q itself, a set of cut points holds the floor of every
+    real root of the polynomial last handled.  The cut points of r' split
+    [-B, B] into stretches on which r is monotone, and each sign change of r
+    on a stretch is bisected to a unit cell; the ends of those cells, every
+    stretch end where r vanishes and the cut points of r' are the cut points
+    of r.  That is O(d^2) cut points, O(d^3) stretch ends and at most d^2
+    bisections of O(log B) integer evaluations: polynomial in the bit length
+    of the coefficients.  Every integer root of q is a cut point, tested
+    exactly; its multiplicity is the number of successive derivatives of q
+    vanishing there.
     """
-    poly = [Fraction(c) for c in coeffs]
-    while len(poly) > 1 and not poly[-1]:
-        poly.pop()
-    roots: dict[Fraction, int] = {}
-    while len(poly) > 1:
-        if not poly[0]:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            poly = poly[1:]
-            continue
-        scale = 1
-        for c in poly:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in poly]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        ints = [v // content for v in ints]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        found = None
-        for p in sorted(_divisors(a0)):
-            for q in sorted(_divisors(an)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly_eval(poly, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        poly = _divide_out_root(poly, found)
-    leftover = len(poly) - 1
-    ordered = sorted(roots.items(), key=lambda t: t[0])
-    return ordered, leftover
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+    p = primitive(coeffs)
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    degree = len(p) - 1
+    zeros = next((i for i, c in enumerate(p) if c), 0)
+    roots = [(Fraction(0), zeros)] if zeros else []
+    p = p[zeros:]
+    d = len(p) - 1
+    if d < 1:
+        return roots, degree - zeros
+    a = p[-1]
+    ders = [[c * a ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]]  # q, q', ..., q^(d)
+    while len(ders[-1]) > 1:
+        ders.append([i * c for i, c in enumerate(ders[-1])][1:])
+    bound = 2 * max(1 << -(-abs(c).bit_length() // (d - i)) for i, c in enumerate(ders[0][:-1]))
+    cuts: set[int] = set()  # the constant q^(d) has no roots
+    for q in reversed(ders[:-1]):
+        ends = sorted(cuts)
+        for lo, hi in zip([-bound] + [f + 1 for f in ends], ends + [bound]):
+            vlo, vhi = _horner(q, lo), _horner(q, hi)
+            cuts.update(y for y, v in ((lo, vlo), (hi, vhi)) if not v)
+            if (vlo < 0 < vhi) or (vhi < 0 < vlo):
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if (_horner(q, mid) < 0) == (vlo < 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                cuts.update((lo, hi))
+    for y in cuts:
+        m = next(k for k, q in enumerate(ders) if _horner(q, y))
+        if m:
+            roots.append((Fraction(y, a), m))
+    roots.sort()
+    return roots, degree - sum(m for _, m in roots)

@@ -331,6 +331,19 @@ class TestShearLines:
         assert "eigenvalues (-2): span{E4}" in out
         assert "eigenvalues (-1): span{E1, E2, E3}" in out
 
+    def test_large_prime_eigenvalues_finish(self, tmp_path):
+        # the action has char poly (x - 1000000007)(x - 999999937); a divisor
+        # search over its constant term would run for minutes
+        doc = tmp_path / "primes.alg"
+        doc.write_text("(1000000007.13,999999937.23,0)")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieshear", "shear-lines", str(doc), "--json"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0
+        spaces = json.loads(proc.stdout)["result"]["eigenspaces"]
+        assert [s["eigenvalues"] for s in spaces] == [["999999937"], ["1000000007"]]
+
     def test_abelian_exit_3(self, capsys, files):
         code, _, err = run(capsys, "shear-lines", files["ab6"])
         assert code == 3

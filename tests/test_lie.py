@@ -420,6 +420,14 @@ class TestAlmostAbelian:
     def test_abelian(self):
         assert LieAlgebra.abelian(3).is_almost_abelian()[0] is True
 
+    def test_non_abelian_derived_subalgebra(self):
+        non_abelian = (False, "derived subalgebra is non-abelian and every codimension-one "
+                              "abelian ideal would have to contain it")
+        so3 = parse_salamon("(23,31,12)")
+        assert len(so3.series().derived) == 1  # perfect: g' = g, the series stops at once
+        assert so3.is_almost_abelian() == non_abelian
+        assert h_lm(1, 2).is_almost_abelian() == non_abelian
+
     def test_codim_two_centralizer_case(self):
         # (0,0,12): derived = span{E3}, codim 2; E3 is central -> almost abelian
         verdict, _ = parse_salamon("(0,0,12)").is_almost_abelian()

@@ -110,7 +110,10 @@ class TestCharpolyRoots:
             cp = linalg.charpoly(m)
             for x in (F(0), F(1), F(-2), Fraction(1, 2)):
                 shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
-                assert linalg.poly_eval(cp, x) == linalg.det(shifted)
+                value = Fraction(0)
+                for c in reversed(cp):
+                    value = value * x + c
+                assert value == linalg.det(shifted)
 
     def test_rational_roots_with_multiplicity(self):
         # (x-1)^2 (x+3): x^3 + x^2 - 5x + 3
@@ -135,12 +138,6 @@ class TestCharpolyRoots:
         roots, leftover = linalg.rational_roots([F(0), F(0), F(-1), F(1)])
         assert roots == [(F(0), 2), (F(1), 1)]
         assert leftover == 0
-
-    def test_divide_out_a_non_root_raises(self):
-        # x^2 - 1 divided by x - 2 leaves remainder 3
-        with pytest.raises(ArithmeticError):
-            linalg._divide_out_root([F(-1), F(0), F(1)], F(2))
-        assert linalg._divide_out_root([F(-1), F(0), F(1)], F(1)) == [F(1), F(1)]
 
     def test_restrict_operator(self):
         def restrict(op, basis):  # the operator given by the images of the basis
@@ -297,3 +294,200 @@ class TestIntegerElimination:
         assert linalg.primitive([4, -6, Fraction(8)]) == [2, -3, 4]
         assert linalg.primitive([0, Fraction(0)]) == [0, 0]
         assert linalg.primitive([]) == []
+
+
+# -- reference root finder and nullspace ---------------------------------------
+# The rational root theorem by divisor search, and the nullspace by one
+# elimination for the pivots and a second one to bring the basis built from
+# them to echelon form.  Both are exact; the divisor search takes work that
+# grows with the size of the coefficients, so it only sees small ones.
+
+
+def reference_poly_eval(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def reference_divide_out_root(coeffs, root):
+    # synthetic division by (x - root); exact, remainder must vanish
+    n = len(coeffs) - 1
+    out = [Fraction(0)] * n
+    acc = Fraction(0)
+    for k in range(n, 0, -1):
+        acc = coeffs[k] + acc * root
+        out[k - 1] = acc
+    remainder = coeffs[0] + acc * root
+    if remainder:
+        raise ArithmeticError(f"{root} is not a root: remainder {remainder}")
+    return out
+
+
+def reference_divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def reference_rational_roots(coeffs):
+    poly = [Fraction(c) for c in coeffs]
+    while len(poly) > 1 and not poly[-1]:
+        poly.pop()
+    roots = {}
+    while len(poly) > 1:
+        if not poly[0]:
+            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+            poly = poly[1:]
+            continue
+        scale = 1
+        for c in poly:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        ints = [int(c * scale) for c in poly]
+        content = 0
+        for v in ints:
+            content = gcd(content, v)
+        ints = [v // content for v in ints]
+        a0, an = abs(ints[0]), abs(ints[-1])
+        found = None
+        for p in sorted(reference_divisors(a0)):
+            for q in sorted(reference_divisors(an)):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if reference_poly_eval(poly, cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        poly = reference_divide_out_root(poly, found)
+    return sorted(roots.items(), key=lambda t: t[0]), len(poly) - 1
+
+
+def reference_nullspace(vectors, ncols=None):
+    if not vectors:
+        return tuple(tuple(row) for row in linalg.identity(ncols))
+    n = len(vectors[0])
+    red, pivots = linalg.rref(vectors)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return linalg.span_rref(basis)
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+IRREDUCIBLE = {"x^2 - 2": [-2, 0, 1], "x^2 + 1": [1, 0, 1], "3x^3 - x + 5": [5, -1, 0, 3]}
+
+
+@st.composite
+def polynomials(draw):
+    """Small-coefficient polynomials: products of rational linear factors,
+    powers of x and irreducible factors, scaled by a possibly negative
+    rational, with random coefficients added or zero top coefficients appended."""
+    poly = [Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        root = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        poly = poly_mul(poly, [-root, 1])
+    for name in draw(st.lists(st.sampled_from(sorted(IRREDUCIBLE)), max_size=2)):
+        poly = poly_mul(poly, IRREDUCIBLE[name])
+    if draw(st.booleans()):  # a perturbation, usually without rational roots
+        i = draw(st.integers(0, len(poly) - 1))
+        poly[i] += draw(st.integers(-3, 3))
+    return poly + [Fraction(0)] * draw(st.integers(0, 2))
+
+
+class TestRationalRoots:
+    @given(polynomials())
+    def test_matches_the_divisor_search(self, poly):
+        got = linalg.rational_roots(poly)
+        assert got == reference_rational_roots(poly)
+        assert all(type(r) is Fraction for r, _ in got[0])
+
+    @given(st.lists(st.integers(-4, 4), max_size=7))
+    def test_matches_the_divisor_search_on_int_coefficients(self, poly):
+        assert linalg.rational_roots(poly) == reference_rational_roots(poly)
+
+    def test_large_linear_factors_with_repeats(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            roots = [Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**6))
+                     for _ in range(rng.randint(1, 5))]
+            roots += rng.sample(roots, rng.randint(0, len(roots)))  # repeated roots
+            poly = [Fraction(rng.choice([-7, -1, 1, 3]))]
+            for r in roots:
+                poly = poly_mul(poly, [-r, 1])
+            poly = poly_mul(poly, IRREDUCIBLE["x^2 + 1"])
+            want = sorted((r, roots.count(r)) for r in set(roots))
+            assert linalg.rational_roots(poly) == (want, 2)
+
+    def test_disguised_triangular_matrix(self):
+        # P T P^-1, T upper triangular with large rational diagonal entries and
+        # P unimodular: the eigenvalues are the diagonal, with multiplicity
+        rng = random.Random(5)
+        n = 9
+        diag = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**4)) for _ in range(6)]
+        diag += diag[:3]
+        t = [[diag[i] if i == j else F(rng.randint(-3, 3) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+        p = linalg.identity(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            p[i] = [a + rng.choice([-2, -1, 1, 2]) * b for a, b in zip(p[i], p[j])]
+        p_inv = linalg.transpose([linalg.solve(p, [F(i == j) for i in range(n)]) for j in range(n)])
+        a = linalg.mat_mul(linalg.mat_mul(p, t), p_inv)
+        want = sorted((r, diag.count(r)) for r in set(diag))
+        assert linalg.rational_roots(linalg.charpoly(a)) == (want, 0)
+
+    def test_large_prime_product_is_irreducible(self):
+        # x^2 - 2 scaled by 1000000007 * 999999937: a divisor search over the
+        # leading coefficient would not finish
+        assert linalg.rational_roots([-2, 0, 1000000007 * 999999937]) == ([], 2)
+
+    def test_edge_cases(self):
+        assert linalg.rational_roots([F(0)]) == ([], 0)
+        assert linalg.rational_roots([F(5)]) == ([], 0)
+        assert linalg.rational_roots([F(0), F(0), F(0), F(0)]) == ([], 0)
+        assert linalg.rational_roots([F(0), F(0), F(-4)]) == ([(F(0), 2)], 0)
+
+
+class TestOneEliminationNullspace:
+    @given(matrices(max_rows=8))
+    def test_matches_the_two_elimination_nullspace(self, rows):
+        ncols = len(rows[0]) if rows else 3
+        got = linalg.nullspace(rows, ncols=ncols)
+        assert got == reference_nullspace(rows, ncols)
+        assert all(type(row) is tuple and all_fractions([row]) for row in got)
+
+    @given(matrices(max_rows=8))
+    def test_tuple_and_fraction_rows_give_the_same_basis(self, rows):
+        as_tuples = [tuple(Fraction(x) for x in row) for row in rows]
+        ncols = len(rows[0]) if rows else 3
+        assert linalg.nullspace(as_tuples, ncols=ncols) == linalg.nullspace(rows, ncols=ncols)
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
+        monkeypatch.setattr(linalg, "span_rref", None)
+        basis = linalg.nullspace([[F(1), F(2), F(3)], [F(0), F(1), F(1)]])
+        assert basis == ((F(1), F(1), F(-1)),) and len(calls) == 1
