@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 parse/usage error, 2 Jacobi failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import geometry, literals, search, shear
 from .exterior import KForm, Vector
@@ -162,19 +162,20 @@ def _parse_shear_flags(g: LieAlgebra, args) -> shear.ShearData:
 
 
 def _report_json(report: shear.ShearReport) -> dict:
+    """The shear report, its fields in the order the text report prints them."""
     return {
-        "valid": report.valid,
         "eta": str(report.decomp.eta),
         "f": str(report.decomp.f),
         "eta_bracket": str(report.decomp.eta_bracket),
+        "nu": str(report.nu),
         "eta_prime": str(report.eta_prime),
         "eta_0": str(report.eta_0),
         "eta_tilde": str(report.eta_tilde),
         "f_prime": str(report.f_prime),
         "f_tilde": str(report.f_tilde),
-        "nu": str(report.nu),
         "f_eff": str(report.f_eff),
         "conditions": dict(report.conditions),
+        "valid": report.valid,
     }
 
 
@@ -203,6 +204,16 @@ def cmd_form_ds(g: LieAlgebra, args) -> tuple[dict, int]:
     return {"algebra": print_salamon(g), "form": str(form), "ds": str(out)}, EXIT_OK
 
 
+# the forms each --type needs; its keys are the --type choices
+STRUCTURE_FORMS = {
+    "symplectic": ("omega",),
+    "kahler": ("omega",),
+    "half-flat": ("omega", "rho_minus"),
+    "g2-cocal": ("psi",),
+    "g2-phi": ("phi",),
+}
+
+
 def cmd_check_structure(g: LieAlgebra, args) -> tuple[dict, int]:
     kind = args.type
     forms: dict[str, KForm] = {}
@@ -210,44 +221,37 @@ def cmd_check_structure(g: LieAlgebra, args) -> tuple[dict, int]:
     if args.standard:
         if g.dim % 2:
             raise UsageError("--standard needs an even dimension")
-        if not args.omega:
-            forms["omega"] = KForm(
-                g.dim, 2, {(1 << k) | (1 << (k + 1)): Fraction(1) for k in range(0, g.dim, 2)}
-            )
+        forms["omega"] = KForm(g.dim, 2, {(1 << k) | (1 << (k + 1)): 1 for k in range(0, g.dim, 2)})
         metric = geometry.Metric.standard(g.dim)
         jstruct = geometry.ComplexStructure.standard(g.dim)
-    if args.omega:
-        forms["omega"] = literals.parse_form(args.omega, g.dim, degree=2)
-    if args.rho_minus:
-        forms["rho_minus"] = literals.parse_form(args.rho_minus, g.dim, degree=3)
-    if args.psi:
-        forms["psi"] = literals.parse_form(args.psi, g.dim, degree=4)
-    if args.phi:
-        forms["phi"] = literals.parse_form(args.phi, g.dim, degree=3)
+    for name, degree in (("omega", 2), ("rho_minus", 3), ("psi", 4), ("phi", 3)):
+        if getattr(args, name):
+            forms[name] = literals.parse_form(getattr(args, name), g.dim, degree=degree)
     if args.metric:
         metric = geometry.Metric(literals.parse_matrix(args.metric, g.dim))
     if args.j:
         jstruct = geometry.ComplexStructure(literals.parse_matrix(args.j, g.dim))
-    spec = geometry.StructureSpec(kind=kind, forms=forms, metric=metric, j=jstruct)
-    outcome = spec.check(g)
-    result: dict = {"algebra": print_salamon(g), "type": kind}
-    if isinstance(outcome, bool):
-        result["passed"] = outcome
-    elif isinstance(outcome, geometry.KahlerReport):
-        result["passed"] = outcome.passed
-        result["checks"] = dict(outcome.checks)
-    elif isinstance(outcome, geometry.HalfFlatReport):
-        result["passed"] = outcome.passed
-        result["checks"] = {
-            "co_symplectic": outcome.co_symplectic,
-            "rho_minus_closed": outcome.rho_minus_closed,
-            "omega_rho_compatible": outcome.omega_rho_compatible,
-        }
-    else:  # stability report
-        result["passed"] = outcome.stable
-        result["definiteness"] = outcome.definiteness
-        result["b_matrix"] = [[str(x) for x in row] for row in outcome.b_matrix]
-    return result, EXIT_OK
+    missing = [name for name in STRUCTURE_FORMS[kind] if name not in forms]
+    if missing:
+        raise UsageError(f"{kind} structure needs forms: {', '.join(missing)}")
+    if kind == "symplectic":
+        fields = {"passed": geometry.symplectic_check(g, forms["omega"])}
+    elif kind == "kahler":
+        if metric is None or jstruct is None:
+            raise UsageError("kahler structure needs a metric and a complex structure")
+        fields = dataclasses.asdict(geometry.kahler_check(g, metric, jstruct, forms["omega"]))
+    elif kind == "half-flat":
+        checks = dataclasses.asdict(geometry.half_flat_check(g, forms["omega"], forms["rho_minus"]))
+        fields = {"passed": checks.pop("passed"), "checks": checks}
+    elif kind == "g2-cocal":
+        fields = {"passed": geometry.g2_cocal_check(g, forms["psi"])}
+    else:
+        if g.dim != 7:
+            raise UsageError("g2-phi check needs a dimension-7 algebra")
+        report = geometry.phi_stability(forms["phi"])
+        fields = {"passed": report.stable, "definiteness": report.definiteness,
+                  "b_matrix": [[str(x) for x in row] for row in report.b_matrix]}
+    return {"algebra": print_salamon(g), "type": kind, **fields}, EXIT_OK
 
 
 def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
@@ -310,15 +314,19 @@ def cmd_shear_lines(g: LieAlgebra, args) -> tuple[dict, int]:
 
 
 def _render_text(report: dict) -> str:
-    lines = [f"command: {report['command']}"]
     info = report["input"]
-    lines.append(f"input: {info['path']} sha256={info['sha256']}")
-    result = report["result"]
+    lines = [f"command: {report['command']}", f"input: {info['path']} sha256={info['sha256']}",
+             *_render_fields(report["result"]), f"exit-status: {report['exit_status']}"]
+    return "\n".join(lines)
+
+
+def _render_fields(result: dict) -> list[str]:
+    lines = []
     for key, value in result.items():
-        if key == "report":
-            lines.extend(_render_shear_report(value))
-        elif key == "checks":
-            lines.append("checks:")
+        if key == "report":  # a shear report, its fields already in text order
+            lines.extend(_render_fields(value))
+        elif key in ("checks", "conditions"):
+            lines.append(f"{key}:")
             for name, ok in value.items():
                 lines.append(f"  {name}: {_verdict(ok)}")
         elif key == "jacobi":
@@ -355,19 +363,6 @@ def _render_text(report: dict) -> str:
             lines.append(f"{key}: {json.dumps(value)}")
         else:
             lines.append(f"{key}: {value}")
-    lines.append(f"exit-status: {report['exit_status']}")
-    return "\n".join(lines)
-
-
-def _render_shear_report(rep: dict) -> list[str]:
-    lines = []
-    for name in ("eta", "f", "eta_bracket", "nu", "eta_prime", "eta_0", "eta_tilde",
-                 "f_prime", "f_tilde", "f_eff"):
-        lines.append(f"{name}: {rep[name]}")
-    lines.append("conditions:")
-    for name in shear.CONDITION_NAMES:
-        lines.append(f"  {name}: {_verdict(rep['conditions'][name])}")
-    lines.append(f"valid: {_verdict(rep['valid'])}")
     return lines
 
 
@@ -393,16 +388,20 @@ def build_parser() -> _Parser:
                        help="substitute a parameter before parsing (repeatable)")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
 
+    def shear_flags(p, f0=True):
+        p.add_argument("--x", required=True, help="vector spanning the ideal, e.g. E4")
+        p.add_argument("--alpha", required=True, help="one-form with alpha(X)=1, e.g. e4")
+        if f0:
+            p.add_argument("--f0", required=True, help="deformation two-form literal")
+        p.add_argument("--a", default="-1", help="nonzero transfer constant (default -1)")
+
     p = sub.add_parser("algebra-check", help="Jacobi verdict, series, classification")
     common(p)
     p.set_defaults(handler=cmd_algebra_check)
 
     p = sub.add_parser("shear", help="validate and apply a shear")
     common(p)
-    p.add_argument("--x", required=True, help="vector spanning the ideal, e.g. E4")
-    p.add_argument("--alpha", required=True, help="one-form with alpha(X)=1, e.g. e4")
-    p.add_argument("--f0", required=True, help="deformation two-form literal")
-    p.add_argument("--a", default="-1", help="nonzero transfer constant (default -1)")
+    shear_flags(p)
     p.add_argument("--eta-g", dest="eta_g", help="closed one-form with dF = eta ^ F")
     p.add_argument("--validate-only", action="store_true")
     p.set_defaults(handler=cmd_shear)
@@ -415,16 +414,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("form-ds", help="apply the transfer differential d_S to a form")
     common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--f0", required=True)
-    p.add_argument("--a", default="-1")
+    shear_flags(p)
     p.add_argument("--form", required=True)
     p.set_defaults(handler=cmd_form_ds)
 
     p = sub.add_parser("check-structure", help="verify a geometric structure")
     common(p)
-    p.add_argument("--type", required=True, choices=list(geometry.STRUCTURE_KINDS))
+    p.add_argument("--type", required=True, choices=list(STRUCTURE_FORMS))
     p.add_argument("--omega")
     p.add_argument("--rho-minus", dest="rho_minus")
     p.add_argument("--psi")
@@ -437,9 +433,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="enumerate valid deformation two-forms")
     common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--a", default="-1")
+    shear_flags(p, f0=False)
     p.add_argument("--coeffs", default="-1,0,1", help="comma-separated coefficient set")
     p.add_argument("--support", help="comma-separated monomials, e.g. 'e12,e13'")
     p.add_argument("--max-terms", dest="max_terms", type=int, default=1)
@@ -498,7 +492,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
     except (UsageError, ValueError, OSError) as exc:  # parse, literal, JSON and decode errors
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # CPython refuses to convert an int of too many digits to or from text
+        if type(exc) is ValueError and message.startswith("Exceeds the limit ("):
+            message = (f"a number exceeds CPython's limit of {sys.get_int_max_str_digits()} "
+                       "digits for integer string conversion")
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PARSE
     _emit({"command": args.cmd, "input": info, "result": result}, code, args.json)
     return code

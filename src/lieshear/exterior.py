@@ -222,31 +222,22 @@ class KForm:
         return f"KForm({self.dim}, {self.degree}, {self!s})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for idx, c in self.sorted_terms():
-            if not idx:
-                mono = "1"
-            elif self.dim > 9:
-                mono = "e[" + ",".join(str(i) for i in idx) + "]"
-            else:
-                mono = "e" + "".join(str(i) for i in idx)
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        # indices above 9 need separators: e[1,10] rather than e110
+        sep, left, right = (",", "e[", "]") if self.dim > 9 else ("", "e", "")
+        return _signed_sum((c, f"{left}{sep.join(map(str, idx))}{right}" if idx else "1")
+                           for idx, c in self.sorted_terms())
 
-    # -- operations as methods ----------------------------------------------
 
-    def wedge(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
+def _signed_sum(terms: Iterable[tuple[Coeff, str]]) -> str:
+    """`a - 2*b + 1/2*c` from (nonzero coefficient, name) pairs; "0" when there are none."""
+    out = ""
+    for c, name in terms:
+        term = name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}"
+        if out:
+            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+        else:
+            out = term
+    return out or "0"
 
 
 def _make(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:

@@ -254,46 +254,3 @@ def preserves_closure(g: LieAlgebra, x: Vector, f0: KForm, sigma: KForm) -> bool
         raise ValueError("dimension mismatch")
     return wedge(f0, interior(x, sigma)).is_zero()
 
-
-STRUCTURE_KINDS = ("symplectic", "kahler", "half-flat", "g2-cocal", "g2-phi")
-
-
-@dataclass(frozen=True)
-class StructureSpec:
-    """A named structure and its defining tensors, checkable against an algebra."""
-
-    kind: str
-    forms: dict[str, KForm]
-    metric: Metric | None = None
-    j: ComplexStructure | None = None
-
-    def __post_init__(self):
-        if self.kind not in STRUCTURE_KINDS:
-            raise ValueError(f"unknown structure kind {self.kind!r}")
-        needed = {
-            "symplectic": ("omega",),
-            "kahler": ("omega",),
-            "half-flat": ("omega", "rho_minus"),
-            "g2-cocal": ("psi",),
-            "g2-phi": ("phi",),
-        }[self.kind]
-        missing = [name for name in needed if name not in self.forms]
-        if missing:
-            raise ValueError(f"{self.kind} structure needs forms: {', '.join(missing)}")
-        if self.kind == "kahler" and (self.metric is None or self.j is None):
-            raise ValueError("kahler structure needs a metric and a complex structure")
-
-    def check(self, g: LieAlgebra):
-        """Run the appropriate verifier; returns its report (or bare verdict)."""
-        if self.kind == "symplectic":
-            return symplectic_check(g, self.forms["omega"])
-        if self.kind == "kahler":  # __post_init__ requires its metric and J
-            return kahler_check(g, self.metric, self.j, self.forms["omega"])
-        if self.kind == "half-flat":
-            return half_flat_check(g, self.forms["omega"], self.forms["rho_minus"])
-        if self.kind == "g2-cocal":
-            return g2_cocal_check(g, self.forms["psi"])
-        phi = self.forms["phi"]
-        if g.dim != 7:
-            raise ValueError("g2-phi check needs a dimension-7 algebra")
-        return phi_stability(phi)

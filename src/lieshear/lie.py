@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
@@ -225,18 +225,8 @@ class LieAlgebra:
 
     def _compute_series(self) -> SeriesReport:
         full = linalg.span_rref(linalg.identity(self.dim))
-        lower: list[Subspace] = [self._bracket_span(full, full)]
-        while lower[-1]:
-            nxt = self._bracket_span(full, lower[-1])
-            if nxt == lower[-1]:
-                break
-            lower.append(nxt)
-        derived: list[Subspace] = [lower[0]]
-        while derived[-1]:
-            nxt = self._bracket_span(derived[-1], derived[-1])
-            if nxt == derived[-1]:
-                break
-            derived.append(nxt)
+        lower = _chain(self._bracket_span(full, full), lambda s: self._bracket_span(full, s))
+        derived = _chain(lower[0], lambda s: self._bracket_span(s, s))
         is_nilpotent = not lower[-1]
         is_solvable = not derived[-1]
         return SeriesReport(
@@ -314,12 +304,9 @@ class LieAlgebra:
             raise ValueError("abelian algebra has no canonical line")
         dsub = rep.derived[0]
         # lower central series of n = g' (brackets taken inside n)
-        lower: list[Subspace] = [dsub]
-        while lower[-1]:
-            nxt = self._bracket_span(dsub, lower[-1])
-            if nxt == lower[-1]:
-                raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
-            lower.append(nxt)
+        lower = _chain(dsub, lambda s: self._bracket_span(dsub, s))
+        if lower[-1]:
+            raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
         target = lower[-2]  # last nonzero term (n itself when n is abelian)
         complement = linalg.complement(dsub, self.dim)
         terms = self._terms()
@@ -355,6 +342,15 @@ class LieAlgebra:
             eigenspaces=eig,
             nonrational_present=nonrational,
         )
+
+
+def _chain(first: Subspace, step: Callable[[Subspace], Subspace]) -> list[Subspace]:
+    """first, step(first), ... up to the first zero term, or up to the term
+    before the first repeat."""
+    chain = [first]
+    while chain[-1] and (nxt := step(chain[-1])) != chain[-1]:
+        chain.append(nxt)
+    return chain
 
 
 def _columns(terms: Sequence[tuple[int, int, int, Coeff]], v: Sequence[Coeff], n: int) -> list[list[Coeff]]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterator
 
-from .exterior import KForm, Vector
+from .exterior import KForm, Vector, _signed_sum
 
 # Fraction("1e30000000") expands 10**30000000 before it can fail, so exponents are
 # bounded first, by CPython's default digit limit of int-string conversions
@@ -55,6 +56,16 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _terms(text: str) -> Iterator[tuple[Fraction, str]]:
+    """(coefficient, body) of each signed term `[rational "*"] body` in turn."""
+    for sign, term in _split_signed_terms(text):
+        coeff = Fraction(sign)
+        if "*" in term:
+            coeff_text, term = term.split("*", 1)
+            coeff *= parse_rational(coeff_text)
+        yield coeff, term.strip()
+
+
 def _parse_indices(body: str, dim: int) -> list[int]:
     if body.startswith("["):
         if not body.endswith("]"):
@@ -81,27 +92,19 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
             raise LiteralError("zero form needs an expected degree")
         return KForm.zero(dim, degree)
     total: KForm | None = None
-    for sign, term in _split_signed_terms(s):
-        coeff = Fraction(sign)
-        body = term
-        if "*" in term:
-            coeff_text, body = term.split("*", 1)
-            coeff *= parse_rational(coeff_text)
-            body = body.strip()
+    for coeff, body in _terms(s):
         if body.startswith("e"):
             idx = _parse_indices(body[1:].strip(), dim)
             try:
                 part = KForm.monomial(dim, idx, coeff)
             except ValueError as exc:
                 raise LiteralError(str(exc)) from None
-        elif degree == 0 or (degree is None and not body.startswith("e")):
+        elif degree in (0, None):
             # bare rational as a zero-degree form
             part = KForm.scalar(dim, coeff * parse_rational(body))
         else:
             raise LiteralError(f"expected a monomial like e13, got {body!r}")
         total = part if total is None else total + part
-    if total is None:
-        raise LiteralError(f"malformed expression {text!r}")
     if degree is not None and not total.is_zero() and total.degree != degree:
         raise LiteralError(f"expected a degree-{degree} form, got degree {total.degree}")
     return total
@@ -112,13 +115,7 @@ def parse_vector(text: str, dim: int) -> Vector:
     if s == "0":
         return Vector.zero(dim)
     comps = [Fraction(0)] * dim
-    for sign, term in _split_signed_terms(s):
-        coeff = Fraction(sign)
-        body = term
-        if "*" in term:
-            coeff_text, body = term.split("*", 1)
-            coeff *= parse_rational(coeff_text)
-            body = body.strip()
+    for coeff, body in _terms(s):
         if not body.startswith("E"):
             raise LiteralError(f"expected a frame vector like E4, got {body!r}")
         idx_text = body[1:].strip()
@@ -132,22 +129,7 @@ def parse_vector(text: str, dim: int) -> Vector:
 
 
 def format_vector(v: Vector) -> str:
-    parts = []
-    for i, c in enumerate(v.components, start=1):
-        if not c:
-            continue
-        if c == 1:
-            parts.append(f"E{i}")
-        elif c == -1:
-            parts.append(f"-E{i}")
-        else:
-            parts.append(f"{c}*E{i}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return _signed_sum((c, f"E{i}") for i, c in enumerate(v.components, start=1) if c)
 
 
 def parse_matrix(text: str, dim: int) -> list[list[Fraction]]:

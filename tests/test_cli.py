@@ -16,7 +16,31 @@ from hypothesis import given
 
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 PSI_LITERAL = "e1425 + e1436 + e2536 - e4567 + e4237 + e1267 + e1537"
+PHI_LITERAL = "e123+e145+e167+e246-e257-e347-e356"
+IDENTITY6 = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
+J6 = "0,-1,0,0,0,0;1,0,0,0,0,0;0,0,0,-1,0,0;0,0,1,0,0,0;0,0,0,0,0,-1;0,0,0,0,1,0"
+
+# text reports pinned byte for byte, one file each in tests/golden/
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TEXT = {
+    "algebra-check": ["algebra-check", "glm.alg"],
+    "shear": ["shear", "s5.alg", "--x", "E4", "--alpha", "e4", "--f0", "1/3*e13", "--a", "2/7",
+              "--eta-g", "e5"],
+    "shear-invalid": ["shear", "s5.alg", "--x", "E4", "--alpha", "e4", "--f0", "e14"],
+    "twist": ["twist", "h3.alg", "--alpha", "e3", "--f", "-e12"],
+    "form-ds": ["form-ds", "s5.alg", "--x", "E4", "--alpha", "e4", "--f0", "e13",
+                "--form", "e15 - 2/3*e24"],
+    "check-structure-kahler": ["check-structure", "kahler6.alg", "--type", "kahler", "--standard"],
+    "check-structure-half-flat": ["check-structure", "ab6.alg", "--type", "half-flat",
+                                  "--omega", "e12+e34+e56", "--rho-minus", "e235+e145+e136-e246"],
+    "check-structure-g2-phi": ["check-structure", "glm.alg", "--type", "g2-phi", "--phi", PHI_LITERAL],
+    "search": ["search", "s5.alg", "--x", "E4", "--alpha", "e4", "--max-terms", "2",
+               "--coeffs", "-1,0,1/2", "--support", "e12,e13,e15"],
+    "shear-lines": ["shear-lines", "glm.alg"],
+}
 
 
 @pytest.fixture
@@ -290,8 +314,7 @@ class TestCheckStructure:
 
     def test_g2_phi(self, capsys, files):
         code, out, _ = run(capsys, "check-structure", files["glm"],
-                           "--type", "g2-phi",
-                           "--phi", "e123+e145+e167+e246-e257-e347-e356")
+                           "--type", "g2-phi", "--phi", PHI_LITERAL)
         assert code == 0
         assert "definiteness: positive" in out
 
@@ -301,6 +324,38 @@ class TestCheckStructure:
                            "--rho-minus", "e235+e145+e136-e246")
         assert code == 0
         assert "passed: pass" in out
+
+    @pytest.mark.parametrize("doc, flags, message", [
+        ("ab6", ["--type", "symplectic"], "symplectic structure needs forms: omega"),
+        ("ab6", ["--type", "kahler"], "kahler structure needs forms: omega"),
+        ("ab6", ["--type", "half-flat"], "half-flat structure needs forms: omega, rho_minus"),
+        ("ab6", ["--type", "half-flat", "--omega", "e12"], "half-flat structure needs forms: rho_minus"),
+        ("ab6", ["--type", "half-flat", "--rho-minus", "e123"], "half-flat structure needs forms: omega"),
+        ("glm", ["--type", "g2-cocal"], "g2-cocal structure needs forms: psi"),
+        ("glm", ["--type", "g2-phi"], "g2-phi structure needs forms: phi"),
+        ("ab6", ["--type", "kahler", "--omega", "e12"],
+         "kahler structure needs a metric and a complex structure"),
+        ("ab6", ["--type", "kahler", "--omega", "e12", "--metric", IDENTITY6],
+         "kahler structure needs a metric and a complex structure"),
+        ("ab6", ["--type", "kahler", "--omega", "e12", "--j", J6],
+         "kahler structure needs a metric and a complex structure"),
+        ("ab6", ["--type", "g2-phi", "--phi", "e123"], "g2-phi check needs a dimension-7 algebra"),
+        ("ab3", ["--type", "kahler", "--standard"], "--standard needs an even dimension"),
+        ("ab3", ["--type", "symplectic", "--standard"], "--standard needs an even dimension"),
+    ])
+    def test_usage_error(self, capsys, files, doc, flags, message):
+        code, out, err = run(capsys, "check-structure", files[doc], *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_unknown_type(self, capsys, files):
+        code, out, err = run(capsys, "check-structure", files["ab6"], "--type", "hyperkahler")
+        kinds = ["symplectic", "kahler", "half-flat", "g2-cocal", "g2-phi"]
+        # argparse quotes the choices in some Python versions and not in others
+        assert (code, out) == (1, "")
+        assert err in {
+            f"error: argument --type: invalid choice: 'hyperkahler' (choose from {choices})\n"
+            for choices in (", ".join(map(repr, kinds)), ", ".join(kinds))
+        }
 
 
 class TestSearchCommand:
@@ -394,6 +449,19 @@ class TestReports:
         assert code == 1 and out == ""
         assert err == "error: bad rational '1e30000000': exponent beyond +-4300\n"
 
+    @pytest.mark.skipif(not 0 < DIGIT_LIMIT <= 4300, reason="needs CPython's int-string digit limit")
+    @pytest.mark.parametrize("argv", [
+        ["shear", "h3", "--x", "E3", "--alpha", "e3", "--f0", "e12", "--a", "1e4300"],
+        ["shear", "h3", "--x", "E3", "--alpha", "e3", "--f0", "e12", "--a", "1e4300", "--json"],
+        ["algebra-check", "h3", "--set", "a=1e4300"],
+    ])
+    def test_digit_limit_is_one_error_line(self, capsys, files, argv):
+        # 10**4300 passes the exponent bound but has one digit too many to print
+        code, out, err = run(capsys, argv[0], files[argv[1]], *argv[2:])
+        assert (code, out) == (1, "")
+        assert err == (f"error: a number exceeds CPython's limit of {DIGIT_LIMIT} digits "
+                       "for integer string conversion\n")
+
     def test_usage_error_exit_1(self, capsys):
         code = main(["shear"])
         err = capsys.readouterr().err
@@ -424,6 +492,14 @@ class TestArgv:
                 assert "'-e1'" in str(exc), (flag, str(exc))
             else:
                 assert getattr(args, action.dest) in ("-e1", ["-e1"]), flag
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("name", list(GOLDEN_TEXT))
+    def test_text_report(self, capsys, files, monkeypatch, name):
+        monkeypatch.chdir(Path(files["s5"]).parent)  # the report names the document's path
+        main(GOLDEN_TEXT[name])
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 class TestHighDimensionDocuments:

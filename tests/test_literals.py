@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from corpus import mono, psi4
 from lieshear import KForm, Vector
@@ -108,3 +110,93 @@ class TestParseMatrix:
             parse_matrix("1,0;0", 2)
         with pytest.raises(LiteralError):
             parse_matrix("1,0", 2)
+
+
+# The printers as they were written before KForm.__str__ and format_vector
+# shared one signed-sum rule, kept as the reference for the shared one.
+def reference_form_str(form: KForm) -> str:
+    if form.is_zero():
+        return "0"
+    parts = []
+    for idx, c in form.sorted_terms():
+        if not idx:
+            mono = "1"
+        elif form.dim > 9:
+            mono = "e[" + ",".join(str(i) for i in idx) + "]"
+        else:
+            mono = "e" + "".join(str(i) for i in idx)
+        if c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def reference_format_vector(v: Vector) -> str:
+    parts = []
+    for i, c in enumerate(v.components, start=1):
+        if not c:
+            continue
+        if c == 1:
+            parts.append(f"E{i}")
+        elif c == -1:
+            parts.append(f"-E{i}")
+        else:
+            parts.append(f"{c}*E{i}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+coefficients = (
+    st.sampled_from([1, -1])
+    | st.integers(-30, 30)
+    | st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+
+
+@st.composite
+def forms(draw):
+    dim = draw(st.integers(1, 14))
+    degree = draw(st.integers(0, dim))
+    index_sets = draw(st.lists(st.sets(st.integers(1, dim), min_size=degree, max_size=degree),
+                               max_size=5))
+    terms = {sum(1 << (i - 1) for i in idx): draw(coefficients) for idx in index_sets}
+    return KForm(dim, degree, terms)
+
+
+vectors = st.integers(1, 14).flatmap(
+    lambda dim: st.lists(st.just(0) | coefficients, min_size=dim, max_size=dim)
+).map(Vector)
+
+
+class TestPrinters:
+    @settings(max_examples=300)
+    @given(forms())
+    def test_form_str_matches_reference(self, form):
+        text = str(form)
+        assert text == reference_form_str(form)
+        assert parse_form(text, form.dim, degree=form.degree) == form
+
+    @settings(max_examples=300)
+    @given(vectors)
+    def test_format_vector_matches_reference(self, v):
+        text = format_vector(v)
+        assert text == reference_format_vector(v)
+        assert parse_vector(text, v.dim) == v
+
+    def test_edge_cases(self):
+        assert str(KForm.zero(3, 2)) == reference_form_str(KForm.zero(3, 2)) == "0"
+        assert str(KForm.scalar(2, -1)) == "-1"
+        assert str(KForm.scalar(2, Fraction(-3, 2))) == "-3/2*1"
+        assert str(mono(12, (10, 1), 2) - mono(12, (2, 11))) == "-2*e[1,10] - e[2,11]"
+        assert format_vector(Vector.zero(4)) == "0"
+        assert format_vector(Vector([0, Fraction(-1, 2), 1, -1])) == "-1/2*E2 + E3 - E4"

@@ -144,6 +144,8 @@ class TestValidate:
         assert rep.valid
         assert rep.eta_0 == mono(5, (5,), 2)  # eta_0 = eta
         assert rep.nu.is_zero()
+        # the CLI prints the conditions in the report's own order
+        assert tuple(rep.conditions) == lieshear.shear.CONDITION_NAMES
 
     def test_golden_invalid(self):
         g = parse_salamon(S5)

@@ -1,5 +1,6 @@
 """Source-level contracts of the package."""
 import ast
+import sys
 from pathlib import Path
 
 import lieshear
@@ -62,6 +63,22 @@ def test_every_module_level_import_is_used():
                     if name not in used and not exported:
                         unused.append(f"{path.name}: {name}")
     assert SOURCES and not unused, unused
+
+
+def test_imports_only_the_standard_library():
+    # README: no runtime dependencies beyond the standard library
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: the package itself
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"lieshear"}]
+    assert SOURCES and not found, found
 
 
 def test_environment_is_read_only_for_no_color():
