@@ -57,8 +57,9 @@ def _substitute(text: str, subs: dict[str, str]) -> str:
     for name in sorted(subs):
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise UsageError(f"bad substitution name {name!r}")
-        value = str(literals.parse_rational(subs[name]))
-        text = re.sub(rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_])", value, text)
+        pattern = rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_])"
+        if re.search(pattern, text):  # an unused value is never converted
+            text = re.sub(pattern, str(literals.parse_rational(subs[name])), text)
     return text
 
 
@@ -106,8 +107,8 @@ def load_document(path: str, set_flags: list[str] | None):
             for k in range(1, dim + 1):
                 lit = dmap.get(str(k), "0")
                 diffs.append(literals.parse_form(_substitute(str(lit), subs), dim, degree=2))
-            for key in dmap:
-                if not (key.isdigit() and 1 <= int(key) <= dim):
+            for key in dmap:  # "01" or "١" would name no generator: refused, not ignored
+                if key not in map(str, range(1, dim + 1)):
                     raise UsageError(f'bad generator key {key!r} in "d"')
             g = LieAlgebra(diffs)
     else:
@@ -493,8 +494,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_DATA
     except (UsageError, ValueError, OSError) as exc:  # parse, literal, JSON and decode errors
         message = str(exc)
-        # CPython refuses to convert an int of too many digits to or from text
-        if type(exc) is ValueError and message.startswith("Exceeds the limit ("):
+        if literals.is_digit_limit(exc):
             message = (f"a number exceeds CPython's limit of {sys.get_int_max_str_digits()} "
                        "digits for integer string conversion")
         print(f"error: {message}", file=sys.stderr)

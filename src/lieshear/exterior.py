@@ -13,8 +13,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import det
-
 MAX_DIM = 14
 
 Coeff = Fraction | int
@@ -201,10 +199,7 @@ class KForm:
         for v in vectors:
             if v.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
-        total = Fraction(0)
-        if self.degree == 0:
-            return total + self.terms.get(0, 0)
-        if self.degree == 1:  # the pairing sum_i c_i v_i, each 1x1 determinant
+        if self.degree == 1:  # the pairing sum_i c_i v_i
             comps = vectors[0].components
             acc: Coeff = 0  # stays an int while every factor is integral
             for mask, c in self.terms.items():
@@ -212,11 +207,11 @@ class KForm:
                 if x:
                     acc += c * (x.numerator if x.denominator == 1 else x)
             return Fraction(acc)
-        for mask, c in self.terms.items():
-            idx = indices_of(mask)
-            rows = [[v.components[i - 1] for i in idx] for v in vectors]
-            total += c * det(rows)
-        return total
+        # alpha(v_1, ..., v_k) = i_{v_k} ... i_{v_1} alpha
+        form = self
+        for v in vectors:
+            form = interior(v, form)
+        return Fraction(form.terms.get(0, 0))
 
     def __repr__(self) -> str:
         return f"KForm({self.dim}, {self.degree}, {self!s})"

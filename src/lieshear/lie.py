@@ -11,6 +11,7 @@ generator differentials, and d∘d = 0 is exactly the Jacobi identity.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,131 +372,80 @@ def _columns(terms: Sequence[tuple[int, int, int, Coeff]], v: Sequence[Coeff], n
 # -- shorthand notation -------------------------------------------------------
 
 
+# README's grammar, one pattern per piece, matched at a position: digits are
+# ASCII only, and `\s` is the whitespace of str.isspace
+_SPACE = re.compile(r"\s*")
+_COMMA = re.compile(",")
+_ZERO_ENTRY = re.compile(r"0(?![0-9]*[./])\s*")  # not the coefficient of "0.12"
+_FIRST_SIGN = re.compile(r"[+-]?\s*")
+_SIGNS = re.compile(r"[+-]\s*(?:[+-]\s*)?")  # substitution makes a second sign: "+-1.23"
+# digits are a coefficient only before "." or "/"
+_COEFF = re.compile(r"([0-9]+)(?:\.|/([0-9]*)(\.?))")
+_PAIR = re.compile(r"[0-9]{2}")
+
+
 def parse_salamon(text: str) -> LieAlgebra:
     """Parse shorthand like "(0,0,12)" or "(51,52,53,2.54,0)".
 
     Each entry is d e_k: "0", or signed terms "c.ab" meaning c * e_a ^ e_b
     (coefficient omitted when 1, rational coefficients as "p/q").
     """
-    entries = _split_entries(text)
-    n = len(entries)
+    stripped = text.strip()
+    start, end = text.find("("), text.rfind(")")
+    if not (stripped.startswith("(") and stripped.endswith(")")):
+        raise SalamonError("algebra must be wrapped in parentheses", max(start, 0))
+    cuts = [start, *(m.start() for m in _COMMA.finditer(text, start + 1, end)), end]
+    n = len(cuts) - 1
+    if n == 1:  # a two-form needs two generators
+        raise SalamonError("shorthand needs at least 2 generators, got 1", 0)
     if n > 9:
         raise SalamonError(f"shorthand supports at most 9 generators, got {n}", 0)
-    diffs = []
-    for raw, offset in entries:
-        diffs.append(_parse_entry(raw, offset, n))
-    return LieAlgebra(diffs)
+    return LieAlgebra([_parse_entry(text, a + 1, b, n) for a, b in zip(cuts, cuts[1:])])
 
 
-def _split_entries(text: str) -> list[tuple[str, int]]:
-    stripped = text.strip()
-    start = text.find("(")
-    if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise SalamonError("algebra must be wrapped in parentheses", max(start, 0))
-    inner_start = start + 1
-    inner_end = text.rfind(")")
-    inner = text[inner_start:inner_end]
-    entries = []
-    pos = inner_start
-    for chunk in inner.split(","):
-        entries.append((chunk, pos))
-        pos += len(chunk) + 1
-    return entries
-
-
-def _parse_entry(raw: str, offset: int, dim: int) -> KForm:
-    s = raw
-    out = KForm.zero(dim, 2)
-    i = 0
-
-    def skip_ws():
-        nonlocal i
-        while i < len(s) and s[i].isspace():
-            i += 1
-
-    skip_ws()
-    if i >= len(s):
-        raise SalamonError("empty entry", offset + i)
-    if s[i] == "0" and not _starts_term(s, i):
-        i += 1
-        skip_ws()
-        if i != len(s):
-            raise SalamonError(f"unexpected {s[i]!r} after zero entry", offset + i)
-        return out
-    first = True
-    while True:
-        skip_ws()
-        sign = 1
-        if first:
-            if i < len(s) and s[i] in "+-":
-                sign = -1 if s[i] == "-" else 1
-                i += 1
-        else:
-            if i >= len(s):
-                break
-            if s[i] not in "+-":
-                raise SalamonError(f"expected '+' or '-', got {s[i]!r}", offset + i)
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-            skip_ws()
-            # tolerate a sign produced by textual substitution, e.g. "+-1.23"
-            if i < len(s) and s[i] in "+-":
-                sign *= -1 if s[i] == "-" else 1
-                i += 1
-        skip_ws()
-        coeff, i = _parse_coeff(s, i, offset)
-        a, b, i = _parse_index_pair(s, i, offset, dim)
-        out = out + KForm.monomial(dim, (a, b), sign * coeff)
-        first = False
-        skip_ws()
-        if i >= len(s):
-            break
-    return out
-
-
-def _starts_term(s: str, i: int) -> bool:
-    # "0" begins a term only as a coefficient like "0.17"
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    return j < len(s) and s[j] in "./"
-
-
-def _parse_coeff(s: str, i: int, offset: int) -> tuple[Fraction, int]:
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    if j == i:
-        return Fraction(1), i
-    if j < len(s) and s[j] == "/":
-        k = j + 1
-        while k < len(s) and s[k].isdigit():
-            k += 1
-        if k == j + 1:
-            raise SalamonError("missing denominator", offset + j)
-        num, den = int(s[i:j]), int(s[j + 1:k])
-        if den == 0:
-            raise SalamonError("zero denominator", offset + j + 1)
-        if k < len(s) and s[k] == ".":
-            return Fraction(num, den), k + 1
-        raise SalamonError("rational coefficient must be followed by '.'", offset + k)
-    if j < len(s) and s[j] == ".":
-        return Fraction(int(s[i:j])), j + 1
-    return Fraction(1), i
-
-
-def _parse_index_pair(s: str, i: int, offset: int, dim: int) -> tuple[int, int, int]:
-    if i + 1 >= len(s) or not (s[i].isdigit() and s[i + 1].isdigit()):
-        raise SalamonError("expected an index pair of two digits", offset + i)
-    a, b = int(s[i]), int(s[i + 1])
-    for d, pos in ((a, i), (b, i + 1)):
-        if d == 0:
-            raise SalamonError("0 is not a valid index", offset + pos)
-        if d > dim:
-            raise SalamonError(f"index {d} exceeds dimension {dim}", offset + pos)
-    if a == b:
-        raise SalamonError(f"repeated index {a} in a pair", offset + i)
-    return a, b, i + 2
+def _parse_entry(text: str, i: int, end: int, dim: int) -> KForm:
+    """d e_k from the entry text[i:end]; error positions index `text`."""
+    i = _SPACE.match(text, i, end).end()
+    if i == end:
+        raise SalamonError("empty entry", i)
+    if zero := _ZERO_ENTRY.match(text, i, end):
+        if zero.end() < end:
+            raise SalamonError(f"unexpected {text[zero.end()]!r} after zero entry", zero.end())
+        return KForm.zero(dim, 2)
+    terms: dict[int, Fraction] = {}
+    signs = _FIRST_SIGN
+    while i < end:
+        if not (m := signs.match(text, i, end)):
+            raise SalamonError(f"expected '+' or '-', got {text[i]!r}", i)
+        coeff = Fraction(-1 if m[0].count("-") % 2 else 1)
+        i = m.end()
+        if c := _COEFF.match(text, i, end):
+            num, den, dot = c.groups()
+            if den == "":
+                raise SalamonError("missing denominator", c.end(1))
+            coeff *= int(num)
+            if den is not None:
+                if not int(den):
+                    raise SalamonError("zero denominator", c.start(2))
+                if not dot:
+                    raise SalamonError("rational coefficient must be followed by '.'", c.end())
+                coeff /= int(den)
+            i = c.end()
+        if not _PAIR.match(text, i, end):
+            raise SalamonError("expected an index pair of two digits", i)
+        a, b = int(text[i]), int(text[i + 1])
+        for d, pos in ((a, i), (b, i + 1)):
+            if d == 0:
+                raise SalamonError("0 is not a valid index", pos)
+            if d > dim:
+                raise SalamonError(f"index {d} exceeds dimension {dim}", pos)
+        if a == b:
+            raise SalamonError(f"repeated index {a} in a pair", i)
+        mask = (1 << a - 1) | (1 << b - 1)
+        terms[mask] = terms.get(mask, 0) + (coeff if a < b else -coeff)
+        i = _SPACE.match(text, i + 2, end).end()
+        signs = _SIGNS
+    return KForm(dim, 2, terms)
 
 
 def print_salamon(g: LieAlgebra) -> str:

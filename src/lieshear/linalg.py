@@ -93,7 +93,7 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     return len(span_rref(list(b) + [list(v)])) == len(b)
 
 
-def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Row, ...]:
+def nullspace(vectors: Sequence[Sequence], ncols: int) -> tuple[Row, ...]:
     """Echelon basis of {x : M x = 0} for the matrix with the given rows.
 
     One elimination of M with its columns reversed: in the reversed form, free
@@ -102,8 +102,6 @@ def nullspace(vectors: Sequence[Sequence], ncols: int | None = None) -> tuple[Ro
     taken in descending f, these vectors are already the reduced echelon basis.
     """
     if not vectors:
-        if ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
         return tuple(tuple(row) for row in identity(ncols))  # already echelon
     n = len(vectors[0])
     red, pivots = rref([row[::-1] for row in vectors])

@@ -16,43 +16,46 @@ from .exterior import KForm, Vector, _signed_sum
 # Fraction("1e30000000") expands 10**30000000 before it can fail, so exponents are
 # bounded first, by CPython's default digit limit of int-string conversions
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")
+# a sign separates two terms unless it is the sign of an exponent, as in "1e-3"
+_SIGN = re.compile(r"(?<![0-9.][eE])([+-])")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class LiteralError(ValueError):
     """Malformed form/vector/matrix literal."""
 
 
+def is_digit_limit(exc: Exception) -> bool:
+    """Is `exc` CPython's refusal to convert an int of too many digits to or from text?"""
+    return type(exc) is ValueError and str(exc).startswith("Exceeds the limit (")
+
+
 def parse_rational(text: str) -> Fraction:
     s = text.strip().replace(" ", "")
+    if not s.isascii():  # Fraction would read other scripts' digits
+        raise LiteralError(f"bad rational {text!r}: digits must be ASCII")
     exp = _EXPONENT.search(s)
     if exp and (len(digits := exp[1].replace("_", "").lstrip("0")) > 4 or int(digits or 0) > 4300):
         raise LiteralError(f"bad rational {text!r}: exponent beyond +-4300")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
+        if is_digit_limit(exc):
+            raise  # `cli.main` reports it in one documented line, whichever reader met it
         raise LiteralError(f"bad rational {text!r}: {exc}") from None
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    out: list[tuple[int, str]] = []
-    sign, chunk = 1, []
-    started = False
-    for ch in text:
-        if ch in "+-" and started and chunk:
-            out.append((sign, "".join(chunk).strip()))
-            sign, chunk = (1 if ch == "+" else -1), []
-        elif ch in "+-" and not chunk:
-            sign *= 1 if ch == "+" else -1
-            started = True
-        else:
-            if ch.isspace() and not chunk:
-                continue
-            chunk.append(ch)
-            started = True
-    if chunk:
-        out.append((sign, "".join(chunk).strip()))
-    if not out or any(not c for _, c in out):
+    """(sign, term) pairs; the signs between two terms multiply, as in "e1 - -e2"."""
+    parts = _SIGN.split(text)  # term, sign, term, ..., sign, term
+    if not parts[-1].strip():
         raise LiteralError(f"malformed expression {text!r}")
+    out, sign = [], 1
+    for chunk, op in zip(parts[::2], parts[1::2] + [""]):
+        if chunk := chunk.strip():
+            out.append((sign, chunk))
+            sign = 1
+        sign = -sign if op == "-" else sign
     return out
 
 
@@ -70,12 +73,12 @@ def _parse_indices(body: str, dim: int) -> list[int]:
     if body.startswith("["):
         if not body.endswith("]"):
             raise LiteralError(f"unclosed index bracket in {body!r}")
-        try:
-            idx = [int(p) for p in body[1:-1].split(",")]
-        except ValueError:
-            raise LiteralError(f"bad index list {body!r}") from None
+        parts = [p.strip() for p in body[1:-1].split(",")]
+        if not all(map(_DIGITS.fullmatch, parts)):
+            raise LiteralError(f"bad index list {body!r}")
+        idx = [int(p) for p in parts]
     else:
-        if not body or not body.isdigit():
+        if not _DIGITS.fullmatch(body):
             raise LiteralError(f"expected digit indices, got {body!r}")
         idx = [int(ch) for ch in body]
     for i in idx:
@@ -119,7 +122,7 @@ def parse_vector(text: str, dim: int) -> Vector:
         if not body.startswith("E"):
             raise LiteralError(f"expected a frame vector like E4, got {body!r}")
         idx_text = body[1:].strip()
-        if not idx_text.isdigit():
+        if not _DIGITS.fullmatch(idx_text):
             raise LiteralError(f"bad frame index in {body!r}")
         i = int(idx_text)
         if not 1 <= i <= dim:

@@ -49,6 +49,7 @@ def files(tmp_path):
     for name, text in {
         "s5": "(51,52,53,2.54,0)",
         "h3": "(0,0,12)",
+        "h3a": "(0,0,a.12)",
         "ab3": "(0,0,0)",
         "ab6": "(0,0,0,0,0,0)",
         "kahler6": "(12,0,0,0,0,0)",
@@ -133,6 +134,9 @@ WRONG_SHAPE_DOCUMENTS = {
     '{"dim":3.9,"d":{"3":"e12"}}': '"dim" must be an integer',
     '{"dim":"3","d":{"3":"e12"}}': '"dim" must be an integer',
     '{"dim":true,"d":{}}': '"dim" must be an integer',
+    '{"dim":3,"d":{"03":"e12"}}': 'bad generator key \'03\' in "d"',
+    '{"dim":3,"d":{"\\u0663":"e12"}}': 'bad generator key \'\u0663\' in "d"',
+    '{"dim":3,"d":{"4":"e12"}}': 'bad generator key \'4\' in "d"',
 }
 
 json_values = st.recursive(
@@ -453,7 +457,7 @@ class TestReports:
     @pytest.mark.parametrize("argv", [
         ["shear", "h3", "--x", "E3", "--alpha", "e3", "--f0", "e12", "--a", "1e4300"],
         ["shear", "h3", "--x", "E3", "--alpha", "e3", "--f0", "e12", "--a", "1e4300", "--json"],
-        ["algebra-check", "h3", "--set", "a=1e4300"],
+        ["algebra-check", "h3a", "--set", "a=1e4300"],
     ])
     def test_digit_limit_is_one_error_line(self, capsys, files, argv):
         # 10**4300 passes the exponent bound but has one digit too many to print
@@ -461,6 +465,33 @@ class TestReports:
         assert (code, out) == (1, "")
         assert err == (f"error: a number exceeds CPython's limit of {DIGIT_LIMIT} digits "
                        "for integer string conversion\n")
+
+    @pytest.mark.skipif(not 0 < DIGIT_LIMIT <= 4300, reason="needs CPython's int-string digit limit")
+    @pytest.mark.parametrize("doc, flags", [
+        (json.dumps({"dim": 3, "d": {"3": "1" * 4400 + "*e12"}}), []),
+        (json.dumps({"dim": 12, "d": {"3": "e[1," + "1" * 4400 + "]"}}), []),
+        ("(0,0," + "1" * 4400 + ".12)", []),
+        ("(0,0,12)", ["--a", "1" * 4400]),
+        ("(0,0,12)", ["--a", "1/" + "3" * 4400]),
+        ("(0,0,12)", ["--x", "E" + "3" * 4400]),
+    ], ids=["json-coefficient", "json-bracket-index", "shorthand-coefficient", "a", "a-denominator",
+            "x-index"])
+    def test_a_literal_beyond_the_digit_limit_is_one_error_line(self, capsys, tmp_path, doc, flags):
+        # whichever reader meets the long literal, CPython's limit is named in one short line
+        path = tmp_path / "doc.alg"
+        path.write_text(doc)
+        command = ["shear", "--x", "E3", "--alpha", "e3", "--f0", "e12"] if flags else ["algebra-check"]
+        code, out, err = run(capsys, command[0], str(path), *command[1:], *flags)
+        assert (code, out) == (1, "")
+        assert err == (f"error: a number exceeds CPython's limit of {DIGIT_LIMIT} digits "
+                       "for integer string conversion\n")
+
+    def test_unused_substitution_is_not_converted(self, capsys, files):
+        # (0,0,12) has no "a", so the value, which no report could print, is never read
+        plain = run(capsys, "algebra-check", files["h3"])
+        assert plain[0] == 0
+        assert run(capsys, "algebra-check", files["h3"], "--set", "a=1e4300") == plain
+        assert run(capsys, "algebra-check", files["h3"], "--set", "a=x") == plain
 
     def test_usage_error_exit_1(self, capsys):
         code = main(["shear"])
@@ -511,3 +542,34 @@ class TestHighDimensionDocuments:
         assert code == 0
         assert '"dim": 10' in out  # shorthand falls back to the JSON form
         assert "jacobi: pass" in out
+
+
+class TestNonAsciiDigits:
+    # digits are ASCII [0-9]: other scripts' digits are refused, never read as
+    # numbers and never passed to int()
+    @pytest.mark.parametrize("doc, flags, message", [
+        ("(0,0,\u00b9\u00b2)", [], "expected an index pair of two digits (at position 5)"),
+        ("(0,0,\u0661\u0662)", [], "expected an index pair of two digits (at position 5)"),
+        ("(0,0,\u00b2/3.12)", [], "expected an index pair of two digits (at position 5)"),
+        (json.dumps({"dim": 3, "d": {"3": "e\u00b9\u00b2"}}), [], "expected digit indices, got '\u00b9\u00b2'"),
+        (json.dumps({"dim": 3, "d": {"3": "e\u0661\u0662"}}), [], "expected digit indices, got '\u0661\u0662'"),
+        ("(0,0,12)", ["--x", "E\u00b9"], "bad frame index in 'E\u00b9'"),
+        ("(0,0,12)", ["--f0", "e\u00b9\u00b2"], "expected digit indices, got '\u00b9\u00b2'"),
+        ("(0,0,12)", ["--a", "\u0662"], "bad rational '\u0662': digits must be ASCII"),
+        ("(0,0,12)", ["--f0", "e12 -"], "malformed expression 'e12 -'"),
+    ])
+    def test_refused_in_one_error_line(self, capsys, tmp_path, doc, flags, message):
+        path = tmp_path / "doc.alg"
+        path.write_text(doc, encoding="utf-8")
+        argv = {"--x": "E3", "--alpha": "e3", "--f0": "e12"}
+        argv.update(zip(flags[::2], flags[1::2]))
+        command = ["shear", *(x for kv in argv.items() for x in kv)] if flags else ["algebra-check"]
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert "invalid literal for int()" not in err
+
+    def test_exponent_coefficient(self, capsys, files):
+        code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-1e-3*e12", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["twisted"] == "(0,0,999/1000.12)"

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from corpus import random_form
-from lieshear import KForm, Vector, hodge_star_orthonormal, interior, pullback, wedge
-from lieshear.exterior import form_row, one_form
+from lieshear import KForm, Vector, hodge_star_orthonormal, interior, linalg, pullback, wedge
+from lieshear.exterior import form_row, indices_of, one_form
 
 
 def mono(dim, idx, c=1):
@@ -78,6 +80,55 @@ class TestKForm:
         assert type(KForm.scalar(3, 2)()) is Fraction
         assert type(mono(3, (1,))(Vector.basis(3, 2))) is Fraction
         assert type(Vector([1, 2]).components[0]) is Fraction
+
+
+# Form evaluation as it was before successive interior products replaced it:
+# each monomial's coefficient times the determinant of the vectors' components
+# on its indices, kept as the reference the evaluation is compared against.
+
+
+def reference_evaluate(form: KForm, vectors) -> Fraction:
+    total = Fraction(0)
+    if form.degree == 0:
+        return total + form.terms.get(0, 0)
+    for mask, c in form.terms.items():
+        idx = indices_of(mask)
+        rows = [[v.components[i - 1] for i in idx] for v in vectors]
+        total += c * linalg.det(rows)
+    return total
+
+
+small_rationals = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def forms_and_vectors(draw):
+    dim = draw(st.integers(1, 7))
+    degree = draw(st.integers(0, dim))
+    index_sets = draw(st.lists(st.sets(st.integers(1, dim), min_size=degree, max_size=degree),
+                               max_size=6))
+    form = KForm(dim, degree, {sum(1 << (i - 1) for i in idx): draw(small_rationals)
+                               for idx in index_sets})
+    vectors = [Vector(draw(st.lists(small_rationals, min_size=dim, max_size=dim)))
+               for _ in range(degree)]
+    return form, vectors
+
+
+class TestEvaluation:
+    @settings(max_examples=150)
+    @given(forms_and_vectors())
+    def test_matches_the_determinant_evaluation(self, case):
+        form, vectors = case
+        value = form(*vectors)
+        assert type(value) is Fraction
+        assert value == reference_evaluate(form, vectors)
+
+    def test_slot_order(self):
+        e1, e2, e3 = (Vector.basis(3, i) for i in (1, 2, 3))
+        f = mono(3, (1, 2, 3), 2)
+        assert f(e1, e2, e3) == 2 and f(e2, e1, e3) == -2 and f(e3, e1, e2) == 2
+        assert KForm.scalar(3, Fraction(1, 2))() == Fraction(1, 2)
+        assert KForm.zero(3, 0)() == 0
 
 
 class TestWedge:

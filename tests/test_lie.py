@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from corpus import g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian
 from lieshear import (
@@ -67,6 +69,223 @@ class TestParseSalamon:
     def test_garbage_after_zero(self):
         with pytest.raises(SalamonError):
             parse_salamon("(0 12,0,0)")
+
+    def test_one_generator_is_refused(self):
+        # a two-form needs two generators; KForm.zero(1, 2) used to raise its own ValueError
+        for text in ["(0)", "()", "(12)"]:
+            with pytest.raises(SalamonError) as err:
+                parse_salamon(text)
+            assert err.value.args[0] == "shorthand needs at least 2 generators, got 1 (at position 0)"
+
+    @pytest.mark.parametrize("text, position", [
+        ("(0,0,\u00b9\u00b2)", 5),                 # superscript one, two
+        ("(0,0,\u0661\u0662)", 5),                 # Arabic-Indic one, two
+        ("(0,0,\u00b2/3.12)", 5),
+        ("(0,0,2/\u0663.12)", 6),
+        ("(0,0,\uff11\uff12)", 5),                 # fullwidth one, two
+    ])
+    def test_only_ascii_digits(self, text, position):
+        with pytest.raises(SalamonError) as err:
+            parse_salamon(text)
+        assert err.value.position == position
+
+    def test_terms_of_one_pair_are_summed(self):
+        g = parse_salamon("(0,0,12+21+2.12-1/2.21)")
+        assert g.diffs[2] == mono(3, (1, 2), Fraction(5, 2))
+        assert parse_salamon("(0,0,12+21)").diffs[2].is_zero()
+
+
+# The shorthand reader as it was before one scanner of `re` matches replaced
+# its five helpers, kept as the reference the scanner is compared against.
+
+
+def reference_parse_salamon(text: str) -> LieAlgebra:
+    entries = reference_split_entries(text)
+    n = len(entries)
+    if n > 9:
+        raise SalamonError(f"shorthand supports at most 9 generators, got {n}", 0)
+    diffs = []
+    for raw, offset in entries:
+        diffs.append(reference_parse_entry(raw, offset, n))
+    return LieAlgebra(diffs)
+
+
+def reference_split_entries(text: str) -> list[tuple[str, int]]:
+    stripped = text.strip()
+    start = text.find("(")
+    if not stripped.startswith("(") or not stripped.endswith(")"):
+        raise SalamonError("algebra must be wrapped in parentheses", max(start, 0))
+    inner_start = start + 1
+    inner_end = text.rfind(")")
+    inner = text[inner_start:inner_end]
+    entries = []
+    pos = inner_start
+    for chunk in inner.split(","):
+        entries.append((chunk, pos))
+        pos += len(chunk) + 1
+    return entries
+
+
+def reference_parse_entry(raw: str, offset: int, dim: int) -> KForm:
+    s = raw
+    out = KForm.zero(dim, 2)
+    i = 0
+
+    def skip_ws():
+        nonlocal i
+        while i < len(s) and s[i].isspace():
+            i += 1
+
+    skip_ws()
+    if i >= len(s):
+        raise SalamonError("empty entry", offset + i)
+    if s[i] == "0" and not reference_starts_term(s, i):
+        i += 1
+        skip_ws()
+        if i != len(s):
+            raise SalamonError(f"unexpected {s[i]!r} after zero entry", offset + i)
+        return out
+    first = True
+    while True:
+        skip_ws()
+        sign = 1
+        if first:
+            if i < len(s) and s[i] in "+-":
+                sign = -1 if s[i] == "-" else 1
+                i += 1
+        else:
+            if i >= len(s):
+                break
+            if s[i] not in "+-":
+                raise SalamonError(f"expected '+' or '-', got {s[i]!r}", offset + i)
+            sign = -1 if s[i] == "-" else 1
+            i += 1
+            skip_ws()
+            # tolerate a sign produced by textual substitution, e.g. "+-1.23"
+            if i < len(s) and s[i] in "+-":
+                sign *= -1 if s[i] == "-" else 1
+                i += 1
+        skip_ws()
+        coeff, i = reference_parse_coeff(s, i, offset)
+        a, b, i = reference_parse_index_pair(s, i, offset, dim)
+        out = out + KForm.monomial(dim, (a, b), sign * coeff)
+        first = False
+        skip_ws()
+        if i >= len(s):
+            break
+    return out
+
+
+def reference_starts_term(s: str, i: int) -> bool:
+    # "0" begins a term only as a coefficient like "0.17"
+    j = i
+    while j < len(s) and s[j].isdigit():
+        j += 1
+    return j < len(s) and s[j] in "./"
+
+
+def reference_parse_coeff(s: str, i: int, offset: int) -> tuple[Fraction, int]:
+    j = i
+    while j < len(s) and s[j].isdigit():
+        j += 1
+    if j == i:
+        return Fraction(1), i
+    if j < len(s) and s[j] == "/":
+        k = j + 1
+        while k < len(s) and s[k].isdigit():
+            k += 1
+        if k == j + 1:
+            raise SalamonError("missing denominator", offset + j)
+        num, den = int(s[i:j]), int(s[j + 1:k])
+        if den == 0:
+            raise SalamonError("zero denominator", offset + j + 1)
+        if k < len(s) and s[k] == ".":
+            return Fraction(num, den), k + 1
+        raise SalamonError("rational coefficient must be followed by '.'", offset + k)
+    if j < len(s) and s[j] == ".":
+        return Fraction(int(s[i:j])), j + 1
+    return Fraction(1), i
+
+
+def reference_parse_index_pair(s: str, i: int, offset: int, dim: int) -> tuple[int, int, int]:
+    if i + 1 >= len(s) or not (s[i].isdigit() and s[i + 1].isdigit()):
+        raise SalamonError("expected an index pair of two digits", offset + i)
+    a, b = int(s[i]), int(s[i + 1])
+    for d, pos in ((a, i), (b, i + 1)):
+        if d == 0:
+            raise SalamonError("0 is not a valid index", offset + pos)
+        if d > dim:
+            raise SalamonError(f"index {d} exceeds dimension {dim}", offset + pos)
+    if a == b:
+        raise SalamonError(f"repeated index {a} in a pair", offset + i)
+    return a, b, i + 2
+
+
+def salamon_outcome(parse, text):
+    """The algebra, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+SHORTHAND_CHARS = "0123456789+-/.,() \t\u00a0"
+# entries built from grammar pieces, so that many drawn strings reach the
+# entry scanner and many of those are algebras; noise in every piece
+shorthand_terms = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", "+", "-", " - ", "+-", "--"]),
+              st.sampled_from(["", "2.", "1/2.", "0.", "10/3.", "007.", "1/0.", "3/", "4/."]),
+              st.sampled_from(["12", "21", "13", "31", "23", "32", "14", "45", "11", "10", "1"])),
+)
+shorthand_entries = st.one_of(
+    st.sampled_from(["0", " 0 ", "", " "]),
+    st.lists(shorthand_terms, min_size=1, max_size=3).map("+".join),
+    st.lists(shorthand_terms | st.text(SHORTHAND_CHARS.replace(",", ""), max_size=3),
+             min_size=1, max_size=3).map("".join),
+)
+# well formed: signs, coefficients and pairs that any algebra of dimension >= 3 accepts
+algebra_terms = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", "+", "-", " - ", "+-"]),
+              st.sampled_from(["", "2.", "1/2.", "0.", "0/3.", "10/3.", "007."]),
+              st.sampled_from(["12", "21", "13", "31", "23", "32"])),
+)
+shorthand_texts = st.one_of(
+    st.text(SHORTHAND_CHARS, max_size=16),
+    st.lists(st.just("0") | st.lists(algebra_terms, min_size=1, max_size=3).map("+".join),
+             min_size=3, max_size=9).map(lambda entries: f"({','.join(entries)})"),
+    st.builds(lambda pre, entries, post: f"{pre}({','.join(entries)}){post}",
+              st.sampled_from(["", " ", "\u00a0", "\t"]),
+              st.lists(shorthand_entries, min_size=1, max_size=10),
+              st.sampled_from(["", " ", "\t", ")"])),
+)
+
+
+class TestShorthandMatchesReference:
+    @settings(max_examples=1000)
+    @given(shorthand_texts)
+    def test_same_algebra_or_same_error(self, text):
+        want = salamon_outcome(reference_parse_salamon, text)
+        got = salamon_outcome(parse_salamon, text)
+        if isinstance(want, tuple) and want[0] is ValueError:
+            # one generator: KForm.zero(1, 2) raised before any entry was read
+            assert want[1] == "degree must be in 0..1, got 2"
+            assert got == (SalamonError, "shorthand needs at least 2 generators, got 1 (at position 0)", 0)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "(51,52,53,2.54,0)", "( 0 , 0 , 12 )", "(0,0,12+3/2.13)", "(0.12+13,0,0)",
+        "(0,0,12 + -1/2.13)", "(0,0,12+-+1.13)", "(0,0,- 12)", "(0,0,1 2)", "(0,0,12 2.)",
+        "(0,0,1/.12)", "(0,0,1/0.12)", "(0,0,1/2 .12)", "(0,0,2. 12)", "(012,0,0)",
+        "(0 12,0,0)", "(00.12,0,0)", "(0,0,12,)", "((0,0,12))", "(0,0,12", "0,0,12)",
+        "(0,0,0,0,0,0,0,0,0,0)", "(0,0,12+)", "(0,0,++12)", "(0,0,12 13)", "(0,0,11)",
+        "(0,0,14)", "(0,0,10)", "(0,0,01)", "(0,0,1)", "(,0,0)", "(0,0,\u00a0)",
+        "(0/2.12,0,0)", "(00/2.12,0,0)", "(0/0.12,0,0)",
+    ])
+    def test_pinned_cases(self, text):
+        assert salamon_outcome(parse_salamon, text) == salamon_outcome(reference_parse_salamon, text)
 
 
 class TestPrintSalamon:

@@ -71,7 +71,7 @@ class TestComplement:
 
 class TestNullspaceSolve:
     def test_nullspace_of_rank_one(self):
-        ns = linalg.nullspace([[F(1), F(2), F(3)]])
+        ns = linalg.nullspace([[F(1), F(2), F(3)]], ncols=3)
         assert len(ns) == 2
         for v in ns:
             assert sum(c * x for c, x in zip([F(1), F(2), F(3)], v)) == 0
@@ -489,5 +489,5 @@ class TestOneEliminationNullspace:
         rref = linalg.rref
         monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
         monkeypatch.setattr(linalg, "span_rref", None)
-        basis = linalg.nullspace([[F(1), F(2), F(3)], [F(0), F(1), F(1)]])
+        basis = linalg.nullspace([[F(1), F(2), F(3)], [F(0), F(1), F(1)]], ncols=3)
         assert basis == ((F(1), F(1), F(-1)),) and len(calls) == 1

@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,6 +10,7 @@ from corpus import mono, psi4
 from lieshear import KForm, Vector
 from lieshear.literals import (
     LiteralError,
+    _split_signed_terms,
     format_vector,
     parse_form,
     parse_matrix,
@@ -200,3 +203,108 @@ class TestPrinters:
         assert str(mono(12, (10, 1), 2) - mono(12, (2, 11))) == "-2*e[1,10] - e[2,11]"
         assert format_vector(Vector.zero(4)) == "0"
         assert format_vector(Vector([0, Fraction(-1, 2), 1, -1])) == "-1/2*E2 + E3 - E4"
+
+
+class TestAsciiDigits:
+    @pytest.mark.parametrize("text", ["e\u00b9\u00b2", "e\u0661\u0662", "e\uff11\uff12", "e[1,\u0661\u0660]",
+                                      "e[1,1_0]", "2*e1\u00b2"])
+    def test_form_indices(self, text):
+        with pytest.raises(LiteralError):
+            parse_form(text, 12)
+
+    @pytest.mark.parametrize("text", ["E\u00b9", "E\u0661", "E1_0", "2*E\u00b2"])
+    def test_vector_indices(self, text):
+        with pytest.raises(LiteralError):
+            parse_vector(text, 12)
+
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "1/\u0662", "\uff11"])
+    def test_rationals(self, text):
+        with pytest.raises(LiteralError, match="digits must be ASCII"):
+            parse_rational(text)
+
+    def test_bracket_indices_may_carry_spaces(self):
+        assert parse_form("e[1, 10]", 12) == KForm.monomial(12, (1, 10))
+
+
+class TestDigitLimit:
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4400,
+                        reason="needs CPython's int-string digit limit")
+    @pytest.mark.parametrize("text", ["1" * 4400, "1/" + "7" * 4400, "0." + "3" * 4400],
+                             ids=["integer", "denominator", "decimal"])
+    def test_passes_through_as_cpythons_error(self, text):
+        # the CLI turns this one ValueError into its documented digit-limit line
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(") as err:
+            parse_rational(text)
+        assert not isinstance(err.value, LiteralError)
+
+
+# The term splitter as it was before one `re.split` replaced its per-character
+# loop, kept as the reference the split is compared against.
+
+
+def reference_split_signed_terms(text: str) -> list[tuple[int, str]]:
+    out: list[tuple[int, str]] = []
+    sign, chunk = 1, []
+    started = False
+    for ch in text:
+        if ch in "+-" and started and chunk:
+            out.append((sign, "".join(chunk).strip()))
+            sign, chunk = (1 if ch == "+" else -1), []
+        elif ch in "+-" and not chunk:
+            sign *= 1 if ch == "+" else -1
+            started = True
+        else:
+            if ch.isspace() and not chunk:
+                continue
+            chunk.append(ch)
+            started = True
+    if chunk:
+        out.append((sign, "".join(chunk).strip()))
+    if not out or any(not c for _, c in out):
+        raise LiteralError(f"malformed expression {text!r}")
+    return out
+
+
+EXPONENT_SIGN = re.compile(r"(?<=[0-9.][eE])[+-]")
+HIDDEN_SIGN = {"-": "\x01", "+": "\x02"}
+
+
+def expected_split(text: str):
+    """The reference's terms or error, with the two intended changes: the sign
+    of an exponent ("1e-3") stays in its term, and a trailing sign is an error."""
+    hidden = EXPONENT_SIGN.sub(lambda m: HIDDEN_SIGN[m[0]], text)
+    malformed = (LiteralError, f"malformed expression {text!r}")
+    if hidden.rstrip()[-1:] in ("+", "-"):
+        return malformed
+    try:
+        terms = reference_split_signed_terms(hidden)
+    except LiteralError:
+        return malformed
+    return [(sign, chunk.replace("\x01", "-").replace("\x02", "+")) for sign, chunk in terms]
+
+
+def split_outcome(text: str):
+    try:
+        return _split_signed_terms(text)
+    except LiteralError as exc:
+        return LiteralError, str(exc)
+
+
+class TestSplitMatchesReference:
+    @settings(max_examples=1000)
+    @given(st.text("0123456789+-/.*eE[], \t\u00a0x", max_size=14))
+    def test_same_terms_or_same_error(self, text):
+        assert split_outcome(text) == expected_split(text)
+
+    @pytest.mark.parametrize("text", ["e12 + -e34", "- e12", "--e12", "e1 - - e2", "1/2*e12-e13",
+                                      "", "  ", "+", "e12 +", "e12 -", "e12-\t", "1e-3*e12",
+                                      "2.5E+2*E1 - 1.e-1*E2", "e1e-2", "3 - 1e+", "1.e2-e1"])
+    def test_pinned_cases(self, text):
+        assert split_outcome(text) == expected_split(text)
+
+    def test_intended_changes(self):
+        assert parse_form("1e-3*e12", 3) == mono(3, (1, 2), Fraction(1, 1000))
+        assert parse_vector("E1 - 2.5E-1*E2", 2) == Vector([1, Fraction(-1, 4)])
+        assert reference_split_signed_terms("e12 -") == [(1, "e12")]
+        with pytest.raises(LiteralError, match=re.escape("malformed expression 'e12 -'")):
+            parse_form("e12 -", 3)
