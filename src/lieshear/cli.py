@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import geometry, literals, search, shear
-from .exterior import KForm, Vector
+from .exterior import MAX_DIM, KForm, Vector
 from .lie import LieAlgebra, parse_salamon, print_salamon
 
 EXIT_OK = 0
@@ -102,6 +102,8 @@ def load_document(path: str, set_flags: list[str] | None):
             g = parse_salamon(_substitute(_field(doc, "salamon", str, "a string"), subs))
         else:
             dim = _field(doc, "dim", int, "an integer")
+            if not 2 <= dim <= MAX_DIM:  # a Lie algebra document needs two-forms
+                raise UsageError(f'"dim" must be in 2..{MAX_DIM}, got {dim}')
             dmap = _field(doc, "d", dict, "an object", {})
             diffs = []
             for k in range(1, dim + 1):

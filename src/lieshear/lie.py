@@ -225,7 +225,7 @@ class LieAlgebra:
         return linalg.span_rref(vecs)
 
     def _compute_series(self) -> SeriesReport:
-        full = linalg.span_rref(linalg.identity(self.dim))
+        full = linalg.identity(self.dim)  # already in reduced echelon form
         lower = _chain(self._bracket_span(full, full), lambda s: self._bracket_span(full, s))
         derived = _chain(lower[0], lambda s: self._bracket_span(s, s))
         is_nilpotent = not lower[-1]

@@ -2,9 +2,9 @@
 
 Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`;
 the entries of every matrix or vector returned are `Fraction`.  The arithmetic
-inside runs on `int`s: `rref` and `det` eliminate on each row's primitive
-integer multiple (`primitive`), which has the same span and leads to the same
-reduced echelon form, `charpoly` works on the integer matrix L*A, and
+inside runs on `int`s: `rref` eliminates on each row's primitive integer
+multiple (`primitive`), which has the same span and leads to the same reduced
+echelon form, `charpoly` works on the integer matrix L*A, and
 `rational_roots` bisects integer polynomials; only the returned entries are
 built as Fractions.  `rational_roots` neither factors nor searches divisors:
 its work is polynomial in the bit length of the coefficients, so no input
@@ -101,15 +101,12 @@ def nullspace(vectors: Sequence[Sequence], ncols: int) -> tuple[Row, ...]:
     columns and nonzero only at pivot columns before f.  Reversed back and
     taken in descending f, these vectors are already the reduced echelon basis.
     """
-    if not vectors:
-        return tuple(tuple(row) for row in identity(ncols))  # already echelon
-    n = len(vectors[0])
     red, pivots = rref([row[::-1] for row in vectors])
     basis = []
-    for fc in reversed(range(n)):
+    for fc in reversed(range(ncols)):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * n
+        v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
@@ -171,45 +168,15 @@ def is_symmetric(a: Sequence[Sequence]) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def leading_principal_minors(a: Sequence[Sequence]) -> list[Fraction]:
-    n = len(a)
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
-
-
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination on the primitive rows,
-    divided by the product of the scales that made the rows primitive."""
-    m: list[list[int]] = []
-    scale = Fraction(1)  # the product of row_i / primitive(row_i)
-    for row in a:
-        p = primitive(row)
-        j = next((j for j, x in enumerate(p) if x), None)
-        if j is None:
-            return Fraction(0)
-        scale *= Fraction(row[j]) / p[j]
-        m.append(p)
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        p = m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c]
-            # exact: every entry is a minor of the primitive matrix
-            tail = [(p * x - f * y) // prev for x, y in zip(m[r][c + 1:], m[c][c + 1:])]
-            m[r] = [0] * (c + 1) + tail
-        prev = p
-    return scale * (sign * prev)
-
-
 def is_positive_definite(a: Sequence[Sequence]) -> bool:
-    """Sylvester's criterion on a symmetric matrix (exact)."""
-    return is_symmetric(a) and all(mi > 0 for mi in leading_principal_minors(a))
+    """Is A symmetric and positive definite?  Exact, from `charpoly`.
+
+    A real symmetric matrix has real eigenvalues, and they are all positive
+    exactly when the coefficients of det(xI - A) strictly alternate in sign:
+    the coefficient of x^k has the sign of (-1)^(n-k).
+    """
+    n = len(a)
+    return is_symmetric(a) and all(c * (-1) ** (n - k) > 0 for k, c in enumerate(charpoly(a)))
 
 
 def restrict_operator(basis: Sequence[Sequence], images: Sequence[Sequence]) -> Matrix | None:

@@ -31,7 +31,7 @@ def is_digit_limit(exc: Exception) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s.isascii():  # Fraction would read other scripts' digits
         raise LiteralError(f"bad rational {text!r}: digits must be ASCII")
     exp = _EXPONENT.search(s)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from . import linalg
 from .exterior import KForm, Vector, _as_fraction, form_row, interior, one_form, wedge
@@ -125,13 +124,19 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     """None when span(X) is an ideal, else a covector w of Ann(X) with i_X dw != 0.
 
     (i_X dw)(E_i) = -w([X, E_i]) = w([E_i, X]): one pass of the bracket formula
-    gives every [E_i, X], on integer multiples, as a zero test is blind to scale.
+    gives every b = [E_i, X], on integer multiples, as a zero test is blind to
+    scale.  With x_q the last nonzero coordinate of X, Ann(X) has the reduced
+    echelon basis w_j = e_j - (x_j/x_q) e_q, j != q, and x_q w_j(b) is the
+    cross product x_q b_j - x_j b_q.  Span(0) is the zero ideal.
     """
-    brackets = _columns(g._terms(integral=True), linalg.primitive(X.components), g.dim)
-    for row in linalg.nullspace([X.components], ncols=g.dim):  # covectors annihilating X
-        w = linalg.primitive(row)
-        if any(sum(map(mul, w, b)) for b in brackets):
-            return one_form(row)
+    x = linalg.primitive(X.components)
+    q = next((q for q in reversed(range(g.dim)) if x[q]), None)
+    if q is None:
+        return None
+    brackets = _columns(g._terms(integral=True), x, g.dim)
+    for j, xj in enumerate(x):
+        if j != q and any(x[q] * b[j] - xj * b[q] for b in brackets):
+            return one_form([Fraction(k == j) if k != q else Fraction(-xj, x[q]) for k in range(g.dim)])
     return None
 
 
@@ -315,7 +320,14 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     if linalg.in_span(v1, alpha_row):
         raise TwistError("alpha must lie outside V1")
     if len(chain) > 1:
-        _require_in_lambda2(g, f2, v1, "V1")
+        from .literals import format_vector
+
+        # F lies in Lambda^2 V1 exactly when i_v F = 0 for the vectors V1 kills:
+        # as V1 = Ann(n^(r-1)), they have the echelon basis of n^(r-1)
+        for v in map(Vector, rep.lower_central[-2]):
+            leg = interior(v, f2)
+            if not leg.is_zero():
+                raise TwistError(f"F is not in Lambda^2 V1: i_v F = {leg} for v = {format_vector(v)}")
         w_rows = v1
     else:
         # step-one (abelian) base: the V1 constraint degenerates; F only needs
@@ -342,13 +354,3 @@ def _support_rows(f2: KForm) -> tuple[tuple[Fraction, ...], ...]:
     # general position, so use the honest support: the span of i_v F over all v
     return linalg.span_rref([form_row(interior(Vector.basis(f2.dim, i), f2))
                              for i in range(1, f2.dim + 1)])
-
-
-def _require_in_lambda2(g: LieAlgebra, f2: KForm, covectors, label: str) -> None:
-    from .literals import format_vector
-
-    # F lies in Lambda^2 U exactly when i_v F = 0 on a basis of the vectors U kills
-    for v in map(Vector, linalg.nullspace(covectors, ncols=g.dim)):
-        leg = interior(v, f2)
-        if not leg.is_zero():
-            raise TwistError(f"F is not in Lambda^2 {label}: i_v F = {leg} for v = {format_vector(v)}")

@@ -177,3 +177,25 @@ def random_shears(count: int = 220, seed: int = 2024):
         )
         out.append((g, data))
     return out
+
+
+def reference_det(a) -> Fraction:
+    """Determinant by Gaussian elimination on Fractions: the test oracle for
+    determinants, which the package itself does not compute."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return out

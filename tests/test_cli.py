@@ -137,6 +137,10 @@ WRONG_SHAPE_DOCUMENTS = {
     '{"dim":3,"d":{"03":"e12"}}': 'bad generator key \'03\' in "d"',
     '{"dim":3,"d":{"\\u0663":"e12"}}': 'bad generator key \'\u0663\' in "d"',
     '{"dim":3,"d":{"4":"e12"}}': 'bad generator key \'4\' in "d"',
+    '{"dim":1,"d":{}}': '"dim" must be in 2..14, got 1',
+    '{"dim":15,"d":{}}': '"dim" must be in 2..14, got 15',
+    '{"dim":0,"d":{}}': '"dim" must be in 2..14, got 0',
+    '{"dim":-2,"d":{}}': '"dim" must be in 2..14, got -2',
 }
 
 json_values = st.recursive(
@@ -243,9 +247,9 @@ class TestTwistCommand:
         assert code == 0 and "twisted: (0,0,12)" in out
 
     def test_v1_violation_exit_3(self, capsys, files):
-        code, _, err = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "e13")
-        assert code == 3
-        assert "V1" in err
+        code, out, err = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "e13")
+        assert (code, out) == (3, "")
+        assert err == "error: F is not in Lambda^2 V1: i_v F = -e1 for v = E3\n"
 
     def test_invalid_shear_report_names_command_and_input(self, capsys, files, monkeypatch):
         from lieshear import shear
@@ -492,6 +496,12 @@ class TestReports:
         assert plain[0] == 0
         assert run(capsys, "algebra-check", files["h3"], "--set", "a=1e4300") == plain
         assert run(capsys, "algebra-check", files["h3"], "--set", "a=x") == plain
+
+    def test_space_inside_a_rational_is_refused(self, capsys, files):
+        code, out, err = run(capsys, "shear", files["h3"], "--x", "E3", "--alpha", "e3",
+                             "--f0", "e12", "--a", "1 2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad rational '1 2'") and err.count("\n") == 1
 
     def test_usage_error_exit_1(self, capsys):
         code = main(["shear"])

@@ -4,8 +4,9 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
+from corpus import reference_det
 from lieshear import linalg
 
 
@@ -88,13 +89,31 @@ class TestNullspaceSolve:
 
 
 class TestDeterminants:
-    def test_det_exact(self):
-        assert linalg.det([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
-
     def test_positive_definite(self):
         assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
         assert not linalg.is_positive_definite([[F(1), F(2)], [F(2), F(1)]])
         assert not linalg.is_positive_definite([[F(0), F(1)], [F(-1), F(0)]])  # not symmetric
+        assert not linalg.is_positive_definite([[F(2), F(1)], [F(0), F(2)]])  # not symmetric
+        assert linalg.is_positive_definite([])
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_positive_definite_matches_sylvester(self, data):
+        # A = B^T D B is definite, semidefinite, singular or indefinite by the
+        # signs on the diagonal D and the rank of B; one shifted entry breaks symmetry
+        n = data.draw(st.integers(0, 5))
+        b = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+        negative = data.draw(st.integers(0, n))
+        zero = data.draw(st.integers(0, n - negative))
+        positive = data.draw(st.lists(st.sampled_from([1, Fraction(1, 3), 5]),
+                                      min_size=n - negative - zero, max_size=n - negative - zero))
+        diag = [-1] * negative + [0] * zero + positive
+        a = [[sum((b[k][i] * diag[k] * b[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+        symmetric = n < 2 or data.draw(st.booleans())
+        if not symmetric:
+            a[0][1] += 1
+        sylvester = all(reference_det([row[:k] for row in a[:k]]) > 0 for k in range(1, n + 1))
+        assert linalg.is_positive_definite(a) == (symmetric and sylvester)
 
 
 class TestCharpolyRoots:
@@ -113,7 +132,7 @@ class TestCharpolyRoots:
                 value = Fraction(0)
                 for c in reversed(cp):
                     value = value * x + c
-                assert value == linalg.det(shifted)
+                assert value == reference_det(shifted)
 
     def test_rational_roots_with_multiplicity(self):
         # (x-1)^2 (x+3): x^3 + x^2 - 5x + 3
@@ -201,26 +220,6 @@ def reference_rref(vectors):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-def reference_det(a):
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return out
-
-
 def reference_charpoly(a):
     n = len(a)
     m = [[Fraction(x) for x in row] for row in a]
@@ -272,14 +271,8 @@ class TestIntegerElimination:
         assert got == reference_charpoly(a)
         assert all(type(c) is Fraction for c in got)
 
-    @given(matrices(max_cols=7, square=True))
-    def test_det_matches_fraction_elimination(self, a):
-        got = linalg.det(a)
-        assert got == reference_det(a) and type(got) is Fraction
-
     def test_empty_matrix(self):
         assert linalg.charpoly([]) == [Fraction(1)]
-        assert linalg.det([]) == Fraction(1)
         assert linalg.rref([]) == ((), ())
 
     @given(st.integers(0, 8).flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))

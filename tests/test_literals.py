@@ -96,6 +96,16 @@ class TestParseRational:
         assert parse_rational("-1e-4300") == Fraction(-1, 10**4300)
         assert parse_rational("1e1_0") == 10**10
 
+    def test_whitespace_may_surround_but_not_split(self):
+        assert parse_rational(" 1/2\t") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("text", ["1 2", "1 / 2", "1 e3"])
+    def test_whitespace_inside_is_refused(self, text):
+        with pytest.raises(LiteralError, match=re.escape(f"bad rational {text!r}")):
+            parse_rational(text)
+        with pytest.raises(LiteralError, match=re.escape(f"bad rational {text!r}")):
+            parse_form(f"{text}*e12", 3)
+
     @pytest.mark.parametrize("text", ["1e4301", "1E+0004301", "1e-4301", "0e5000", "1e4_301",
                                       "1e30000000", "1e" + "9" * 5000])
     def test_exponents_beyond_the_bound_are_refused_unexpanded(self, text):

@@ -6,9 +6,10 @@ from itertools import combinations
 from operator import mul
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from corpus import frame_ideal_indices, paper_algebras, random_shears
+from corpus import frame_ideal_indices, paper_algebras, random_shears, reference_det
 from lieshear import (
     KForm,
     LieAlgebra,
@@ -109,7 +110,7 @@ class TestOneFormEvaluation:
         v = data.draw(vectors(n))
         by_det = Fraction(0)
         for (i,), c in alpha.sorted_terms():
-            by_det += c * linalg.det([[v.components[i - 1]]])
+            by_det += c * reference_det([[v.components[i - 1]]])
         assert alpha(v) == by_det
 
 
@@ -389,6 +390,19 @@ class TestSparseBrackets:
         found, reference = check_xi_ideal(g, x), reference_check_xi_ideal(g, x)
         assert found == reference
         assert str(found) == str(reference)
+
+    @pytest.mark.parametrize("salamon, x, expected", [
+        ("(13,23,0)", (1, 2, 0), "None"),         # ad(E3) is the identity on span(E1, E2)
+        ("(13,23,0)", (-2, Fraction(1, 3), 0), "None"),
+        ("(13,32,0)", (1, 1, 0), "e1 - e2"),      # ad(E3) has eigenvalues 1 and -1 there
+        ("(13,2.23,0)", (3, 2, 0), "e1 - 3/2*e2"),
+        ("(13,23,0)", (0, 0, 1), "e1"),
+        ("(13,32,0)", (0, 0, 0), "None"),         # span(0) is the zero ideal
+    ])
+    def test_xi_ideal_pinned_cases(self, salamon, x, expected):
+        # the probes above make ideals only from frame vectors
+        g, v = parse_salamon(salamon), Vector(x)
+        assert str(check_xi_ideal(g, v)) == str(reference_check_xi_ideal(g, v)) == expected
 
 
 class TestSalamonRoundtrip:
