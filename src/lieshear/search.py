@@ -4,9 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
+from operator import mul
 
-from .exterior import KForm, Vector, _as_fraction
+from .exterior import Coeff, KForm, Vector, _as_fraction, interior, wedge
 from .geometry import preserves_closure
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearReport, _sheared, validate_shear
@@ -21,6 +22,10 @@ class SearchSpaceError(ValueError):
         super().__init__(f"search space has {count} candidates, cap is {cap}")
         self.count = count
         self.cap = cap
+
+
+class SearchSpecError(ValueError):
+    """A SearchSpec field is out of range or does not fit the base algebra."""
 
 
 @dataclass(frozen=True)
@@ -42,19 +47,24 @@ class SearchSpec:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self):
+        n = self.base.dim
+        for name, value in (("X", self.X), ("alpha", self.alpha),
+                            *((f"preserve[{k}]", s) for k, s in enumerate(self.preserve))):
+            if value.dim != n:
+                raise SearchSpecError(f"{name} has dimension {value.dim}, the base has dimension {n}")
         coeffs = tuple(sorted({_as_fraction(c) for c in self.coefficients}))
         if Fraction(0) not in coeffs:
-            raise ValueError("coefficient set must contain 0")
+            raise SearchSpecError("coefficient set must contain 0")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "a", _as_fraction(self.a))
         if self.max_terms < 0:
-            raise ValueError("max_terms must be nonnegative")
+            raise SearchSpecError("max_terms must be nonnegative")
         if self.support is not None:
             mons = []
             for pair in self.support:
                 i, j = pair
-                if not 1 <= i < j <= self.base.dim:
-                    raise ValueError(f"support monomial {pair} must have 1 <= i < j <= dim")
+                if not 1 <= i < j <= n:
+                    raise SearchSpecError(f"support monomial {pair} must have 1 <= i < j <= dim")
                 mons.append((i, j))
             object.__setattr__(self, "support", tuple(sorted(set(mons))))
 
@@ -89,19 +99,31 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     Candidates are ordered by (term count, monomial tuple, coefficient tuple);
     each hit passes validate_shear, every preservation predicate, and a
     Jacobi re-check of the constructed algebra.  The (base, X, alpha) part
-    of the shear is prepared once, before the first candidate.
+    of the shear is prepared once, before the first candidate.  A candidate
+    without X-legs whose monomials' condition columns, times its coefficients,
+    do not sum to zero (or any, when eta is not closed) is dropped unbuilt.
     """
     count = spec.candidate_count()
     if count > spec.cap:
         raise SearchSpaceError(count, spec.cap)
     support = spec.effective_support()
     nonzero = tuple(c for c in spec.coefficients if c)
+    scale = lcm(*(c.denominator for c in nonzero))
+    scaled = tuple(int(c * scale) for c in nonzero)
     n = spec.base.dim
     base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
+    columns = _condition_columns(spec, base, support)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
-            for coeffs in product(nonzero, repeat=t):
+            cols = [columns[m] for m in monomials]
+            screened = None not in cols
+            if screened and not base.eta_closed:
+                continue
+            rows = [r for r in zip(*cols) if any(r)] if screened else []
+            for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
+                if any(sum(map(mul, ks, r)) for r in rows):
+                    continue
                 terms = {}
                 for (i, j), c in zip(monomials, coeffs):
                     terms[(1 << (i - 1)) | (1 << (j - 1))] = c
@@ -115,3 +137,23 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 sheared = _sheared(spec.base, data, report)
                 hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
     return hits
+
+
+def _condition_columns(spec: SearchSpec, base: ShearBase, support: tuple[tuple[int, int], ...]
+                       ) -> dict[tuple[int, int], tuple[Coeff, ...] | None]:
+    """Image of each support monomial e_m under the linear conditions, on common rows.
+
+    The conditions are base.leg_free_defect and each e_m ^ (X . sigma).  None
+    marks a monomial with an X-leg, on which they are not linear.
+    """
+    comps = spec.X.components
+    legs = [interior(spec.X, s) for s in spec.preserve]
+    images = {}
+    for i, j in support:
+        e = KForm.monomial(spec.base.dim, (i, j))
+        images[i, j] = (None if comps[i - 1] or comps[j - 1]
+                        else [base.leg_free_defect(e), *(wedge(e, leg) for leg in legs)])
+    rows = sorted({(k, m) for image in images.values() if image is not None
+                   for k, f in enumerate(image) for m in f.terms})
+    return {mon: None if image is None else tuple(image[k].terms.get(m, 0) for k, m in rows)
+            for mon, image in images.items()}

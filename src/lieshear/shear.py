@@ -176,6 +176,20 @@ class ShearBase:
     def prepare(cls, g: LieAlgebra, X: Vector, alpha: KForm) -> "ShearBase":
         return cls(g=g, X=X, alpha=alpha, decomp=decompose_dalpha(g, X, alpha))
 
+    @cached_property
+    def eta_closed(self) -> bool:
+        """d(eta) = 0, which is eta0_closed for every F0 with X . F0 = 0."""
+        return self.g.d(self.decomp.eta).is_zero()
+
+    def leg_free_defect(self, f0: KForm) -> KForm:
+        """dF0 - eta ^ F0, for an F0 with X . F0 = 0.
+
+        Such an F0 has eta_0 = eta and F_eff = -(1/a) F0, so it satisfies
+        df_eff_eq_eta0_wedge_f_eff, for every a, exactly when this is zero:
+        with eta_closed, the required conditions are linear in F0.
+        """
+        return self.g.d(f0) - wedge(self.decomp.eta, f0)
+
 
 def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:
     """Evaluate every shear condition; validity means the sheared algebra exists.
@@ -198,11 +212,11 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
     if data.eta_g is not None and not g.d(data.eta_g).is_zero():
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff
-    eta_prime = -1 * interior(data.X, f_eff)
+    nu = interior(data.X, data.F0)
+    eta_prime = (1 / data.a) * nu  # -X . F_eff, as F_eff = -(1/a) F0
     eta_0 = eta_tilde = decomp.eta + eta_prime  # both are eta - X . F_eff
     f_prime = f_eff - wedge(eta_prime, data.alpha)
     f_tilde = decomp.f + f_prime
-    nu = interior(data.X, data.F0)
     dnu = g.d(nu)
     conditions: dict[str, bool | None] = {
         "xi_ideal": True,  # established by ShearBase.prepare

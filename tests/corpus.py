@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from lieshear import KForm, LieAlgebra, ShearData, Vector, parse_salamon
+from lieshear import KForm, LieAlgebra, SearchHit, ShearData, Vector, parse_salamon, preserves_closure
+from lieshear.shear import ShearBase, _sheared, validate_shear
 
 HEISENBERG = "(0,0,12)"
 ABELIAN3 = "(0,0,0)"
@@ -199,3 +200,24 @@ def reference_det(a) -> Fraction:
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return out
+
+
+def reference_enumerate_f0(spec) -> list[SearchHit]:
+    """The search as one validate_shear per candidate of the box, with no
+    linear screen: the oracle for enumerate_f0's hits, reports and sheared
+    algebras."""
+    support = spec.effective_support()
+    nonzero = tuple(c for c in spec.coefficients if c)
+    base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
+    hits = []
+    for t in range(min(spec.max_terms, len(support)) + 1):
+        for monomials in combinations(support, t):
+            for coeffs in product(nonzero, repeat=t):
+                f0 = KForm(spec.base.dim, 2, {(1 << (i - 1)) | (1 << (j - 1)): c
+                                              for (i, j), c in zip(monomials, coeffs)})
+                data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
+                report = validate_shear(spec.base, data, base)
+                if report.valid and all(preserves_closure(spec.base, spec.X, f0, s)
+                                        for s in spec.preserve):
+                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
+    return hits

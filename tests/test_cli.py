@@ -40,6 +40,10 @@ GOLDEN_TEXT = {
     "search": ["search", "s5.alg", "--x", "E4", "--alpha", "e4", "--max-terms", "2",
                "--coeffs", "-1,0,1/2", "--support", "e12,e13,e15"],
     "shear-lines": ["shear-lines", "glm.alg"],
+    # X-leg monomials e14, e45 beside leg-free ones, a != -1 and a preserved form
+    "search-preserve-legs": ["search", "s5.alg", "--x", "E4", "--alpha", "e4", "--support",
+                             "e12,e23,e14,e45,e15", "--a", "2", "--preserve", "e145",
+                             "--max-terms", "2"],
 }
 
 

@@ -4,17 +4,19 @@ from itertools import combinations, product
 
 import pytest
 
-from corpus import g_lm, mono, psi4, random_form
+from corpus import g_lm, mono, psi4, random_form, reference_enumerate_f0
 from lieshear import (
     KForm,
     LieAlgebra,
     SearchSpaceError,
     SearchSpec,
+    SearchSpecError,
     ShearData,
     Vector,
     enumerate_f0,
     is_closed,
     parse_salamon,
+    search,
     shear,
     shear_candidate,
 )
@@ -55,8 +57,20 @@ class TestSearchSpec:
 
     def test_bad_support_monomial(self):
         g = LieAlgebra.abelian(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(SearchSpecError):
             spec_on(g, 1, support=((2, 2),))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("X", Vector.basis(4, 4), "X has dimension 4, the base has dimension 5"),
+        ("alpha", mono(6, (4,)), "alpha has dimension 6, the base has dimension 5"),
+        ("preserve", (mono(5, (1, 4, 5)), mono(4, (1, 4))),
+         r"preserve\[1\] has dimension 4, the base has dimension 5"),
+    ], ids=["X", "alpha", "preserve"])
+    def test_wrong_dimension_names_the_field(self, field, value, message):
+        fields = {"X": Vector.basis(5, 4), "alpha": mono(5, (4,)), field: value}
+        with pytest.raises(SearchSpecError, match=f"^{message}$"):
+            SearchSpec(base=parse_salamon(S5), **fields)
+        assert issubclass(SearchSpecError, ValueError)
 
 
 class TestEnumerate:
@@ -91,6 +105,23 @@ class TestEnumerate:
         enumerate_f0(spec)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("preserve", [(), (psi4(),)], ids=["plain", "psi4"])
+    def test_validates_once_per_hit(self, monkeypatch, preserve):
+        # every candidate of a default support is screened by its condition
+        # columns, so only the hits reach validate_shear
+        calls = []
+        real = search.validate_shear
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "validate_shear", counted)
+        spec = spec_on(g_lm(1, 2), 1, max_terms=2, preserve=preserve)
+        hits = enumerate_f0(spec)
+        assert len(calls) == len(hits) == (9 if preserve else 73)
+        assert spec.candidate_count() == 451
+
     def test_zero_coefficient_set_gives_identity_only(self):
         g = parse_salamon(S5)
         hits = enumerate_f0(spec_on(g, 4, coefficients=(Fraction(0),)))
@@ -122,29 +153,75 @@ class TestEnumerate:
         ]
         assert keys == sorted(keys)
 
+    # (base, k, support: None for the first four default monomials, a, preserve, coefficients)
+    ORACLE_CASES = [
+        (parse_salamon(S5), 4, None, -1, (), (-1, 0, 1)),
+        (parse_salamon("(0,0,12)"), 3, None, -1, (), (-1, 0, 1)),
+        (LieAlgebra.abelian(4), 1, None, -1, (), (-1, 0, 1)),
+        # X-leg monomials e14, e34, e45 bypass the screen
+        (parse_salamon(S5), 4, ((1, 2), (1, 4), (2, 3), (3, 4), (4, 5)), 2, (), (-1, 0, 1)),
+        (parse_salamon(S5), 4, ((1, 2), (1, 3), (1, 4), (2, 3), (4, 5)), Fraction(-1, 2),
+         (mono(5, (1, 4, 5)),), (-1, 0, 1)),
+        (g_lm(1, 2), 1, None, -1, (psi4(),), (-1, 0, 1)),
+        (g_lm(1, -1), 1, ((1, 2), (2, 3), (2, 5), (3, 6), (5, 6)), 2, (psi4(),), (-1, 0, 1)),
+        # hits such as -e13 + 2*e24 join an X-leg monomial to a leg-free one
+        (parse_salamon("(0,0,12,13)"), 4, ((1, 3), (1, 4), (2, 4), (3, 4)), -1,
+         (mono(4, (2, 3, 4)),), (-1, 0, Fraction(1, 2), 2)),
+        # F0 ^ (e23 + 2*e45) = 0 asks c_e45 = -2 c_e23: columns meet unequal coefficients
+        (LieAlgebra.abelian(5), 1, ((2, 3), (2, 4), (4, 5)), Fraction(-1, 2),
+         (mono(5, (1, 2, 3)) + mono(5, (1, 4, 5), 2),), (-1, 0, Fraction(1, 2), 1)),
+    ]
+
     def test_completeness_against_brute_force_oracle(self):
         """On tiny bounds the search must match direct Jacobi testing of every
-        candidate algebra."""
-        for base, k in [(parse_salamon(S5), 4), (parse_salamon("(0,0,12)"), 3),
-                        (LieAlgebra.abelian(4), 1)]:
-            support = spec_on(base, k).effective_support()[:4]
-            coeffs = (Fraction(-1), Fraction(0), Fraction(1))
-            spec = spec_on(base, k, support=support, max_terms=len(support), coefficients=coeffs)
-            got = [h.f0 for h in enumerate_f0(spec)]
+        candidate algebra, and the per-candidate loop hit for hit."""
+        for case in self.ORACLE_CASES:
+            self._check_oracle(*case)
 
-            expected = []
-            for t in range(len(support) + 1):
-                for mons in combinations(support, t):
-                    for cs in product((Fraction(-1), Fraction(1)), repeat=t):
-                        f0 = KForm(base.dim, 2, {
-                            (1 << (i - 1)) | (1 << (j - 1)): c
-                            for (i, j), c in zip(mons, cs)
-                        })
-                        data = ShearData(X=Vector.basis(base.dim, k),
-                                         alpha=mono(base.dim, (k,)), F0=f0)
-                        if shear_candidate(base, data).jacobi_check().passed:
-                            expected.append(f0)
-            assert got == expected
+    @staticmethod
+    def _check_oracle(base, k, support, a, preserve, coeffs):
+        support = support or spec_on(base, k).effective_support()[:4]
+        spec = spec_on(base, k, support=support, max_terms=min(len(support), 4),
+                       coefficients=coeffs, a=a, preserve=preserve)
+        hits = enumerate_f0(spec)
+        assert hits == reference_enumerate_f0(spec)
+        got = [h.f0 for h in hits]
+
+        expected = []
+        for t in range(spec.max_terms + 1):
+            for mons in combinations(support, t):
+                for cs in product([c for c in spec.coefficients if c], repeat=t):
+                    f0 = KForm(base.dim, 2, {
+                        (1 << (i - 1)) | (1 << (j - 1)): c
+                        for (i, j), c in zip(mons, cs)
+                    })
+                    data = ShearData(X=Vector.basis(base.dim, k),
+                                     alpha=mono(base.dim, (k,)), F0=f0, a=a)
+                    candidate = shear_candidate(base, data)
+                    # a closed sigma stays closed exactly when it is preserved
+                    if candidate.jacobi_check().passed and all(is_closed(candidate, s) for s in preserve):
+                        expected.append(f0)
+        assert got == expected
+
+    def test_search_on_a_base_with_eta_not_closed(self, monkeypatch):
+        # span(E1) is an ideal of this non-Jacobi base, but eta = -e2 has
+        # d eta = -e34: every leg-free candidate is refused before validation
+        base = parse_salamon("(12,34,0,0)")
+        spec = spec_on(base, 1, support=tuple(combinations(range(1, 5), 2)), max_terms=2, a=2)
+        assert not base.jacobi_check().passed
+        assert not shear.ShearBase.prepare(base, spec.X, spec.alpha).eta_closed
+        expected = reference_enumerate_f0(spec)
+        calls = []
+        real = search.validate_shear
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "validate_shear", counted)
+        assert enumerate_f0(spec) == expected
+        # 73 candidates, 19 of them on the leg-free monomials e23, e24, e34 alone
+        assert (spec.candidate_count(), len(calls)) == (73, 73 - 19)
 
     def test_soundness_random_specs(self):
         rng = random.Random(41)

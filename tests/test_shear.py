@@ -17,6 +17,7 @@ from corpus import (
     psi4,
     random_almost_abelian,
     random_form,
+    random_shears,
 )
 import lieshear
 from lieshear import (
@@ -280,6 +281,24 @@ class TestShearBase:
             alpha = alpha + mono(4, (1,))
         with pytest.raises(ShearDataError, match=f"another {other}"):
             validate_shear(g, ShearData(X=x, alpha=alpha, F0=mono(4, (1, 2))), base)
+
+    def test_linear_form_decides_leg_free_deformations(self):
+        # with X . F0 = 0, validity is eta_closed and leg_free_defect(F0) = 0, for every a
+        verdicts = set()
+        for g, data in random_shears(120):
+            (k,) = [i for i, x in enumerate(data.X.components, start=1) if x]
+            f0 = KForm(g.dim, 2, {m: c for m, c in data.F0.terms.items() if not m >> (k - 1) & 1})
+            base = ShearBase.prepare(g, data.X, data.alpha)
+            valid = validate_shear(g, ShearData(X=data.X, alpha=data.alpha, F0=f0, a=data.a), base).valid
+            assert valid == (base.eta_closed and base.leg_free_defect(f0).is_zero())
+            verdicts.add(valid)
+        assert verdicts == {True, False}
+
+    def test_eta_closed_only_fails_off_jacobi(self):
+        # eta is minus the character of the ideal span(X), closed by Jacobi
+        assert ShearBase.prepare(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,))).eta_closed
+        base = ShearBase.prepare(parse_salamon("(12,34,0,0)"), Vector.basis(4, 1), mono(4, (1,)))
+        assert base.decomp.eta == -mono(4, (2,)) and not base.eta_closed
 
 
 class TestApplyTwist:
