@@ -14,11 +14,9 @@ subspace computation deterministic and equality a tuple comparison.  The
 subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
-- `in_span(basis, v)`: is v in span(basis)?
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
 - `complement(basis, ncols)`: the column indices j whose unit vectors
   greedily complete span(basis) to the whole space;
-- `solve(M, b)`: one solution of M x = b;
 - `restrict_operator(basis, images)`: the matrix on an invariant subspace of
   the operator given by the images of its basis.
 """
@@ -88,11 +86,6 @@ def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
     return rref(vectors)[0]
 
 
-def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
-    b = span_rref(basis)
-    return len(span_rref(list(b) + [list(v)])) == len(b)
-
-
 def nullspace(vectors: Sequence[Sequence], ncols: int) -> tuple[Row, ...]:
     """Echelon basis of {x : M x = 0} for the matrix with the given rows.
 
@@ -122,24 +115,6 @@ def complement(basis: Sequence[Sequence], ncols: int) -> tuple[int, ...]:
     leading columns of the annihilator's echelon basis.
     """
     return tuple(next(j for j, x in enumerate(row) if x) for row in nullspace(basis, ncols))
-
-
-def _solve_columns(matrix: Sequence[Sequence], columns: Sequence[Sequence], n: int) -> Matrix | None:
-    """X with M X = B for M with n columns and B = [b_1 ... b_k], or None if
-    any b_j is out of reach; one elimination of [M | B] solves every column."""
-    red, pivots = rref([list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)])
-    if pivots and pivots[-1] >= n:  # a pivot in the right-hand sides
-        return None
-    x = [[Fraction(0)] * len(columns) for _ in range(n)]
-    for r, pc in enumerate(pivots):
-        x[pc] = list(red[r][n:])
-    return x
-
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """One exact solution of M x = b, or None if inconsistent."""
-    x = _solve_columns(matrix, [rhs], len(matrix[0]))
-    return None if x is None else tuple(row[0] for row in x)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -183,9 +158,18 @@ def restrict_operator(basis: Sequence[Sequence], images: Sequence[Sequence]) -> 
     """Matrix in the given subspace basis of the operator with op(basis[j]) =
     images[j], or None if some image leaves the subspace.
 
-    Column j holds the coordinates of images[j].
+    Column j holds the coordinates of images[j]: one elimination of
+    [basis^T | images] solves for every column, and a pivot among the
+    images' columns means some image is out of reach.
     """
-    return _solve_columns(transpose(basis), images, len(basis))
+    k = len(basis)
+    red, pivots = rref([list(row) + [b[i] for b in images] for i, row in enumerate(zip(*basis))])
+    if pivots and pivots[-1] >= k:
+        return None
+    out = [[Fraction(0)] * len(images) for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        out[pc] = list(red[r][k:])
+    return out
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

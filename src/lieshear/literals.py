@@ -88,12 +88,12 @@ def _parse_indices(body: str, dim: int) -> list[int]:
 
 
 def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
-    """Parse a form literal; degree is required to interpret a bare "0"."""
+    """Parse a form literal; a bare "0" is the zero form of the expected degree,
+    or of degree 0 when none is expected, which sums and compares as a zero
+    of any degree."""
     s = text.strip()
     if s == "0":
-        if degree is None:
-            raise LiteralError("zero form needs an expected degree")
-        return KForm.zero(dim, degree)
+        return KForm.zero(dim, degree or 0)
     total: KForm | None = None
     for coeff, body in _terms(s):
         if body.startswith("e"):

@@ -314,8 +314,13 @@ class TwistError(ValueError):
 def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     """Twist a nilpotent algebra: d(beta) = d(alpha) + F for closed F in Lambda^2 V_1.
 
-    Runs the shear path with a = -1, whose new differential d e_j + e_j(X) F
-    is the direct twist construction; the eta parts are checked to vanish.
+    The twist runs along the circle fibre: Z is the echelon basis of
+    n^(r-1), the last nonzero lower-central term, or of ker F on an abelian
+    base, and X = z / alpha(z) for z the last row of Z with alpha(z) != 0.
+    As Z is reduced, X is the one vector of span(Z) with alpha(X) = 1 that
+    vanishes at the pivots of the other rows of Z.  The shear path with
+    a = -1 then gives the new differential d e_j + e_j(X) F, the direct
+    twist construction; the eta parts are checked to vanish.
     """
     if alpha.dim != g.dim or f2.dim != g.dim:
         raise TwistError("dimension mismatch in twist data")
@@ -328,43 +333,30 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
         raise TwistError("twist requires a nilpotent algebra")
     if not g.d(f2).is_zero():
         raise TwistError("F must be closed")
-    chain = g.twist_filtration().chain
-    alpha_row = form_row(alpha)
-    v1 = chain[1] if len(chain) > 1 else ()
-    if linalg.in_span(v1, alpha_row):
+    if rep.is_abelian:
+        # ker F = {v : i_v F = 0}, the kernel of the rows i_{E_i} F
+        legs = [form_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)]
+        zs = [*map(Vector, linalg.nullspace(legs, g.dim))]
+    else:
+        zs = [*map(Vector, rep.lower_central[-2])]
+    z = next((v for v in reversed(zs) if alpha(v)), None)
+    if z is None:
+        # alpha kills Z: it lies in V1 = Ann(n^(r-1)), or on an abelian base,
+        # where V1 = 0, it is zero or lies in span{i_v F} = Ann(ker F)
+        if rep.is_abelian and not alpha.is_zero():
+            raise TwistError("F must have no alpha-leg on an abelian base")
         raise TwistError("alpha must lie outside V1")
-    if len(chain) > 1:
+    if not rep.is_abelian:
         from .literals import format_vector
 
         # F lies in Lambda^2 V1 exactly when i_v F = 0 for the vectors V1 kills:
-        # as V1 = Ann(n^(r-1)), they have the echelon basis of n^(r-1)
-        for v in map(Vector, rep.lower_central[-2]):
+        # as V1 = Ann(n^(r-1)), they have the echelon basis Z of n^(r-1)
+        for v in zs:
             leg = interior(v, f2)
             if not leg.is_zero():
                 raise TwistError(f"F is not in Lambda^2 V1: i_v F = {leg} for v = {format_vector(v)}")
-        w_rows = v1
-    else:
-        # step-one (abelian) base: the V1 constraint degenerates; F only needs
-        # to avoid an alpha-leg, so W is completed from the support of F
-        w_rows = _support_rows(f2)
-        if linalg.in_span(w_rows, alpha_row):
-            raise TwistError("F must have no alpha-leg on an abelian base")
-    # W is an echelon basis and alpha is outside span(W), so W + alpha has
-    # |W| + 1 independent rows and n - 1 - |W| frame covectors complete it:
-    # W and they are always n - 1 rows, with alpha a basis of g*, so a
-    # splitting g* = W + span(alpha) with alpha outside W always exists
-    frame = linalg.identity(g.dim)
-    w_rows = [*w_rows, *(frame[j] for j in linalg.complement([*w_rows, alpha_row], g.dim))]
-    x = Vector(linalg.solve(w_rows + [alpha_row], [0] * (g.dim - 1) + [1]))
-    data = ShearData(X=x, alpha=alpha, F0=f2, a=Fraction(-1))
+    data = ShearData(X=(1 / alpha(z)) * z, alpha=alpha, F0=f2, a=Fraction(-1))
     report = validate_shear(g, data)
     if not (report.decomp.eta.is_zero() and report.eta_prime.is_zero()):
         raise TwistError("twist data produced nonzero eta parts")
     return _sheared(g, data, report)
-
-
-def _support_rows(f2: KForm) -> tuple[tuple[Fraction, ...], ...]:
-    # smallest coordinate subspace argument does not apply to covectors in
-    # general position, so use the honest support: the span of i_v F over all v
-    return linalg.span_rref([form_row(interior(Vector.basis(f2.dim, i), f2))
-                             for i in range(1, f2.dim + 1)])

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from lieshear import KForm, LieAlgebra, SearchHit, ShearData, Vector, parse_salamon, preserves_closure
+from lieshear import (KForm, LieAlgebra, SearchHit, ShearData, TwistError, Vector, linalg, parse_salamon,
+                      preserves_closure)
+from lieshear.exterior import form_row, interior
+from lieshear.literals import format_vector
 from lieshear.shear import ShearBase, _sheared, validate_shear
 
 HEISENBERG = "(0,0,12)"
@@ -122,6 +125,35 @@ def random_almost_abelian(rng: random.Random, dim: int) -> LieAlgebra:
     return LieAlgebra(diffs)
 
 
+def random_nilpotent(rng: random.Random, dim: int) -> LieAlgebra:
+    """A nilpotent algebra with d e_k a sum of up to two terms e_ij, i < j < k:
+    such candidates are drawn until one satisfies the Jacobi identity."""
+    while True:
+        diffs = []
+        for k in range(1, dim + 1):
+            pairs = list(combinations(range(1, k), 2))
+            d = KForm.zero(dim, 2)
+            for indices in rng.sample(pairs, min(len(pairs), rng.randint(0, 2))):
+                d = d + mono(dim, indices, rng.choice(COEFF_POOL))
+            diffs.append(d)
+        g = LieAlgebra(diffs)
+        if g.jacobi_check().passed:
+            return g
+
+
+def random_closed_two_form(rng: random.Random, g: LieAlgebra) -> KForm:
+    """A combination of up to two rows of the echelon basis of the closed two-forms."""
+    pairs = list(combinations(range(1, g.dim + 1), 2))
+    images = [g.d(mono(g.dim, p)) for p in pairs]
+    masks = sorted({m for image in images for m in image.terms})
+    closed = linalg.nullspace([[image.terms.get(m, 0) for image in images] for m in masks], len(pairs))
+    out = KForm.zero(g.dim, 2)
+    for row in rng.sample(closed, rng.randint(0, min(2, len(closed)))):
+        c = rng.choice(COEFF_POOL)
+        out = out + KForm(g.dim, 2, {(1 << (i - 1)) | (1 << (j - 1)): c * x for (i, j), x in zip(pairs, row)})
+    return out
+
+
 def random_diff_candidate(rng: random.Random, dim: int) -> LieAlgebra:
     """Arbitrary generator differentials; usually fails the Jacobi identity."""
     return LieAlgebra([random_form(rng, dim, 2, max_terms=2) for _ in range(dim)])
@@ -221,3 +253,47 @@ def reference_enumerate_f0(spec) -> list[SearchHit]:
                                         for s in spec.preserve):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
     return hits
+
+
+def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
+    """The twist by a splitting g* = W + span(alpha): W is V1, or on an abelian
+    base the span of the i_v F, completed by frame covectors, and X solves
+    w(X) = 0 for w in W and alpha(X) = 1.  The oracle for apply_twist's X and
+    for its refusals, which it raises with the same messages in the same order."""
+    def in_span(basis, row):
+        return len(linalg.span_rref([*basis, row])) == len(linalg.span_rref(basis))
+
+    if alpha.dim != g.dim or f2.dim != g.dim:
+        raise TwistError("dimension mismatch in twist data")
+    if alpha.degree != 1:
+        raise TwistError("alpha must be a one-form")
+    if not (f2.degree == 2 or f2.is_zero()):
+        raise TwistError("F must be a two-form")
+    rep = g.series()
+    if not rep.is_nilpotent:
+        raise TwistError("twist requires a nilpotent algebra")
+    if not g.d(f2).is_zero():
+        raise TwistError("F must be closed")
+    chain = g.twist_filtration().chain
+    alpha_row = form_row(alpha)
+    if len(chain) > 1:
+        w_rows = chain[1]
+        if in_span(w_rows, alpha_row):
+            raise TwistError("alpha must lie outside V1")
+        for v in map(Vector, rep.lower_central[-2]):
+            leg = interior(v, f2)
+            if not leg.is_zero():
+                raise TwistError(f"F is not in Lambda^2 V1: i_v F = {leg} for v = {format_vector(v)}")
+    else:
+        if alpha.is_zero():
+            raise TwistError("alpha must lie outside V1")
+        w_rows = linalg.span_rref([form_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)])
+        if in_span(w_rows, alpha_row):
+            raise TwistError("F must have no alpha-leg on an abelian base")
+    frame = linalg.identity(g.dim)
+    rows = [*w_rows, *(frame[j] for j in linalg.complement([*w_rows, alpha_row], g.dim)), alpha_row]
+    # the n x n system rows X = (0, ..., 0, 1), by one elimination of [rows | rhs]
+    red, pivots = linalg.rref([[*row, int(k == g.dim - 1)] for k, row in enumerate(rows)])
+    assert pivots == tuple(range(g.dim)), "the splitting is not a basis of g*"
+    data = ShearData(X=Vector([row[-1] for row in red]), alpha=alpha, F0=f2)
+    return _sheared(g, data, validate_shear(g, data))

@@ -255,6 +255,10 @@ class TestTwistCommand:
         assert (code, out) == (3, "")
         assert err == "error: F is not in Lambda^2 V1: i_v F = -e1 for v = E3\n"
 
+    def test_alpha_inside_v1_exit_3(self, capsys, files):
+        code, out, err = run(capsys, "twist", files["h3"], "--alpha", "e1", "--f", "e12")
+        assert (code, out, err) == (3, "", "error: alpha must lie outside V1\n")
+
     def test_invalid_shear_report_names_command_and_input(self, capsys, files, monkeypatch):
         from lieshear import shear
 
@@ -303,6 +307,12 @@ class TestFormDs:
                            "--form", "e15")
         assert code == 0
         assert "ds: 0" in out  # d(e15) = e51 ^ e5 = 0
+
+    def test_zero_form(self, capsys, files):
+        code, out, _ = run(capsys, "form-ds", files["s5"],
+                           "--x", "E4", "--alpha", "e4", "--f0", "e13", "--form", "0")
+        assert code == 0
+        assert "form: 0\nds: 0\n" in out
 
 
 class TestCheckStructure:
@@ -383,6 +393,14 @@ class TestSearchCommand:
                            "--x", "E1", "--alpha", "e1", "--preserve", PSI_LITERAL)
         assert code == 0
         assert "F0 = e23 ->" in out
+
+    def test_zero_form_preserves_everything(self, capsys, files):
+        argv = ["search", files["s5"], "--x", "E4", "--alpha", "e4", "--max-terms", "1",
+                "--coeffs", "-1,0,1", "--json"]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(plain)["result"]["hits"]
+        code, preserving, _ = run(capsys, *argv, "--preserve", "0")
+        assert code == 0 and preserving == plain
 
     def test_cap_exit_4(self, capsys, files):
         code, _, err = run(capsys, "search", files["ab6"],

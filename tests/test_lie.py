@@ -388,7 +388,7 @@ class TestSeries:
             rep = g.series()
             for chain in (rep.lower_central, rep.derived):
                 for big, small in zip(chain, chain[1:]):
-                    assert all(linalg.in_span(big, row) for row in small)
+                    assert len(linalg.span_rref([*big, *small])) == len(big)
             if rep.is_nilpotent:
                 assert rep.is_solvable
 
@@ -620,7 +620,7 @@ class TestShearLines:
                         # bracket must stay on the line spanned by x
                         from lieshear import linalg
 
-                        assert linalg.in_span([row], b.components) or b.is_zero()
+                        assert len(linalg.span_rref([row, b.components])) == 1
                     # and each acting vector scales x by its eigenvalue in the chain
                     for a, lam in zip(rep.acting, es.eigenvalues, strict=True):
                         assert g.bracket(a, x) == lam * x

@@ -31,10 +31,13 @@ class TestParseForm:
         text = "e1425 + e1436 + e2536 - e4567 + e4237 + e1267 + e1537"
         assert parse_form(text, 7) == psi4()
 
-    def test_zero_needs_degree(self):
-        assert parse_form("0", 6, degree=2).is_zero()
-        with pytest.raises(LiteralError):
-            parse_form("0", 6)
+    def test_bare_zero(self):
+        assert parse_form("0", 6, degree=2) == KForm.zero(6, 2)
+        assert parse_form("0", 6, degree=2).degree == 2
+        # with no expected degree it is the degree-0 zero, a zero of any degree
+        zero = parse_form("0", 7)
+        assert zero.degree == 0 and zero == KForm.zero(7, 3)
+        assert zero + psi4() == psi4()
 
     def test_degree_enforced(self):
         with pytest.raises(LiteralError):

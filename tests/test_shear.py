@@ -16,8 +16,11 @@ from corpus import (
     paper_algebras,
     psi4,
     random_almost_abelian,
+    random_closed_two_form,
     random_form,
+    random_nilpotent,
     random_shears,
+    reference_twist,
 )
 import lieshear
 from lieshear import (
@@ -317,8 +320,13 @@ class TestApplyTwist:
 
     def test_rejects_alpha_inside_v1(self):
         h3 = parse_salamon("(0,0,12)")
-        with pytest.raises(TwistError):
+        with pytest.raises(TwistError, match="^alpha must lie outside V1$"):
             apply_twist(h3, mono(3, (1,)), mono(3, (1, 2)))
+
+    def test_rejects_zero_alpha_on_an_abelian_base(self):
+        # V1 = 0 on an abelian base, so only alpha = 0 lies in it
+        with pytest.raises(TwistError, match="^alpha must lie outside V1$"):
+            apply_twist(LieAlgebra.abelian(4), KForm.zero(4, 1), mono(4, (1, 2)))
 
     def test_rejects_non_nilpotent(self):
         g = parse_salamon(S5)
@@ -341,7 +349,7 @@ class TestApplyTwist:
         h3 = parse_salamon("(0,0,12)")
         alpha = mono(3, (1,)) + mono(3, (3,))
         assert print_salamon(apply_twist(h3, alpha, mono(3, (1, 2), -1))) == "(0,0,0)"
-        # V1 = span(e1, e2, e3) is completed to W by e4, so X = E5 / 2
+        # z = E5 is the last row of n^(1) = span(E4, E5) off ker alpha, alpha(E5) = 2
         g = parse_salamon("(0,0,0,12,13)")
         alpha = mono(5, (1,)) - mono(5, (4,)) + 2 * mono(5, (5,))
         out = apply_twist(g, alpha, mono(5, (2, 3)))
@@ -351,11 +359,38 @@ class TestApplyTwist:
     def test_abelian_base_splits_from_the_support_of_f(self):
         ab4 = LieAlgebra.abelian(4)
         assert print_salamon(apply_twist(ab4, mono(4, (4,)), mono(4, (1, 2)))) == "(0,0,0,12)"
-        # W = span(e1, e2) completed by e4, so X = E3
+        # z = E3 is the last row of ker e12 = span(E3, E4) off ker alpha, alpha(E3) = 1
         alpha = mono(4, (2,)) + mono(4, (3,))
         assert print_salamon(apply_twist(ab4, alpha, mono(4, (1, 2)))) == "(0,0,12,0)"
-        with pytest.raises(TwistError, match="alpha-leg"):
+        with pytest.raises(TwistError, match="^F must have no alpha-leg on an abelian base$"):
             apply_twist(ab4, mono(4, (1,)) + mono(4, (2,)), mono(4, (1, 2)))
+
+    def test_matches_the_splitting_construction(self):
+        # apply_twist against W + span(alpha) = g*, solved for X, on random
+        # nilpotent bases of step 1-4 and abelian ones; about half refuse
+        rng = random.Random(15)
+        outcomes = set()
+        for case in range(600):
+            if case % 4 == 0:
+                g = LieAlgebra.abelian(rng.randint(2, 6))
+            else:
+                g = random_nilpotent(rng, rng.randint(3, 7))
+                if g.series().step_length > 4:
+                    continue
+            alpha = random_form(rng, g.dim, 1, max_terms=3)
+            if rng.random() < 0.5:
+                alpha = alpha + mono(g.dim, (g.dim,), rng.choice([1, -2, Fraction(1, 3)]))
+            f2 = random_closed_two_form(rng, g) if rng.random() < 0.9 else random_form(rng, g.dim, 2, 3)
+            results = []
+            for twist in (apply_twist, reference_twist):
+                try:
+                    results.append(twist(g, alpha, f2).diffs)
+                except TwistError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (print_salamon(g), str(alpha), str(f2))
+            outcomes.add(results[0].split(":")[0] if isinstance(results[0], str) else "twist")
+        assert outcomes == {"twist", "alpha must lie outside V1", "F is not in Lambda^2 V1",
+                            "F must have no alpha-leg on an abelian base", "F must be closed"}
 
 
 class TestDsForm:
