@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 from . import geometry, literals, search, shear
 from .exterior import MAX_DIM, KForm, Vector
@@ -64,11 +65,14 @@ def _substitute(text: str, subs: dict[str, str]) -> str:
 
 
 def _field(doc: dict, key: str, kind: type, wanted: str, default=None):
-    """doc[key] (or the default when absent), which must be of the given type."""
+    """doc[key] (or the default when absent), which must be of the given type;
+    a document's objects ("d", "substitutions") map names to strings."""
     value = doc.get(key, default)
     # bool is a subclass of int, but true and false are not numbers
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise UsageError(f'"{key}" must be {wanted}')
+    if kind is dict and not all(isinstance(v, str) for v in value.values()):
+        raise UsageError(f'"{key}" must be an object of strings')
     return value
 
 
@@ -90,10 +94,7 @@ def load_document(path: str, set_flags: list[str] | None):
             doc = json.loads(stripped)
         except RecursionError:
             raise UsageError("document nests too deeply") from None
-        subs = _field(doc, "substitutions", dict, "an object of strings", {})
-        if not all(isinstance(v, str) for v in subs.values()):
-            raise UsageError('"substitutions" must be an object of strings')
-        subs = {**subs, **cli_subs}
+        subs = {**_field(doc, "substitutions", dict, "an object of strings", {}), **cli_subs}
         has_salamon = "salamon" in doc
         has_json = "dim" in doc or "d" in doc
         if has_salamon == has_json:
@@ -105,10 +106,8 @@ def load_document(path: str, set_flags: list[str] | None):
             if not 2 <= dim <= MAX_DIM:  # a Lie algebra document needs two-forms
                 raise UsageError(f'"dim" must be in 2..{MAX_DIM}, got {dim}')
             dmap = _field(doc, "d", dict, "an object", {})
-            diffs = []
-            for k in range(1, dim + 1):
-                lit = dmap.get(str(k), "0")
-                diffs.append(literals.parse_form(_substitute(str(lit), subs), dim, degree=2))
+            diffs = [literals.parse_form(_substitute(dmap.get(str(k), "0"), subs), dim, degree=2)
+                     for k in range(1, dim + 1)]
             for key in dmap:  # "01" or "١" would name no generator: refused, not ignored
                 if key not in map(str, range(1, dim + 1)):
                     raise UsageError(f'bad generator key {key!r} in "d"')
@@ -153,11 +152,15 @@ def cmd_algebra_check(g: LieAlgebra, args) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
+def _frame_flags(g: LieAlgebra, args) -> tuple[Vector, KForm, Fraction]:
+    """--x, --alpha and --a, which shear, form-ds and search read alike."""
+    return (literals.parse_vector(args.x, g.dim), literals.parse_form(args.alpha, g.dim, degree=1),
+            literals.parse_rational(args.a))
+
+
 def _parse_shear_flags(g: LieAlgebra, args) -> shear.ShearData:
-    x = literals.parse_vector(args.x, g.dim)
-    alpha = literals.parse_form(args.alpha, g.dim, degree=1)
+    x, alpha, a = _frame_flags(g, args)
     f0 = literals.parse_form(args.f0, g.dim, degree=2)
-    a = literals.parse_rational(args.a)
     eta_g = None
     if getattr(args, "eta_g", None):
         eta_g = literals.parse_form(args.eta_g, g.dim, degree=1)
@@ -207,18 +210,40 @@ def cmd_form_ds(g: LieAlgebra, args) -> tuple[dict, int]:
     return {"algebra": print_salamon(g), "form": str(form), "ds": str(out)}, EXIT_OK
 
 
-# the forms each --type needs; its keys are the --type choices
-STRUCTURE_FORMS = {
-    "symplectic": ("omega",),
-    "kahler": ("omega",),
-    "half-flat": ("omega", "rho_minus"),
-    "g2-cocal": ("psi",),
-    "g2-phi": ("phi",),
+# the forms a structure can use, each read from its own --flag (omega from --omega)
+FORM_DEGREES = {"omega": 2, "rho_minus": 3, "psi": 4, "phi": 3}
+
+
+def _kahler(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:
+    if metric is None or jstruct is None:
+        raise UsageError("kahler structure needs a metric and a complex structure")
+    return dataclasses.asdict(geometry.kahler_check(g, metric, jstruct, forms["omega"]))
+
+
+def _half_flat(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:
+    checks = dataclasses.asdict(geometry.half_flat_check(g, forms["omega"], forms["rho_minus"]))
+    return {"passed": checks.pop("passed"), "checks": checks}
+
+
+def _g2_phi(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:
+    if g.dim != 7:
+        raise UsageError("g2-phi check needs a dimension-7 algebra")
+    report = geometry.phi_stability(forms["phi"])
+    return {"passed": report.stable, "definiteness": report.definiteness,
+            "b_matrix": [[str(x) for x in row] for row in report.b_matrix]}
+
+
+# each --type: the forms it needs, and its check (g, forms, metric, J) -> the report's fields
+STRUCTURES = {
+    "symplectic": (("omega",), lambda g, f, *_: {"passed": geometry.symplectic_check(g, f["omega"])}),
+    "kahler": (("omega",), _kahler),
+    "half-flat": (("omega", "rho_minus"), _half_flat),
+    "g2-cocal": (("psi",), lambda g, f, *_: {"passed": geometry.g2_cocal_check(g, f["psi"])}),
+    "g2-phi": (("phi",), _g2_phi),
 }
 
 
 def cmd_check_structure(g: LieAlgebra, args) -> tuple[dict, int]:
-    kind = args.type
     forms: dict[str, KForm] = {}
     metric = jstruct = None
     if args.standard:
@@ -227,39 +252,23 @@ def cmd_check_structure(g: LieAlgebra, args) -> tuple[dict, int]:
         forms["omega"] = KForm(g.dim, 2, {(1 << k) | (1 << (k + 1)): 1 for k in range(0, g.dim, 2)})
         metric = geometry.Metric.standard(g.dim)
         jstruct = geometry.ComplexStructure.standard(g.dim)
-    for name, degree in (("omega", 2), ("rho_minus", 3), ("psi", 4), ("phi", 3)):
+    for name, degree in FORM_DEGREES.items():
         if getattr(args, name):
             forms[name] = literals.parse_form(getattr(args, name), g.dim, degree=degree)
     if args.metric:
         metric = geometry.Metric(literals.parse_matrix(args.metric, g.dim))
     if args.j:
         jstruct = geometry.ComplexStructure(literals.parse_matrix(args.j, g.dim))
-    missing = [name for name in STRUCTURE_FORMS[kind] if name not in forms]
+    needed, check = STRUCTURES[args.type]
+    missing = [name for name in needed if name not in forms]
     if missing:
-        raise UsageError(f"{kind} structure needs forms: {', '.join(missing)}")
-    if kind == "symplectic":
-        fields = {"passed": geometry.symplectic_check(g, forms["omega"])}
-    elif kind == "kahler":
-        if metric is None or jstruct is None:
-            raise UsageError("kahler structure needs a metric and a complex structure")
-        fields = dataclasses.asdict(geometry.kahler_check(g, metric, jstruct, forms["omega"]))
-    elif kind == "half-flat":
-        checks = dataclasses.asdict(geometry.half_flat_check(g, forms["omega"], forms["rho_minus"]))
-        fields = {"passed": checks.pop("passed"), "checks": checks}
-    elif kind == "g2-cocal":
-        fields = {"passed": geometry.g2_cocal_check(g, forms["psi"])}
-    else:
-        if g.dim != 7:
-            raise UsageError("g2-phi check needs a dimension-7 algebra")
-        report = geometry.phi_stability(forms["phi"])
-        fields = {"passed": report.stable, "definiteness": report.definiteness,
-                  "b_matrix": [[str(x) for x in row] for row in report.b_matrix]}
-    return {"algebra": print_salamon(g), "type": kind, **fields}, EXIT_OK
+        raise UsageError(f"{args.type} structure needs forms: {', '.join(missing)}")
+    fields = check(g, forms, metric, jstruct)
+    return {"algebra": print_salamon(g), "type": args.type, **fields}, EXIT_OK
 
 
 def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
-    x = literals.parse_vector(args.x, g.dim)
-    alpha = literals.parse_form(args.alpha, g.dim, degree=1)
+    x, alpha, a = _frame_flags(g, args)
     coeffs = tuple(literals.parse_rational(c) for c in args.coeffs.split(","))
     support = None
     if args.support:
@@ -271,20 +280,9 @@ def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
                 raise UsageError(f"support entries must be bare monomials, got {token!r}")
             support.append(terms[0][0])
         support = tuple(support)
-    preserve = tuple(
-        literals.parse_form(p, g.dim) for p in (args.preserve or [])
-    )
-    spec = search.SearchSpec(
-        base=g,
-        X=x,
-        alpha=alpha,
-        a=literals.parse_rational(args.a),
-        coefficients=coeffs,
-        support=support,
-        max_terms=args.max_terms,
-        preserve=preserve,
-        cap=args.cap,
-    )
+    preserve = tuple(literals.parse_form(p, g.dim) for p in (args.preserve or []))
+    spec = search.SearchSpec(base=g, X=x, alpha=alpha, a=a, coefficients=coeffs, support=support,
+                             max_terms=args.max_terms, preserve=preserve, cap=args.cap)
     hits = search.enumerate_f0(spec)
     result = {
         "algebra": print_salamon(g),
@@ -380,81 +378,69 @@ def _emit(report: dict, code: int, as_json: bool) -> None:
 # -- entry point ------------------------------------------------------------------
 
 
+# every subcommand's first flags, as (flag, argparse kwargs) pairs
+_COMMON_FLAGS = (
+    ("file", {"help": "algebra document (shorthand or JSON)"}),
+    ("--set", {"action": "append", "metavar": "NAME=VALUE",
+               "help": "substitute a parameter before parsing (repeatable)"}),
+    ("--json", {"action": "store_true", "help": "emit the JSON report"}),
+)
+
+
+def _commands() -> dict:
+    """Each subcommand: its help, its handler and its own flags.
+
+    Built per call, so a cmd_* rebound on this module (a tracer's wrapper) is
+    the handler that runs."""
+    x = ("--x", {"required": True, "help": "vector spanning the ideal, e.g. E4"})
+    alpha = ("--alpha", {"required": True, "help": "one-form with alpha(X)=1, e.g. e4"})
+    f0 = ("--f0", {"required": True, "help": "deformation two-form literal"})
+    a = ("--a", {"default": "-1", "help": "nonzero transfer constant (default -1)"})
+    return {
+        "algebra-check": ("Jacobi verdict, series, classification", cmd_algebra_check, ()),
+        "shear": ("validate and apply a shear", cmd_shear, (
+            x, alpha, f0, a,
+            ("--eta-g", {"help": "closed one-form with dF = eta ^ F"}),
+            ("--validate-only", {"action": "store_true"}))),
+        "twist": ("twist a nilpotent algebra", cmd_twist, (
+            (alpha[0], {"required": True}),  # the same flag, with no help line
+            ("--f", {"required": True, "help": "closed two-form in Lambda^2 V1"}))),
+        "form-ds": ("apply the transfer differential d_S to a form", cmd_form_ds, (
+            x, alpha, f0, a, ("--form", {"required": True}))),
+        "check-structure": ("verify a geometric structure", cmd_check_structure, (
+            ("--type", {"required": True, "choices": list(STRUCTURES)}),
+            *(("--" + name.replace("_", "-"), {}) for name in FORM_DEGREES),
+            ("--metric", {"help": "Gram matrix rows 'a,b;c,d'"}),
+            ("--j", {"help": "complex structure matrix rows"}),
+            ("--standard", {"action": "store_true",
+                            "help": "use the flat metric, paired J, and omega = e12+e34+..."}))),
+        "search": ("enumerate valid deformation two-forms", cmd_search, (
+            x, alpha, a,
+            ("--coeffs", {"default": "-1,0,1", "help": "comma-separated coefficient set"}),
+            ("--support", {"help": "comma-separated monomials, e.g. 'e12,e13'"}),
+            ("--max-terms", {"type": int, "default": 1}),
+            ("--preserve", {"action": "append", "help": "form to keep closed (repeatable)"}),
+            ("--cap", {"type": int, "default": search.DEFAULT_CAP}))),
+        "shear-lines": ("invariant lines usable for shearing", cmd_shear_lines, ()),
+    }
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lieshear", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("file", help="algebra document (shorthand or JSON)")
-        p.add_argument("--set", action="append", metavar="NAME=VALUE",
-                       help="substitute a parameter before parsing (repeatable)")
-        p.add_argument("--json", action="store_true", help="emit the JSON report")
-
-    def shear_flags(p, f0=True):
-        p.add_argument("--x", required=True, help="vector spanning the ideal, e.g. E4")
-        p.add_argument("--alpha", required=True, help="one-form with alpha(X)=1, e.g. e4")
-        if f0:
-            p.add_argument("--f0", required=True, help="deformation two-form literal")
-        p.add_argument("--a", default="-1", help="nonzero transfer constant (default -1)")
-
-    p = sub.add_parser("algebra-check", help="Jacobi verdict, series, classification")
-    common(p)
-    p.set_defaults(handler=cmd_algebra_check)
-
-    p = sub.add_parser("shear", help="validate and apply a shear")
-    common(p)
-    shear_flags(p)
-    p.add_argument("--eta-g", dest="eta_g", help="closed one-form with dF = eta ^ F")
-    p.add_argument("--validate-only", action="store_true")
-    p.set_defaults(handler=cmd_shear)
-
-    p = sub.add_parser("twist", help="twist a nilpotent algebra")
-    common(p)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--f", required=True, help="closed two-form in Lambda^2 V1")
-    p.set_defaults(handler=cmd_twist)
-
-    p = sub.add_parser("form-ds", help="apply the transfer differential d_S to a form")
-    common(p)
-    shear_flags(p)
-    p.add_argument("--form", required=True)
-    p.set_defaults(handler=cmd_form_ds)
-
-    p = sub.add_parser("check-structure", help="verify a geometric structure")
-    common(p)
-    p.add_argument("--type", required=True, choices=list(STRUCTURE_FORMS))
-    p.add_argument("--omega")
-    p.add_argument("--rho-minus", dest="rho_minus")
-    p.add_argument("--psi")
-    p.add_argument("--phi")
-    p.add_argument("--metric", help="Gram matrix rows 'a,b;c,d'")
-    p.add_argument("--j", help="complex structure matrix rows")
-    p.add_argument("--standard", action="store_true",
-                   help="use the flat metric, paired J, and omega = e12+e34+...")
-    p.set_defaults(handler=cmd_check_structure)
-
-    p = sub.add_parser("search", help="enumerate valid deformation two-forms")
-    common(p)
-    shear_flags(p, f0=False)
-    p.add_argument("--coeffs", default="-1,0,1", help="comma-separated coefficient set")
-    p.add_argument("--support", help="comma-separated monomials, e.g. 'e12,e13'")
-    p.add_argument("--max-terms", dest="max_terms", type=int, default=1)
-    p.add_argument("--preserve", action="append", help="form to keep closed (repeatable)")
-    p.add_argument("--cap", type=int, default=search.DEFAULT_CAP)
-    p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser("shear-lines", help="invariant lines usable for shearing")
-    common(p)
-    p.set_defaults(handler=cmd_shear_lines)
-
+    for name, (help_text, handler, flags) in _commands().items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*_COMMON_FLAGS, *flags):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
+# the options that take a value: the flags of the table above but the switches
 _VALUE_FLAGS = {
-    "--set", "--x", "--alpha", "--f0", "--a", "--eta-g", "--f", "--form", "--type",
-    "--omega", "--rho-minus", "--psi", "--phi", "--metric", "--j", "--coeffs",
-    "--support", "--max-terms", "--preserve", "--cap",
+    flag for _, _, flags in _commands().values() for flag, kwargs in (*_COMMON_FLAGS, *flags)
+    if flag.startswith("-") and kwargs.get("action") != "store_true"
 }
 
 

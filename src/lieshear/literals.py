@@ -39,7 +39,9 @@ def parse_rational(text: str) -> Fraction:
         raise LiteralError(f"bad rational {text!r}: exponent beyond +-4300")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise LiteralError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError as exc:
         if is_digit_limit(exc):
             raise  # `cli.main` reports it in one documented line, whichever reader met it
         raise LiteralError(f"bad rational {text!r}: {exc}") from None

@@ -57,8 +57,9 @@ class SearchSpec:
             raise SearchSpecError("coefficient set must contain 0")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "a", _as_fraction(self.a))
-        if self.max_terms < 0:
-            raise SearchSpecError("max_terms must be nonnegative")
+        for name in ("max_terms", "cap"):
+            if getattr(self, name) < 0:
+                raise SearchSpecError(f"{name} must be nonnegative")
         if self.support is not None:
             mons = []
             for pair in self.support:

@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from lieshear import cli
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -75,8 +76,28 @@ def files(tmp_path):
     return paths
 
 
+def subparsers(parser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def subcommands(parser) -> dict[str, argparse.ArgumentParser]:
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return subparsers(parser).choices
+
+
+def parser_surface(parser) -> dict:
+    """Each subcommand's help and every action's argparse fields, as JSON values.
+
+    The raw --help text wraps differently across Python versions; this does not."""
+    def actions(p):
+        return [{"option_strings": a.option_strings, "dest": a.dest, "required": a.required,
+                 "default": a.default, "choices": None if a.choices is None else list(a.choices),
+                 "help": a.help, "takes_value": a.nargs != 0, "metavar": a.metavar,
+                 "type": getattr(a.type, "__name__", None)} for a in p._actions]
+    sub = subparsers(parser)
+    helps = {pseudo.dest: pseudo.help for pseudo in sub._get_subactions()}
+    return {"actions": actions(parser),
+            "commands": {name: {"help": helps[name], "actions": actions(p)}
+                         for name, p in sub.choices.items()}}
 
 
 def run(capsys, *argv):
@@ -145,6 +166,10 @@ WRONG_SHAPE_DOCUMENTS = {
     '{"dim":15,"d":{}}': '"dim" must be in 2..14, got 15',
     '{"dim":0,"d":{}}': '"dim" must be in 2..14, got 0',
     '{"dim":-2,"d":{}}': '"dim" must be in 2..14, got -2',
+    '{"dim":3,"d":{"3":["e12"]}}': '"d" must be an object of strings',
+    '{"dim":3,"d":{"3":true}}': '"d" must be an object of strings',
+    '{"dim":3,"d":{"3":12}}': '"d" must be an object of strings',
+    '{"dim":3,"d":{"3":"e12","4":{}}}': '"d" must be an object of strings',
 }
 
 json_values = st.recursive(
@@ -408,6 +433,14 @@ class TestSearchCommand:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--cap", "-1"], "cap must be nonnegative"),
+        (["--coeffs", "0,1/0"], "bad rational '1/0': zero denominator"),
+    ])
+    def test_usage_error(self, capsys, files, flags, message):
+        code, out, err = run(capsys, "search", files["h3"], "--x", "E3", "--alpha", "e3", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestShearLines:
     def test_solvable(self, capsys, files):
@@ -533,6 +566,24 @@ class TestReports:
 
 
 class TestArgv:
+    def test_parser_surface_is_pinned(self):
+        # every subcommand's help and every flag's argparse fields, as tests/golden records them
+        golden = json.loads((GOLDEN / "argparse-surface.json").read_text())
+        assert parser_surface(build_parser()) == golden
+
+    def test_a_rebound_handler_is_the_one_that_runs(self, capsys, files, monkeypatch):
+        # bench/tracing.py times each command by rebinding cli.cmd_* before main runs
+        original, seen = cli.cmd_shear_lines, []
+
+        def recording(g, args):
+            seen.append(args.cmd)
+            return original(g, args)
+
+        monkeypatch.setattr(cli, "cmd_shear_lines", recording)
+        code, out, _ = run(capsys, "shear-lines", files["s5"])
+        assert (code, seen) == (0, ["shear-lines"])
+        assert "eigenvalues (-2): span{E4}" in out
+
     def test_value_flags_are_the_parsers_value_options(self):
         parser = build_parser()
         taking = {
@@ -589,6 +640,8 @@ class TestNonAsciiDigits:
         ("(0,0,12)", ["--f0", "e\u00b9\u00b2"], "expected digit indices, got '\u00b9\u00b2'"),
         ("(0,0,12)", ["--a", "\u0662"], "bad rational '\u0662': digits must be ASCII"),
         ("(0,0,12)", ["--f0", "e12 -"], "malformed expression 'e12 -'"),
+        ("(0,0,12)", ["--a", "1/0"], "bad rational '1/0': zero denominator"),
+        ("(0,0,12)", ["--f0", "1/0*e12"], "bad rational '1/0': zero denominator"),
     ])
     def test_refused_in_one_error_line(self, capsys, tmp_path, doc, flags, message):
         path = tmp_path / "doc.alg"

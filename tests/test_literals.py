@@ -90,7 +90,7 @@ class TestParseRational:
     def test_rejects_garbage(self):
         with pytest.raises(LiteralError):
             parse_rational("x")
-        with pytest.raises(LiteralError):
+        with pytest.raises(LiteralError, match=r"^bad rational '1/0': zero denominator$"):
             parse_rational("1/0")
 
     def test_exponents_up_to_the_bound_expand(self):

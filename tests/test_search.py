@@ -60,6 +60,13 @@ class TestSearchSpec:
         with pytest.raises(SearchSpecError):
             spec_on(g, 1, support=((2, 2),))
 
+    @pytest.mark.parametrize("field", ["max_terms", "cap"])
+    def test_counts_must_be_nonnegative(self, field):
+        g = LieAlgebra.abelian(3)
+        with pytest.raises(SearchSpecError, match=f"^{field} must be nonnegative$"):
+            spec_on(g, 1, **{field: -1})
+        assert getattr(spec_on(g, 1, **{field: 0}), field) == 0
+
     @pytest.mark.parametrize("field, value, message", [
         ("X", Vector.basis(4, 4), "X has dimension 4, the base has dimension 5"),
         ("alpha", mono(6, (4,)), "alpha has dimension 6, the base has dimension 5"),
