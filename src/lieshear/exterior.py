@@ -35,19 +35,6 @@ def _as_coeff(c) -> Coeff:
     return c
 
 
-def mask_of(indices: Iterable[int], dim: int) -> int:
-    """Bitmask of a strictly increasing index set; rejects anything else."""
-    mask, prev = 0, 0
-    for i in indices:
-        if not 1 <= i <= dim:
-            raise ValueError(f"index {i} out of range 1..{dim}")
-        if i <= prev:
-            raise ValueError(f"indices must be strictly increasing, got {i} after {prev}")
-        mask |= 1 << (i - 1)
-        prev = i
-    return mask
-
-
 def indices_of(mask: int) -> tuple[int, ...]:
     out = []
     i = 1
@@ -68,6 +55,21 @@ def merge_sign(a: int, b: int) -> int:
             sign = -sign
         b ^= low
     return sign
+
+
+def _signed_mask(indices: Iterable[int], dim: int) -> tuple[int, int]:
+    """(sign, mask) of e_{i1} ^ ... ^ e_{ik} for indices in any order: the
+    bitmask of the index set and the sign of the permutation that sorts it."""
+    sign, mask = 1, 0
+    for i in indices:
+        if not 1 <= i <= dim:
+            raise ValueError(f"index {i} out of range 1..{dim}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"repeated index {i}")
+        sign *= merge_sign(mask, bit)
+        mask |= bit
+    return sign, mask
 
 
 class KForm:
@@ -117,17 +119,8 @@ class KForm:
     @classmethod
     def monomial(cls, dim: int, indices: Sequence[int], coeff=1) -> "KForm":
         """c * e_{i1} ^ ... ^ e_{ik}; indices may come in any order (sign applied)."""
-        seq = list(indices)
-        if len(set(seq)) != len(seq):
-            raise ValueError(f"repeated index in monomial {seq}")
-        sign, mask = 1, 0
-        for i in seq:
-            if not 1 <= i <= dim:
-                raise ValueError(f"index {i} out of range 1..{dim}")
-            bit = 1 << (i - 1)
-            sign *= merge_sign(mask, bit)
-            mask |= bit
-        return cls(dim, len(seq), {mask: sign * _as_coeff(coeff)})
+        sign, mask = _signed_mask(indices, dim)
+        return cls(dim, mask.bit_count(), {mask: sign * _as_coeff(coeff)})
 
     # -- predicates and canonical views ------------------------------------
 
@@ -139,7 +132,9 @@ class KForm:
         return sorted(((indices_of(m), c) for m, c in self.terms.items()), key=lambda t: t[0])
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(mask_of(sorted(indices), self.dim), 0))
+        """The coefficient of e_{i1} ^ ... ^ e_{ik}; indices in any order (sign applied)."""
+        sign, mask = _signed_mask(indices, self.dim)
+        return Fraction(sign * self.terms.get(mask, 0))
 
     # -- arithmetic ---------------------------------------------------------
 

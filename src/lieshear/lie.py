@@ -317,24 +317,33 @@ class LieAlgebra:
             refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
             for eigs, basis in spaces:
                 # the acting frame vector maps each basis row b to [E_gen, b],
-                # column gen of the brackets [E_i, b]
+                # column gen of the brackets [E_i, b].  The basis is reduced
+                # echelon, so a vector in its span is the combination of the
+                # rows given by its own pivot entries: image j has coordinates
+                # images[j][p_i], and must match that combination off the pivots
                 images = [_columns(terms, b, self.dim)[gen] for b in basis]
-                restricted = linalg.restrict_operator(basis, images)
-                if restricted is None:
+                pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+                free = [c for c in range(self.dim) if c not in pivots]
+                coords = [[im[p] for p in pivots] for im in images]
+                if any(im[c] != sum(x * b[c] for x, b in zip(xs, basis) if x)
+                       for im, xs in zip(images, coords) for c in free):
                     raise RuntimeError("complement action does not preserve the target subspace")
+                restricted = linalg.transpose(coords)
                 roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
                 if leftover:
                     nonrational = True
                 k = len(basis)
                 to_ambient = linalg.transpose(basis)
-                # each (chain, root) pair occurs once: roots are distinct
+                # roots ascend and each chain occurs once, so `refined` comes out
+                # sorted.  Rows of the nullspace are reduced echelon coefficients
+                # of reduced echelon rows, so their combinations need no span_rref:
+                # they are reduced echelon already, with pivots among the p_i
                 for root, _mult in roots:
-                    shifted = [list(row) for row in restricted]
-                    for i in range(k):
-                        shifted[i][i] -= root
-                    eigvecs = [linalg.mat_vec(to_ambient, c) for c in linalg.nullspace(shifted, ncols=k)]
-                    refined.append((eigs + (root,), linalg.span_rref(eigvecs)))
-            spaces = sorted(refined)
+                    shifted = [[x - root if i == j else x for j, x in enumerate(row)]
+                               for i, row in enumerate(restricted)]
+                    eigvecs = (linalg.mat_vec(to_ambient, c) for c in linalg.nullspace(shifted, ncols=k))
+                    refined.append((eigs + (root,), tuple(map(tuple, eigvecs))))
+            spaces = refined
         eig = tuple(EigenSpace(eigenvalues=e, basis=b) for e, b in spaces)
         return ShearLineReport(
             derived_subalgebra=dsub,

@@ -16,9 +16,7 @@ subspace questions of the package are asked here:
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
 - `complement(basis, ncols)`: the column indices j whose unit vectors
-  greedily complete span(basis) to the whole space;
-- `restrict_operator(basis, images)`: the matrix on an invariant subspace of
-  the operator given by the images of its basis.
+  greedily complete span(basis) to the whole space.
 """
 from __future__ import annotations
 
@@ -152,24 +150,6 @@ def is_positive_definite(a: Sequence[Sequence]) -> bool:
     """
     n = len(a)
     return is_symmetric(a) and all(c * (-1) ** (n - k) > 0 for k, c in enumerate(charpoly(a)))
-
-
-def restrict_operator(basis: Sequence[Sequence], images: Sequence[Sequence]) -> Matrix | None:
-    """Matrix in the given subspace basis of the operator with op(basis[j]) =
-    images[j], or None if some image leaves the subspace.
-
-    Column j holds the coordinates of images[j]: one elimination of
-    [basis^T | images] solves for every column, and a pivot among the
-    images' columns means some image is out of reach.
-    """
-    k = len(basis)
-    red, pivots = rref([list(row) + [b[i] for b in images] for i, row in enumerate(zip(*basis))])
-    if pivots and pivots[-1] >= k:
-        return None
-    out = [[Fraction(0)] * len(images) for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        out[pc] = list(red[r][k:])
-    return out
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

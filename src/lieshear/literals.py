@@ -44,7 +44,7 @@ def parse_rational(text: str) -> Fraction:
     except ValueError as exc:
         if is_digit_limit(exc):
             raise  # `cli.main` reports it in one documented line, whichever reader met it
-        raise LiteralError(f"bad rational {text!r}: {exc}") from None
+        raise LiteralError(f"bad rational {text!r}: expected an integer, p/q or a decimal") from None
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:

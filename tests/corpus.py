@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from lieshear import (KForm, LieAlgebra, SearchHit, ShearData, TwistError, Vector, linalg, parse_salamon,
-                      preserves_closure)
+from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, TwistError, Vector,
+                      linalg, parse_salamon, preserves_closure, pullback)
 from lieshear.exterior import form_row, interior
+from lieshear.lie import _chain
 from lieshear.literals import format_vector
 from lieshear.shear import ShearBase, _sheared, validate_shear
 
@@ -139,6 +140,100 @@ def random_nilpotent(rng: random.Random, dim: int) -> LieAlgebra:
         g = LieAlgebra(diffs)
         if g.jacobi_check().passed:
             return g
+
+
+def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
+    """g in the coframe f = P e for a random unimodular integer P made of
+    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
+    so nearly every d f_k has nearly every term."""
+    rng = random.Random(seed)
+    n = g.dim
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]  # P^-1
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    zero = KForm.zero(n, 2)
+    return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
+
+
+EIGEN_POOL = [Fraction(c) for c in (-2, -1, 0, 0, 1, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
+
+
+def random_solvable_extension(rng: random.Random) -> LieAlgebra:
+    """R^k x| R^m, tilted: m = 1-3 commuting actions on R^k (k = 2-5).
+
+    The actions are block diagonal.  On each block every action is a_t I + b_t M
+    for one M per block: a nilpotent Jordan shift of size 1-3 (Jordan blocks,
+    and zero rows that leave g' short of R^k) or the companion matrix of
+    x^2 - c, c in {2, -1, 3} (irrational roots).  The a_t come from a small
+    pool, so eigenvalues repeat across blocks.  A unimodular change of basis
+    then tilts g', its lower central series and the acting vectors off the frame.
+    """
+    k, m = rng.randint(2, 5), rng.randint(1, 3)
+    actions = [[[Fraction(0)] * k for _ in range(k)] for _ in range(m)]
+    start = 0
+    while start < k:
+        size = min(k - start, rng.randint(1, 3))
+        companion = size == 2 and rng.random() < 0.3
+        c = rng.choice((2, -1, 3))
+        for a in actions:
+            shift, scale = rng.choice(EIGEN_POOL), rng.choice((0, 1, -1, 2))
+            for i in range(size):
+                a[start + i][start + i] = shift
+                if i:
+                    a[start + i][start + i - 1] = scale
+            if companion:
+                a[start][start + 1] = c * scale
+        start += size
+    n = k + m
+    # [E_(k+t), E_j] = sum_i A_t[i][j] E_i, so d e_i has A_t[i][j] e_j ^ e_(k+t)
+    diffs = [sum((mono(n, (j + 1, k + t + 1), a[i][j]) for t, a in enumerate(actions) for j in range(k)),
+                 KForm.zero(n, 2)) for i in range(k)]
+    return change_basis(LieAlgebra(diffs + [KForm.zero(n, 2)] * m), rng.randrange(1 << 32), 2 * n)
+
+
+def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
+    """find_shear_lines with its eigen step done by eliminations: one rref of
+    [basis^T | images] gives each restricted matrix (a pivot among the
+    images' columns means an image left the space), each root's eigenvectors
+    go through span_rref, and the refined spaces are sorted.  The oracle for
+    find_shear_lines' reports and refusals."""
+    rep = g.series()
+    if not rep.is_solvable:
+        raise ValueError("shear lines require a solvable algebra")
+    if rep.is_abelian:
+        raise ValueError("abelian algebra has no canonical line")
+    dsub = rep.derived[0]
+    lower = _chain(dsub, lambda s: g._bracket_span(dsub, s))
+    if lower[-1]:
+        raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
+    target = lower[-2]
+    acting = tuple(Vector.basis(g.dim, j + 1) for j in linalg.complement(dsub, g.dim))
+    spaces = [((), target)]
+    nonrational = False
+    for a in acting:
+        refined = []
+        for eigs, basis in spaces:
+            k = len(basis)
+            images = [g.bracket(a, Vector(b)).components for b in basis]
+            red, pivots = linalg.rref([[*row, *(im[i] for im in images)] for i, row in enumerate(zip(*basis))])
+            if pivots and pivots[-1] >= k:
+                raise RuntimeError("complement action does not preserve the target subspace")
+            restricted = [[Fraction(0)] * k for _ in range(k)]
+            for r, pc in enumerate(pivots):
+                restricted[pc] = list(red[r][k:])
+            roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
+            nonrational = nonrational or bool(leftover)
+            for root, _mult in roots:
+                shifted = [[x - root if i == j else x for j, x in enumerate(row)] for i, row in enumerate(restricted)]
+                eigvecs = [linalg.mat_vec(linalg.transpose(basis), c) for c in linalg.nullspace(shifted, k)]
+                refined.append((eigs + (root,), linalg.span_rref(eigvecs)))
+        spaces = sorted(refined)
+    return ShearLineReport(dsub, target, acting, tuple(EigenSpace(e, b) for e, b in spaces), nonrational)
 
 
 def random_closed_two_form(rng: random.Random, g: LieAlgebra) -> KForm:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -436,6 +437,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--cap", "-1"], "cap must be nonnegative"),
         (["--coeffs", "0,1/0"], "bad rational '1/0': zero denominator"),
+        (["--support", "e33"], "repeated index 3"),
     ])
     def test_usage_error(self, capsys, files, flags, message):
         code, out, err = run(capsys, "search", files["h3"], "--x", "E3", "--alpha", "e3", *flags)
@@ -488,6 +490,24 @@ class TestReports:
             code = main(list(argv))
             outputs.append(capsys.readouterr().out)
             assert code == 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["algebra-check", "s5"],
+        ["shear-lines", "s5"],
+        ["search", "s5", "--x", "E4", "--alpha", "e4", "--max-terms", "2"],
+        ["check-structure", "kahler6", "--type", "kahler", "--standard"],
+        ["twist", "h3", "--alpha", "e3", "--f", "-e12"],
+    ])
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self, files, argv):
+        # set and dict-of-str orders change with PYTHONHASHSEED; report bytes must not
+        command = [sys.executable, *(["-O"] if sys.flags.optimize else []), "-m", "lieshear",
+                   argv[0], files[argv[1]], *argv[2:], "--json"]
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(command, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
     def test_no_color_when_piped(self, capsys, files):
@@ -642,13 +662,16 @@ class TestNonAsciiDigits:
         ("(0,0,12)", ["--f0", "e12 -"], "malformed expression 'e12 -'"),
         ("(0,0,12)", ["--a", "1/0"], "bad rational '1/0': zero denominator"),
         ("(0,0,12)", ["--f0", "1/0*e12"], "bad rational '1/0': zero denominator"),
+        ("(0,0,12)", ["--coeffs", ","], "bad rational '': expected an integer, p/q or a decimal"),
+        ("(0,0,12)", ["--coeffs", "0,,1"], "bad rational '': expected an integer, p/q or a decimal"),
     ])
     def test_refused_in_one_error_line(self, capsys, tmp_path, doc, flags, message):
         path = tmp_path / "doc.alg"
         path.write_text(doc, encoding="utf-8")
-        argv = {"--x": "E3", "--alpha": "e3", "--f0": "e12"}
+        name = "search" if "--coeffs" in flags else "shear"  # --coeffs is a search option
+        argv = {"--x": "E3", "--alpha": "e3"} | ({} if name == "search" else {"--f0": "e12"})
         argv.update(zip(flags[::2], flags[1::2]))
-        command = ["shear", *(x for kv in argv.items() for x in kv)] if flags else ["algebra-check"]
+        command = [name, *(x for kv in argv.items() for x in kv)] if flags else ["algebra-check"]
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"

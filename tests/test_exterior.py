@@ -81,6 +81,21 @@ class TestKForm:
         assert type(mono(3, (1,))(Vector.basis(3, 2))) is Fraction
         assert type(Vector([1, 2]).components[0]) is Fraction
 
+    @settings(max_examples=200)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(1, n + 1)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])),
+        st.fractions().filter(bool))))
+    def test_coefficient_reads_back_the_monomial(self, case):
+        n, idx, c = case
+        assert KForm.monomial(n, idx, c).coefficient(idx) == c
+
+    def test_index_order_signs_both_ways(self):
+        f = mono(3, (2, 1), 5)
+        assert (str(f), f.coefficient((2, 1)), f.coefficient((1, 2))) == ("-5*e12", 5, -5)
+        for read in (lambda idx: mono(5, idx), KForm.zero(5, 2).coefficient):
+            with pytest.raises(ValueError, match=r"^repeated index 4$"):
+                read((4, 4))
+
 
 # Form evaluation as it was before successive interior products replaced it:
 # each monomial's coefficient times the determinant of the vectors' components

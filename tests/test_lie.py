@@ -1,21 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian
+from corpus import (change_basis, g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian, random_nilpotent,
+                    random_solvable_extension, reference_shear_lines)
 from lieshear import (
     KForm,
     LieAlgebra,
     SalamonError,
+    ShearLineReport,
     Vector,
     interior,
     linalg,
     parse_salamon,
     print_salamon,
-    pullback,
 )
 from lieshear.exterior import one_form
 
@@ -440,24 +442,6 @@ def test_non_integral_structure_constants(text, derived, lower, eigenspaces):
     assert [(tuple(map(str, e.eigenvalues)), subspace_text(e.basis)) for e in lines.eigenspaces] == eigenspaces
     assert not lines.nonrational_present
 
-def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
-    """g in the coframe f = P e for a random unimodular integer P made of
-    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
-    so nearly every d f_k has nearly every term."""
-    rng = random.Random(seed)
-    n = g.dim
-    p = [[int(i == j) for j in range(n)] for i in range(n)]
-    q = [[int(i == j) for j in range(n)] for i in range(n)]  # P^-1
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
-        for row in q:
-            row[j] -= c * row[i]
-    zero = KForm.zero(n, 2)
-    return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
-
-
 # dense-basis algebras: a dim-8 nilpotent algebra (216 terms) and g_lm(1,2)
 # (121 terms); the expected strings are those of the dense ad-matrix brackets
 DENSE_BASIS = [
@@ -624,6 +608,60 @@ class TestShearLines:
                     # and each acting vector scales x by its eigenvalue in the chain
                     for a, lam in zip(rep.acting, es.eigenvalues, strict=True):
                         assert g.bracket(a, x) == lam * x
+
+    def test_matches_the_elimination_reference(self):
+        # R^k x| R^m with 1-3 commuting actions (Jordan blocks, repeated and
+        # irrational roots), every tenth a nilpotent algebra, all in tilted
+        # frames; so(3) and an abelian algebra for the refusals
+        def outcome(find, g):
+            try:
+                return find(g)
+            except (ValueError, RuntimeError) as exc:
+                return type(exc), str(exc)
+
+        algebras = [parse_salamon("(23,-13,12)"), LieAlgebra.abelian(4)]
+        for seed in range(300):
+            rng = random.Random(seed)
+            if seed % 10:
+                algebras.append(random_solvable_extension(rng))
+            else:
+                algebras.append(change_basis(random_nilpotent(rng, rng.randint(3, 6)), seed, 12))
+        seen = Counter()
+        for g in algebras:
+            got = outcome(LieAlgebra.find_shear_lines, g)
+            assert got == outcome(reference_shear_lines, g), g
+            if not isinstance(got, ShearLineReport):
+                seen["refused"] += 1
+                continue
+            eigenvalues = [es.eigenvalues for es in got.eigenspaces]
+            assert eigenvalues == sorted(set(eigenvalues))
+            for es in got.eigenspaces:
+                assert es.basis == linalg.span_rref(es.basis)
+            seen["three acting"] += len(got.acting) >= 3
+            seen["plane"] += any(len(es.basis) > 1 for es in got.eigenspaces)
+            seen["tilted"] += any(sum(map(bool, row)) > 1 for row in got.target)
+            seen["nonrational"] += got.nonrational_present
+        assert min(seen[key] for key in ("refused", "three acting", "plane", "tilted", "nonrational")) >= 2, seen
+
+    @pytest.mark.parametrize("text, term", [
+        # E5 acts on the target span{E1, ..., E4}; the stray term puts an E5 into
+        # [E5, E1], the first row's image, or into [E5, E4], the last row's
+        ("(51,52,53,2.54,0)", (0, 4, 4, 1)),
+        ("(51,52,53,2.54,0)", (3, 4, 4, 1)),
+        # the target is span{E1 + E2}; the stray term makes [E1, E1 + E2] = E1, whose
+        # one nonzero entry sits on the pivot, so only the entry off it gives it away
+        ("(13+23,13+23,0)", (0, 1, 0, -1)),
+    ])
+    def test_an_image_off_the_target_is_refused(self, monkeypatch, text, term):
+        g = parse_salamon(text)
+        assert g.find_shear_lines() == reference_shear_lines(g)
+        # the series reads the integral terms, the refinement the plain ones:
+        # only the refinement sees the stray (i, j, k, c) term
+        terms = LieAlgebra._terms
+        monkeypatch.setattr(LieAlgebra, "_terms",
+                            lambda self, integral=False: terms(self, integral) + ([] if integral else [term]))
+        with pytest.raises(RuntimeError, match="^complement action does not preserve the target subspace$"):
+            g.find_shear_lines()
 
 
 class TestAlmostAbelian:

@@ -151,29 +151,6 @@ class TestCharpolyRoots:
         assert roots == [(F(0), 2), (F(1), 1)]
         assert leftover == 0
 
-    def test_restrict_operator(self):
-        def restrict(op, basis):  # the operator given by the images of the basis
-            return linalg.restrict_operator(basis, [linalg.mat_vec(op, b) for b in basis])
-
-        op = [[F(2), F(0), F(0)], [F(0), F(3), F(0)], [F(0), F(0), F(5)]]
-        basis = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-        assert restrict(op, basis) == [[F(2), F(0)], [F(0), F(3)]]
-        tilted = [[F(0), F(1), F(1)]]  # not invariant under diag(2,3,5)
-        assert restrict(op, tilted) is None
-        # a tilted invariant plane of a non-diagonal operator: w1 -> 2 w1 + w2, w2 -> -w1 + 3 w2
-        op = [[2, 0, 1], [0, 3, 1], [-3, 2, 5]]
-        plane = [[F(1), F(1), F(0)], [F(0), F(1), F(-1)]]
-        restricted = restrict(op, plane)
-        assert restricted == [[F(2), F(-1)], [F(1), F(3)]]
-        for j, b in enumerate(plane):  # column j's coordinates rebuild the image of b
-            image = [sum(row[j] * w[k] for row, w in zip(restricted, plane)) for k in range(3)]
-            assert image == linalg.mat_vec(op, b)
-        # int images, as the bracket formula leaves them, give the same matrix
-        int_images = [[2, 3, -1], [-1, 2, -3]]
-        assert linalg.restrict_operator(plane, int_images) == restricted
-        assert restrict(op, [[F(0), F(0), F(1)]]) is None
-        assert linalg.restrict_operator([], []) == []  # the zero subspace
-
     def test_products_of_int_matrices_are_fractions(self):
         # the Fraction start keeps results Fractions: two ints would divide to a float
         a = [[1, 2], [0, -3]]

@@ -115,6 +115,23 @@ class TestParseRational:
         with pytest.raises(LiteralError, match="exponent beyond"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["", " ", "x", "1/", "/2", "1//2", "1.2.3", "1e", "--1", "1/2/3"])
+    def test_malformed_is_refused_in_the_grammar_s_words(self, text):
+        message = f"bad rational {text!r}: expected an integer, p/q or a decimal"
+        with pytest.raises(LiteralError, match=f"^{re.escape(message)}$"):
+            parse_rational(text)
+
+    @settings(max_examples=500)
+    @given(st.text("0123456789+-/.*eE[],; \tx", max_size=12))
+    def test_no_refusal_names_a_library_class(self, text):
+        # every reader's refusal speaks of the literal, never of `Fraction`
+        for parse in (parse_rational, lambda t: parse_form(t, 4), lambda t: parse_vector(t, 4),
+                      lambda t: parse_matrix(t, 2)):
+            try:
+                parse(text)
+            except LiteralError as exc:
+                assert "Fraction" not in str(exc), (text, str(exc))
+
 
 class TestParseMatrix:
     def test_square(self):
