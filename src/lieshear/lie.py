@@ -314,6 +314,8 @@ class LieAlgebra:
         spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
         nonrational = False
         for gen in complement:
+            # column gen of the brackets [E_i, b] reads only the terms with a leg on gen
+            acting = [term for term in terms if gen in term[:2]]
             refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
             for eigs, basis in spaces:
                 # the acting frame vector maps each basis row b to [E_gen, b],
@@ -321,7 +323,7 @@ class LieAlgebra:
                 # echelon, so a vector in its span is the combination of the
                 # rows given by its own pivot entries: image j has coordinates
                 # images[j][p_i], and must match that combination off the pivots
-                images = [_columns(terms, b, self.dim)[gen] for b in basis]
+                images = [_columns(acting, b, self.dim)[gen] for b in basis]
                 pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
                 free = [c for c in range(self.dim) if c not in pivots]
                 coords = [[im[p] for p in pivots] for im in images]

@@ -10,7 +10,7 @@ from operator import mul
 from .exterior import Coeff, KForm, Vector, _as_fraction, interior, wedge
 from .geometry import preserves_closure
 from .lie import LieAlgebra
-from .shear import ShearBase, ShearData, ShearReport, _sheared, validate_shear
+from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _shear_by, _sheared, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -58,11 +58,16 @@ class SearchSpec:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "a", _as_fraction(self.a))
         for name in ("max_terms", "cap"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise SearchSpecError(f"{name} must be an int, got {value!r}")
+            if value < 0:
                 raise SearchSpecError(f"{name} must be nonnegative")
         if self.support is not None:
             mons = []
             for pair in self.support:
+                if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+                    raise SearchSpecError(f"support entry {pair!r} must be a pair of ints")
                 i, j = pair
                 if not 1 <= i < j <= n:
                     raise SearchSpecError(f"support monomial {pair} must have 1 <= i < j <= dim")
@@ -87,6 +92,10 @@ class SearchSpec:
         return sum(comb(len(support), t) * k**t for t in range(min(self.max_terms, len(support)) + 1))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchHit:
     f0: KForm
@@ -97,12 +106,14 @@ class SearchHit:
 def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     """All valid, structure-preserving deformations, in canonical order.
 
-    Candidates are ordered by (term count, monomial tuple, coefficient tuple);
-    each hit passes validate_shear, every preservation predicate, and a
-    Jacobi re-check of the constructed algebra.  The (base, X, alpha) part
-    of the shear is prepared once, before the first candidate.  A candidate
-    without X-legs whose monomials' condition columns, times its coefficients,
-    do not sum to zero (or any, when eta is not closed) is dropped unbuilt.
+    Candidates are ordered by (term count, monomial tuple, coefficient tuple).
+    The (base, X, alpha) part of the shear is prepared once, before the first
+    candidate.  A candidate without X-legs whose monomials' condition columns,
+    times its coefficients, do not sum to zero (or any, when eta is not
+    closed) is dropped unbuilt; one that passes is valid and preserves every
+    form, so its report comes from ShearBase.leg_free_report.  A candidate
+    with an X-leg goes through validate_shear and every preservation
+    predicate.  Every hit's algebra gets the Jacobi re-check.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -113,6 +124,8 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     scaled = tuple(int(c * scale) for c in nonzero)
     n = spec.base.dim
     base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
+    if not spec.a:
+        raise ShearDataError("transfer constant a must be nonzero")
     columns = _condition_columns(spec, base, support)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
@@ -129,13 +142,16 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 for (i, j), c in zip(monomials, coeffs):
                     terms[(1 << (i - 1)) | (1 << (j - 1))] = c
                 f0 = KForm(n, 2, terms)
-                data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
-                report = validate_shear(spec.base, data, base)
-                if not report.valid:
-                    continue
-                if not all(preserves_closure(spec.base, spec.X, f0, s) for s in spec.preserve):
-                    continue
-                sheared = _sheared(spec.base, data, report)
+                if screened:
+                    report = base.leg_free_report(f0, spec.a)
+                    sheared = _shear_by(spec.base, spec.X, report.f_eff, guard=True)
+                else:
+                    data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
+                    report = validate_shear(spec.base, data, base)
+                    if not (report.valid and all(preserves_closure(spec.base, spec.X, f0, s)
+                                                 for s in spec.preserve)):
+                        continue
+                    sheared = _sheared(spec.base, data, report)
                 hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
     return hits
 

@@ -163,8 +163,10 @@ class ShearBase:
 
     `prepare` runs the dimension, alpha(X) = 1 and ideal checks and splits
     d(alpha) (decompose_dalpha); validate_shear then only does the work that
-    depends on F0, a and eta_g.  Build one per run over many F0 on one
-    (g, X, alpha); nothing outlives it.
+    depends on F0, a and eta_g.  For an F0 with X . F0 = 0, `leg_free_defect`
+    and `eta_closed` decide validity, and `leg_free_report` gives the report
+    of a valid one with no further evaluation.  Build one per run over many
+    F0 on one (g, X, alpha); nothing outlives it.
     """
 
     g: LieAlgebra
@@ -189,6 +191,23 @@ class ShearBase:
         with eta_closed, the required conditions are linear in F0.
         """
         return self.g.d(f0) - wedge(self.decomp.eta, f0)
+
+    def leg_free_report(self, f0: KForm, a: Fraction) -> ShearReport:
+        """validate_shear's report for a valid F0 with X . F0 = 0, assembled.
+
+        The caller vouches for validity: eta_closed holds and
+        leg_free_defect(F0) = 0.  Then nu = X . F0 = 0, so eta' = 0,
+        eta_0 = eta_tilde = eta, f' = F_eff = -(1/a) F0 and f~ = f + F_eff, and
+        every condition holds; nothing is re-checked here (the Jacobi guard of
+        `_shear_by` still runs on the algebra built from it).
+        """
+        zero = KForm.zero(self.g.dim, 1)
+        f_eff = (-1 / _as_fraction(a)) * f0
+        conditions: dict[str, bool | None] = dict.fromkeys(CONDITION_NAMES, True)
+        conditions["f0_compatible_with_eta_g"] = None
+        return ShearReport(valid=True, decomp=self.decomp, eta_prime=zero, eta_0=self.decomp.eta,
+                           eta_tilde=self.decomp.eta, f_prime=f_eff, f_tilde=self.decomp.f + f_eff,
+                           nu=zero, f_eff=f_eff, conditions=conditions)
 
 
 def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:
@@ -250,12 +269,7 @@ def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:
     d_new e_j = d e_j + e_j(X) * F_eff on the common frame; passes the Jacobi
     check exactly when validate_shear reports valid.
     """
-    f_eff = data.f_eff
-    diffs = [
-        diff + comp * f_eff if comp else diff
-        for diff, comp in zip(g.diffs, data.X.components)
-    ]
-    return LieAlgebra(diffs)
+    return _shear_by(g, data.X, data.f_eff)
 
 
 def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
@@ -266,9 +280,19 @@ def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
 def _sheared(g: LieAlgebra, data: ShearData, report: ShearReport) -> LieAlgebra:
     if not report.valid:
         raise InvalidShearError(report)
-    sheared = shear_candidate(g, data)
-    if not sheared.jacobi_check().passed:
-        raise AssertionError(f"validity/Jacobi equivalence broken for F0 = {data.F0}")
+    return _shear_by(g, data.X, data.f_eff, guard=True)
+
+
+def _shear_by(g: LieAlgebra, X: Vector, f_eff: KForm, guard: bool = False) -> LieAlgebra:
+    """The algebra with d e_j + e_j(X) * F_eff on the common frame: the one shear formula.
+
+    With `guard`, f_eff comes from a valid shear, and an algebra failing
+    Jacobi raises: the runtime guard of the validity <=> Jacobi equivalence,
+    kept under `python -O`.
+    """
+    sheared = LieAlgebra([diff + comp * f_eff if comp else diff for diff, comp in zip(g.diffs, X.components)])
+    if guard and not sheared.jacobi_check().passed:
+        raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {f_eff}")
     return sheared
 
 

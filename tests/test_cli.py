@@ -434,6 +434,11 @@ class TestSearchCommand:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("doc, x", [("s5", "E4"), ("h3", "E3")])
+    def test_zero_constant_exit_3(self, capsys, files, doc, x):
+        code, out, err = run(capsys, "search", files[doc], "--x", x, "--alpha", x.lower(), "--a", "0")
+        assert (code, out, err) == (3, "", "error: transfer constant a must be nonzero\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--cap", "-1"], "cap must be nonnegative"),
         (["--coeffs", "0,1/0"], "bad rational '1/0': zero denominator"),

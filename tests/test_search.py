@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,8 +13,10 @@ from lieshear import (
     SearchSpec,
     SearchSpecError,
     ShearData,
+    ShearDataError,
     Vector,
     enumerate_f0,
+    interior,
     is_closed,
     parse_salamon,
     search,
@@ -67,6 +70,22 @@ class TestSearchSpec:
             spec_on(g, 1, **{field: -1})
         assert getattr(spec_on(g, 1, **{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_terms", 1.5), ("max_terms", True), ("cap", 2.5), ("cap", "10"),
+    ])
+    def test_counts_must_be_ints(self, field, value):
+        g = LieAlgebra.abelian(3)
+        with pytest.raises(SearchSpecError, match=f"^{field} must be an int, got {value!r}$"):
+            spec_on(g, 1, **{field: value})
+
+    @pytest.mark.parametrize("entry", [(1, 2, 3), (1,), (1, Fraction(2)), (True, 2), "12", 12],
+                             ids=["triple", "single", "fraction", "bool", "str", "int"])
+    def test_support_entries_must_be_pairs_of_ints(self, entry):
+        g = LieAlgebra.abelian(3)
+        with pytest.raises(SearchSpecError, match=r"^support entry .* must be a pair of ints$"):
+            spec_on(g, 1, support=((2, 3), entry))
+        assert spec_on(g, 1, support=([2, 3],)).support == ((2, 3),)
+
     @pytest.mark.parametrize("field, value, message", [
         ("X", Vector.basis(4, 4), "X has dimension 4, the base has dimension 5"),
         ("alpha", mono(6, (4,)), "alpha has dimension 6, the base has dimension 5"),
@@ -113,9 +132,10 @@ class TestEnumerate:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("preserve", [(), (psi4(),)], ids=["plain", "psi4"])
-    def test_validates_once_per_hit(self, monkeypatch, preserve):
-        # every candidate of a default support is screened by its condition
-        # columns, so only the hits reach validate_shear
+    def test_validates_only_x_leg_candidates(self, monkeypatch, preserve):
+        # a leg-free candidate is decided by its condition columns and takes its
+        # report from the base: only candidates with an X-leg monomial, which
+        # the screen cannot judge, reach validate_shear
         calls = []
         real = search.validate_shear
 
@@ -126,8 +146,35 @@ class TestEnumerate:
         monkeypatch.setattr(search, "validate_shear", counted)
         spec = spec_on(g_lm(1, 2), 1, max_terms=2, preserve=preserve)
         hits = enumerate_f0(spec)
-        assert len(calls) == len(hits) == (9 if preserve else 73)
+        assert (len(calls), len(hits)) == (0, 9 if preserve else 73)
         assert spec.candidate_count() == 451
+        # X-leg e12, e13 beside leg-free e23, e45: 33 candidates, 9 of them leg-free
+        spec = spec_on(g_lm(1, 2), 1, support=((1, 2), (1, 3), (2, 3), (4, 5)), max_terms=2,
+                       preserve=preserve)
+        calls.clear()
+        assert enumerate_f0(spec) == reference_enumerate_f0(spec)
+        assert (spec.candidate_count(), len(calls)) == (33, 33 - 9)
+
+    @pytest.mark.parametrize("algebra, k", [(S5, 4), ("(12,34,0,0)", 1)], ids=["s5", "eta-not-closed"])
+    def test_zero_constant_is_refused_once_per_search(self, algebra, k):
+        # on (12,34,0,0) eta is not closed, so every candidate is dropped unbuilt
+        spec = spec_on(parse_salamon(algebra), k, a=0)
+        with pytest.raises(ShearDataError, match="^transfer constant a must be nonzero$"):
+            enumerate_f0(spec)
+        # the cap and the prepared base are checked first
+        with pytest.raises(SearchSpaceError):
+            enumerate_f0(dataclasses.replace(spec, cap=0))
+        wrong = dataclasses.replace(spec, alpha=2 * spec.alpha)
+        with pytest.raises(ShearDataError, match=r"^alpha\(X\) must be 1, got 2$"):
+            enumerate_f0(wrong)
+
+    def test_jacobi_guard_catches_a_hit_the_screen_let_through(self, monkeypatch):
+        # a screen that passes every leg-free candidate lets an invalid F0 reach
+        # the assembled path; the Jacobi re-check of its algebra must refuse it,
+        # also under `python -O`, as the guard raises rather than asserts
+        monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
+        with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
+            enumerate_f0(spec_on(g_lm(1, 2), 1))
 
     def test_zero_coefficient_set_gives_identity_only(self):
         g = parse_salamon(S5)
@@ -210,6 +257,17 @@ class TestEnumerate:
                         expected.append(f0)
         assert got == expected
 
+    def test_matches_the_reference_on_random_specs(self):
+        # whole hits (F0, report, algebra) against one validate_shear per candidate
+        rng = random.Random(18)
+        paths = set()
+        for _ in range(40):
+            spec = _random_spec(rng)
+            hits = enumerate_f0(spec)
+            assert hits == reference_enumerate_f0(spec), spec
+            paths |= {interior(spec.X, h.f0).is_zero() for h in hits if not h.f0.is_zero()}
+        assert paths == {True, False}  # both leg-free and X-leg hits occurred
+
     def test_search_on_a_base_with_eta_not_closed(self, monkeypatch):
         # span(E1) is an ideal of this non-Jacobi base, but eta = -e2 has
         # d eta = -e34: every leg-free candidate is refused before validation
@@ -242,3 +300,33 @@ class TestEnumerate:
             for h in enumerate_f0(spec):
                 assert h.report.valid
                 assert h.sheared.jacobi_check().passed
+
+
+# (algebra, X, alpha): X spans an ideal; the non-basis X are eigenvectors of a
+# repeated eigenvalue, and some alpha have a leg off X's frame vectors
+RANDOM_BASES = [
+    *((parse_salamon(f"(51,52,53,{c}.54,0)"), (0, 0, 0, 1, 0), mono(5, (4,))) for c in ("1", "2", "-1", "1/2")),
+    (parse_salamon(S5), (1, 1, 0, 0, 0), mono(5, (1,))),
+    (parse_salamon(S5), (1, -2, 3, 0, 0), mono(5, (3,), Fraction(1, 3)) + mono(5, (4,), 2)),
+    (g_lm(1, 2), (1, 0, 0, 0, 0, 0, 0), mono(7, (1,))),
+    (g_lm(1, 1), (0, 1, 1, 0, 0, 0, 0), mono(7, (2,), Fraction(1, 2)) + mono(7, (3,), Fraction(1, 2))),
+    (parse_salamon("(0,0,12,13)"), (0, 0, 0, 1), mono(4, (4,))),
+    (LieAlgebra.abelian(5), (1, 1, 0, 0, 0), mono(5, (2,)) - mono(5, (5,))),
+]
+RANDOM_COEFFS = [(-1, 0, 1), (-2, -1, 0, 1, 2), (-1, 0, Fraction(1, 2), 1), (0, Fraction(1, 3), Fraction(-3, 2))]
+
+
+def _random_spec(rng):
+    g, x, alpha = rng.choice(RANDOM_BASES)
+    n = g.dim
+    support = None
+    if rng.random() < 0.5:
+        support = tuple(rng.sample(list(combinations(range(1, n + 1), 2)), rng.randint(3, 5)))
+    preserve = tuple(random_form(rng, n, rng.choice([3, 4]), max_terms=2)
+                     for _ in range(rng.choice([0, 0, 1, 2])))
+    spec = SearchSpec(base=g, X=Vector(x), alpha=alpha, a=rng.choice([-1, 1, 2, Fraction(-1, 2), Fraction(3, 4)]),
+                      coefficients=rng.choice(RANDOM_COEFFS), support=support,
+                      max_terms=rng.randint(1, 3), preserve=preserve)
+    while spec.candidate_count() > 150:
+        spec = dataclasses.replace(spec, max_terms=spec.max_terms - 1)
+    return spec

@@ -1,12 +1,16 @@
+import functools
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from corpus import (
     frame_ideal_indices,
@@ -38,12 +42,14 @@ from lieshear import (
     ds_form,
     invert_shear,
     is_automorphic,
+    linalg,
     parse_salamon,
     print_salamon,
     shear_candidate,
     validate_shear,
     wedge,
 )
+from lieshear.exterior import one_form
 
 S5 = "(51,52,53,2.54,0)"
 
@@ -266,6 +272,35 @@ class TestApplyShear:
         assert proc.stdout.startswith("raised 1 validity/Jacobi equivalence broken"), proc.stderr
 
 
+small_rationals = st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+# (algebra, X, alpha) with X spanning an ideal and eta closed: basis and
+# non-basis X (an eigenvector of a repeated eigenvalue), eta zero and not
+LEG_FREE_BASES = [
+    (parse_salamon(S5), (0, 0, 0, 1, 0), mono(5, (4,))),
+    (parse_salamon(S5), (1, 1, 0, 0, 0), mono(5, (1,))),
+    (parse_salamon(S5), (1, -2, 3, 0, 0), mono(5, (3,), Fraction(1, 3)) + mono(5, (5,), 2)),
+    (parse_salamon("(0,0,12,13)"), (0, 0, 0, 1), mono(4, (4,))),
+    (g_lm(1, 1), (0, 1, 1, 0, 0, 0, 0), mono(7, (2,), Fraction(1, 2)) + mono(7, (3,), Fraction(1, 2))),
+    (LieAlgebra.abelian(5), (1, 1, 0, 0, 0), mono(5, (2,)) - mono(5, (5,))),
+]
+
+
+@functools.cache
+def _valid_leg_free(case):
+    """The prepared base of a case and a basis of the F0 in Lambda^2 Ann(X)
+    that make a valid shear: the kernel of leg_free_defect."""
+    g, x, alpha = LEG_FREE_BASES[case]
+    base = ShearBase.prepare(g, Vector(x), alpha)
+    ann = [one_form(row) for row in linalg.nullspace([x], g.dim)]
+    forms = [wedge(u, v) for u, v in combinations(ann, 2)]
+    defects = [base.leg_free_defect(f) for f in forms]
+    rows = [[d.terms.get(m, 0) for d in defects] for m in sorted({m for d in defects for m in d.terms})]
+    kernel = [sum((c * f for c, f in zip(vec, forms)), KForm.zero(g.dim, 2))
+              for vec in linalg.nullspace(rows, len(forms))]
+    return base, kernel
+
+
 class TestShearBase:
     def test_equal_algebra_is_accepted(self):
         base = ShearBase.prepare(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,)))
@@ -296,6 +331,23 @@ class TestShearBase:
             assert valid == (base.eta_closed and base.leg_free_defect(f0).is_zero())
             verdicts.add(valid)
         assert verdicts == {True, False}
+
+    @settings(max_examples=100)
+    @given(st.integers(0, len(LEG_FREE_BASES) - 1), st.lists(small_rationals, min_size=15, max_size=15),
+           small_rationals.filter(bool))
+    def test_leg_free_report_matches_validate_shear(self, case, coeffs, a):
+        base, kernel = _valid_leg_free(case)
+        f0 = sum((c * k for c, k in zip(coeffs, kernel)), KForm.zero(base.g.dim, 2))
+        report = validate_shear(base.g, ShearData(X=base.X, alpha=base.alpha, F0=f0, a=a), base)
+        assert report.valid
+        assert base.leg_free_report(f0, a) == report
+
+    def test_leg_free_cases_cover_eta_and_frame(self):
+        bases = [_valid_leg_free(case)[0] for case in range(len(LEG_FREE_BASES))]
+        assert all(base.eta_closed for base in bases)
+        assert {base.decomp.eta.is_zero() for base in bases} == {True, False}
+        assert {sum(map(bool, base.X.components)) == 1 for base in bases} == {True, False}
+        assert all(_valid_leg_free(case)[1] for case in range(len(LEG_FREE_BASES)))
 
     def test_eta_closed_only_fails_off_jacobi(self):
         # eta is minus the character of the ideal span(X), closed by Jacobi
