@@ -10,7 +10,7 @@ from operator import mul
 from .exterior import Coeff, KForm, Vector, _as_fraction, interior, wedge
 from .geometry import preserves_closure
 from .lie import LieAlgebra
-from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _shear_by, _sheared, validate_shear
+from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -110,10 +110,11 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     The (base, X, alpha) part of the shear is prepared once, before the first
     candidate.  A candidate without X-legs whose monomials' condition columns,
     times its coefficients, do not sum to zero (or any, when eta is not
-    closed) is dropped unbuilt; one that passes is valid and preserves every
-    form, so its report comes from ShearBase.leg_free_report.  A candidate
-    with an X-leg goes through validate_shear and every preservation
-    predicate.  Every hit's algebra gets the Jacobi re-check.
+    closed) is dropped unbuilt; one that passes preserves every form, and
+    validate_shear, which reads its validity off the base's monomial defects,
+    only confirms it.  A candidate with an X-leg goes through validate_shear
+    and every preservation predicate.  Every hit's algebra gets the Jacobi
+    re-check.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -142,17 +143,11 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 for (i, j), c in zip(monomials, coeffs):
                     terms[(1 << (i - 1)) | (1 << (j - 1))] = c
                 f0 = KForm(n, 2, terms)
-                if screened:
-                    report = base.leg_free_report(f0, spec.a)
-                    sheared = _shear_by(spec.base, spec.X, report.f_eff, guard=True)
-                else:
-                    data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
-                    report = validate_shear(spec.base, data, base)
-                    if not (report.valid and all(preserves_closure(spec.base, spec.X, f0, s)
-                                                 for s in spec.preserve)):
-                        continue
-                    sheared = _sheared(spec.base, data, report)
-                hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
+                data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
+                report = validate_shear(spec.base, data, base)
+                if report.valid and (screened or all(preserves_closure(spec.base, spec.X, f0, s)
+                                                     for s in spec.preserve)):
+                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
     return hits
 
 

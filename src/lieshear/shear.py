@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .exterior import KForm, Vector, _as_fraction, form_row, interior, one_form, wedge
+from .exterior import Coeff, KForm, Vector, _as_fraction, _make, form_row, interior, one_form, wedge
 from .lie import LieAlgebra, _columns
 
 CONDITION_NAMES = (
@@ -164,15 +164,15 @@ class ShearBase:
     `prepare` runs the dimension, alpha(X) = 1 and ideal checks and splits
     d(alpha) (decompose_dalpha); validate_shear then only does the work that
     depends on F0, a and eta_g.  For an F0 with X . F0 = 0, `leg_free_defect`
-    and `eta_closed` decide validity, and `leg_free_report` gives the report
-    of a valid one with no further evaluation.  Build one per run over many
-    F0 on one (g, X, alpha); nothing outlives it.
+    and `eta_closed` decide validity.  Build one per run over many F0 on one
+    (g, X, alpha); nothing outlives it.
     """
 
     g: LieAlgebra
     X: Vector
     alpha: KForm
     decomp: DecompResult
+    _defects: dict[int, KForm] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def prepare(cls, g: LieAlgebra, X: Vector, alpha: KForm) -> "ShearBase":
@@ -188,26 +188,19 @@ class ShearBase:
 
         Such an F0 has eta_0 = eta and F_eff = -(1/a) F0, so it satisfies
         df_eff_eq_eta0_wedge_f_eff, for every a, exactly when this is zero:
-        with eta_closed, the required conditions are linear in F0.
+        with eta_closed, the required conditions are linear in F0.  So the
+        defect of each monomial is computed once per base, and F0's is their
+        combination.
         """
-        return self.g.d(f0) - wedge(self.decomp.eta, f0)
-
-    def leg_free_report(self, f0: KForm, a: Fraction) -> ShearReport:
-        """validate_shear's report for a valid F0 with X . F0 = 0, assembled.
-
-        The caller vouches for validity: eta_closed holds and
-        leg_free_defect(F0) = 0.  Then nu = X . F0 = 0, so eta' = 0,
-        eta_0 = eta_tilde = eta, f' = F_eff = -(1/a) F0 and f~ = f + F_eff, and
-        every condition holds; nothing is re-checked here (the Jacobi guard of
-        `_shear_by` still runs on the algebra built from it).
-        """
-        zero = KForm.zero(self.g.dim, 1)
-        f_eff = (-1 / _as_fraction(a)) * f0
-        conditions: dict[str, bool | None] = dict.fromkeys(CONDITION_NAMES, True)
-        conditions["f0_compatible_with_eta_g"] = None
-        return ShearReport(valid=True, decomp=self.decomp, eta_prime=zero, eta_0=self.decomp.eta,
-                           eta_tilde=self.decomp.eta, f_prime=f_eff, f_tilde=self.decomp.f + f_eff,
-                           nu=zero, f_eff=f_eff, conditions=conditions)
+        terms: dict[int, Coeff] = {}
+        for mask, c in f0.terms.items():
+            defect = self._defects.get(mask)
+            if defect is None:
+                e = _make(self.g.dim, 2, {mask: 1})
+                defect = self._defects[mask] = self.g.d(e) - wedge(self.decomp.eta, e)
+            for m, v in defect.terms.items():
+                terms[m] = terms[m] + c * v if m in terms else c * v
+        return _make(self.g.dim, min(3, self.g.dim), terms)
 
 
 def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:
@@ -232,18 +225,29 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff
     nu = interior(data.X, data.F0)
-    eta_prime = (1 / data.a) * nu  # -X . F_eff, as F_eff = -(1/a) F0
-    eta_0 = eta_tilde = decomp.eta + eta_prime  # both are eta - X . F_eff
-    f_prime = f_eff - wedge(eta_prime, data.alpha)
-    f_tilde = decomp.f + f_prime
-    dnu = g.d(nu)
+    if nu.is_zero():
+        # eta' = 0 and d(nu) = 0: eta_0 = eta and f' = F_eff, so the required
+        # conditions are base.eta_closed and leg_free_defect(F0) = 0
+        eta_prime, eta_0, f_prime = nu, decomp.eta, f_eff
+        df_ok = base.leg_free_defect(data.F0).is_zero()
+        eta0_closed = base.eta_closed
+        dnu_wedge_nu_zero = dnu_zero = True
+    else:
+        eta_prime = (1 / data.a) * nu  # -X . F_eff, as F_eff = -(1/a) F0
+        eta_0 = decomp.eta + eta_prime  # eta - X . F_eff
+        f_prime = f_eff - wedge(eta_prime, data.alpha)
+        df_ok = g.d(f_eff) == wedge(eta_0, f_eff)
+        eta0_closed = g.d(eta_0).is_zero()
+        dnu = g.d(nu)
+        dnu_wedge_nu_zero = wedge(dnu, nu).is_zero()
+        dnu_zero = dnu.is_zero()
     conditions: dict[str, bool | None] = {
         "xi_ideal": True,  # established by ShearBase.prepare
-        "df_eff_eq_eta0_wedge_f_eff": g.d(f_eff) == wedge(eta_0, f_eff),
-        "eta0_closed": g.d(eta_0).is_zero(),
+        "df_eff_eq_eta0_wedge_f_eff": df_ok,
+        "eta0_closed": eta0_closed,
         "eta0_vanishes_on_xi": True,  # an identity, see the docstring
-        "dnu_wedge_nu_zero": wedge(dnu, nu).is_zero(),
-        "dnu_zero": dnu.is_zero(),
+        "dnu_wedge_nu_zero": dnu_wedge_nu_zero,
+        "dnu_zero": dnu_zero,
         "f0_compatible_with_eta_g": (
             None if data.eta_g is None else g.d(data.F0) == wedge(data.eta_g, data.F0)
         ),
@@ -254,9 +258,9 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         decomp=decomp,
         eta_prime=eta_prime,
         eta_0=eta_0,
-        eta_tilde=eta_tilde,
+        eta_tilde=eta_0,  # eta_tilde = eta - X . F_eff = eta_0
         f_prime=f_prime,
-        f_tilde=f_tilde,
+        f_tilde=decomp.f + f_prime,
         nu=nu,
         f_eff=f_eff,
         conditions=conditions,

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, TwistError, Vector,
-                      linalg, parse_salamon, preserves_closure, pullback)
+from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, ShearReport, TwistError,
+                      Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
 from lieshear.exterior import form_row, interior
 from lieshear.lie import _chain
 from lieshear.literals import format_vector
-from lieshear.shear import ShearBase, _sheared, validate_shear
+from lieshear.shear import REQUIRED_CONDITIONS, ShearBase, _sheared, validate_shear
 
 HEISENBERG = "(0,0,12)"
 ABELIAN3 = "(0,0,0)"
@@ -327,6 +327,33 @@ def reference_det(a) -> Fraction:
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return out
+
+
+def reference_validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
+    """validate_shear by the general formulas of the paper alone, with no
+    ShearBase and no shortcut for X . F0 = 0: the oracle for its leg-free
+    branch.  eta0_vanishes_on_xi is evaluated here, not taken as an identity."""
+    decomp = decompose_dalpha(g, data.X, data.alpha)
+    f_eff = (-1 / data.a) * data.F0
+    nu = interior(data.X, data.F0)
+    eta_prime = (1 / data.a) * nu
+    eta_0 = decomp.eta + eta_prime
+    f_prime = f_eff - wedge(eta_prime, data.alpha)
+    dnu = g.d(nu)
+    conditions = {
+        "xi_ideal": True,  # decompose_dalpha raises otherwise
+        "df_eff_eq_eta0_wedge_f_eff": g.d(f_eff) == wedge(eta_0, f_eff),
+        "eta0_closed": g.d(eta_0).is_zero(),
+        "eta0_vanishes_on_xi": sum(c * x for c, x in zip(form_row(eta_0), data.X.components)) == 0,
+        "dnu_wedge_nu_zero": wedge(dnu, nu).is_zero(),
+        "dnu_zero": dnu.is_zero(),
+        "f0_compatible_with_eta_g": (
+            None if data.eta_g is None else g.d(data.F0) == wedge(data.eta_g, data.F0)
+        ),
+    }
+    return ShearReport(valid=all(conditions[name] for name in REQUIRED_CONDITIONS), decomp=decomp,
+                       eta_prime=eta_prime, eta_0=eta_0, eta_tilde=eta_0, f_prime=f_prime,
+                       f_tilde=decomp.f + f_prime, nu=nu, f_eff=f_eff, conditions=conditions)
 
 
 def reference_enumerate_f0(spec) -> list[SearchHit]:

@@ -132,10 +132,9 @@ class TestEnumerate:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("preserve", [(), (psi4(),)], ids=["plain", "psi4"])
-    def test_validates_only_x_leg_candidates(self, monkeypatch, preserve):
-        # a leg-free candidate is decided by its condition columns and takes its
-        # report from the base: only candidates with an X-leg monomial, which
-        # the screen cannot judge, reach validate_shear
+    def test_validates_once_per_hit(self, monkeypatch, preserve):
+        # every candidate of a default support is screened by its condition
+        # columns, so only the hits reach validate_shear
         calls = []
         real = search.validate_shear
 
@@ -146,14 +145,18 @@ class TestEnumerate:
         monkeypatch.setattr(search, "validate_shear", counted)
         spec = spec_on(g_lm(1, 2), 1, max_terms=2, preserve=preserve)
         hits = enumerate_f0(spec)
-        assert (len(calls), len(hits)) == (0, 9 if preserve else 73)
+        assert len(calls) == len(hits) == (9 if preserve else 73)
         assert spec.candidate_count() == 451
-        # X-leg e12, e13 beside leg-free e23, e45: 33 candidates, 9 of them leg-free
+        # X-leg e12, e13 beside leg-free e23, e45: the 24 candidates with an
+        # X-leg all reach validate_shear, the 9 leg-free ones only as hits
         spec = spec_on(g_lm(1, 2), 1, support=((1, 2), (1, 3), (2, 3), (4, 5)), max_terms=2,
                        preserve=preserve)
         calls.clear()
-        assert enumerate_f0(spec) == reference_enumerate_f0(spec)
-        assert (spec.candidate_count(), len(calls)) == (33, 33 - 9)
+        hits = enumerate_f0(spec)
+        assert hits == reference_enumerate_f0(spec)
+        leg_free_hits = sum(interior(spec.X, h.f0).is_zero() for h in hits)
+        assert leg_free_hits == 3
+        assert (spec.candidate_count(), len(calls)) == (33, 33 - 9 + leg_free_hits)
 
     @pytest.mark.parametrize("algebra, k", [(S5, 4), ("(12,34,0,0)", 1)], ids=["s5", "eta-not-closed"])
     def test_zero_constant_is_refused_once_per_search(self, algebra, k):
@@ -168,10 +171,21 @@ class TestEnumerate:
         with pytest.raises(ShearDataError, match=r"^alpha\(X\) must be 1, got 2$"):
             enumerate_f0(wrong)
 
-    def test_jacobi_guard_catches_a_hit_the_screen_let_through(self, monkeypatch):
-        # a screen that passes every leg-free candidate lets an invalid F0 reach
-        # the assembled path; the Jacobi re-check of its algebra must refuse it,
-        # also under `python -O`, as the guard raises rather than asserts
+    def test_validate_shear_judges_what_the_screen_lets_through(self, monkeypatch):
+        # a screen that passes every leg-free candidate sends invalid F0 to
+        # validate_shear too, which refuses them: the hits stay the same
+        spec = spec_on(g_lm(1, 2), 1, max_terms=2)
+        expected = enumerate_f0(spec)
+        monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
+        assert enumerate_f0(spec) == expected == reference_enumerate_f0(spec)
+
+    def test_jacobi_guard_catches_a_hit_validation_let_through(self, monkeypatch):
+        # with the screen passing every leg-free candidate and validate_shear
+        # calling every report valid, an invalid F0 reaches _sheared; the
+        # Jacobi re-check of its algebra must refuse it, also under
+        # `python -O`, as the guard raises rather than asserts
+        real = search.validate_shear
+        monkeypatch.setattr(search, "validate_shear", lambda *args: dataclasses.replace(real(*args), valid=True))
         monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))

@@ -25,6 +25,7 @@ from corpus import (
     random_nilpotent,
     random_shears,
     reference_twist,
+    reference_validate_shear,
 )
 import lieshear
 from lieshear import (
@@ -288,17 +289,17 @@ LEG_FREE_BASES = [
 
 @functools.cache
 def _valid_leg_free(case):
-    """The prepared base of a case and a basis of the F0 in Lambda^2 Ann(X)
-    that make a valid shear: the kernel of leg_free_defect."""
+    """The prepared base of a case, a basis of Lambda^2 Ann(X), and a basis of
+    the F0 in it that make a valid shear: the kernel of leg_free_defect."""
     g, x, alpha = LEG_FREE_BASES[case]
     base = ShearBase.prepare(g, Vector(x), alpha)
     ann = [one_form(row) for row in linalg.nullspace([x], g.dim)]
     forms = [wedge(u, v) for u, v in combinations(ann, 2)]
-    defects = [base.leg_free_defect(f) for f in forms]
+    defects = [g.d(f) - wedge(base.decomp.eta, f) for f in forms]
     rows = [[d.terms.get(m, 0) for d in defects] for m in sorted({m for d in defects for m in d.terms})]
     kernel = [sum((c * f for c, f in zip(vec, forms)), KForm.zero(g.dim, 2))
               for vec in linalg.nullspace(rows, len(forms))]
-    return base, kernel
+    return base, forms, kernel
 
 
 class TestShearBase:
@@ -327,27 +328,39 @@ class TestShearBase:
             (k,) = [i for i, x in enumerate(data.X.components, start=1) if x]
             f0 = KForm(g.dim, 2, {m: c for m, c in data.F0.terms.items() if not m >> (k - 1) & 1})
             base = ShearBase.prepare(g, data.X, data.alpha)
-            valid = validate_shear(g, ShearData(X=data.X, alpha=data.alpha, F0=f0, a=data.a), base).valid
-            assert valid == (base.eta_closed and base.leg_free_defect(f0).is_zero())
+            assert validate_shear(g, data, base) == reference_validate_shear(g, data)
+            leg_free = ShearData(X=data.X, alpha=data.alpha, F0=f0, a=data.a)
+            report = validate_shear(g, leg_free, base)
+            assert report == reference_validate_shear(g, leg_free)
+            assert base.leg_free_defect(f0) == g.d(f0) - wedge(base.decomp.eta, f0)
+            valid = shear_candidate(g, leg_free).jacobi_check().passed
+            assert report.valid == valid == (base.eta_closed and base.leg_free_defect(f0).is_zero())
             verdicts.add(valid)
         assert verdicts == {True, False}
 
     @settings(max_examples=100)
     @given(st.integers(0, len(LEG_FREE_BASES) - 1), st.lists(small_rationals, min_size=15, max_size=15),
-           small_rationals.filter(bool))
-    def test_leg_free_report_matches_validate_shear(self, case, coeffs, a):
-        base, kernel = _valid_leg_free(case)
+           st.lists(st.tuples(st.integers(0, 14), small_rationals), max_size=2), small_rationals.filter(bool))
+    def test_leg_free_branch_matches_the_general_formulas(self, case, coeffs, noise, a):
+        # F0 in Lambda^2 Ann(X), where X . F0 = 0 even when a monomial of F0
+        # has an X-leg: the kernel combinations are valid, noise may break them
+        base, forms, kernel = _valid_leg_free(case)
         f0 = sum((c * k for c, k in zip(coeffs, kernel)), KForm.zero(base.g.dim, 2))
-        report = validate_shear(base.g, ShearData(X=base.X, alpha=base.alpha, F0=f0, a=a), base)
-        assert report.valid
-        assert base.leg_free_report(f0, a) == report
+        f0 = sum((c * forms[i % len(forms)] for i, c in noise), f0)
+        data = ShearData(X=base.X, alpha=base.alpha, F0=f0, a=a)
+        report = validate_shear(base.g, data, base)
+        assert report == reference_validate_shear(base.g, data)
+        assert report.valid == shear_candidate(base.g, data).jacobi_check().passed
+        assert report.valid or noise
 
     def test_leg_free_cases_cover_eta_and_frame(self):
-        bases = [_valid_leg_free(case)[0] for case in range(len(LEG_FREE_BASES))]
-        assert all(base.eta_closed for base in bases)
-        assert {base.decomp.eta.is_zero() for base in bases} == {True, False}
-        assert {sum(map(bool, base.X.components)) == 1 for base in bases} == {True, False}
-        assert all(_valid_leg_free(case)[1] for case in range(len(LEG_FREE_BASES)))
+        cases = [_valid_leg_free(case) for case in range(len(LEG_FREE_BASES))]
+        assert all(base.eta_closed and kernel for base, _, kernel in cases)
+        assert {base.decomp.eta.is_zero() for base, _, _ in cases} == {True, False}
+        assert {sum(map(bool, base.X.components)) == 1 for base, _, _ in cases} == {True, False}
+        # some F0 in Lambda^2 Ann(X) have monomials with an X-leg
+        assert any(m >> i & 1 for base, forms, _ in cases for f in forms for m in f.terms
+                   for i, x in enumerate(base.X.components) if x)
 
     def test_eta_closed_only_fails_off_jacobi(self):
         # eta is minus the character of the ideal span(X), closed by Jacobi
