@@ -15,7 +15,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Callable, Sequence
 
 from . import linalg
@@ -82,16 +84,22 @@ class ShearLineReport:
 class LieAlgebra:
     """Lie algebra of dimension n given by the two-forms d e_1, ..., d e_n.
 
-    Only the Jacobi verdict is computed eagerly.  Brackets are read off the
-    terms of the d e_k when asked for, by the one formula of `_columns`: the
-    bracket, the series, the centralizer, the shear lines and the ideal test
-    of a shear all go through it, and no bracket table or ad matrix is ever
-    built.  Instances are safe to share between threads.
+    Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k.
+    Given `_base`, an algebra whose diffs these share by object wherever they
+    are unchanged, it checks only the changed generators and those whose
+    d e_k has a monomial touching one: d(d e_k) reads d e_k and the d e_i of
+    the indices i in its monomials only, so for any other k it equals the
+    base's, which is zero when the base passed.  A base that failed gets the
+    full check.  The report is the full check's either way.  Brackets are
+    read off the terms of the d e_k when asked for, by the one formula of
+    `_columns`: the bracket, the series, the centralizer, the shear lines and
+    the ideal test of a shear all go through it, and no bracket table or ad
+    matrix is ever built.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("dim", "diffs", "_jacobi", "_series")
+    __slots__ = ("dim", "diffs", "_jacobi", "_series", "_reach")
 
-    def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
+    def __init__(self, diffs: list[KForm] | tuple[KForm, ...], *, _base: LieAlgebra | None = None):
         diffs = tuple(diffs)
         if not diffs:
             raise ValueError("need at least one generator differential")
@@ -106,15 +114,23 @@ class LieAlgebra:
         diffs = tuple(f if f.degree == 2 else KForm.zero(n, 2) for f in diffs)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "diffs", diffs)
+        check = range(n)
+        if _base is not None and _base._jacobi.passed:
+            changed = 0
+            for k, (f, old) in enumerate(zip(diffs, _base.diffs)):
+                if f is not old:
+                    changed |= 1 << k
+            check = [k for k, reach in enumerate(_base._reaches()) if reach & changed]
         failures = []
-        for k, f in enumerate(diffs, start=1):
-            dd = self.d(f)
+        for k in check:
+            dd = self.d(diffs[k])
             if not dd.is_zero():
-                failures.append((k, dd))
+                failures.append((k + 1, dd))
         object.__setattr__(self, "_jacobi", JacobiReport(not failures, tuple(failures)))
-        # series cache: filled on first use; assigning the immutable report is
-        # atomic and idempotent, so shared readers need no synchronization
+        # caches filled on first use; assigning an immutable value is atomic
+        # and idempotent, so shared readers need no synchronization
         object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "_reach", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -194,6 +210,13 @@ class LieAlgebra:
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
+
+    def _reaches(self) -> tuple[int, ...]:
+        """Per generator k, the mask of k and of the indices in the monomials
+        of d e_k: the generators whose differentials d(d e_k) reads."""
+        if self._reach is None:
+            object.__setattr__(self, "_reach", tuple(reduce(or_, f.terms, 1 << k) for k, f in enumerate(self.diffs)))
+        return self._reach
 
     def lie_derivative(self, v: Vector, form: KForm) -> KForm:
         """Cartan formula: L_v = i_v d + d i_v."""

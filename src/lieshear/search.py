@@ -7,7 +7,7 @@ from itertools import combinations, product
 from math import comb, lcm
 from operator import mul
 
-from .exterior import Coeff, KForm, Vector, _as_fraction, interior, wedge
+from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
 from .geometry import preserves_closure
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, validate_shear
@@ -113,8 +113,12 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     closed) is dropped unbuilt; one that passes preserves every form, and
     validate_shear, which reads its validity off the base's monomial defects,
     only confirms it.  A candidate with an X-leg goes through validate_shear
-    and every preservation predicate.  Every hit's algebra gets the Jacobi
-    re-check.
+    and every preservation predicate.  Each candidate's F0 is assembled from
+    the checked support and coefficients; its F_eff = -(1/a) F0 and its
+    ShearData reuse -1/a, X, alpha and a, checked once per search.  Every
+    hit's algebra gets the Jacobi re-check, on the generators X touches and
+    those whose d e_k has a monomial on one of them: for every other
+    generator d(d e_k) is the base's, zero when the base passes (LieAlgebra).
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -127,6 +131,8 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
     if not spec.a:
         raise ShearDataError("transfer constant a must be nonzero")
+    neg_inv_a = -1 / spec.a
+    masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     columns = _condition_columns(spec, base, support)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
@@ -136,14 +142,12 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
             if screened and not base.eta_closed:
                 continue
             rows = [r for r in zip(*cols) if any(r)] if screened else []
+            mons = [masks[m] for m in monomials]
             for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
                 if any(sum(map(mul, ks, r)) for r in rows):
                     continue
-                terms = {}
-                for (i, j), c in zip(monomials, coeffs):
-                    terms[(1 << (i - 1)) | (1 << (j - 1))] = c
-                f0 = KForm(n, 2, terms)
-                data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
+                f0 = _make(n, 2, dict(zip(mons, coeffs)))
+                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
                 report = validate_shear(spec.base, data, base)
                 if report.valid and (screened or all(preserves_closure(spec.base, spec.X, f0, s)
                                                      for s in spec.preserve)):

@@ -85,6 +85,18 @@ class ShearData:
             if val != 0:
                 raise ShearDataError(f"eta_g(X) must vanish, got {val}")
 
+    @classmethod
+    def _trusted(cls, X: Vector, alpha: KForm, F0: KForm, a: Fraction, f_eff: KForm) -> "ShearData":
+        """ShearData without the checks of __post_init__, for a search.
+
+        The caller vouches for them: ShearBase.prepare checked X and alpha,
+        a is a nonzero Fraction, F0 a two-form of the same dimension, and
+        f_eff is -(1/a) * F0.
+        """
+        data = object.__new__(cls)
+        data.__dict__.update(X=X, alpha=alpha, F0=F0, a=a, eta_g=None, f_eff=f_eff)
+        return data
+
     @cached_property
     def f_eff(self) -> KForm:
         """Effective deformation -(1/a) * F0 entering the new differential."""
@@ -292,9 +304,12 @@ def _shear_by(g: LieAlgebra, X: Vector, f_eff: KForm, guard: bool = False) -> Li
 
     With `guard`, f_eff comes from a valid shear, and an algebra failing
     Jacobi raises: the runtime guard of the validity <=> Jacobi equivalence,
-    kept under `python -O`.
+    kept under `python -O`.  The guard's check starts from g, so it covers
+    the generators X touches and those whose d e_k touches them (LieAlgebra);
+    without it the check is the full one, the oracle of the equivalence.
     """
-    sheared = LieAlgebra([diff + comp * f_eff if comp else diff for diff, comp in zip(g.diffs, X.components)])
+    diffs = [diff + comp * f_eff if comp else diff for diff, comp in zip(g.diffs, X.components)]
+    sheared = LieAlgebra(diffs, _base=g if guard else None)
     if guard and not sheared.jacobi_check().passed:
         raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {f_eff}")
     return sheared

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from corpus import (change_basis, g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian, random_nilpotent,
                     random_solvable_extension, reference_shear_lines)
 from lieshear import (
+    JacobiReport,
     KForm,
     LieAlgebra,
     SalamonError,
@@ -348,6 +350,71 @@ class TestJacobi:
         rep = g.jacobi_check()
         assert not rep.passed
         assert rep.failures == ((4, mono(4, (1, 2, 3))),)
+
+
+S5 = "(51,52,53,2.54,0)"
+# bases for a shear-shaped change d e_j + x_j F; the last two fail Jacobi
+INCREMENTAL_BASES = [*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
+                     parse_salamon("(12,34,0,0)"), parse_salamon("(0,12,0,23)")]
+
+
+def incremental_report(g, x, f):
+    """The Jacobi report of d e_j + x_j F checked from the base g, after
+    asserting that it is the full check's."""
+    diffs = [diff + c * f if c else diff for diff, c in zip(g.diffs, x)]
+    report = LieAlgebra(diffs, _base=g).jacobi_check()
+    assert report == LieAlgebra(list(diffs)).jacobi_check()
+    return report
+
+
+@st.composite
+def shear_changes(draw):
+    g = draw(st.sampled_from(INCREMENTAL_BASES))
+    x = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=g.dim, max_size=g.dim))
+    # frame monomials off X's support: on the abelian base such an F always passes
+    leg_free = draw(st.booleans())
+    masks = [(1 << i) | (1 << j) for i, j in combinations(range(g.dim), 2)
+             if not (leg_free and (x[i] or x[j]))]
+    coeffs = st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)])
+    terms = draw(st.dictionaries(st.sampled_from(masks), coeffs, max_size=3)) if masks else {}
+    return g, x, KForm(g.dim, 2, terms)
+
+
+class TestIncrementalJacobi:
+    @settings(max_examples=300, deadline=None)
+    @given(shear_changes())
+    def test_report_equals_the_full_check(self, change):
+        incremental_report(*change)
+
+    @pytest.mark.parametrize("algebra, x, f, failures", [
+        # valid and invalid shears along one and along several frame vectors
+        (S5, (0, 0, 0, 1, 0), mono(5, (1, 2)), ()),
+        (S5, (1, 1, 0, 0, 0), mono(5, (3, 5)), ()),
+        (S5, (1, 1, 0, 0, 0), mono(5, (2, 3)), ((1, mono(5, (2, 3, 5))), (2, mono(5, (2, 3, 5))))),
+        # only d e_3 = e12 fails: unchanged, but its monomial touches the changed e_1
+        ("(0,0,12)", (1, 0, 0), mono(3, (1, 3)), ((3, mono(3, (1, 2, 3), -1)),)),
+        # the base fails Jacobi at e_1, which neither changed nor touches e_3
+        ("(12,34,0,0)", (0, 0, 1, 0), mono(4, (1, 2)),
+         ((1, mono(4, (1, 3, 4), -1)), (2, mono(4, (1, 2, 4))), (3, mono(4, (1, 3, 4), -1)))),
+    ], ids=["valid-basis-x", "valid-two-component-x", "invalid-two-component-x", "touching-only",
+            "failing-base"])
+    def test_pinned_changes(self, algebra, x, f, failures):
+        report = incremental_report(parse_salamon(algebra), x, f)
+        assert report == JacobiReport(not failures, failures)
+
+    def test_checks_only_the_changed_and_touching_generators(self, monkeypatch):
+        # S5 = (51,52,53,2.54,0): changing d e_4 leaves d e_1, d e_2, d e_3 and
+        # d e_5 alone, and only d e_4 has a monomial on e_4
+        g = parse_salamon(S5)
+        diffs = [*g.diffs[:3], g.diffs[3] + mono(5, (1, 2)), g.diffs[4]]
+        checked = []
+        real = LieAlgebra.d
+        monkeypatch.setattr(LieAlgebra, "d", lambda self, form: checked.append(form) or real(self, form))
+        LieAlgebra(diffs, _base=g)
+        assert checked == [diffs[3]]
+        checked.clear()
+        LieAlgebra(diffs)
+        assert checked == diffs
 
 
 class TestBracket:

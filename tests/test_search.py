@@ -171,6 +171,22 @@ class TestEnumerate:
         with pytest.raises(ShearDataError, match=r"^alpha\(X\) must be 1, got 2$"):
             enumerate_f0(wrong)
 
+    @pytest.mark.parametrize("a", [-1, 2, Fraction(-1, 2), Fraction(3, 4)])
+    def test_per_search_constants_give_the_reference_hits(self, a):
+        # F0 is assembled from the coefficients and F_eff from -1/a, fixed per
+        # search, on leg-free and X-leg candidates alike
+        coefficients = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))
+        for spec in (spec_on(g_lm(1, 2), 1, max_terms=2, coefficients=coefficients, a=a),
+                     spec_on(parse_salamon(S5), 4, support=((1, 2), (1, 4), (2, 3), (3, 4), (4, 5)),
+                             max_terms=2, coefficients=coefficients, a=a)):
+            hits = enumerate_f0(spec)
+            assert len(hits) > 1
+            assert hits == reference_enumerate_f0(spec)
+            for h in hits:
+                assert h.report.f_eff == (-1 / spec.a) * h.f0
+        with pytest.raises(ShearDataError, match="^transfer constant a must be nonzero$"):
+            enumerate_f0(dataclasses.replace(spec, a=0))
+
     def test_validate_shear_judges_what_the_screen_lets_through(self, monkeypatch):
         # a screen that passes every leg-free candidate sends invalid F0 to
         # validate_shear too, which refuses them: the hits stay the same
