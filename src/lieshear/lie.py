@@ -16,14 +16,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
-from operator import or_
+from math import gcd, lcm
+from operator import mul, or_
 from typing import Callable, Sequence
 
 from . import linalg
 from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
 
-Subspace = tuple[tuple[Fraction, ...], ...]
+Subspace = tuple[tuple[Fraction, ...], ...]  # reduced echelon rows, pivots 1: the public form
+Rows = tuple[linalg.Row, ...]  # primitive integer echelon rows (linalg): the form computed on
 
 
 class SalamonError(ValueError):
@@ -191,22 +192,18 @@ class LieAlgebra:
                 out = [o + x * c for o, c in zip(out, col)]
         return Vector(out)
 
-    def _terms(self, integral: bool = False) -> list[tuple[int, int, int, Coeff]]:
-        """(i, j, k, c) for each term c e_ij (0-based i < j) of d e_k.
+    def _terms(self) -> list[tuple[int, int, int, Coeff]]:
+        """(i, j, k, c) for each term c e_ij (0-based i < j) of d e_k."""
+        return [((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
+                for k, f in enumerate(self.diffs) for mask, c in f.terms.items()]
 
-        With `integral`, every c is scaled to an int by the lcm of all their
-        denominators; a span of brackets is blind to that common factor.
-        """
-        terms = [
-            ((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
-            for k, f in enumerate(self.diffs)
-            for mask, c in f.terms.items()
-        ]
-        if integral:
-            scale = lcm(*(c.denominator for *_, c in terms))
-            if scale != 1:
-                terms = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in terms]
-        return terms
+    def _int_terms(self) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """(scale, terms): `_terms` with each c times scale, the lcm of their denominators."""
+        terms = self._terms()
+        scale = lcm(*(c.denominator for *_, c in terms))
+        if scale != 1:
+            terms = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in terms]
+        return scale, terms
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
@@ -226,19 +223,15 @@ class LieAlgebra:
 
     # -- series and classification -------------------------------------------
 
-    def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
-        # a span is blind to the scale of each bracket: bracket primitive integer
-        # rows through the structure constants scaled to ints by one common lcm.
-        # One pass over the terms per right row v gives the columns [E_i, v];
-        # then [u, v] sums u_i [E_i, v] over the nonzero u_i only, a column
-        # lookup for the unit rows of a lower-central step
-        n = self.dim
-        terms = self._terms(integral=True)
-        supports = [[(i, x) for i, x in enumerate(linalg.primitive(u)) if x] for u in left]
-        supports = [s for s in supports if s]
+    def _bracket_span(self, left: Rows, right: Rows, terms) -> Rows:
+        # a span is blind to the scale of each bracket: bracket the integer rows
+        # through the `_int_terms`.  One pass over the terms per right row v
+        # gives the columns [E_i, v]; then [u, v] sums u_i [E_i, v] over the
+        # nonzero u_i only, a column lookup for the unit rows of a lower-central step
+        supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
         vecs = []
         for v in right:
-            cols = _columns(terms, linalg.primitive(v), n)
+            cols = _columns(terms, v, self.dim)
             for (i, x), *rest in supports:
                 b = cols[i] if x == 1 else [x * c for c in cols[i]]
                 for i, x in rest:
@@ -247,32 +240,32 @@ class LieAlgebra:
                     vecs.append(b)
         return linalg.span_rref(vecs)
 
-    def _compute_series(self) -> SeriesReport:
-        full = linalg.identity(self.dim)  # already in reduced echelon form
-        lower = _chain(self._bracket_span(full, full), lambda s: self._bracket_span(full, s))
-        derived = _chain(lower[0], lambda s: self._bracket_span(s, s))
-        is_nilpotent = not lower[-1]
-        is_solvable = not derived[-1]
-        return SeriesReport(
-            lower_central=tuple(lower),
-            derived=tuple(derived),
-            is_abelian=not lower[0],
-            is_nilpotent=is_nilpotent,
-            is_solvable=is_solvable,
-            step_length=len(lower) if is_nilpotent else None,
-            derived_length=len(derived) if is_solvable else None,
-        )
-
     def series(self) -> SeriesReport:
+        """The series report; `_series` caches it with its lower central and derived chains as `Rows`."""
         if not self._jacobi.passed:
             raise ValueError("series undefined: the Jacobi identity fails")
         if self._series is None:
-            object.__setattr__(self, "_series", self._compute_series())
-        return self._series
+            terms = self._int_terms()[1]
+            full = tuple([tuple([int(i == j) for j in range(self.dim)]) for i in range(self.dim)])
+            lower = _chain(self._bracket_span(full, full, terms), lambda s: self._bracket_span(full, s, terms))
+            derived = _chain(lower[0], lambda s: self._bracket_span(s, s, terms))
+            is_nilpotent, is_solvable = not lower[-1], not derived[-1]
+            report = SeriesReport(
+                lower_central=tuple(map(linalg.reduced, lower)),
+                derived=tuple(map(linalg.reduced, derived)),
+                is_abelian=not lower[0],
+                is_nilpotent=is_nilpotent,
+                is_solvable=is_solvable,
+                step_length=len(lower) if is_nilpotent else None,
+                derived_length=len(derived) if is_solvable else None,
+            )
+            object.__setattr__(self, "_series", (report, lower, derived))
+        return self._series[0]
 
     def twist_filtration(self) -> Filtration:
         """Dual filtration V_i = Ann(n^(r-i)) of a nilpotent algebra."""
         rep = self.series()
+        _, lower, _ = self._series
         if not rep.is_nilpotent:
             raise ValueError("twist filtration requires a nilpotent algebra")
         # chain[i] = Ann(n^(r-i)), i = 0..r-1, from n^(r) = 0 up to n^(1).
@@ -281,7 +274,7 @@ class LieAlgebra:
         # Lambda^2 V_{i+1} when X . d(phi) = 0 for every X in n^(k-1) (n^(0) = g).
         # For phi in V_i = Ann(n^(k)), (X . d(phi))(A) = -phi([X, A]) = 0, since
         # [X, A] lies in n^(k) = [g, n^(k-1)], which `_bracket_span` builds.
-        chain = [linalg.nullspace(n_k, ncols=self.dim) for n_k in reversed(rep.lower_central)]
+        chain = [linalg.reduced(linalg.nullspace(n_k, ncols=self.dim)) for n_k in reversed(lower)]
         return Filtration(chain=tuple(chain))
 
     def is_almost_abelian(self) -> tuple[bool | None, str]:
@@ -291,10 +284,11 @@ class LieAlgebra:
         codimension >= 3, which is reported as undecided (None).
         """
         rep = self.series()
+        _, _, derived = self._series
         if rep.is_abelian:
             return True, "abelian"
-        dsub = rep.derived[0]
-        if len(rep.derived) == 1 or rep.derived[1]:  # [g', g'] != 0
+        dsub = derived[0]
+        if len(derived) == 1 or derived[1]:  # [g', g'] != 0
             return False, (
                 "derived subalgebra is non-abelian and every codimension-one "
                 "abelian ideal would have to contain it"
@@ -304,15 +298,15 @@ class LieAlgebra:
             return True, "derived subalgebra is an abelian ideal of codimension one"
         if codim == 2:
             cent = self._centralizer(dsub)
-            if len(linalg.span_rref(list(dsub) + list(cent))) > len(dsub):  # cent not inside g'
+            if len(linalg.span_rref(dsub + cent)) > len(dsub):  # cent not inside g'
                 return True, "derived subalgebra extends by a centralizing line to an abelian hyperplane"
             return False, "no centralizer of the derived subalgebra outside itself"
         return None, "undecided: abelian derived subalgebra of codimension >= 3"
 
-    def _centralizer(self, rows: Subspace) -> Subspace:
+    def _centralizer(self, rows: Rows) -> Rows:
         # {v : [v, u] = 0 for every row u}, [v, u] = sum_i v_i [E_i, u]: each u gives
-        # the rows of the matrix whose columns are the [E_i, u]
-        terms = self._terms()
+        # the rows of the matrix whose columns are the [E_i, u], blind to their scale
+        terms = self._int_terms()[1]
         stacked = [row for u in rows for row in zip(*_columns(terms, u, self.dim))]
         return linalg.nullspace(stacked, ncols=self.dim)
 
@@ -322,64 +316,62 @@ class LieAlgebra:
         """Simultaneous rational eigenspaces of the complement action on the
         last nonzero lower-central term of the derived subalgebra."""
         rep = self.series()
+        _, _, derived = self._series
         if not rep.is_solvable:
             raise ValueError("shear lines require a solvable algebra")
         if rep.is_abelian:
             raise ValueError("abelian algebra has no canonical line")
-        dsub = rep.derived[0]
-        # lower central series of n = g' (brackets taken inside n)
-        lower = _chain(dsub, lambda s: self._bracket_span(dsub, s))
+        dsub, n = derived[0], self.dim
+        scale, terms = self._int_terms()
+        # lower central series of n = g' (brackets taken inside n): [n, n] = g''
+        lower = [dsub, *_chain(derived[1], lambda s: self._bracket_span(dsub, s, terms))]
         if lower[-1]:
             raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
         target = lower[-2]  # last nonzero term (n itself when n is abelian)
-        complement = linalg.complement(dsub, self.dim)
-        terms = self._terms()
-        spaces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), target)]
+        complement = linalg.complement(dsub, n)
+        spaces: list[tuple[tuple[Fraction, ...], Rows]] = [((), target)]
         nonrational = False
         for gen in complement:
             # column gen of the brackets [E_i, b] reads only the terms with a leg on gen
             acting = [term for term in terms if gen in term[:2]]
-            refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
+            refined: list[tuple[tuple[Fraction, ...], Rows]] = []
             for eigs, basis in spaces:
-                # the acting frame vector maps each basis row b to [E_gen, b],
-                # column gen of the brackets [E_i, b].  The basis is reduced
-                # echelon, so a vector in its span is the combination of the
-                # rows given by its own pivot entries: image j has coordinates
-                # images[j][p_i], and must match that combination off the pivots
-                images = [_columns(acting, b, self.dim)[gen] for b in basis]
+                # the acting frame vector maps b_j to [E_gen, b_j] = images[j] / scale.  At
+                # the pivot p_i of b_i the other rows vanish, so a vector v of the span is
+                # sum_i v[p_i] / b_i[p_i] b_i: that reads the restricted matrix in the
+                # basis b, and eliminating each pivot from an image must leave zero
+                images = [_columns(acting, b, n)[gen] for b in basis]
                 pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
-                free = [c for c in range(self.dim) if c not in pivots]
-                coords = [[im[p] for p in pivots] for im in images]
-                if any(im[c] != sum(x * b[c] for x, b in zip(xs, basis) if x)
-                       for im, xs in zip(images, coords) for c in free):
-                    raise RuntimeError("complement action does not preserve the target subspace")
-                restricted = linalg.transpose(coords)
+                for im in images:
+                    for b, p in zip(basis, pivots):
+                        im = [b[p] * x - im[p] * y for x, y in zip(im, b)] if im[p] else im
+                    if any(im):
+                        raise RuntimeError("complement action does not preserve the target subspace")
+                restricted = [[Fraction(im[p], scale * b[p]) for im in images] for b, p in zip(basis, pivots)]
                 roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
-                if leftover:
-                    nonrational = True
-                k = len(basis)
-                to_ambient = linalg.transpose(basis)
+                nonrational = nonrational or bool(leftover)
+                columns = list(zip(*basis))
                 # roots ascend and each chain occurs once, so `refined` comes out
-                # sorted.  Rows of the nullspace are reduced echelon coefficients
-                # of reduced echelon rows, so their combinations need no span_rref:
-                # they are reduced echelon already, with pivots among the p_i
+                # sorted.  A nullspace row y is reduced echelon with a positive pivot,
+                # and so is sum_i y_i b_i, whose entry at p_i is y_i b_i[p_i]
                 for root, _mult in roots:
                     shifted = [[x - root if i == j else x for j, x in enumerate(row)]
                                for i, row in enumerate(restricted)]
-                    eigvecs = (linalg.mat_vec(to_ambient, c) for c in linalg.nullspace(shifted, ncols=k))
-                    refined.append((eigs + (root,), tuple(map(tuple, eigvecs))))
+                    sums = [[sum(map(mul, y, col)) for col in columns] for y in linalg.nullspace(shifted, len(basis))]
+                    eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
+                    refined.append((eigs + (root,), eigvecs))
             spaces = refined
-        eig = tuple(EigenSpace(eigenvalues=e, basis=b) for e, b in spaces)
+        eig = tuple(EigenSpace(eigenvalues=e, basis=linalg.reduced(b)) for e, b in spaces)
         return ShearLineReport(
-            derived_subalgebra=dsub,
-            target=target,
-            acting=tuple(Vector.basis(self.dim, j + 1) for j in complement),
+            derived_subalgebra=rep.derived[0],
+            target=linalg.reduced(target),
+            acting=tuple(Vector.basis(n, j + 1) for j in complement),
             eigenspaces=eig,
             nonrational_present=nonrational,
         )
 
 
-def _chain(first: Subspace, step: Callable[[Subspace], Subspace]) -> list[Subspace]:
+def _chain(first: Rows, step: Callable[[Rows], Rows]) -> list[Rows]:
     """first, step(first), ... up to the first zero term, or up to the term
     before the first repeat."""
     chain = [first]

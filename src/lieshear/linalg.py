@@ -1,17 +1,16 @@
 """Exact linear algebra over the rationals: RREF, subspaces, char polys, rational roots.
 
-Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`;
-the entries of every matrix or vector returned are `Fraction`.  The arithmetic
-inside runs on `int`s: `rref` eliminates on each row's primitive integer
-multiple (`primitive`), which has the same span and leads to the same reduced
-echelon form, `charpoly` works on the integer matrix L*A, and
-`rational_roots` bisects integer polynomials; only the returned entries are
-built as Fractions.  `rational_roots` neither factors nor searches divisors:
-its work is polynomial in the bit length of the coefficients, so no input
-makes it run unbounded.  Subspaces are represented by
-their reduced row echelon basis (zero rows dropped), which makes every
-subspace computation deterministic and equality a tuple comparison.  The
-subspace questions of the package are asked here:
+Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`.
+Inside the package a subspace is the tuple of its reduced row echelon rows
+(zero rows dropped), each the primitive integer multiple with a positive
+pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
+is canonical, so subspace equality is a tuple comparison; `reduced` gives the
+`Fraction` rows with pivot 1 that the public reports hold.  `charpoly` works
+on the integer matrix L*A and `rational_roots` bisects integer polynomials;
+only their returned entries are Fractions.  `rational_roots` neither factors
+nor searches divisors: its work is polynomial in the bit length of the
+coefficients, so no input makes it run unbounded.  The subspace questions of
+the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
@@ -25,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-Row = tuple[Fraction, ...]
+Row = tuple[int, ...]
 Matrix = list[list[Fraction]]
 
 
@@ -49,11 +48,12 @@ def primitive(row: Sequence) -> list[int]:
 def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
-    Fraction-free Gauss-Jordan on primitive integer rows: eliminating column c
-    with pivot p from a row with entry f there is row <- p*row - f*pivot_row,
-    kept primitive.  Only the output rows, divided by their pivots, are Fractions.
+    Fraction-free Gauss-Jordan on integer rows, a row with a Fraction entry
+    made `primitive` first: eliminating column c with pivot p from a row with
+    entry f there is row <- p*row - f*pivot_row, kept primitive.  Each output
+    row is the primitive multiple, pivot positive, of the one with pivot 1.
     """
-    m = [primitive(row) for row in vectors]
+    m = [row if {*map(type, row)} == {int} else primitive(row) for row in vectors]
     pivots: list[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
@@ -73,10 +73,9 @@ def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]
         r += 1
         if r == len(m):
             break
-    zero = Fraction(0)
-    return tuple(
-        tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(m, pivots)
-    ), tuple(pivots)
+    signed = ((row, gcd(*row) if row[c] > 0 else -gcd(*row)) for row, c in zip(m, pivots))
+    # tuples of lists: a tuple of a generator is resized from a guess, which fills free lists
+    return tuple([tuple([x // g for x in row]) for row, g in signed]), tuple(pivots)
 
 
 def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
@@ -84,24 +83,33 @@ def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
     return rref(vectors)[0]
 
 
+def reduced(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
+    """The `Fraction` reduced echelon rows, each with pivot 1, of echelon `int` rows."""
+    zero = Fraction(0)
+    return tuple([tuple([Fraction(x, p) if x else zero for x in row])
+                  for row in rows for p in (next(filter(None, row)),)])
+
+
 def nullspace(vectors: Sequence[Sequence], ncols: int) -> tuple[Row, ...]:
     """Echelon basis of {x : M x = 0} for the matrix with the given rows.
 
     One elimination of M with its columns reversed: in the reversed form, free
-    column f gives the kernel vector that is 1 at f, 0 at the other free
-    columns and nonzero only at pivot columns before f.  Reversed back and
-    taken in descending f, these vectors are already the reduced echelon basis.
+    column f gives the kernel vector that is L at f, 0 at the other free
+    columns and -row[f] L / row[pc] at each pivot column pc before f, L the lcm
+    of those pivots.  Reversed back and taken in descending f, these vectors
+    are already the reduced echelon basis, with the positive leading entry L.
     """
     red, pivots = rref([row[::-1] for row in vectors])
     basis = []
     for fc in reversed(range(ncols)):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v[::-1]))
+        scale = lcm(*(row[pc] for row, pc in zip(red, pivots) if row[fc]))
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(tuple([x // g for g in (gcd(*v),) for x in reversed(v)]))
     return tuple(basis)
 
 

@@ -100,7 +100,7 @@ class ShearData:
     @cached_property
     def f_eff(self) -> KForm:
         """Effective deformation -(1/a) * F0 entering the new differential."""
-        return (-1 / self.a) * self.F0
+        return self.F0 * (-1 / self.a)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     q = next((q for q in reversed(range(g.dim)) if x[q]), None)
     if q is None:
         return None
-    brackets = _columns(g._terms(integral=True), x, g.dim)
+    brackets = _columns(g._int_terms()[1], x, g.dim)
     for j, xj in enumerate(x):
         if j != q and any(x[q] * b[j] - xj * b[q] for b in brackets):
             return one_form([Fraction(k == j) if k != q else Fraction(-xj, x[q]) for k in range(g.dim)])
@@ -163,7 +163,7 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
     if bad is not None:
         raise ShearDataError(f"span(X) is not an ideal: i_X d({bad}) != 0")
     dalpha = g.d(alpha)
-    eta = -1 * interior(X, dalpha)
+    eta = -interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
     f = dalpha - wedge(eta, alpha)
     return DecompResult(eta=eta, f=f, eta_bracket=-eta)  # see DecompResult
@@ -245,7 +245,7 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         eta0_closed = base.eta_closed
         dnu_wedge_nu_zero = dnu_zero = True
     else:
-        eta_prime = (1 / data.a) * nu  # -X . F_eff, as F_eff = -(1/a) F0
+        eta_prime = nu * (1 / data.a)  # -X . F_eff, as F_eff = -(1/a) F0
         eta_0 = decomp.eta + eta_prime  # eta - X . F_eff
         f_prime = f_eff - wedge(eta_prime, data.alpha)
         df_ok = g.d(f_eff) == wedge(eta_0, f_eff)
@@ -308,7 +308,7 @@ def _shear_by(g: LieAlgebra, X: Vector, f_eff: KForm, guard: bool = False) -> Li
     the generators X touches and those whose d e_k touches them (LieAlgebra);
     without it the check is the full one, the oracle of the equivalence.
     """
-    diffs = [diff + comp * f_eff if comp else diff for diff, comp in zip(g.diffs, X.components)]
+    diffs = [diff + f_eff * comp if comp else diff for diff, comp in zip(g.diffs, X.components)]
     sheared = LieAlgebra(diffs, _base=g if guard else None)
     if guard and not sheared.jacobi_check().passed:
         raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {f_eff}")
@@ -331,7 +331,7 @@ def is_automorphic(g: LieAlgebra, data: ShearData, form: KForm) -> tuple[bool, K
     if data.eta_g is None:
         raise ShearDataError("is_automorphic needs eta_g in the shear data")
     nu = interior(data.X, data.F0)
-    gamma = (1 / data.a) * nu - data.eta_g
+    gamma = nu * (1 / data.a) - data.eta_g
     lhs = g.lie_derivative(data.X, form)
     rhs = wedge(gamma, interior(data.X, form))
     return lhs == rhs, gamma
@@ -398,7 +398,7 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
             leg = interior(v, f2)
             if not leg.is_zero():
                 raise TwistError(f"F is not in Lambda^2 V1: i_v F = {leg} for v = {format_vector(v)}")
-    data = ShearData(X=(1 / alpha(z)) * z, alpha=alpha, F0=f2, a=Fraction(-1))
+    data = ShearData(X=z * (1 / alpha(z)), alpha=alpha, F0=f2, a=Fraction(-1))
     report = validate_shear(g, data)
     if not (report.decomp.eta.is_zero() and report.eta_prime.is_zero()):
         raise TwistError("twist data produced nonzero eta parts")

@@ -196,19 +196,82 @@ def random_solvable_extension(rng: random.Random) -> LieAlgebra:
     return change_basis(LieAlgebra(diffs + [KForm.zero(n, 2)] * m), rng.randrange(1 << 32), 2 * n)
 
 
+def reference_rref(vectors):
+    """Gauss-Jordan on Fraction rows: the reduced rows with pivot 1, and the pivots."""
+    m = [[Fraction(x) for x in row] for row in vectors]
+    if not m:
+        return (), ()
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def reference_nullspace(vectors, ncols):
+    """{x : M x = 0} from the free columns of reference_rref, reduced by a second elimination."""
+    red, pivots = reference_rref(vectors)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return reference_rref(basis)[0]
+
+
+def reference_ad(g: LieAlgebra, v) -> list[list]:
+    """ad(v) built entry by entry, as the package did before brackets were
+    read off the terms of d e_k: a term c e_ij (i < j) of d e_k puts -c v_i in
+    column j and +c v_j in column i of row k."""
+    comps = [x.numerator if x.denominator == 1 else x for x in v]
+    rows = []
+    for f in g.diffs:
+        row = [0] * g.dim
+        for mask, c in f.terms.items():
+            i = (mask & -mask).bit_length() - 1
+            j = mask.bit_length() - 1
+            row[j] -= c * comps[i]
+            row[i] += c * comps[j]
+        rows.append([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
+    return rows
+
+
+def reference_bracket_span(g: LieAlgebra, left, right):
+    """The reduced Fraction rows of span{[u, v]}: the dense ad(u) applied to
+    each v with n^2 Fraction products, then reference_rref."""
+    vecs = [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in reference_ad(g, u)]
+            for u in left for v in right]
+    return reference_rref(vecs)[0]
+
+
 def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
-    """find_shear_lines with its eigen step done by eliminations: one rref of
-    [basis^T | images] gives each restricted matrix (a pivot among the
-    images' columns means an image left the space), each root's eigenvectors
-    go through span_rref, and the refined spaces are sorted.  The oracle for
-    find_shear_lines' reports and refusals."""
+    """find_shear_lines on Fraction rows, with its brackets taken from the
+    dense reference_ad and its eigen step done by eliminations: one
+    reference_rref of [basis^T | images] gives each restricted matrix (a pivot
+    among the images' columns means an image left the space), each root's
+    eigenvectors are reduced again, and the refined spaces are sorted.  The
+    oracle for find_shear_lines' reports and refusals."""
     rep = g.series()
     if not rep.is_solvable:
         raise ValueError("shear lines require a solvable algebra")
     if rep.is_abelian:
         raise ValueError("abelian algebra has no canonical line")
     dsub = rep.derived[0]
-    lower = _chain(dsub, lambda s: g._bracket_span(dsub, s))
+    lower = _chain(dsub, lambda s: reference_bracket_span(g, dsub, s))
     if lower[-1]:
         raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
     target = lower[-2]
@@ -216,11 +279,12 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
     spaces = [((), target)]
     nonrational = False
     for a in acting:
+        ad_a = reference_ad(g, a.components)
         refined = []
         for eigs, basis in spaces:
             k = len(basis)
-            images = [g.bracket(a, Vector(b)).components for b in basis]
-            red, pivots = linalg.rref([[*row, *(im[i] for im in images)] for i, row in enumerate(zip(*basis))])
+            images = [[sum((x * y for x, y in zip(row, b)), Fraction(0)) for row in ad_a] for b in basis]
+            red, pivots = reference_rref([[*row, *(im[i] for im in images)] for i, row in enumerate(zip(*basis))])
             if pivots and pivots[-1] >= k:
                 raise RuntimeError("complement action does not preserve the target subspace")
             restricted = [[Fraction(0)] * k for _ in range(k)]
@@ -230,8 +294,9 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
             nonrational = nonrational or bool(leftover)
             for root, _mult in roots:
                 shifted = [[x - root if i == j else x for j, x in enumerate(row)] for i, row in enumerate(restricted)]
-                eigvecs = [linalg.mat_vec(linalg.transpose(basis), c) for c in linalg.nullspace(shifted, k)]
-                refined.append((eigs + (root,), linalg.span_rref(eigvecs)))
+                eigvecs = [[sum((c * b[col] for c, b in zip(y, basis)), Fraction(0)) for col in range(g.dim)]
+                           for y in reference_nullspace(shifted, k)]
+                refined.append((eigs + (root,), reference_rref(eigvecs)[0]))
         spaces = sorted(refined)
     return ShearLineReport(dsub, target, acting, tuple(EigenSpace(e, b) for e, b in spaces), nonrational)
 
@@ -415,7 +480,7 @@ def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     frame = linalg.identity(g.dim)
     rows = [*w_rows, *(frame[j] for j in linalg.complement([*w_rows, alpha_row], g.dim)), alpha_row]
     # the n x n system rows X = (0, ..., 0, 1), by one elimination of [rows | rhs]
-    red, pivots = linalg.rref([[*row, int(k == g.dim - 1)] for k, row in enumerate(rows)])
+    red, pivots = reference_rref([[*row, int(k == g.dim - 1)] for k, row in enumerate(rows)])
     assert pivots == tuple(range(g.dim)), "the splitting is not a basis of g*"
     data = ShearData(X=Vector([row[-1] for row in red]), alpha=alpha, F0=f2)
     return _sheared(g, data, validate_shear(g, data))

@@ -624,6 +624,33 @@ class TestLieDerivative:
 
 
 class TestShearLines:
+    def test_starts_from_the_series_second_derived_term(self, monkeypatch):
+        # the lower central series of g' begins g', [g', g'], and [g', g'] is the
+        # series' own second derived term: no bracket span recomputes it
+        g = h_lm(1, 2)
+        g.series()
+        _, _, derived = g._series
+        rights = []
+        bracket_span = LieAlgebra._bracket_span
+
+        def recorded(self, left, right, terms):
+            rights.append(right)
+            return bracket_span(self, left, right, terms)
+
+        monkeypatch.setattr(LieAlgebra, "_bracket_span", recorded)
+        g.find_shear_lines()
+        assert len(derived) == 3 and rights == [derived[1]]
+
+    def test_reads_the_integral_terms_once_per_call(self, monkeypatch):
+        calls = []
+        int_terms = LieAlgebra._int_terms
+        monkeypatch.setattr(LieAlgebra, "_int_terms", lambda self: calls.append(1) or int_terms(self))
+        g = h_lm(1, 2)  # the series takes four bracket span steps, find_shear_lines one
+        g.series()
+        assert len(calls) == 1
+        g.find_shear_lines()
+        assert len(calls) == 2
+
     def test_solvable_example(self):
         rep = parse_salamon("(51,52,53,2.54,0)").find_shear_lines()
         assert [v.components for v in rep.acting] == [Vector.basis(5, 5).components]
@@ -703,7 +730,7 @@ class TestShearLines:
             eigenvalues = [es.eigenvalues for es in got.eigenspaces]
             assert eigenvalues == sorted(set(eigenvalues))
             for es in got.eigenspaces:
-                assert es.basis == linalg.span_rref(es.basis)
+                assert es.basis == linalg.reduced(linalg.span_rref(es.basis))
             seen["three acting"] += len(got.acting) >= 3
             seen["plane"] += any(len(es.basis) > 1 for es in got.eigenspaces)
             seen["tilted"] += any(sum(map(bool, row)) > 1 for row in got.target)
@@ -722,11 +749,15 @@ class TestShearLines:
     def test_an_image_off_the_target_is_refused(self, monkeypatch, text, term):
         g = parse_salamon(text)
         assert g.find_shear_lines() == reference_shear_lines(g)
-        # the series reads the integral terms, the refinement the plain ones:
-        # only the refinement sees the stray (i, j, k, c) term
-        terms = LieAlgebra._terms
-        monkeypatch.setattr(LieAlgebra, "_terms",
-                            lambda self, integral=False: terms(self, integral) + ([] if integral else [term]))
+        # the series is cached by then, and g' is abelian, so no bracket span
+        # reads the terms again: only the refinement sees the stray (i, j, k, c) term
+        int_terms = LieAlgebra._int_terms
+
+        def with_stray_term(self):
+            scale, terms = int_terms(self)
+            return scale, terms + [term]
+
+        monkeypatch.setattr(LieAlgebra, "_int_terms", with_stray_term)
         with pytest.raises(RuntimeError, match="^complement action does not preserve the target subspace$"):
             g.find_shear_lines()
 

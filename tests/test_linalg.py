@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import reference_det
+from corpus import reference_det, reference_nullspace, reference_rref
 from lieshear import linalg
 
 
@@ -162,32 +163,10 @@ class TestCharpolyRoots:
 
 
 # -- Fraction reference implementations ----------------------------------------
-# Gauss-Jordan, Gaussian elimination and Faddeev-LeVerrier on Fraction rows.
-# The reduced echelon form, the determinant and the characteristic polynomial
-# are unique, so the integer versions in linalg must agree with them exactly.
-
-
-def reference_rref(vectors):
-    m = [[Fraction(x) for x in row] for row in vectors]
-    if not m:
-        return (), ()
-    pivots, r = [], 0
-    for c in range(len(m[0])):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+# Gauss-Jordan (corpus.reference_rref), Gaussian elimination and
+# Faddeev-LeVerrier on Fraction rows.  The reduced echelon form, the
+# determinant and the characteristic polynomial are unique, so the integer
+# versions in linalg must agree with them exactly.
 
 
 def reference_charpoly(a):
@@ -224,16 +203,32 @@ def matrices(draw, max_rows=40, max_cols=8, square=False):
     return rows
 
 
-def all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
+def assert_primitive_echelon(rows):
+    """Every row a tuple of ints with gcd 1 and a positive leading entry."""
+    for row in rows:
+        assert type(row) is tuple and all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and next(x for x in row if x) > 0
+
+
+nonzero_scales = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
 
 
 class TestIntegerElimination:
     @given(matrices())
     def test_rref_matches_fraction_gauss_jordan(self, rows):
-        got = linalg.rref(rows)
-        assert got == reference_rref(rows)
-        assert all_fractions(got[0])
+        # same span and pivots: dividing each row by its pivot gives the reference
+        got, pivots = linalg.rref(rows)
+        want, want_pivots = reference_rref(rows)
+        assert pivots == want_pivots
+        assert linalg.reduced(got) == want
+        assert_primitive_echelon(got)
+        assert all(row[c] > 0 for row, c in zip(got, pivots))
+
+    @given(matrices(max_rows=8), st.data())
+    def test_rref_is_blind_to_row_scale(self, rows, data):
+        scales = data.draw(st.lists(nonzero_scales, min_size=len(rows), max_size=len(rows)))
+        scaled = [[c * x for x in row] for c, row in zip(scales, rows)]
+        assert linalg.rref(scaled) == linalg.rref(rows)
 
     @given(matrices(max_cols=7, square=True))
     def test_charpoly_matches_fraction_faddeev_leverrier(self, a):
@@ -336,21 +331,6 @@ def reference_rational_roots(coeffs):
     return sorted(roots.items(), key=lambda t: t[0]), len(poly) - 1
 
 
-def reference_nullspace(vectors, ncols=None):
-    if not vectors:
-        return tuple(tuple(row) for row in linalg.identity(ncols))
-    n = len(vectors[0])
-    red, pivots = linalg.rref(vectors)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return linalg.span_rref(basis)
-
-
 def poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -443,8 +423,15 @@ class TestOneEliminationNullspace:
     def test_matches_the_two_elimination_nullspace(self, rows):
         ncols = len(rows[0]) if rows else 3
         got = linalg.nullspace(rows, ncols=ncols)
-        assert got == reference_nullspace(rows, ncols)
-        assert all(type(row) is tuple and all_fractions([row]) for row in got)
+        assert linalg.reduced(got) == reference_nullspace(rows, ncols)
+        assert_primitive_echelon(got)
+
+    @given(matrices(max_rows=8))
+    def test_rows_annihilate_the_matrix_by_rank_nullity(self, rows):
+        ncols = len(rows[0]) if rows else 3
+        got = linalg.nullspace(rows, ncols=ncols)
+        assert all(sum(map(mul, row, v)) == 0 for row in rows for v in got)
+        assert len(got) == ncols - len(reference_rref(rows)[1])
 
     @given(matrices(max_rows=8))
     def test_tuple_and_fraction_rows_give_the_same_basis(self, rows):

@@ -3,13 +3,13 @@ import warnings
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import frame_ideal_indices, paper_algebras, random_shears, reference_det
+from corpus import (frame_ideal_indices, paper_algebras, random_shears, reference_ad, reference_bracket_span,
+                    reference_det)
 from lieshear import (
     KForm,
     LieAlgebra,
@@ -269,39 +269,6 @@ class TestJacobiEquivalence:
             assert b.components[k] == -g.diffs[k](v, w)
 
 
-def reference_ad(g: LieAlgebra, v) -> list[list]:
-    """ad(v) built entry by entry, as the package did before brackets were
-    read off the terms of d e_k: a term c e_ij (i < j) of d e_k puts -c v_i in
-    column j and +c v_j in column i of row k."""
-    comps = [x.numerator if x.denominator == 1 else x for x in v]
-    rows = []
-    for f in g.diffs:
-        row = [0] * g.dim
-        for mask, c in f.terms.items():
-            i = (mask & -mask).bit_length() - 1
-            j = mask.bit_length() - 1
-            row[j] -= c * comps[i]
-            row[i] += c * comps[j]
-        rows.append([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
-    return rows
-
-
-def reference_bracket_span(g: LieAlgebra, left, right):
-    """The dense span of brackets: the primitive integer multiple of ad(u) for
-    each left row u, applied to each primitive right row with n^2 products."""
-    n = g.dim
-    right_ints = [linalg.primitive(v) for v in right]
-    vecs = []
-    for u in left:
-        flat = linalg.primitive([x for row in reference_ad(g, linalg.primitive(u)) for x in row])
-        ad_u = [flat[k:k + n] for k in range(0, n * n, n)]
-        for v in right_ints:
-            b = [sum(map(mul, row, v)) for row in ad_u]
-            if any(b):
-                vecs.append(b)
-    return linalg.span_rref(vecs)
-
-
 structure_constants = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5)])
 row_entries = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-2, 5)])
 
@@ -332,7 +299,7 @@ def reference_check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     """The ideal test through d, as the package ran it before it read the
     brackets [E_i, X] off the terms of d e_k: the first covector w of Ann(X)
     with i_X dw != 0, or None."""
-    for row in linalg.nullspace([X.components], ncols=g.dim):
+    for row in linalg.reduced(linalg.nullspace([X.components], ncols=g.dim)):
         w = one_form(row)
         if not interior(X, g.d(w)).is_zero():
             return w
@@ -359,12 +326,16 @@ class TestSparseBrackets:
     @given(st.data())
     @settings(max_examples=60)
     def test_bracket_span_matches_dense_reference(self, data):
+        # on the integer echelon rows the package computes on, through the
+        # integral terms; the reference brackets the Fraction rows densely
         g = LieAlgebra(data.draw(structure_diffs()))
-        left, right = data.draw(row_lists(g.dim)), data.draw(row_lists(g.dim))
-        assert g._bracket_span(left, right) == reference_bracket_span(g, left, right)
+        left, right = (linalg.span_rref(data.draw(row_lists(g.dim))) for _ in range(2))
+        terms = g._int_terms()[1]
         full = linalg.span_rref(linalg.identity(g.dim))  # a lower-central step
-        assert g._bracket_span(full, right) == reference_bracket_span(g, full, right)
-        assert g._bracket_span(left, left) == reference_bracket_span(g, left, left)
+        for u, v in ((left, right), (full, right), (left, left)):
+            got = g._bracket_span(u, v, terms)
+            assert linalg.reduced(got) == reference_bracket_span(g, linalg.reduced(u), linalg.reduced(v))
+            assert got == linalg.span_rref(got)
 
     @given(st.data())
     def test_bracket_is_ad_applied(self, data):
