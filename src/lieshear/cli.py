@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 parse/usage error, 2 Jacobi failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -217,12 +216,15 @@ FORM_DEGREES = {"omega": 2, "rho_minus": 3, "psi": 4, "phi": 3}
 def _kahler(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:
     if metric is None or jstruct is None:
         raise UsageError("kahler structure needs a metric and a complex structure")
-    return dataclasses.asdict(geometry.kahler_check(g, metric, jstruct, forms["omega"]))
+    report = geometry.kahler_check(g, metric, jstruct, forms["omega"])
+    return {"passed": report.passed, "checks": dict(report.checks)}
 
 
 def _half_flat(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:
-    checks = dataclasses.asdict(geometry.half_flat_check(g, forms["omega"], forms["rho_minus"]))
-    return {"passed": checks.pop("passed"), "checks": checks}
+    report = geometry.half_flat_check(g, forms["omega"], forms["rho_minus"])
+    return {"passed": report.passed,
+            "checks": {"co_symplectic": report.co_symplectic, "rho_minus_closed": report.rho_minus_closed,
+                       "omega_rho_compatible": report.omega_rho_compatible}}
 
 
 def _g2_phi(g: LieAlgebra, forms: dict, metric, jstruct) -> dict:

@@ -6,11 +6,11 @@ so everything stays inside exact arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from ._value import Value
 from .exterior import KForm, Vector, _as_fraction, interior, pullback, wedge
 from .lie import LieAlgebra
 
@@ -24,11 +24,10 @@ def _as_matrix(rows: Sequence[Sequence], n: int, what: str) -> Matrix:
     return m
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Value):
     """Symmetric Gram matrix of the frame; definiteness decided exactly."""
 
-    gram: Matrix
+    _fields = ("gram",)  # Matrix
 
     def __init__(self, gram: Sequence[Sequence]):
         m = _as_matrix(gram, len(gram), "metric")
@@ -48,11 +47,10 @@ class Metric:
         return linalg.is_positive_definite(self.gram)
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(Value):
     """Endomorphism J of the frame with J^2 = -Id (dimension must be even)."""
 
-    j: Matrix
+    _fields = ("j",)  # Matrix
 
     def __init__(self, j: Sequence[Sequence]):
         m = _as_matrix(j, len(j), "J")
@@ -100,10 +98,11 @@ def symplectic_check(g: LieAlgebra, omega: KForm) -> bool:
     return not power.is_zero()
 
 
-@dataclass(frozen=True)
-class NijenhuisResult:
-    values: tuple[tuple[tuple[int, int], Vector], ...]  # N(E_i, E_j) for i < j
-    integrable: bool
+class NijenhuisResult(Value):
+    _fields = (
+        "values",      # tuple[tuple[tuple[int, int], Vector], ...]: N(E_i, E_j) for i < j
+        "integrable",  # bool
+    )
 
     def value(self, i: int, j: int) -> Vector:
         for (a, b), v in self.values:
@@ -150,10 +149,8 @@ def type_components(js: ComplexStructure, f2: KForm) -> tuple[KForm, KForm]:
     return anti, f11
 
 
-@dataclass(frozen=True)
-class KahlerReport:
-    passed: bool
-    checks: dict[str, bool]
+class KahlerReport(Value):
+    _fields = ("passed", "checks")  # bool, dict[str, bool]
 
 
 def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KForm) -> KahlerReport:
@@ -185,12 +182,13 @@ def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KFo
     return KahlerReport(passed=all(checks.values()), checks=checks)
 
 
-@dataclass(frozen=True)
-class HalfFlatReport:
-    passed: bool
-    co_symplectic: bool          # d(omega^2) = 0
-    rho_minus_closed: bool
-    omega_rho_compatible: bool   # omega ^ rho_- = 0, reported but not gating
+class HalfFlatReport(Value):
+    _fields = (  # each a bool
+        "passed",
+        "co_symplectic",         # d(omega^2) = 0
+        "rho_minus_closed",
+        "omega_rho_compatible",  # omega ^ rho_- = 0, reported but not gating
+    )
 
 
 def half_flat_check(g: LieAlgebra, omega: KForm, rho_minus: KForm) -> HalfFlatReport:
@@ -217,10 +215,11 @@ def g2_cocal_check(g: LieAlgebra, psi: KForm) -> bool:
     return is_closed(g, psi)
 
 
-@dataclass(frozen=True)
-class PhiStabilityReport:
-    b_matrix: Matrix
-    definiteness: str  # "positive" | "negative" | "indefinite-or-degenerate"
+class PhiStabilityReport(Value):
+    _fields = (
+        "b_matrix",      # Matrix
+        "definiteness",  # "positive" | "negative" | "indefinite-or-degenerate"
+    )
 
     @property
     def stable(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -21,6 +20,7 @@ from operator import mul, or_
 from typing import Callable, Sequence
 
 from . import linalg
+from ._value import Value
 from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
 
 Subspace = tuple[tuple[Fraction, ...], ...]  # reduced echelon rows, pivots 1: the public form
@@ -35,25 +35,27 @@ class SalamonError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    passed: bool
-    failures: tuple[tuple[int, KForm], ...]  # (generator index, d(d e_k)) for each violation
+class JacobiReport(Value):
+    _fields = ("passed", "failures")
+
+    def __init__(self, passed: bool, failures: tuple[tuple[int, KForm], ...]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failures", failures)  # (generator index, d(d e_k)) for each violation
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    lower_central: tuple[Subspace, ...]  # n^(1) >= n^(2) >= ... up to stabilization
-    derived: tuple[Subspace, ...]        # g' >= g'' >= ...
-    is_abelian: bool
-    is_nilpotent: bool
-    is_solvable: bool
-    step_length: int | None              # least r with n^(r) = 0, when nilpotent
-    derived_length: int | None           # least k with k-th derived term = 0, when solvable
+class SeriesReport(Value):
+    _fields = (
+        "lower_central",   # tuple[Subspace, ...]: n^(1) >= n^(2) >= ... up to stabilization
+        "derived",         # tuple[Subspace, ...]: g' >= g'' >= ...
+        "is_abelian",      # bool
+        "is_nilpotent",    # bool
+        "is_solvable",     # bool
+        "step_length",     # int | None: least r with n^(r) = 0, when nilpotent
+        "derived_length",  # int | None: least k with k-th derived term = 0, when solvable
+    )
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Value):
     """Dual filtration V_0 > V_1 > ... > V_{r-1} with V_i = Ann(n^(r-i)).
 
     Each V_i satisfies d V_i in Lambda^2 V_{i+1}, by the proof in
@@ -61,25 +63,27 @@ class Filtration:
     entries are echelon covector bases.
     """
 
-    chain: tuple[Subspace, ...]
+    _fields = ("chain",)  # tuple[Subspace, ...]
 
 
-@dataclass(frozen=True)
-class EigenSpace:
-    eigenvalues: tuple[Fraction, ...]  # one eigenvalue per acting generator
-    basis: Subspace
+class EigenSpace(Value):
+    _fields = (
+        "eigenvalues",  # tuple[Fraction, ...]: one eigenvalue per acting generator
+        "basis",        # Subspace
+    )
 
 
-@dataclass(frozen=True)
-class ShearLineReport:
+class ShearLineReport(Value):
     """Invariant lines available for shearing: simultaneous rational eigenspaces
     of the outer action on the last nonzero lower-central term of g'."""
 
-    derived_subalgebra: Subspace
-    target: Subspace                 # last nonzero term of the lower central series of g'
-    acting: tuple[Vector, ...]       # first frame vectors completing g', in index order
-    eigenspaces: tuple[EigenSpace, ...]
-    nonrational_present: bool        # char poly kept a nonconstant factor with no rational root
+    _fields = (
+        "derived_subalgebra",   # Subspace
+        "target",               # Subspace: last nonzero term of the lower central series of g'
+        "acting",               # tuple[Vector, ...]: first frame vectors completing g', in index order
+        "eigenspaces",          # tuple[EigenSpace, ...]
+        "nonrational_present",  # bool: char poly kept a nonconstant factor with no rational root
+    )
 
 
 class LieAlgebra:

@@ -1,12 +1,12 @@
 """Bounded exhaustive enumeration of deformation two-forms giving valid shears."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 from operator import mul
 
+from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
 from .geometry import preserves_closure
 from .lie import LieAlgebra
@@ -28,25 +28,20 @@ class SearchSpecError(ValueError):
     """A SearchSpec field is out of range or does not fit the base algebra."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Value):
     """Search space: F0 = sum of coefficients over support monomials.
 
     Default support is every frame monomial of Lambda^2 Ann(X); coefficients
     must include 0 (absent terms).
     """
 
-    base: LieAlgebra
-    X: Vector
-    alpha: KForm
-    a: Fraction = Fraction(-1)
-    coefficients: tuple[Fraction, ...] = (Fraction(-1), Fraction(0), Fraction(1))
-    support: tuple[tuple[int, int], ...] | None = None
-    max_terms: int = 1
-    preserve: tuple[KForm, ...] = ()
-    cap: int = DEFAULT_CAP
+    _fields = ("base", "X", "alpha", "a", "coefficients", "support", "max_terms", "preserve", "cap")
 
-    def __post_init__(self):
+    def __init__(self, base: LieAlgebra, X: Vector, alpha: KForm, a: Fraction = Fraction(-1),
+                 coefficients: tuple[Fraction, ...] = (Fraction(-1), Fraction(0), Fraction(1)),
+                 support: tuple[tuple[int, int], ...] | None = None, max_terms: int = 1,
+                 preserve: tuple[KForm, ...] = (), cap: int = DEFAULT_CAP):
+        super().__init__(base, X, alpha, a, coefficients, support, max_terms, preserve, cap)
         n = self.base.dim
         for name, value in (("X", self.X), ("alpha", self.alpha),
                             *((f"preserve[{k}]", s) for k, s in enumerate(self.preserve))):
@@ -96,11 +91,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    f0: KForm
-    report: ShearReport
-    sheared: LieAlgebra
+class SearchHit(Value):
+    _fields = ("f0", "report", "sheared")
+
+    def __init__(self, f0: KForm, report: ShearReport, sheared: LieAlgebra):
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "sheared", sheared)
 
 
 def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:

@@ -12,11 +12,11 @@ which is exactly the transfer differential d_S applied to e_j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
+from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_fraction, _make, form_row, interior, one_form, wedge
 from .lie import LieAlgebra, _columns
 
@@ -52,18 +52,14 @@ class InvalidShearError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class ShearData:
+class ShearData(Value):
     """Input of one shear: X spans the ideal, alpha(X) = 1, F0 deforms, a transfers."""
 
-    X: Vector
-    alpha: KForm
-    F0: KForm
-    a: Fraction = Fraction(-1)
-    eta_g: KForm | None = None
+    _fields = ("X", "alpha", "F0", "a", "eta_g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
+    def __init__(self, X: Vector, alpha: KForm, F0: KForm, a: Fraction = Fraction(-1),
+                 eta_g: KForm | None = None):
+        self.__dict__.update(X=X, alpha=alpha, F0=F0, a=_as_fraction(a), eta_g=eta_g)
         dims = {self.X.dim, self.alpha.dim, self.F0.dim}
         if self.eta_g is not None:
             dims.add(self.eta_g.dim)
@@ -87,7 +83,7 @@ class ShearData:
 
     @classmethod
     def _trusted(cls, X: Vector, alpha: KForm, F0: KForm, a: Fraction, f_eff: KForm) -> "ShearData":
-        """ShearData without the checks of __post_init__, for a search.
+        """ShearData without the checks of __init__, for a search.
 
         The caller vouches for them: ShearBase.prepare checked X and alpha,
         a is a nonzero Fraction, F0 a two-form of the same dimension, and
@@ -103,8 +99,7 @@ class ShearData:
         return self.F0 * (-1 / self.a)
 
 
-@dataclass(frozen=True)
-class DecompResult:
+class DecompResult(Value):
     """d(alpha) = eta ^ alpha + f with both parts annihilating X.
 
     eta_bracket is the one-form defined by [A, X] = eta_bracket(A) * X.  It
@@ -113,23 +108,32 @@ class DecompResult:
     = -d(alpha)(A, X) = d(alpha)(X, A) = (X . d(alpha))(A) = -eta(A).
     """
 
-    eta: KForm
-    f: KForm
-    eta_bracket: KForm
+    _fields = ("eta", "f", "eta_bracket")
+
+    def __init__(self, eta: KForm, f: KForm, eta_bracket: KForm):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "eta_bracket", eta_bracket)
 
 
-@dataclass(frozen=True)
-class ShearReport:
-    valid: bool
-    decomp: DecompResult
-    eta_prime: KForm
-    eta_0: KForm
-    eta_tilde: KForm
-    f_prime: KForm
-    f_tilde: KForm
-    nu: KForm
-    f_eff: KForm
-    conditions: dict[str, bool | None] = field(repr=False)
+class ShearReport(Value):
+    _fields = ("valid", "decomp", "eta_prime", "eta_0", "eta_tilde", "f_prime", "f_tilde", "nu",
+               "f_eff", "conditions")
+    _hidden = ("conditions",)
+
+    def __init__(self, valid: bool, decomp: DecompResult, eta_prime: KForm, eta_0: KForm,
+                 eta_tilde: KForm, f_prime: KForm, f_tilde: KForm, nu: KForm, f_eff: KForm,
+                 conditions: dict[str, bool | None]):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "decomp", decomp)
+        object.__setattr__(self, "eta_prime", eta_prime)
+        object.__setattr__(self, "eta_0", eta_0)
+        object.__setattr__(self, "eta_tilde", eta_tilde)
+        object.__setattr__(self, "f_prime", f_prime)
+        object.__setattr__(self, "f_tilde", f_tilde)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "f_eff", f_eff)
+        object.__setattr__(self, "conditions", conditions)
 
 
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
@@ -169,8 +173,7 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
     return DecompResult(eta=eta, f=f, eta_bracket=-eta)  # see DecompResult
 
 
-@dataclass(frozen=True)
-class ShearBase:
+class ShearBase(Value):
     """The part of a shear fixed by (g, X, alpha), checked and decomposed once.
 
     `prepare` runs the dimension, alpha(X) = 1 and ideal checks and splits
@@ -180,11 +183,11 @@ class ShearBase:
     (g, X, alpha); nothing outlives it.
     """
 
-    g: LieAlgebra
-    X: Vector
-    alpha: KForm
-    decomp: DecompResult
-    _defects: dict[int, KForm] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("g", "X", "alpha", "decomp")
+
+    def __init__(self, g: LieAlgebra, X: Vector, alpha: KForm, decomp: DecompResult):
+        # _defects, leg_free_defect's cache, is not a field
+        self.__dict__.update(g=g, X=X, alpha=alpha, decomp=decomp, _defects={})
 
     @classmethod
     def prepare(cls, g: LieAlgebra, X: Vector, alpha: KForm) -> "ShearBase":

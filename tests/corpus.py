@@ -22,6 +22,12 @@ KAHLER6 = "(12,0,0,0,0,0)"
 PAPER_STRINGS = [HEISENBERG, ABELIAN3, SOLV5, SOLV5_SHEARED, SOLV5_PRODUCT, KAHLER6]
 
 
+def replaced(value, **changes):
+    """A lieshear value object of the same class with some fields changed,
+    made by its constructor, so that its checks run again."""
+    return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
+
+
 def mono(dim, indices, coeff=1):
     return KForm.monomial(dim, indices, coeff)
 

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from corpus import replaced
 from lieshear import cli
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
@@ -290,7 +290,7 @@ class TestTwistCommand:
 
         validate = shear.validate_shear
         monkeypatch.setattr(shear, "validate_shear",
-                            lambda *a, **k: dataclasses.replace(validate(*a, **k), valid=False))
+                            lambda *a, **k: replaced(validate(*a, **k), valid=False))
         opened = []
         real_open = open
 

@@ -1,11 +1,10 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from corpus import g_lm, mono, psi4, random_form, reference_enumerate_f0
+from corpus import g_lm, mono, psi4, random_form, reference_enumerate_f0, replaced
 from lieshear import (
     KForm,
     LieAlgebra,
@@ -166,8 +165,8 @@ class TestEnumerate:
             enumerate_f0(spec)
         # the cap and the prepared base are checked first
         with pytest.raises(SearchSpaceError):
-            enumerate_f0(dataclasses.replace(spec, cap=0))
-        wrong = dataclasses.replace(spec, alpha=2 * spec.alpha)
+            enumerate_f0(replaced(spec, cap=0))
+        wrong = replaced(spec, alpha=2 * spec.alpha)
         with pytest.raises(ShearDataError, match=r"^alpha\(X\) must be 1, got 2$"):
             enumerate_f0(wrong)
 
@@ -185,7 +184,7 @@ class TestEnumerate:
             for h in hits:
                 assert h.report.f_eff == (-1 / spec.a) * h.f0
         with pytest.raises(ShearDataError, match="^transfer constant a must be nonzero$"):
-            enumerate_f0(dataclasses.replace(spec, a=0))
+            enumerate_f0(replaced(spec, a=0))
 
     def test_validate_shear_judges_what_the_screen_lets_through(self, monkeypatch):
         # a screen that passes every leg-free candidate sends invalid F0 to
@@ -201,7 +200,7 @@ class TestEnumerate:
         # Jacobi re-check of its algebra must refuse it, also under
         # `python -O`, as the guard raises rather than asserts
         real = search.validate_shear
-        monkeypatch.setattr(search, "validate_shear", lambda *args: dataclasses.replace(real(*args), valid=True))
+        monkeypatch.setattr(search, "validate_shear", lambda *args: replaced(real(*args), valid=True))
         monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))
@@ -358,5 +357,5 @@ def _random_spec(rng):
                       coefficients=rng.choice(RANDOM_COEFFS), support=support,
                       max_terms=rng.randint(1, 3), preserve=preserve)
     while spec.candidate_count() > 150:
-        spec = dataclasses.replace(spec, max_terms=spec.max_terms - 1)
+        spec = replaced(spec, max_terms=spec.max_terms - 1)
     return spec

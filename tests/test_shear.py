@@ -251,11 +251,17 @@ class TestApplyShear:
         # validate_shear forced to call an invalid F0 valid: the Jacobi re-check
         # of the built algebra must still refuse it with assertions compiled out
         script = textwrap.dedent(f"""
-            import dataclasses, sys
-            from lieshear import KForm, ShearData, Vector, apply_shear, parse_salamon, shear
+            import sys
+            from lieshear import KForm, ShearData, ShearReport, Vector, apply_shear, parse_salamon, shear
             real = shear.validate_shear
-            shear.validate_shear = lambda g, data, base=None: dataclasses.replace(
-                real(g, data, base), valid=True)
+
+            def called_valid(g, data, base=None):
+                r = real(g, data, base)
+                return ShearReport(valid=True, decomp=r.decomp, eta_prime=r.eta_prime, eta_0=r.eta_0,
+                                   eta_tilde=r.eta_tilde, f_prime=r.f_prime, f_tilde=r.f_tilde, nu=r.nu,
+                                   f_eff=r.f_eff, conditions=r.conditions)
+
+            shear.validate_shear = called_valid
             g = parse_salamon({S5!r})
             data = ShearData(X=Vector.basis(5, 4), alpha=KForm.monomial(5, (4,)),
                              F0=KForm.monomial(5, (1, 4)))

@@ -1,5 +1,7 @@
 """Source-level contracts of the package."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,3 +112,16 @@ def test_no_floats_or_tolerances():
         ]
         found += [f"{path.name}: {name}" for name in sorted(_names_used(tree) & {"float", "sqrt", "isclose"})]
     assert SOURCES and not found, found
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # start-up budget: the value classes generate no code, so importing the
+    # CLI pulls in neither dataclasses nor inspect (with its ast, dis and
+    # tokenize), which no command needs
+    script = "import sys, lieshear.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    src = str(Path(lieshear.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    flags = ["-O"] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
