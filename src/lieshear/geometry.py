@@ -11,15 +11,18 @@ from typing import Sequence
 
 from . import linalg
 from ._value import Value
-from .exterior import KForm, Vector, _as_fraction, interior, pullback, wedge
+from .exterior import MAX_DIM, KForm, Vector, _as_fraction, interior, pullback, wedge
 from .lie import LieAlgebra
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _as_matrix(rows: Sequence[Sequence], n: int, what: str) -> Matrix:
+def _as_matrix(rows: Sequence[Sequence], what: str) -> Matrix:
+    n = len(rows)
+    if not 0 < n <= MAX_DIM:
+        raise ValueError(f"{what} dimension must be in 1..{MAX_DIM}, got {n}")
     m = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-    if len(m) != n or any(len(row) != n for row in m):
+    if any(len(row) != n for row in m):
         raise ValueError(f"{what} must be {n}x{n}")
     return m
 
@@ -30,7 +33,7 @@ class Metric(Value):
     _fields = ("gram",)  # Matrix
 
     def __init__(self, gram: Sequence[Sequence]):
-        m = _as_matrix(gram, len(gram), "metric")
+        m = _as_matrix(gram, "metric")
         if not linalg.is_symmetric(m):
             raise ValueError("metric must be symmetric")
         object.__setattr__(self, "gram", m)
@@ -44,7 +47,7 @@ class Metric(Value):
         return cls(linalg.identity(dim))
 
     def is_positive_definite(self) -> bool:
-        return linalg.is_positive_definite(self.gram)
+        return linalg.definiteness(self.gram) == 1
 
 
 class ComplexStructure(Value):
@@ -53,7 +56,7 @@ class ComplexStructure(Value):
     _fields = ("j",)  # Matrix
 
     def __init__(self, j: Sequence[Sequence]):
-        m = _as_matrix(j, len(j), "J")
+        m = _as_matrix(j, "J")
         if len(m) % 2:
             raise ValueError("complex structure needs even dimension")
         square = linalg.mat_mul(m, m)
@@ -69,7 +72,7 @@ class ComplexStructure(Value):
     def standard(cls, dim: int) -> "ComplexStructure":
         """E_1 -> E_2, E_2 -> -E_1, pairing consecutive frame directions."""
         m = [[Fraction(0)] * dim for _ in range(dim)]
-        for k in range(0, dim, 2):
+        for k in range(0, dim - 1, 2):  # an odd dim reaches the constructor's ValueError
             m[k + 1][k] = Fraction(1)
             m[k][k + 1] = Fraction(-1)
         return cls(m)
@@ -159,22 +162,14 @@ def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KFo
         raise ValueError("Kaehler check needs even dimension")
     if {metric.dim, js.dim, omega.dim} != {g.dim}:
         raise ValueError("metric, J and omega must live on the algebra's dimension")
-    jt = linalg.transpose(js.j)
-    compat = linalg.mat_mul(jt, linalg.mat_mul(metric.gram, js.j))
-    omega_matrix = linalg.mat_mul(jt, metric.gram)  # omega(v, w) = metric(Jv, w)
-    omega_expected = KForm(
-        g.dim,
-        2,
-        {
-            (1 << (i - 1)) | (1 << (j - 1)): omega_matrix[i - 1][j - 1]
-            for i in range(1, g.dim + 1)
-            for j in range(i + 1, g.dim + 1)
-            if omega_matrix[i - 1][j - 1]
-        },
-    )
+    # M = G J is all the matrix work: omega(E_i, E_j) = metric(J E_i, E_j) = M[j][i],
+    # and since J^2 = -Id and G is symmetric, J^T G J = G exactly when M^T = -M
+    n = g.dim
+    m = linalg.mat_mul(metric.gram, js.j)
+    omega_expected = KForm(n, 2, {(1 << i) | (1 << j): m[j][i] for i in range(n) for j in range(i + 1, n) if m[j][i]})
     checks = {
         "metric_positive_definite": metric.is_positive_definite(),
-        "metric_j_invariant": compat == [list(r) for r in metric.gram],
+        "metric_j_invariant": all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)),
         "omega_equals_metric_j": omega == omega_expected,
         "omega_closed": is_closed(g, omega),
         "nijenhuis_vanishes": nijenhuis(g, js).integrable,
@@ -238,12 +233,7 @@ def phi_stability(phi: KForm) -> PhiStabilityReport:
         [Fraction(wedge(wedge(contractions[i], contractions[j]), phi).terms.get(full, 0)) for j in range(7)]
         for i in range(7)
     ]
-    if linalg.is_positive_definite(b):
-        kind = "positive"
-    elif linalg.is_positive_definite([[-x for x in row] for row in b]):
-        kind = "negative"
-    else:
-        kind = "indefinite-or-degenerate"
+    kind = {1: "positive", -1: "negative", 0: "indefinite-or-degenerate"}[linalg.definiteness(b)]
     return PhiStabilityReport(b_matrix=tuple(tuple(row) for row in b), definiteness=kind)
 
 

@@ -189,22 +189,23 @@ class LieAlgebra:
             raise ValueError("dimension mismatch in bracket")
         if not self._jacobi.passed:
             warnings.warn("bracket on an algebra failing the Jacobi identity", RuntimeWarning)
-        cols = _columns(self._terms(), w.components, self.dim)
+        # the columns are scale [E_i, w]: each nonzero v_i is divided by scale
+        # once, and only the nonzero column entries are added
+        scale, terms = self._int_terms()
+        cols = _columns(terms, w.components, self.dim)
         out = [Fraction(0)] * self.dim
         for x, col in zip(v.components, cols):
             if x:
-                out = [o + x * c for o, c in zip(out, col)]
+                x /= scale
+                out = [o + x * c if c else o for o, c in zip(out, col)]
         return Vector(out)
 
-    def _terms(self) -> list[tuple[int, int, int, Coeff]]:
-        """(i, j, k, c) for each term c e_ij (0-based i < j) of d e_k."""
-        return [((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
-                for k, f in enumerate(self.diffs) for mask, c in f.terms.items()]
-
     def _int_terms(self) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """(scale, terms): `_terms` with each c times scale, the lcm of their denominators."""
-        terms = self._terms()
-        scale = lcm(*(c.denominator for *_, c in terms))
+        """(scale, terms): (i, j, k, scale*c) for each term c e_ij (0-based i < j)
+        of d e_k, scale the lcm of the denominators of the c."""
+        terms = [((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
+                 for k, f in enumerate(self.diffs) for mask, c in f.terms.items()]
+        scale = lcm(*{c.denominator for _, _, _, c in terms})
         if scale != 1:
             terms = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in terms]
         return scale, terms
@@ -384,18 +385,19 @@ def _chain(first: Rows, step: Callable[[Rows], Rows]) -> list[Rows]:
     return chain
 
 
-def _columns(terms: Sequence[tuple[int, int, int, Coeff]], v: Sequence[Coeff], n: int) -> list[list[Coeff]]:
-    """The brackets [E_i, v], i = 1..n, from the (i, j, k, c) terms of `LieAlgebra._terms`.
+def _columns(terms: Sequence[tuple[int, int, int, int]], v: Sequence[Coeff], n: int) -> list[list[Coeff]]:
+    """The brackets [E_i, v], i = 1..n, from the (i, j, k, c) terms of `LieAlgebra._int_terms`.
 
     This is the package's one bracket formula: a term c e_ij of d e_k gives
     [u, v]_k the share -c (u_i v_j - u_j v_i), so [u, v] = sum_i u_i [E_i, v].
     """
     cols: list[list[Coeff]] = [[0] * n for _ in range(n)]
+    # v's entry on the left: Fraction * int is Fraction's fast path, int * Fraction goes through __rmul__
     for i, j, k, c in terms:
         if v[j]:
-            cols[i][k] -= c * v[j]
+            cols[i][k] -= v[j] * c
         if v[i]:
-            cols[j][k] += c * v[i]
+            cols[j][k] += v[i] * c
     return cols
 
 

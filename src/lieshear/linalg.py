@@ -7,10 +7,11 @@ pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
 is canonical, so subspace equality is a tuple comparison; `reduced` gives the
 `Fraction` rows with pivot 1 that the public reports hold.  `charpoly` works
 on the integer matrix L*A and `rational_roots` bisects integer polynomials;
-only their returned entries are Fractions.  `rational_roots` neither factors
-nor searches divisors: its work is polynomial in the bit length of the
-coefficients, so no input makes it run unbounded.  The subspace questions of
-the package are asked here:
+only their returned entries are Fractions.  `definiteness` tells positive
+from negative definite by the signs of one `charpoly`.  `rational_roots`
+neither factors nor searches divisors: its work is polynomial in the bit
+length of the coefficients, so no input makes it run unbounded.  The
+subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
@@ -124,7 +125,8 @@ def complement(basis: Sequence[Sequence], ncols: int) -> tuple[int, ...]:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    return transpose([mat_vec(a, col) for col in zip(*b)])
+    cols = [*zip(*b)]  # row i of A B is B^T applied to row i of A
+    return [mat_vec(cols, row) for row in a]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
@@ -133,10 +135,6 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
     The Fraction start keeps every result entry a Fraction, never an int.
     """
     return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
-
-
-def transpose(a: Sequence[Sequence]) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def identity(n: int) -> Matrix:
@@ -149,15 +147,20 @@ def is_symmetric(a: Sequence[Sequence]) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def is_positive_definite(a: Sequence[Sequence]) -> bool:
-    """Is A symmetric and positive definite?  Exact, from `charpoly`.
+def definiteness(a: Sequence[Sequence]) -> int:
+    """1 if A is symmetric positive definite, -1 if symmetric negative definite, else 0.
 
-    A real symmetric matrix has real eigenvalues, and they are all positive
-    exactly when the coefficients of det(xI - A) strictly alternate in sign:
-    the coefficient of x^k has the sign of (-1)^(n-k).
+    From one `charpoly`: the real eigenvalues of a symmetric A are all positive
+    exactly when the coefficients of det(xI - A) strictly alternate in sign
+    (that of x^k has the sign of (-1)^(n-k)), and all negative exactly when
+    they are all positive.  The empty matrix counts as positive definite.
     """
-    n = len(a)
-    return is_symmetric(a) and all(c * (-1) ** (n - k) > 0 for k, c in enumerate(charpoly(a)))
+    if not is_symmetric(a):
+        return 0
+    coeffs = charpoly(a)
+    if all(c * (-1) ** (len(a) - k) > 0 for k, c in enumerate(coeffs)):
+        return 1
+    return -1 if all(c > 0 for c in coeffs) else 0
 
 
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:

@@ -148,20 +148,27 @@ def random_nilpotent(rng: random.Random, dim: int) -> LieAlgebra:
             return g
 
 
-def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
-    """g in the coframe f = P e for a random unimodular integer P made of
-    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
-    so nearly every d f_k has nearly every term."""
-    rng = random.Random(seed)
-    n = g.dim
+def random_unimodular(rng: random.Random, n: int, steps: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(P, P^-1) for a random unimodular integer P made of `steps` elementary
+    row operations: each r_i += c r_j on P is the column operation
+    c_j -= c c_i on P^-1, so the two are built side by side."""
     p = [[int(i == j) for j in range(n)] for i in range(n)]
-    q = [[int(i == j) for j in range(n)] for i in range(n)]  # P^-1
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
         p[i] = [a + c * b for a, b in zip(p[i], p[j])]
         for row in q:
             row[j] -= c * row[i]
+    return p, q
+
+
+def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
+    """g in the coframe f = P e for a random unimodular integer P made of
+    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
+    so nearly every d f_k has nearly every term."""
+    n = g.dim
+    p, q = random_unimodular(random.Random(seed), n, steps)
     zero = KForm.zero(n, 2)
     return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
 
@@ -256,11 +263,34 @@ def reference_ad(g: LieAlgebra, v) -> list[list]:
     return rows
 
 
+def reference_mat_vec(a, v) -> list[Fraction]:
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def reference_nijenhuis(g: LieAlgebra, j) -> list[tuple[tuple[int, int], list[Fraction]]]:
+    """N(E_a, E_b) = [J E_a, J E_b] - J[J E_a, E_b] - J[E_a, J E_b] - [E_a, E_b]
+    for 1 <= a < b <= n, each bracket [u, v] the dense ad(u) of `reference_ad`
+    applied to v, and J applied as a dense matrix."""
+    n = g.dim
+    units = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    images = [[Fraction(row[k]) for row in j] for k in range(n)]  # J E_k, column k of J
+
+    def bracket(u, v):
+        return reference_mat_vec(reference_ad(g, u), v)
+
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            parts = (bracket(images[a], images[b]), reference_mat_vec(j, bracket(images[a], units[b])),
+                     reference_mat_vec(j, bracket(units[a], images[b])), bracket(units[a], units[b]))
+            out.append(((a + 1, b + 1), [p - q - r - s for p, q, r, s in zip(*parts)]))
+    return out
+
+
 def reference_bracket_span(g: LieAlgebra, left, right):
     """The reduced Fraction rows of span{[u, v]}: the dense ad(u) applied to
     each v with n^2 Fraction products, then reference_rref."""
-    vecs = [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in reference_ad(g, u)]
-            for u in left for v in right]
+    vecs = [reference_mat_vec(reference_ad(g, u), v) for u in left for v in right]
     return reference_rref(vecs)[0]
 
 

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from corpus import g_lm, h_lm, mono, omega_std, paper_algebras, phi0, psi4, random_form
+from corpus import (change_basis, g_lm, h_lm, mono, omega_std, paper_algebras, phi0, psi4, random_almost_abelian,
+                    random_form, random_nilpotent, random_unimodular, reference_det, reference_nijenhuis)
 from lieshear import (
     ComplexStructure,
     KForm,
@@ -18,6 +21,7 @@ from lieshear import (
     interior,
     is_closed,
     kahler_check,
+    linalg,
     nijenhuis,
     parse_salamon,
     phi_stability,
@@ -29,6 +33,19 @@ from lieshear import (
     validate_shear,
     wedge,
 )
+from lieshear.exterior import MAX_DIM
+
+
+def dense_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def conjugated_structure(rng: random.Random, n: int):
+    """(J, G): J = P J_0 P^-1 for the standard J_0 and a random unimodular P,
+    and the J-invariant metric G = P^-T P^-1, both with int entries."""
+    p, q = random_unimodular(rng, n, 3 * n)
+    j = dense_mul(dense_mul(p, ComplexStructure.standard(n).j), q)
+    return [[int(x) for x in row] for row in j], dense_mul([list(col) for col in zip(*q)], q)
 
 
 class TestClosedness:
@@ -114,6 +131,41 @@ class TestNijenhuis:
         metric = Metric([[Fraction(1, 3), 0], [0, 2]])
         assert j.j == ((0, -1), (1, 0)) and metric.gram == ((Fraction(1, 3), 0), (0, 2))
         assert all(type(x) is Fraction for m in (j.j, metric.gram) for row in m for x in row)
+
+    def test_matrix_sizes_outside_1_to_max_dim_are_refused(self):
+        # as Vector and KForm do; a 0x0 metric would count as positive definite
+        big = [[int(i == j) for j in range(MAX_DIM + 2)] for i in range(MAX_DIM + 2)]
+        for make in (Metric, ComplexStructure):
+            for rows in ([], big):
+                with pytest.raises(ValueError, match=f"dimension must be in 1..{MAX_DIM}, got {len(rows)}"):
+                    make(rows)
+        with pytest.raises(ValueError, match=f"1..{MAX_DIM}"):
+            Metric.standard(MAX_DIM + 1)
+        with pytest.raises(ValueError, match="even dimension"):
+            ComplexStructure.standard(5)
+        assert Metric.standard(MAX_DIM).is_positive_definite()
+        assert ComplexStructure.standard(MAX_DIM).dim == MAX_DIM
+
+
+class TestNijenhuisDenseReference:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]),
+           st.sampled_from(["almost abelian", "nilpotent", "tilted"]))
+    @settings(max_examples=40)
+    def test_matches_the_dense_reference_on_conjugated_structures(self, seed, n, kind):
+        # random J = P J_0 P^-1 and structure constants with 1/2 and -1/3 in them,
+        # which the tilted change of basis spreads over every d e_k
+        rng = random.Random(seed)
+        if kind == "nilpotent":
+            g = random_nilpotent(rng, n)
+        else:
+            g = random_almost_abelian(rng, n)
+            if kind == "tilted":
+                g = change_basis(g, rng.randrange(1 << 32), 2 * n)
+        j, _ = conjugated_structure(rng, n)
+        res = nijenhuis(g, ComplexStructure(j))
+        want = reference_nijenhuis(g, j)
+        assert res.values == tuple((ab, Vector(v)) for ab, v in want)
+        assert res.integrable == (not any(any(v) for _, v in want))
 
 
 def _dphi_anti_invariant_test(g, js):
@@ -206,6 +258,54 @@ class TestKahler:
         assert rep.checks["omega_equals_metric_j"] is False
 
 
+def metric_omega(j, gram) -> KForm:
+    """The two-form with omega(E_a, E_b) = (J^T G)[a][b] for a < b."""
+    n = len(j)
+    jt_g = dense_mul([list(col) for col in zip(*j)], gram)
+    return sum((mono(n, (a + 1, b + 1), jt_g[a][b]) for a in range(n) for b in range(a + 1, n) if jt_g[a][b]),
+               KForm.zero(n, 2))
+
+
+def reference_kahler_checks(g, gram, j, omega) -> dict:
+    """kahler_check's checks computed densely: J^T G J and J^T G as plain
+    matrix products, definiteness by Sylvester's leading minors."""
+    n = g.dim
+    return {
+        "metric_positive_definite": all(reference_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)),
+        "metric_j_invariant": dense_mul(dense_mul([list(col) for col in zip(*j)], gram), j) == gram,
+        "omega_equals_metric_j": omega == metric_omega(j, gram),
+        "omega_closed": g.d(omega).is_zero(),
+        "nijenhuis_vanishes": not any(any(v) for _, v in reference_nijenhuis(g, j)),
+    }
+
+
+class TestKahlerDenseReference:
+    def test_matches_the_dense_reference_on_conjugated_structures(self):
+        # on J = P J_0 P^-1: the invariant G = P^-T P^-1 and its omega, G with one
+        # diagonal entry raised off invariance, the negative definite -G, and a wrong omega
+        rng = random.Random(37)
+        algebras = [parse_salamon(s) for s in ["(0,0,0,0,0,0)", "(12,0,0,0,0,0)", "(0,0,0,0,13,0)", "(0,0,0,0,12,34)"]]
+        algebras += [LieAlgebra.abelian(4)] + [random_almost_abelian(rng, n) for n in (4, 8)]
+        seen = {}
+        for g in algebras:
+            n = g.dim
+            for _ in range(2):
+                j, gram = conjugated_structure(rng, n)
+                k = rng.randrange(n)
+                perturbed = [[x + (a == b == k) for b, x in enumerate(row)] for a, row in enumerate(gram)]
+                negated = [[-x for x in row] for row in gram]
+                cases = [(m, metric_omega(j, m)) for m in (gram, perturbed, negated)]
+                cases.append((gram, cases[0][1] + mono(n, (1, 2))))
+                for metric, omega in cases:
+                    got = kahler_check(g, Metric(metric), ComplexStructure(j), omega)
+                    want = reference_kahler_checks(g, metric, j, omega)
+                    assert got.checks == want
+                    assert got.passed == all(want.values())
+                    for name, value in want.items():
+                        seen.setdefault(name, set()).add(value)
+        assert all(values == {True, False} for values in seen.values()), seen
+
+
 def rho_minus_std() -> KForm:
     """Im((e1+ie2)^(e3+ie4)^(e5+ie6)) expanded over the reals."""
     return (
@@ -271,10 +371,21 @@ class TestPhiStability:
             tuple(-x for x in row) for row in phi_stability(phi0()).b_matrix
         )
 
+    def test_one_charpoly_per_call(self, monkeypatch):
+        # positive, negative and indefinite B alike: the definiteness is read
+        # off a single characteristic polynomial
+        calls = []
+        charpoly = linalg.charpoly
+        monkeypatch.setattr(linalg, "charpoly", lambda a: calls.append(a) or charpoly(a))
+        kinds = []
+        for phi in (phi0(), -1 * phi0(), mono(7, (1, 2, 3))):
+            calls.clear()
+            kinds.append(phi_stability(phi).definiteness)
+            assert len(calls) == 1
+        assert sorted(kinds) == ["indefinite-or-degenerate", "negative", "positive"]
+
     def test_b_matrix_symmetric_for_random_forms(self):
         rng = random.Random(34)
-        from lieshear import linalg
-
         for _ in range(25):
             rep = phi_stability(random_form(rng, 7, 3, max_terms=5))
             assert linalg.is_symmetric(rep.b_matrix)

@@ -84,17 +84,20 @@ class TestNullspaceSolve:
 
 class TestDeterminants:
     def test_positive_definite(self):
-        assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
-        assert not linalg.is_positive_definite([[F(1), F(2)], [F(2), F(1)]])
-        assert not linalg.is_positive_definite([[F(0), F(1)], [F(-1), F(0)]])  # not symmetric
-        assert not linalg.is_positive_definite([[F(2), F(1)], [F(0), F(2)]])  # not symmetric
-        assert linalg.is_positive_definite([])
+        assert linalg.definiteness([[F(2), F(1)], [F(1), F(2)]]) == 1
+        assert linalg.definiteness([[F(-2), F(1)], [F(1), F(-2)]]) == -1
+        assert linalg.definiteness([[F(1), F(2)], [F(2), F(1)]]) == 0  # indefinite
+        assert linalg.definiteness([[F(1), F(0)], [F(0), F(0)]]) == 0  # semidefinite
+        assert linalg.definiteness([[F(0), F(1)], [F(-1), F(0)]]) == 0  # not symmetric
+        assert linalg.definiteness([[F(2), F(1)], [F(0), F(2)]]) == 0  # not symmetric
+        assert linalg.definiteness([[F(-2), F(1)], [F(0), F(-2)]]) == 0  # not symmetric
+        assert linalg.definiteness([]) == 1
 
-    @given(st.data())
-    @settings(max_examples=200)
-    def test_positive_definite_matches_sylvester(self, data):
+    @staticmethod
+    def _sylvester_case(data):
         # A = B^T D B is definite, semidefinite, singular or indefinite by the
-        # signs on the diagonal D and the rank of B; one shifted entry breaks symmetry
+        # signs on the diagonal D and the rank of B; one shifted entry breaks symmetry.
+        # Returns A and whether it is symmetric
         n = data.draw(st.integers(0, 5))
         b = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
         negative = data.draw(st.integers(0, n))
@@ -106,8 +109,29 @@ class TestDeterminants:
         symmetric = n < 2 or data.draw(st.booleans())
         if not symmetric:
             a[0][1] += 1
-        sylvester = all(reference_det([row[:k] for row in a[:k]]) > 0 for k in range(1, n + 1))
-        assert linalg.is_positive_definite(a) == (symmetric and sylvester)
+        return a, symmetric
+
+    @staticmethod
+    def _sylvester(a):
+        return all(reference_det([row[:k] for row in a[:k]]) > 0 for k in range(1, len(a) + 1))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_positive_definite_matches_sylvester(self, data):
+        # A is negative definite exactly when -A passes Sylvester's criterion
+        a, symmetric = self._sylvester_case(data)
+        negated = [[-x for x in row] for row in a]
+        want = 1 if self._sylvester(a) else -1 if a and self._sylvester(negated) else 0
+        assert linalg.definiteness(a) == (want if symmetric else 0)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_negation_is_negative_definite_exactly_when_positive_definite(self, data):
+        a, symmetric = self._sylvester_case(data)
+        negated = [[-x for x in row] for row in a]
+        assert (linalg.definiteness(negated) == -1) == bool(a and symmetric and self._sylvester(a))
+        if a:
+            assert linalg.definiteness(negated) == -linalg.definiteness(a)
 
 
 class TestCharpolyRoots:
