@@ -371,10 +371,16 @@ def _render_fields(result: dict) -> list[str]:
 
 def _emit(report: dict, code: int, as_json: bool) -> None:
     report["exit_status"] = code
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
-    else:
-        print(_render_text(report))
+    try:
+        if as_json:
+            print(json.dumps(report, sort_keys=True, indent=2, default=str))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): the rest of the report goes to
+        # devnull, so the interpreter's final flush of stdout stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # -- entry point ------------------------------------------------------------------

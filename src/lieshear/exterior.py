@@ -194,14 +194,6 @@ class KForm:
         for v in vectors:
             if v.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
-        if self.degree == 1:  # the pairing sum_i c_i v_i
-            comps = vectors[0].components
-            acc: Coeff = 0  # stays an int while every factor is integral
-            for mask, c in self.terms.items():
-                x = comps[mask.bit_length() - 1]
-                if x:
-                    acc += c * (x.numerator if x.denominator == 1 else x)
-            return Fraction(acc)
         # alpha(v_1, ..., v_k) = i_{v_k} ... i_{v_1} alpha
         form = self
         for v in vectors:

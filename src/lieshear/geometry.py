@@ -107,12 +107,6 @@ class NijenhuisResult(Value):
         "integrable",  # bool
     )
 
-    def value(self, i: int, j: int) -> Vector:
-        for (a, b), v in self.values:
-            if (a, b) == (i, j):
-                return v
-        raise KeyError((i, j))
-
 
 def nijenhuis(g: LieAlgebra, js: ComplexStructure) -> NijenhuisResult:
     """N(v,w) = [Jv,Jw] - J[Jv,w] - J[v,Jw] - [v,w] on all frame pairs."""

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Iterator
 
-from .exterior import KForm, Vector, _signed_sum
+from .exterior import KForm, Vector, _signed_mask, _signed_sum
 
 # Fraction("1e30000000") expands 10**30000000 before it can fail, so exponents are
 # bounded first, by CPython's default digit limit of int-string conversions
@@ -92,24 +92,32 @@ def _parse_indices(body: str, dim: int) -> list[int]:
 def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     """Parse a form literal; a bare "0" is the zero form of the expected degree,
     or of degree 0 when none is expected, which sums and compares as a zero
-    of any degree."""
+    of any degree.  The terms are summed in any order: a literal is refused
+    when the terms left after cancelling mix degrees, and one whose terms all
+    cancel has the degree of its last term."""
     s = text.strip()
     if s == "0":
         return KForm.zero(dim, degree or 0)
-    total: KForm | None = None
+    terms: dict[int, Fraction] = {}
     for coeff, body in _terms(s):
         if body.startswith("e"):
             idx = _parse_indices(body[1:].strip(), dim)
             try:
-                part = KForm.monomial(dim, idx, coeff)
+                sign, mask = _signed_mask(idx, dim)
             except ValueError as exc:
                 raise LiteralError(str(exc)) from None
+            coeff *= sign
         elif degree in (0, None):
             # bare rational as a zero-degree form
-            part = KForm.scalar(dim, coeff * parse_rational(body))
+            coeff, mask = coeff * parse_rational(body), 0
         else:
             raise LiteralError(f"expected a monomial like e13, got {body!r}")
-        total = part if total is None else total + part
+        terms[mask] = terms.get(mask, 0) + coeff
+    terms = {m: c for m, c in terms.items() if c}
+    degrees = sorted({m.bit_count() for m in terms})
+    if len(degrees) > 1:
+        raise LiteralError(f"mixed degrees {', '.join(map(str, degrees))} in a form literal")
+    total = KForm(dim, degrees[0] if degrees else mask.bit_count(), terms)  # else: the last term's
     if degree is not None and not total.is_zero() and total.degree != degree:
         raise LiteralError(f"expected a degree-{degree} form, got degree {total.degree}")
     return total

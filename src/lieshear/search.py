@@ -8,7 +8,6 @@ from operator import mul
 
 from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
-from .geometry import preserves_closure
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, validate_shear
 
@@ -110,12 +109,14 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     closed) is dropped unbuilt; one that passes preserves every form, and
     validate_shear, which reads its validity off the base's monomial defects,
     only confirms it.  A candidate with an X-leg goes through validate_shear
-    and every preservation predicate.  Each candidate's F0 is assembled from
-    the checked support and coefficients; its F_eff = -(1/a) F0 and its
-    ShearData reuse -1/a, X, alpha and a, checked once per search.  Every
-    hit's algebra gets the Jacobi re-check, on the generators X touches and
-    those whose d e_k has a monomial on one of them: for every other
-    generator d(d e_k) is the base's, zero when the base passes (LieAlgebra).
+    and, for each preserved sigma, the test F0 ^ (X . sigma) = 0 of
+    preserves_closure, on the legs X . sigma computed once per search.  Each
+    candidate's F0 is assembled from the checked support and coefficients;
+    its F_eff = -(1/a) F0 and its ShearData reuse -1/a, X, alpha and a,
+    checked once per search.  Every hit's algebra gets the Jacobi re-check,
+    on the generators X touches and those whose d e_k has a monomial on one
+    of them: for every other generator d(d e_k) is the base's, zero when the
+    base passes (LieAlgebra).
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -130,7 +131,8 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
         raise ShearDataError("transfer constant a must be nonzero")
     neg_inv_a = -1 / spec.a
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
-    columns = _condition_columns(spec, base, support)
+    legs = [interior(spec.X, s) for s in spec.preserve]
+    columns = _condition_columns(base, support, legs)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -146,24 +148,23 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 f0 = _make(n, 2, dict(zip(mons, coeffs)))
                 data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
                 report = validate_shear(spec.base, data, base)
-                if report.valid and (screened or all(preserves_closure(spec.base, spec.X, f0, s)
-                                                     for s in spec.preserve)):
+                if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
     return hits
 
 
-def _condition_columns(spec: SearchSpec, base: ShearBase, support: tuple[tuple[int, int], ...]
+def _condition_columns(base: ShearBase, support: tuple[tuple[int, int], ...], legs: list[KForm]
                        ) -> dict[tuple[int, int], tuple[Coeff, ...] | None]:
     """Image of each support monomial e_m under the linear conditions, on common rows.
 
-    The conditions are base.leg_free_defect and each e_m ^ (X . sigma).  None
-    marks a monomial with an X-leg, on which they are not linear.
+    The conditions are base.leg_free_defect and each e_m ^ (X . sigma), with
+    `legs` the X . sigma.  None marks a monomial with an X-leg, on which they
+    are not linear.
     """
-    comps = spec.X.components
-    legs = [interior(spec.X, s) for s in spec.preserve]
+    comps = base.X.components
     images = {}
     for i, j in support:
-        e = KForm.monomial(spec.base.dim, (i, j))
+        e = KForm.monomial(base.g.dim, (i, j))
         images[i, j] = (None if comps[i - 1] or comps[j - 1]
                         else [base.leg_free_defect(e), *(wedge(e, leg) for leg in legs)])
     rows = sorted({(k, m) for image in images.values() if image is not None

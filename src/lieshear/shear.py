@@ -108,32 +108,30 @@ class DecompResult(Value):
     = -d(alpha)(A, X) = d(alpha)(X, A) = (X . d(alpha))(A) = -eta(A).
     """
 
-    _fields = ("eta", "f", "eta_bracket")
+    _fields = ("eta", "f")
 
-    def __init__(self, eta: KForm, f: KForm, eta_bracket: KForm):
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "eta_bracket", eta_bracket)
+    @property
+    def eta_bracket(self) -> KForm:
+        return -self.eta
 
 
 class ShearReport(Value):
-    _fields = ("valid", "decomp", "eta_prime", "eta_0", "eta_tilde", "f_prime", "f_tilde", "nu",
-               "f_eff", "conditions")
+    _fields = ("valid", "decomp", "eta_prime", "eta_0", "f_prime", "nu", "f_eff", "conditions")
     _hidden = ("conditions",)
 
     def __init__(self, valid: bool, decomp: DecompResult, eta_prime: KForm, eta_0: KForm,
-                 eta_tilde: KForm, f_prime: KForm, f_tilde: KForm, nu: KForm, f_eff: KForm,
-                 conditions: dict[str, bool | None]):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "decomp", decomp)
-        object.__setattr__(self, "eta_prime", eta_prime)
-        object.__setattr__(self, "eta_0", eta_0)
-        object.__setattr__(self, "eta_tilde", eta_tilde)
-        object.__setattr__(self, "f_prime", f_prime)
-        object.__setattr__(self, "f_tilde", f_tilde)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "f_eff", f_eff)
-        object.__setattr__(self, "conditions", conditions)
+                 f_prime: KForm, nu: KForm, f_eff: KForm, conditions: dict[str, bool | None]):
+        self.__dict__.update(valid=valid, decomp=decomp, eta_prime=eta_prime, eta_0=eta_0,
+                             f_prime=f_prime, nu=nu, f_eff=f_eff, conditions=conditions)
+
+    # the paper's eta_tilde and f_tilde restate the fields, so they are read off them
+    @property
+    def eta_tilde(self) -> KForm:
+        return self.eta_0  # eta - X . F_eff, as eta_prime = -X . F_eff
+
+    @property
+    def f_tilde(self) -> KForm:
+        return self.decomp.f + self.f_prime
 
 
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
@@ -170,7 +168,7 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
     eta = -interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
     f = dalpha - wedge(eta, alpha)
-    return DecompResult(eta=eta, f=f, eta_bracket=-eta)  # see DecompResult
+    return DecompResult(eta=eta, f=f)
 
 
 class ShearBase(Value):
@@ -268,18 +266,8 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         ),
     }
     valid = all(conditions[name] for name in REQUIRED_CONDITIONS)
-    return ShearReport(
-        valid=valid,
-        decomp=decomp,
-        eta_prime=eta_prime,
-        eta_0=eta_0,
-        eta_tilde=eta_0,  # eta_tilde = eta - X . F_eff = eta_0
-        f_prime=f_prime,
-        f_tilde=decomp.f + f_prime,
-        nu=nu,
-        f_eff=f_eff,
-        conditions=conditions,
-    )
+    return ShearReport(valid=valid, decomp=decomp, eta_prime=eta_prime, eta_0=eta_0, f_prime=f_prime,
+                       nu=nu, f_eff=f_eff, conditions=conditions)
 
 
 def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:

@@ -430,10 +430,14 @@ def reference_det(a) -> Fraction:
     return out
 
 
-def reference_validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
+def reference_shear(g: LieAlgebra, data: ShearData) -> tuple[ShearReport, dict[str, KForm]]:
     """validate_shear by the general formulas of the paper alone, with no
     ShearBase and no shortcut for X . F0 = 0: the oracle for its leg-free
-    branch.  eta0_vanishes_on_xi is evaluated here, not taken as an identity."""
+    branch.  eta0_vanishes_on_xi is evaluated here, not taken as an identity.
+
+    Beside the report come eta_tilde = eta - X . F_eff, f_tilde = f + f' and
+    eta_bracket, by [A, X] = eta_bracket(A) X: each by its own formula, the
+    oracle for the properties that derive them from the report's fields."""
     decomp = decompose_dalpha(g, data.X, data.alpha)
     f_eff = (-1 / data.a) * data.F0
     nu = interior(data.X, data.F0)
@@ -452,9 +456,20 @@ def reference_validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
             None if data.eta_g is None else g.d(data.F0) == wedge(data.eta_g, data.F0)
         ),
     }
-    return ShearReport(valid=all(conditions[name] for name in REQUIRED_CONDITIONS), decomp=decomp,
-                       eta_prime=eta_prime, eta_0=eta_0, eta_tilde=eta_0, f_prime=f_prime,
-                       f_tilde=decomp.f + f_prime, nu=nu, f_eff=f_eff, conditions=conditions)
+    report = ShearReport(valid=all(conditions[name] for name in REQUIRED_CONDITIONS), decomp=decomp,
+                         eta_prime=eta_prime, eta_0=eta_0, f_prime=f_prime, nu=nu, f_eff=f_eff,
+                         conditions=conditions)
+    n = g.dim
+    # X spans an ideal, so [E_i, X] = alpha([E_i, X]) X, as alpha(X) = 1
+    eta_bracket = KForm(n, 1, {1 << (i - 1): data.alpha(g.bracket(Vector.basis(n, i), data.X))
+                               for i in range(1, n + 1)})
+    derived = {"eta_tilde": decomp.eta - interior(data.X, f_eff), "f_tilde": decomp.f + f_prime,
+               "eta_bracket": eta_bracket}
+    return report, derived
+
+
+def reference_validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
+    return reference_shear(g, data)[0]
 
 
 def reference_enumerate_f0(spec) -> list[SearchHit]:

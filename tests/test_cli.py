@@ -528,6 +528,22 @@ class TestReports:
         assert proc.returncode == 0
         assert "jacobi: pass" in proc.stdout
 
+    @pytest.mark.parametrize("argv, code", [
+        (["algebra-check", "s5", "--json"], 0),
+        (["algebra-check", "s5"], 0),
+        (["shear", "s5", "--x", "E4", "--alpha", "e4", "--f0", "e14", "--json"], 3),
+    ])
+    def test_a_closed_stdout_ends_without_a_traceback(self, files, argv, code):
+        # what `| head` leaves behind: a pipe whose read end is already closed
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lieshear", argv[0], files[argv[1]], *argv[2:]],
+                                  stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
     def test_huge_exponent_is_refused_at_once(self, capsys, files):
         # Fraction alone would expand 10**30000000 for about a minute, then fail
         start = time.perf_counter()

@@ -138,6 +138,15 @@ class TestEvaluation:
         assert type(value) is Fraction
         assert value == reference_evaluate(form, vectors)
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(*[st.lists(small_rationals, min_size=n, max_size=n)] * 2)))
+    def test_one_form_is_the_pairing(self, case):
+        # int and Fraction coefficients alike, on the one evaluation path
+        coeffs, comps = case
+        value = one_form(coeffs)(Vector(comps))
+        assert type(value) is Fraction
+        assert value == sum(c * x for c, x in zip(coeffs, comps))
+
     def test_slot_order(self):
         e1, e2, e3 = (Vector.basis(3, i) for i in (1, 2, 3))
         f = mono(3, (1, 2, 3), 2)

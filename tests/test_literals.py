@@ -64,6 +64,41 @@ class TestParseForm:
     def test_double_sign_tolerated(self):
         assert parse_form("e12 + -e34", 4) == mono(4, (1, 2)) - mono(4, (3, 4))
 
+    def test_degree_rule_does_not_depend_on_term_order(self):
+        assert parse_form("e12 - e12 + e123", 3) == parse_form("e12 + e123 - e12", 3) == mono(3, (1, 2, 3))
+        assert parse_form("e12 + e123 - e12", 3, degree=3).degree == 3
+        for text in ("e12 + e3", "e3 + e12 - e13", "1 + e1"):
+            with pytest.raises(LiteralError, match="^mixed degrees "):
+                parse_form(text, 3)
+
+    def test_cancelled_terms_keep_the_last_term_s_degree(self):
+        assert parse_form("e12 - e12", 3).degree == 2
+        assert parse_form("e12 - e12 + 0*e3", 3).degree == 1
+        assert parse_form("0*e3 + e12 - e12", 3).degree == 2
+        assert parse_form("e12 + e3 - e12 - e3", 3).is_zero()
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_any_term_order_gives_the_same_form_or_refusal(self, data):
+        n = data.draw(st.integers(1, 6))
+        term = st.tuples(st.sampled_from([-2, -1, 1, Fraction(1, 2)]),
+                         st.lists(st.integers(1, n), min_size=1, max_size=min(3, n), unique=True))
+        terms = data.draw(st.lists(term, min_size=1, max_size=6))
+        terms += [(-c, idx) for c, idx in data.draw(st.lists(st.sampled_from(terms), max_size=3))]
+        by_degree = {}
+        for c, idx in terms:
+            by_degree[len(idx)] = by_degree.get(len(idx), KForm.zero(n, len(idx))) + mono(n, idx, c)
+        nonzero = [f for f in by_degree.values() if not f.is_zero()]
+        for order in (terms, data.draw(st.permutations(terms))):
+            text = " + ".join(f"{c}*e{''.join(map(str, idx))}" for c, idx in order)
+            if len(nonzero) > 1:
+                with pytest.raises(LiteralError, match="^mixed degrees "):
+                    parse_form(text, n)
+            else:
+                form = parse_form(text, n)
+                assert form == (nonzero[0] if nonzero else KForm.zero(n, 0))
+                assert form.degree == (nonzero[0].degree if nonzero else len(order[-1][1]))
+
 
 class TestParseVector:
     def test_frame_vector(self):

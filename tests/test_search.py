@@ -18,6 +18,7 @@ from lieshear import (
     interior,
     is_closed,
     parse_salamon,
+    preserves_closure,
     search,
     shear,
     shear_candidate,
@@ -191,7 +192,7 @@ class TestEnumerate:
         # validate_shear too, which refuses them: the hits stay the same
         spec = spec_on(g_lm(1, 2), 1, max_terms=2)
         expected = enumerate_f0(spec)
-        monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, support, legs: {m: () for m in support})
         assert enumerate_f0(spec) == expected == reference_enumerate_f0(spec)
 
     def test_jacobi_guard_catches_a_hit_validation_let_through(self, monkeypatch):
@@ -201,7 +202,7 @@ class TestEnumerate:
         # `python -O`, as the guard raises rather than asserts
         real = search.validate_shear
         monkeypatch.setattr(search, "validate_shear", lambda *args: replaced(real(*args), valid=True))
-        monkeypatch.setattr(search, "_condition_columns", lambda spec, base, support: {m: () for m in support})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, support, legs: {m: () for m in support})
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))
 
@@ -296,6 +297,30 @@ class TestEnumerate:
             assert hits == reference_enumerate_f0(spec), spec
             paths |= {interior(spec.X, h.f0).is_zero() for h in hits if not h.f0.is_zero()}
         assert paths == {True, False}  # both leg-free and X-leg hits occurred
+
+    def test_x_leg_candidates_keep_the_preservation_oracle(self):
+        # custom supports with X-leg monomials and random preserved forms: an
+        # X-leg candidate is tested on the legs X . sigma of its search, and
+        # every hit still passes the public predicate for every sigma
+        rng = random.Random(23)
+        x_leg_hits = refused = 0
+        for _ in range(30):
+            g, x, alpha = rng.choice(RANDOM_BASES)
+            X, pairs = Vector(x), list(combinations(range(1, g.dim + 1), 2))
+            legged = [(i, j) for i, j in pairs if x[i - 1] or x[j - 1]]
+            support = tuple({*rng.sample(legged, 2), *rng.sample(pairs, 3)})
+            preserve = tuple(random_form(rng, g.dim, rng.choice([3, 4]), max_terms=3)
+                             for _ in range(rng.randint(1, 2)))
+            spec = SearchSpec(base=g, X=X, alpha=alpha, coefficients=rng.choice(RANDOM_COEFFS),
+                              support=support, max_terms=2, preserve=preserve)
+            hits = enumerate_f0(spec)
+            assert hits == reference_enumerate_f0(spec), spec
+            assert all(preserves_closure(g, X, h.f0, s) for h in hits for s in preserve)
+            legged_hits = sum(not interior(X, h.f0).is_zero() for h in hits)
+            x_leg_hits += legged_hits
+            unchecked = enumerate_f0(replaced(spec, preserve=()))
+            refused += sum(not interior(X, h.f0).is_zero() for h in unchecked) - legged_hits
+        assert x_leg_hits and refused  # the legs let some X-leg candidates through, and refused some
 
     def test_search_on_a_base_with_eta_not_closed(self, monkeypatch):
         # span(E1) is an ideal of this non-Jacobi base, but eta = -e2 has

@@ -24,6 +24,7 @@ from corpus import (
     random_form,
     random_nilpotent,
     random_shears,
+    reference_shear,
     reference_twist,
     reference_validate_shear,
 )
@@ -94,6 +95,23 @@ class TestShearData:
         d = data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
         assert d.f_eff is d.f_eff
         assert d == data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
+
+
+RANDOM_SHEARS = random_shears()
+
+
+class TestDerivedForms:
+    @settings(max_examples=100)
+    @given(st.sampled_from(RANDOM_SHEARS))
+    def test_derived_forms_match_their_formulas(self, case):
+        # eta_tilde, f_tilde and eta_bracket are read off the stored fields;
+        # the reference computes each by its own formula
+        g, data = case
+        report = validate_shear(g, data)
+        _, derived = reference_shear(g, data)
+        assert report.eta_tilde == report.eta_0 == derived["eta_tilde"]
+        assert report.f_tilde == report.decomp.f + report.f_prime == derived["f_tilde"]
+        assert report.decomp.eta_bracket == -report.decomp.eta == derived["eta_bracket"]
 
 
 class TestDecompose:
@@ -258,8 +276,7 @@ class TestApplyShear:
             def called_valid(g, data, base=None):
                 r = real(g, data, base)
                 return ShearReport(valid=True, decomp=r.decomp, eta_prime=r.eta_prime, eta_0=r.eta_0,
-                                   eta_tilde=r.eta_tilde, f_prime=r.f_prime, f_tilde=r.f_tilde, nu=r.nu,
-                                   f_eff=r.f_eff, conditions=r.conditions)
+                                   f_prime=r.f_prime, nu=r.nu, f_eff=r.f_eff, conditions=r.conditions)
 
             shear.validate_shear = called_valid
             g = parse_salamon({S5!r})

@@ -34,10 +34,13 @@ E3 = ((F(0), F(0), F(1)),)
 H3 = parse_salamon("(0,0,12)")
 S5 = parse_salamon("(51,52,53,2.54,0)")
 X5, ALPHA5 = Vector.basis(5, 4), mono(5, (4,))
-DECOMP = dict(eta=mono(5, (5,), 2), f=KForm.zero(5, 2), eta_bracket=mono(5, (5,), -2))
+DECOMP = dict(eta=mono(5, (5,), 2), f=KForm.zero(5, 2))
 REPORT = dict(valid=True, decomp=DecompResult(**DECOMP), eta_prime=KForm.zero(5, 1), eta_0=mono(5, (5,), 2),
-              eta_tilde=mono(5, (5,), 2), f_prime=mono(5, (1, 2)), f_tilde=mono(5, (1, 2)),
-              nu=KForm.zero(5, 1), f_eff=mono(5, (1, 2)), conditions=dict.fromkeys(CONDITION_NAMES, True))
+              f_prime=mono(5, (1, 2)), nu=KForm.zero(5, 1), f_eff=mono(5, (1, 2)),
+              conditions=dict.fromkeys(CONDITION_NAMES, True))
+# the forms these values derive from their fields, read-only like the fields
+DERIVED = {DecompResult: dict(eta_bracket=mono(5, (5,), -2)),
+           ShearReport: dict(eta_tilde=mono(5, (5,), 2), f_tilde=mono(5, (1, 2)))}
 BASE = dict(g=S5, X=X5, alpha=ALPHA5, decomp=DecompResult(**DECOMP))
 
 # every value class, with the keywords of one valid construction
@@ -81,7 +84,9 @@ def test_value_semantics(cls, kwargs):
     other = type("Other", (cls,), {})(**kwargs)
     assert value != other and other != value
     assert value.__eq__(other) is NotImplemented and value.__eq__(kwargs) is NotImplemented
-    for name in [*kwargs, "unknown"]:
+    for name, form in DERIVED.get(cls, {}).items():
+        assert getattr(value, name) == form
+    for name in [*kwargs, *DERIVED.get(cls, ()), "unknown"]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -123,21 +128,19 @@ REPRS = {
                         '1), Fraction(0, 1), Fraction(0, 1)]),), eigenspaces=(), nonrational_present=False)'),
     "ShearData": ('ShearData(X=Vector([Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), '
                   'Fraction(0, 1)]), alpha=KForm(5, 1, e4), F0=KForm(5, 2, e12), a=Fraction(-1, 1), eta_g=None)'),
-    "DecompResult": 'DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0), eta_bracket=KForm(5, 1, -2*e5))',
-    "ShearReport": ('ShearReport(valid=True, decomp=DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0), '
-                    'eta_bracket=KForm(5, 1, -2*e5)), eta_prime=KForm(5, 1, 0), eta_0=KForm(5, 1, 2*e5), '
-                    'eta_tilde=KForm(5, 1, 2*e5), f_prime=KForm(5, 2, e12), f_tilde=KForm(5, 2, e12), nu=KForm(5, '
+    "DecompResult": 'DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0))',
+    "ShearReport": ('ShearReport(valid=True, decomp=DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0)), '
+                    'eta_prime=KForm(5, 1, 0), eta_0=KForm(5, 1, 2*e5), f_prime=KForm(5, 2, e12), nu=KForm(5, '
                     '1, 0), f_eff=KForm(5, 2, e12))'),
     "ShearBase": ("ShearBase(g=LieAlgebra('(51,52,53,2.54,0)'), X=Vector([Fraction(0, 1), Fraction(0, 1), "
                   'Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)]), alpha=KForm(5, 1, e4), '
-                  'decomp=DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0), eta_bracket=KForm(5, 1, -2*e5)))'),
+                  'decomp=DecompResult(eta=KForm(5, 1, 2*e5), f=KForm(5, 2, 0)))'),
     "SearchSpec": ("SearchSpec(base=LieAlgebra('(0,0,12)'), X=Vector([Fraction(0, 1), Fraction(0, 1), Fraction(1, "
                    '1)]), alpha=KForm(3, 1, e3), a=Fraction(-1, 1), coefficients=(Fraction(-1, 1), Fraction(0, '
                    '1), Fraction(1, 1)), support=None, max_terms=1, preserve=(), cap=1000)'),
     "SearchHit": ('SearchHit(f0=KForm(5, 2, e12), report=ShearReport(valid=True, decomp=DecompResult(eta=KForm(5, '
-                  '1, 2*e5), f=KForm(5, 2, 0), eta_bracket=KForm(5, 1, -2*e5)), eta_prime=KForm(5, 1, 0), '
-                  'eta_0=KForm(5, 1, 2*e5), eta_tilde=KForm(5, 1, 2*e5), f_prime=KForm(5, 2, e12), '
-                  'f_tilde=KForm(5, 2, e12), nu=KForm(5, 1, 0), f_eff=KForm(5, 2, e12)), '
+                  '1, 2*e5), f=KForm(5, 2, 0)), eta_prime=KForm(5, 1, 0), eta_0=KForm(5, 1, 2*e5), '
+                  'f_prime=KForm(5, 2, e12), nu=KForm(5, 1, 0), f_eff=KForm(5, 2, e12)), '
                   "sheared=LieAlgebra('(51,52,53,2.54,0)'))"),
     "Metric": 'Metric(gram=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(2, 1))))',
     "ComplexStructure": ('ComplexStructure(j=((Fraction(0, 1), Fraction(-1, 1)), (Fraction(1, 1), Fraction(0, '
