@@ -6,6 +6,9 @@ rationals, stored canonically: an `int` when integral, a `fractions.Fraction`
 otherwise, never zero, so nothing is ever rounded and integer arithmetic runs
 at `int` speed.  `int` and `Fraction` compare and hash alike, so the stored
 type never shows in `==`, `hash` or `str`.  Vector components stay `Fraction`.
+A form is its dimension and its term map: forms compare and sum by their terms,
+so a zero form has a degree in name only, and Lambda^k is zero for k above the
+dimension.
 """
 from __future__ import annotations
 
@@ -73,7 +76,7 @@ def _signed_mask(indices: Iterable[int], dim: int) -> tuple[int, int]:
 
 
 class KForm:
-    """Homogeneous exterior form of fixed degree on an n-dimensional frame.
+    """Homogeneous exterior form of any degree k >= 0 on an n-dimensional frame.
 
     Immutable value type: term map monomial-mask -> nonzero coefficient, an
     int when integral and a Fraction otherwise.  The constructor checks
@@ -85,8 +88,8 @@ class KForm:
     def __init__(self, dim: int, degree: int, terms: Mapping[int, Coeff] | None = None):
         if not 0 < dim <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
-        if not 0 <= degree <= dim:
-            raise ValueError(f"degree must be in 0..{dim}, got {degree}")
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
         clean: dict[int, Coeff] = {}
         if terms:
             for mask, c in terms.items():
@@ -146,17 +149,13 @@ class KForm:
         if not isinstance(other, KForm):
             return NotImplemented
         self._check_compatible(other)
-        # zero forms are degree-polymorphic; genuine mixed-degree sums are rejected
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
+        # a zero form sums with a form of any degree; two nonzero forms must agree
+        if self.degree != other.degree and self.terms and other.terms:
             raise ValueError(f"degree mismatch in sum: {self.degree} vs {other.degree}")
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms[m] + c if m in terms else c
-        return _make(self.dim, self.degree, terms)
+        return _make(self.dim, self.degree if self.terms else other.degree, terms)
 
     def __neg__(self) -> "KForm":
         return _make(self.dim, self.degree, {m: -c for m, c in self.terms.items()})
@@ -177,14 +176,10 @@ class KForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and (self.degree == other.degree or self.is_zero() and other.is_zero())
-            and self.terms == other.terms
-        )
+        # every mask has `degree` bits, so equal nonzero term maps have equal degrees
+        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
-        # degree omitted: zero forms compare equal across degrees
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __call__(self, *vectors: "Vector") -> Fraction:
@@ -308,9 +303,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; signs from permutation parity of the merged index sets."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return KForm.zero(a.dim, min(degree, a.dim))
     terms: dict[int, Coeff] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -319,7 +311,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             m = ma | mb
             c = ca * cb if merge_sign(ma, mb) > 0 else -(ca * cb)
             terms[m] = terms[m] + c if m in terms else c
-    return _make(a.dim, degree, terms)
+    return _make(a.dim, a.degree + b.degree, terms)
 
 
 def interior(v: Vector, a: KForm) -> KForm:
@@ -369,6 +361,8 @@ def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
+    if a.degree > a.dim:
+        raise ValueError(f"Hodge star needs degree at most {a.dim}, got {a.degree}")
     full = (1 << a.dim) - 1
     terms = {}
     for mask, c in a.terms.items():

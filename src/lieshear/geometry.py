@@ -185,8 +185,8 @@ def half_flat_check(g: LieAlgebra, omega: KForm, rho_minus: KForm) -> HalfFlatRe
         raise ValueError("half-flat structures live in dimension 6")
     if not (omega.degree == 2 or omega.is_zero()) or not (rho_minus.degree == 3 or rho_minus.is_zero()):
         raise ValueError("need a two-form omega and a three-form rho_-")
-    co = g.d(wedge(omega, omega)).is_zero()
-    rho = g.d(rho_minus).is_zero()
+    co = is_closed(g, wedge(omega, omega))
+    rho = is_closed(g, rho_minus)
     return HalfFlatReport(
         passed=co and rho,
         co_symplectic=co,

@@ -181,7 +181,7 @@ class LieAlgebra:
                     m = dmask | rest
                     v = dc * coeff if merge_sign(dmask, rest) > 0 else -(dc * coeff)
                     terms[m] = terms[m] + v if m in terms else v
-        return _make(self.dim, form.degree + 1 if form.degree < self.dim else self.dim, terms)
+        return _make(self.dim, form.degree + 1, terms)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """[v, w], component k equal to -(d e_k)(v, w)."""
@@ -192,7 +192,7 @@ class LieAlgebra:
         # the columns are scale [E_i, w]: each nonzero v_i is divided by scale
         # once, and only the nonzero column entries are added
         scale, terms = self._int_terms()
-        cols = _columns(terms, w.components, self.dim)
+        cols = _columns(terms, w.components)
         out = [Fraction(0)] * self.dim
         for x, col in zip(v.components, cols):
             if x:
@@ -236,7 +236,7 @@ class LieAlgebra:
         supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
         vecs = []
         for v in right:
-            cols = _columns(terms, v, self.dim)
+            cols = _columns(terms, v)
             for (i, x), *rest in supports:
                 b = cols[i] if x == 1 else [x * c for c in cols[i]]
                 for i, x in rest:
@@ -312,7 +312,7 @@ class LieAlgebra:
         # {v : [v, u] = 0 for every row u}, [v, u] = sum_i v_i [E_i, u]: each u gives
         # the rows of the matrix whose columns are the [E_i, u], blind to their scale
         terms = self._int_terms()[1]
-        stacked = [row for u in rows for row in zip(*_columns(terms, u, self.dim))]
+        stacked = [row for u in rows for row in zip(*_columns(terms, u))]
         return linalg.nullspace(stacked, ncols=self.dim)
 
     # -- shear line discovery --------------------------------------------------
@@ -345,7 +345,7 @@ class LieAlgebra:
                 # the pivot p_i of b_i the other rows vanish, so a vector v of the span is
                 # sum_i v[p_i] / b_i[p_i] b_i: that reads the restricted matrix in the
                 # basis b, and eliminating each pivot from an image must leave zero
-                images = [_columns(acting, b, n)[gen] for b in basis]
+                images = [_columns(acting, b)[gen] for b in basis]
                 pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
                 for im in images:
                     for b, p in zip(basis, pivots):
@@ -385,12 +385,13 @@ def _chain(first: Rows, step: Callable[[Rows], Rows]) -> list[Rows]:
     return chain
 
 
-def _columns(terms: Sequence[tuple[int, int, int, int]], v: Sequence[Coeff], n: int) -> list[list[Coeff]]:
-    """The brackets [E_i, v], i = 1..n, from the (i, j, k, c) terms of `LieAlgebra._int_terms`.
+def _columns(terms: Sequence[tuple[int, int, int, int]], v: Sequence[Coeff]) -> list[list[Coeff]]:
+    """The brackets [E_i, v], i = 1..len(v), from the (i, j, k, c) terms of `LieAlgebra._int_terms`.
 
     This is the package's one bracket formula: a term c e_ij of d e_k gives
     [u, v]_k the share -c (u_i v_j - u_j v_i), so [u, v] = sum_i u_i [E_i, v].
     """
+    n = len(v)
     cols: list[list[Coeff]] = [[0] * n for _ in range(n)]
     # v's entry on the left: Fraction * int is Fraction's fast path, int * Fraction goes through __rmul__
     for i, j, k, c in terms:

@@ -147,7 +147,7 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     q = next((q for q in reversed(range(g.dim)) if x[q]), None)
     if q is None:
         return None
-    brackets = _columns(g._int_terms()[1], x, g.dim)
+    brackets = _columns(g._int_terms()[1], x)
     for j, xj in enumerate(x):
         if j != q and any(x[q] * b[j] - xj * b[q] for b in brackets):
             return one_form([Fraction(k == j) if k != q else Fraction(-xj, x[q]) for k in range(g.dim)])
@@ -213,7 +213,7 @@ class ShearBase(Value):
                 defect = self._defects[mask] = self.g.d(e) - wedge(self.decomp.eta, e)
             for m, v in defect.terms.items():
                 terms[m] = terms[m] + c * v if m in terms else c * v
-        return _make(self.g.dim, min(3, self.g.dim), terms)
+        return _make(self.g.dim, 3, terms)
 
 
 def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:

@@ -56,6 +56,7 @@ def files(tmp_path):
         "s5": "(51,52,53,2.54,0)",
         "h3": "(0,0,12)",
         "h3a": "(0,0,a.12)",
+        "ab2": "(0,0)",
         "ab3": "(0,0,0)",
         "ab6": "(0,0,0,0,0,0)",
         "kahler6": "(12,0,0,0,0,0)",
@@ -198,6 +199,16 @@ class TestDocumentShape:
         code, out, err = run(capsys, "algebra-check", str(p), "--json")
         assert (code, out) == (1, "")
         assert err == f"error: {WRONG_SHAPE_DOCUMENTS[text]}\n"
+
+    @pytest.mark.parametrize("doc, flags, message", [
+        ("(0,0,12)", ["--set", "1x=2"], "bad substitution name '1x'"),
+        ('{"salamon": ' + "[" * 100_000 + "]" * 100_000 + "}", [], "document nests too deeply"),
+    ], ids=["substitution-name", "deep-nesting"])
+    def test_input_error_is_one_line(self, capsys, tmp_path, doc, flags, message):
+        p = tmp_path / "doc.alg"
+        p.write_text(doc)
+        code, out, err = run(capsys, "algebra-check", str(p), *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @given(documents, st.sampled_from(["algebra-check", "shear-lines"]),
            st.lists(st.sampled_from(["a=2", "b=1/2", "a", "1x=3", "a=x"]), max_size=2))
@@ -390,6 +401,8 @@ class TestCheckStructure:
         ("ab6", ["--type", "g2-phi", "--phi", "e123"], "g2-phi check needs a dimension-7 algebra"),
         ("ab3", ["--type", "kahler", "--standard"], "--standard needs an even dimension"),
         ("ab3", ["--type", "symplectic", "--standard"], "--standard needs an even dimension"),
+        # a zero four-form exists on any frame, so the dimension gate is what refuses it
+        ("ab2", ["--type", "g2-cocal", "--psi", "0"], "co-calibrated structures live in dimension 7"),
     ])
     def test_usage_error(self, capsys, files, doc, flags, message):
         code, out, err = run(capsys, "check-structure", files[doc], *flags)
@@ -443,6 +456,7 @@ class TestSearchCommand:
         (["--cap", "-1"], "cap must be nonnegative"),
         (["--coeffs", "0,1/0"], "bad rational '1/0': zero denominator"),
         (["--support", "e33"], "repeated index 3"),
+        (["--support", "2*e12"], "support entries must be bare monomials, got '2*e12'"),
     ])
     def test_usage_error(self, capsys, files, flags, message):
         code, out, err = run(capsys, "search", files["h3"], "--x", "E3", "--alpha", "e3", *flags)
@@ -685,6 +699,7 @@ class TestNonAsciiDigits:
         ("(0,0,12)", ["--f0", "1/0*e12"], "bad rational '1/0': zero denominator"),
         ("(0,0,12)", ["--coeffs", ","], "bad rational '': expected an integer, p/q or a decimal"),
         ("(0,0,12)", ["--coeffs", "0,,1"], "bad rational '': expected an integer, p/q or a decimal"),
+        ("(0,0,12)", ["--f0", "e13 + 1"], "expected a monomial like e13, got '1'"),
     ])
     def test_refused_in_one_error_line(self, capsys, tmp_path, doc, flags, message):
         path = tmp_path / "doc.alg"

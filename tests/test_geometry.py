@@ -79,6 +79,13 @@ class TestSymplectic:
         g = parse_salamon("(12,0,0,0,0,0)")
         assert symplectic_check(g, omega_std(6))
 
+    def test_nondegenerate_but_not_closed(self):
+        g = parse_salamon("(0,0,0,0,12,13)")
+        omega = mono(6, (1, 5)) + mono(6, (2, 6)) + mono(6, (3, 4))
+        assert wedge(wedge(omega, omega), omega) == mono(6, (1, 2, 3, 4, 5, 6), -6)
+        assert g.d(omega) == mono(6, (1, 2, 3))
+        assert not symplectic_check(g, omega)
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             symplectic_check(LieAlgebra.abelian(5), KForm.zero(5, 2))
@@ -333,6 +340,14 @@ class TestHalfFlat:
     def test_dimension_gate(self):
         with pytest.raises(ValueError):
             half_flat_check(LieAlgebra.abelian(4), KForm.zero(4, 2), KForm.zero(4, 3))
+
+    def test_closure_requires_the_jacobi_identity(self):
+        g = parse_salamon("(0,12,0,23,0,0)")
+        assert not g.jacobi_check().passed
+        for check in (lambda: symplectic_check(g, omega_std(6)),
+                      lambda: half_flat_check(g, omega_std(6), rho_minus_std())):
+            with pytest.raises(ValueError, match=r"^closure test requires the Jacobi identity$"):
+                check()
 
 
 class TestG2Cocal:

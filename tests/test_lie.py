@@ -106,6 +106,8 @@ class TestParseSalamon:
 def reference_parse_salamon(text: str) -> LieAlgebra:
     entries = reference_split_entries(text)
     n = len(entries)
+    if n < 2:
+        raise SalamonError(f"shorthand needs at least 2 generators, got {n}", 0)
     if n > 9:
         raise SalamonError(f"shorthand supports at most 9 generators, got {n}", 0)
     diffs = []
@@ -270,14 +272,7 @@ class TestShorthandMatchesReference:
     @settings(max_examples=1000)
     @given(shorthand_texts)
     def test_same_algebra_or_same_error(self, text):
-        want = salamon_outcome(reference_parse_salamon, text)
-        got = salamon_outcome(parse_salamon, text)
-        if isinstance(want, tuple) and want[0] is ValueError:
-            # one generator: KForm.zero(1, 2) raised before any entry was read
-            assert want[1] == "degree must be in 0..1, got 2"
-            assert got == (SalamonError, "shorthand needs at least 2 generators, got 1 (at position 0)", 0)
-        else:
-            assert got == want
+        assert salamon_outcome(parse_salamon, text) == salamon_outcome(reference_parse_salamon, text)
 
     @pytest.mark.parametrize("text", [
         "(51,52,53,2.54,0)", "( 0 , 0 , 12 )", "(0,0,12+3/2.13)", "(0.12+13,0,0)",
@@ -325,6 +320,11 @@ class TestDifferential:
     def test_constant_form(self):
         g = parse_salamon("(0,0,12)")
         assert g.d(KForm.scalar(3, 7)).is_zero()
+
+    def test_top_degree_form_goes_to_the_next_degree(self):
+        g = parse_salamon("(51,52,53,2.54,0)")
+        ds = g.d(mono(5, (1, 2, 3, 4, 5), 3))
+        assert ds.is_zero() and ds.degree == 6
 
     def test_antiderivation_rule(self):
         rng = random.Random(11)
