@@ -87,27 +87,24 @@ class ShearLineReport(Value):
 
 
 class LieAlgebra:
-    """Lie algebra of dimension n given by the two-forms d e_1, ..., d e_n.
+    """Lie algebra of dimension n >= 2 given by the two-forms d e_1, ..., d e_n.
 
     Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k.
-    Given `_base`, an algebra whose diffs these share by object wherever they
-    are unchanged, it checks only the changed generators and those whose
-    d e_k has a monomial touching one: d(d e_k) reads d e_k and the d e_i of
-    the indices i in its monomials only, so for any other k it equals the
-    base's, which is zero when the base passed.  A base that failed gets the
-    full check.  The report is the full check's either way.  Brackets are
+    `_replacing` builds an algebra from a checked one with a few d e_k
+    replaced, and checks only the generators `_recheck` names for them; the
+    report is the full check's either way.  Brackets are
     read off the terms of the d e_k when asked for, by the one formula of
     `_columns`: the bracket, the series, the centralizer, the shear lines and
     the ideal test of a shear all go through it, and no bracket table or ad
     matrix is ever built.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("dim", "diffs", "_jacobi", "_series", "_reach")
+    __slots__ = ("dim", "diffs", "_jacobi", "_series")
 
-    def __init__(self, diffs: list[KForm] | tuple[KForm, ...], *, _base: LieAlgebra | None = None):
+    def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
         diffs = tuple(diffs)
-        if not diffs:
-            raise ValueError("need at least one generator differential")
+        if len(diffs) < 2:  # a two-form needs two generators
+            raise ValueError(f"need at least 2 generator differentials, got {len(diffs)}")
         n = diffs[0].dim
         for k, f in enumerate(diffs, start=1):
             if f.dim != n:
@@ -116,26 +113,47 @@ class LieAlgebra:
                 raise ValueError(f"d e_{k} must be a two-form, got degree {f.degree}")
         if len(diffs) != n:
             raise ValueError(f"got {len(diffs)} differentials for dimension {n}")
-        diffs = tuple(f if f.degree == 2 else KForm.zero(n, 2) for f in diffs)
-        object.__setattr__(self, "dim", n)
+        self._fill(tuple(f if f.degree == 2 else KForm.zero(n, 2) for f in diffs), range(n))
+
+    @classmethod
+    def _replacing(cls, base: LieAlgebra, replaced: Sequence[tuple[int, KForm]], check: Sequence[int]) -> LieAlgebra:
+        """`base` with d e_k replaced by f for each (k, f) of `replaced` (k 0-based),
+        its Jacobi report from d(d e_k) for the k of `check` only.
+
+        Nothing of `base` is validated again.  The caller vouches that each
+        f is a two-form on base.dim, and that `check` is base._recheck of the
+        replaced mask, or every generator.
+        """
+        diffs = list(base.diffs)
+        for k, f in replaced:
+            diffs[k] = f
+        g = object.__new__(cls)
+        g._fill(tuple(diffs), check)
+        return g
+
+    def _fill(self, diffs: tuple[KForm, ...], check: Sequence[int]) -> None:
+        object.__setattr__(self, "dim", len(diffs))
         object.__setattr__(self, "diffs", diffs)
-        check = range(n)
-        if _base is not None and _base._jacobi.passed:
-            changed = 0
-            for k, (f, old) in enumerate(zip(diffs, _base.diffs)):
-                if f is not old:
-                    changed |= 1 << k
-            check = [k for k, reach in enumerate(_base._reaches()) if reach & changed]
         failures = []
         for k in check:
             dd = self.d(diffs[k])
             if not dd.is_zero():
                 failures.append((k + 1, dd))
         object.__setattr__(self, "_jacobi", JacobiReport(not failures, tuple(failures)))
-        # caches filled on first use; assigning an immutable value is atomic
-        # and idempotent, so shared readers need no synchronization
+        # the series cache is filled on first use; assigning an immutable value
+        # is atomic and idempotent, so shared readers need no synchronization
         object.__setattr__(self, "_series", None)
-        object.__setattr__(self, "_reach", None)
+
+    def _recheck(self, changed: int) -> tuple[int, ...]:
+        """The generators whose d(d e_k) can change when the d e_i of the
+        0-based indices in the mask `changed` are replaced: those and the k
+        whose d e_k has a monomial on one of them, as d(d e_k) reads only d e_k
+        and the d e_i of the indices i in its monomials.  Every other d(d e_k)
+        is this algebra's, zero when it passes Jacobi; when it fails, every
+        generator, so the report is the full check's."""
+        if not self._jacobi.passed:
+            return tuple(range(self.dim))
+        return tuple([k for k, f in enumerate(self.diffs) if reduce(or_, f.terms, 1 << k) & changed])
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -212,13 +230,6 @@ class LieAlgebra:
 
     def jacobi_check(self) -> JacobiReport:
         return self._jacobi
-
-    def _reaches(self) -> tuple[int, ...]:
-        """Per generator k, the mask of k and of the indices in the monomials
-        of d e_k: the generators whose differentials d(d e_k) reads."""
-        if self._reach is None:
-            object.__setattr__(self, "_reach", tuple(reduce(or_, f.terms, 1 << k) for k, f in enumerate(self.diffs)))
-        return self._reach
 
     def lie_derivative(self, v: Vector, form: KForm) -> KForm:
         """Cartan formula: L_v = i_v d + d i_v."""

@@ -9,7 +9,7 @@ from operator import mul
 from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
 from .lie import LieAlgebra
-from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, validate_shear
+from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _shear_by, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -113,10 +113,12 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     preserves_closure, on the legs X . sigma computed once per search.  Each
     candidate's F0 is assembled from the checked support and coefficients;
     its F_eff = -(1/a) F0 and its ShearData reuse -1/a, X, alpha and a,
-    checked once per search.  Every hit's algebra gets the Jacobi re-check,
-    on the generators X touches and those whose d e_k has a monomial on one
-    of them: for every other generator d(d e_k) is the base's, zero when the
-    base passes (LieAlgebra).
+    checked once per search.  Every hit's algebra is built by _shear_by from
+    the shear plan of the base (ShearBase.plan), fixed once per search: the
+    generators X touches, whose d e_k it replaces, and the Jacobi re-check
+    set, which adds those whose d e_k has a monomial on one of them.  For
+    every other generator d(d e_k) is the base's, zero when the base passes
+    (LieAlgebra._replacing); a base that fails gets the full check.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -132,7 +134,8 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     neg_inv_a = -1 / spec.a
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     legs = [interior(spec.X, s) for s in spec.preserve]
-    columns = _condition_columns(base, support, legs)
+    columns = _condition_columns(base, masks, legs)
+    plan = base.plan
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -149,22 +152,24 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
                 report = validate_shear(spec.base, data, base)
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
-                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
+                    sheared = _shear_by(spec.base, plan, data.f_eff, guard=True)
+                    hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
     return hits
 
 
-def _condition_columns(base: ShearBase, support: tuple[tuple[int, int], ...], legs: list[KForm]
+def _condition_columns(base: ShearBase, masks: dict[tuple[int, int], int], legs: list[KForm]
                        ) -> dict[tuple[int, int], tuple[Coeff, ...] | None]:
     """Image of each support monomial e_m under the linear conditions, on common rows.
 
-    The conditions are base.leg_free_defect and each e_m ^ (X . sigma), with
-    `legs` the X . sigma.  None marks a monomial with an X-leg, on which they
-    are not linear.
+    `masks` maps each support monomial (i, j) to its bitmask.  The
+    conditions are base.leg_free_defect and each e_m ^ (X . sigma), with
+    `legs` the X . sigma.  None marks a monomial with an X-leg, on which
+    they are not linear.
     """
     comps = base.X.components
     images = {}
-    for i, j in support:
-        e = KForm.monomial(base.g.dim, (i, j))
+    for (i, j), mask in masks.items():
+        e = _make(base.g.dim, 2, {mask: 1})
         images[i, j] = (None if comps[i - 1] or comps[j - 1]
                         else [base.leg_free_defect(e), *(wedge(e, leg) for leg in legs)])
     rows = sorted({(k, m) for image in images.values() if image is not None

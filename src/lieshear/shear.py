@@ -17,8 +17,11 @@ from functools import cached_property
 
 from . import linalg
 from ._value import Value
-from .exterior import Coeff, KForm, Vector, _as_fraction, _make, form_row, interior, one_form, wedge
+from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_row, interior, one_form, wedge
 from .lie import LieAlgebra, _columns
+
+#: _shear_plan's (support, recheck) of a shear along X
+Plan = tuple[tuple[tuple[int, Coeff], ...], tuple[int, ...]]
 
 CONDITION_NAMES = (
     "xi_ideal",
@@ -192,6 +195,11 @@ class ShearBase(Value):
         return cls(g=g, X=X, alpha=alpha, decomp=decompose_dalpha(g, X, alpha))
 
     @cached_property
+    def plan(self) -> Plan:
+        """_shear_plan(g, X): the generators every shear from this base replaces and re-checks."""
+        return _shear_plan(self.g, self.X)
+
+    @cached_property
     def eta_closed(self) -> bool:
         """d(eta) = 0, which is eta0_closed for every F0 with X . F0 = 0."""
         return self.g.d(self.decomp.eta).is_zero()
@@ -276,7 +284,7 @@ def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:
     d_new e_j = d e_j + e_j(X) * F_eff on the common frame; passes the Jacobi
     check exactly when validate_shear reports valid.
     """
-    return _shear_by(g, data.X, data.f_eff)
+    return _shear_by(g, _shear_plan(g, data.X), data.f_eff)
 
 
 def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
@@ -287,20 +295,41 @@ def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
 def _sheared(g: LieAlgebra, data: ShearData, report: ShearReport) -> LieAlgebra:
     if not report.valid:
         raise InvalidShearError(report)
-    return _shear_by(g, data.X, data.f_eff, guard=True)
+    return _shear_by(g, _shear_plan(g, data.X), data.f_eff, guard=True)
 
 
-def _shear_by(g: LieAlgebra, X: Vector, f_eff: KForm, guard: bool = False) -> LieAlgebra:
-    """The algebra with d e_j + e_j(X) * F_eff on the common frame: the one shear formula.
+def _shear_plan(g: LieAlgebra, X: Vector) -> Plan:
+    """What a shear of g along X changes, fixed by (g, X): (support, recheck).
 
-    With `guard`, f_eff comes from a valid shear, and an algebra failing
-    Jacobi raises: the runtime guard of the validity <=> Jacobi equivalence,
-    kept under `python -O`.  The guard's check starts from g, so it covers
-    the generators X touches and those whose d e_k touches them (LieAlgebra);
-    without it the check is the full one, the oracle of the equivalence.
+    `support` holds (k, x_k) for each nonzero component x_k of X (k 0-based,
+    x_k an int when integral), the generators whose d e_k the shear
+    replaces; `recheck` holds the generators the guard's Jacobi re-check
+    reads (LieAlgebra._recheck), every one when g fails Jacobi.
     """
-    diffs = [diff + f_eff * comp if comp else diff for diff, comp in zip(g.diffs, X.components)]
-    sheared = LieAlgebra(diffs, _base=g if guard else None)
+    support = tuple([(k, _as_coeff(x)) for k, x in enumerate(X.components) if x])
+    return support, g._recheck(sum(1 << k for k, _ in support))
+
+
+def _shear_by(g: LieAlgebra, plan: Plan, f_eff: KForm, guard: bool = False) -> LieAlgebra:
+    """The algebra with d e_j + x_j * F_eff on the common frame: the one shear formula.
+
+    `plan` is _shear_plan(g, X), made once per (g, X).  With `guard`, f_eff
+    comes from a valid shear, and an algebra failing Jacobi raises: the
+    runtime guard of the validity <=> Jacobi equivalence, kept under
+    `python -O`.  The guard checks d(d e_k) on the plan's generators only
+    (LieAlgebra._replacing); without it the check is the full one, the
+    oracle of the equivalence.
+    """
+    support, recheck = plan
+    replaced = []
+    for k, x in support:
+        # summed in one pass into a two-form, whatever the degree of a zero F_eff
+        terms = dict(g.diffs[k].terms)
+        for m, c in f_eff.terms.items():
+            v = x * c
+            terms[m] = terms[m] + v if m in terms else v
+        replaced.append((k, _make(g.dim, 2, terms)))
+    sheared = LieAlgebra._replacing(g, replaced, recheck if guard else range(g.dim))
     if guard and not sheared.jacobi_check().passed:
         raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {f_eff}")
     return sheared

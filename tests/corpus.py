@@ -101,6 +101,11 @@ def paper_algebras() -> list[LieAlgebra]:
     return algebras
 
 
+# bases for a shear-shaped change d e_j + x_j F; the last two fail Jacobi
+INCREMENTAL_BASES = [*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
+                     parse_salamon("(12,34,0,0)"), parse_salamon("(0,12,0,23)")]
+
+
 COEFF_POOL = [Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
 
 

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import (change_basis, g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian, random_nilpotent,
-                    random_solvable_extension, reference_shear_lines)
+from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian,
+                    random_nilpotent, random_solvable_extension, reference_shear_lines)
 from lieshear import (
     JacobiReport,
     KForm,
@@ -340,6 +340,20 @@ class TestDifferential:
                 assert g.d(wedge(a, b)) == wedge(g.d(a), b) + sign * wedge(a, g.d(b))
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("make, count", [
+        (lambda: LieAlgebra.abelian(1), 1),
+        (lambda: LieAlgebra([KForm.zero(1, 2)]), 1),
+        (lambda: LieAlgebra([]), 0),
+    ], ids=["abelian-1", "one-zero-form", "none"])
+    def test_fewer_than_two_generators_are_refused(self, make, count):
+        # the bound of parse_salamon and of a document's "dim", so every
+        # algebra prints as shorthand that parses back (TestSalamonRoundtrip)
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"need at least 2 generator differentials, got {count}"
+
+
 class TestJacobi:
     def test_paper_algebras_pass(self):
         for g in paper_algebras():
@@ -353,16 +367,22 @@ class TestJacobi:
 
 
 S5 = "(51,52,53,2.54,0)"
-# bases for a shear-shaped change d e_j + x_j F; the last two fail Jacobi
-INCREMENTAL_BASES = [*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
-                     parse_salamon("(12,34,0,0)"), parse_salamon("(0,12,0,23)")]
+
+
+def replacing(g, diffs):
+    """The algebra of `diffs`, built from g by replacing the d e_k that differ
+    from g's by object and re-checking the generators g._recheck names."""
+    replaced = [(k, f) for k, (f, old) in enumerate(zip(diffs, g.diffs)) if f is not old]
+    return LieAlgebra._replacing(g, replaced, g._recheck(sum(1 << k for k, _ in replaced)))
 
 
 def incremental_report(g, x, f):
     """The Jacobi report of d e_j + x_j F checked from the base g, after
     asserting that it is the full check's."""
     diffs = [diff + c * f if c else diff for diff, c in zip(g.diffs, x)]
-    report = LieAlgebra(diffs, _base=g).jacobi_check()
+    sheared = replacing(g, diffs)
+    assert sheared.diffs == tuple(diffs)
+    report = sheared.jacobi_check()
     assert report == LieAlgebra(list(diffs)).jacobi_check()
     return report
 
@@ -410,10 +430,16 @@ class TestIncrementalJacobi:
         checked = []
         real = LieAlgebra.d
         monkeypatch.setattr(LieAlgebra, "d", lambda self, form: checked.append(form) or real(self, form))
-        LieAlgebra(diffs, _base=g)
+        replacing(g, diffs)
         assert checked == [diffs[3]]
         checked.clear()
         LieAlgebra(diffs)
+        assert checked == diffs
+        # a base failing Jacobi gets the full check, whatever changed
+        g = parse_salamon("(12,34,0,0)")
+        diffs = [*g.diffs[:3], g.diffs[3] + mono(4, (1, 2))]
+        checked.clear()
+        replacing(g, diffs)
         assert checked == diffs
 
 

@@ -205,8 +205,8 @@ class TestDifferentialLaws:
 
 
 @st.composite
-def algebra_diffs(draw):
-    n = draw(st.integers(2, 6))
+def algebra_diffs(draw, max_dim=6):
+    n = draw(st.integers(2, max_dim))
     return [draw(forms(dim=n, degree=2, max_terms=2)) for _ in range(n)]
 
 
@@ -376,7 +376,7 @@ class TestSparseBrackets:
 
 
 class TestSalamonRoundtrip:
-    @given(algebra_diffs())
+    @given(algebra_diffs(max_dim=9))
     def test_parse_print_identity(self, diffs):
         g = LieAlgebra(diffs)
         assert parse_salamon(print_salamon(g)) == g

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from corpus import g_lm, mono, psi4, random_form, reference_enumerate_f0, replaced
+from corpus import INCREMENTAL_BASES, g_lm, mono, psi4, random_form, reference_enumerate_f0, replaced
 from lieshear import (
     KForm,
     LieAlgebra,
@@ -23,6 +25,7 @@ from lieshear import (
     shear,
     shear_candidate,
 )
+from lieshear.shear import check_xi_ideal
 
 S5 = "(51,52,53,2.54,0)"
 
@@ -192,7 +195,7 @@ class TestEnumerate:
         # validate_shear too, which refuses them: the hits stay the same
         spec = spec_on(g_lm(1, 2), 1, max_terms=2)
         expected = enumerate_f0(spec)
-        monkeypatch.setattr(search, "_condition_columns", lambda base, support, legs: {m: () for m in support})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: {m: () for m in masks})
         assert enumerate_f0(spec) == expected == reference_enumerate_f0(spec)
 
     def test_jacobi_guard_catches_a_hit_validation_let_through(self, monkeypatch):
@@ -202,9 +205,23 @@ class TestEnumerate:
         # `python -O`, as the guard raises rather than asserts
         real = search.validate_shear
         monkeypatch.setattr(search, "validate_shear", lambda *args: replaced(real(*args), valid=True))
-        monkeypatch.setattr(search, "_condition_columns", lambda base, support, legs: {m: () for m in support})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: {m: () for m in masks})
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_hits_equal_the_unguarded_shear_and_the_full_check(self, data):
+        # each hit's algebra, built from the search's shear plan with the
+        # partial Jacobi re-check, is shear_candidate's, and its report is
+        # the full check's
+        spec = data.draw(hit_specs())
+        for h in enumerate_f0(spec):
+            shear_data = ShearData(X=spec.X, alpha=spec.alpha, F0=h.f0, a=spec.a)
+            assert h.sheared == shear_candidate(spec.base, shear_data)
+            # d e_j + x_j F_eff, written here with the public form arithmetic
+            assert h.sheared.diffs == tuple(d + x * shear_data.f_eff for d, x in zip(spec.base.diffs, spec.X))
+            assert h.sheared.jacobi_check() == LieAlgebra(list(h.sheared.diffs)).jacobi_check()
 
     def test_zero_coefficient_set_gives_identity_only(self):
         g = parse_salamon(S5)
@@ -254,6 +271,9 @@ class TestEnumerate:
         # F0 ^ (e23 + 2*e45) = 0 asks c_e45 = -2 c_e23: columns meet unequal coefficients
         (LieAlgebra.abelian(5), 1, ((2, 3), (2, 4), (4, 5)), Fraction(-1, 2),
          (mono(5, (1, 2, 3)) + mono(5, (1, 4, 5), 2),), (-1, 0, Fraction(1, 2), 1)),
+        # the same on e12 and e34 along E5: a column of a monomial on e_1 cancels another
+        (LieAlgebra.abelian(5), 5, ((1, 2), (1, 3), (3, 4)), 2,
+         (mono(5, (5, 1, 2)) + mono(5, (5, 3, 4), 2),), (-1, 0, Fraction(1, 2), 1)),
     ]
 
     def test_completeness_against_brute_force_oracle(self):
@@ -381,6 +401,45 @@ def _random_spec(rng):
     spec = SearchSpec(base=g, X=Vector(x), alpha=alpha, a=rng.choice([-1, 1, 2, Fraction(-1, 2), Fraction(3, 4)]),
                       coefficients=rng.choice(RANDOM_COEFFS), support=support,
                       max_terms=rng.randint(1, 3), preserve=preserve)
+    while spec.candidate_count() > 150:
+        spec = replaced(spec, max_terms=spec.max_terms - 1)
+    return spec
+
+
+def ideal_vectors(g):
+    """Vectors spanning one-dimensional ideals of g: frame vectors, and sums
+    u + c v of two of them with c in (1, -2)."""
+    n = g.dim
+    frame = [Vector.basis(n, k) for k in range(1, n + 1) if check_xi_ideal(g, Vector.basis(n, k)) is None]
+    sums = [u + c * v for u, v in combinations(frame, 2) for c in (1, -2)]
+    return frame + [v for v in sums if check_xi_ideal(g, v) is None]
+
+
+# the Jacobi-passing bases, each with its ideal vectors
+HIT_BASES = [(g, ideal_vectors(g)) for g in INCREMENTAL_BASES if g.jacobi_check().passed]
+
+
+@st.composite
+def hit_specs(draw):
+    """Search specs with a != -1 on a base passing Jacobi: X a multiple of an
+    ideal vector, alpha(X) = 1 with an optional leg off X, and a support of
+    leg-free monomials only, or of any monomials, X-legs included."""
+    g, vectors = draw(st.sampled_from(HIT_BASES))
+    n = g.dim
+    X = draw(st.sampled_from(vectors)) * draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 2)]))
+    x = X.components
+    q = max(k for k in range(n) if x[k])
+    alpha = mono(n, (q + 1,), 1 / x[q])
+    off = [k for k in range(n) if not x[k]]
+    if off and draw(st.booleans()):
+        alpha = alpha + mono(n, (draw(st.sampled_from(off)) + 1,), draw(st.sampled_from([1, Fraction(-1, 2)])))
+    pairs = list(combinations(range(1, n + 1), 2))
+    leg_free = [(i, j) for i, j in pairs if not (x[i - 1] or x[j - 1])]
+    pool = leg_free if leg_free and draw(st.booleans()) else pairs
+    support = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True)))
+    spec = SearchSpec(base=g, X=X, alpha=alpha, a=draw(st.sampled_from([1, 2, Fraction(-1, 2), Fraction(3, 4)])),
+                      coefficients=draw(st.sampled_from(RANDOM_COEFFS)), support=support,
+                      max_terms=draw(st.integers(1, 3)))
     while spec.candidate_count() > 150:
         spec = replaced(spec, max_terms=spec.max_terms - 1)
     return spec
