@@ -57,7 +57,8 @@ def _substitute(text: str, subs: dict[str, str]) -> str:
     for name in sorted(subs):
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise UsageError(f"bad substitution name {name!r}")
-        pattern = rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_])"
+        # a name before "[" is a bracketed monomial's e, as in e[1,2]
+        pattern = rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_]|\s*\[)"
         if re.search(pattern, text):  # an unused value is never converted
             text = re.sub(pattern, str(literals.parse_rational(subs[name])), text)
     return text
@@ -191,7 +192,7 @@ def cmd_shear(g: LieAlgebra, args) -> tuple[dict, int]:
     if not report.valid:
         return result, EXIT_INVALID_DATA
     if not args.validate_only:
-        result["sheared"] = print_salamon(shear._sheared(g, data, report))
+        result["sheared"] = print_salamon(shear._sheared(report))
     return result, EXIT_OK
 
 
@@ -373,7 +374,7 @@ def _emit(report: dict, code: int, as_json: bool) -> None:
     report["exit_status"] = code
     try:
         if as_json:
-            print(json.dumps(report, sort_keys=True, indent=2, default=str))
+            print(json.dumps(report, sort_keys=True, indent=2))
         else:
             print(_render_text(report))
         sys.stdout.flush()

@@ -113,7 +113,7 @@ class LieAlgebra:
                 raise ValueError(f"d e_{k} must be a two-form, got degree {f.degree}")
         if len(diffs) != n:
             raise ValueError(f"got {len(diffs)} differentials for dimension {n}")
-        self._fill(tuple(f if f.degree == 2 else KForm.zero(n, 2) for f in diffs), range(n))
+        self._fill(diffs, range(n))
 
     @classmethod
     def _replacing(cls, base: LieAlgebra, replaced: Sequence[tuple[int, KForm]], check: Sequence[int]) -> LieAlgebra:

@@ -9,7 +9,7 @@ from operator import mul
 from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
 from .lie import LieAlgebra
-from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _shear_by, validate_shear
+from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
 
 DEFAULT_CAP = 10**6
 
@@ -103,17 +103,17 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     """All valid, structure-preserving deformations, in canonical order.
 
     Candidates are ordered by (term count, monomial tuple, coefficient tuple).
-    The (base, X, alpha) part of the shear is prepared once, before the first
-    candidate.  A candidate without X-legs whose monomials' condition columns,
-    times its coefficients, do not sum to zero (or any, when eta is not
-    closed) is dropped unbuilt; one that passes preserves every form, and
-    validate_shear, which reads its validity off the base's monomial defects,
-    only confirms it.  A candidate with an X-leg goes through validate_shear
+    The (base, X, alpha) part of the shear is checked and decomposed once
+    (decompose_dalpha), before the first candidate.  A candidate without
+    X-legs whose monomials' condition columns, times its coefficients, do not
+    sum to zero (or any, when eta is not closed) is dropped unbuilt; one that
+    passes preserves every form, and validate_shear, which reads its validity
+    off the base's monomial defects, only confirms it.  A candidate with an X-leg goes through validate_shear
     and, for each preserved sigma, the test F0 ^ (X . sigma) = 0 of
     preserves_closure, on the legs X . sigma computed once per search.  Each
     candidate's F0 is assembled from the checked support and coefficients;
     its F_eff = -(1/a) F0 and its ShearData reuse -1/a, X, alpha and a,
-    checked once per search.  Every hit's algebra is built by _shear_by from
+    checked once per search.  Every hit's algebra is built by _sheared from
     the shear plan of the base (ShearBase.plan), fixed once per search: the
     generators X touches, whose d e_k it replaces, and the Jacobi re-check
     set, which adds those whose d e_k has a monomial on one of them.  For
@@ -128,14 +128,13 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     scale = lcm(*(c.denominator for c in nonzero))
     scaled = tuple(int(c * scale) for c in nonzero)
     n = spec.base.dim
-    base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
+    base = decompose_dalpha(spec.base, spec.X, spec.alpha)
     if not spec.a:
         raise ShearDataError("transfer constant a must be nonzero")
     neg_inv_a = -1 / spec.a
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     legs = [interior(spec.X, s) for s in spec.preserve]
     columns = _condition_columns(base, masks, legs)
-    plan = base.plan
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -152,8 +151,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
                 report = validate_shear(spec.base, data, base)
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
-                    sheared = _shear_by(spec.base, plan, data.f_eff, guard=True)
-                    hits.append(SearchHit(f0=f0, report=report, sheared=sheared))
+                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))
     return hits
 
 

@@ -88,7 +88,7 @@ class ShearData(Value):
     def _trusted(cls, X: Vector, alpha: KForm, F0: KForm, a: Fraction, f_eff: KForm) -> "ShearData":
         """ShearData without the checks of __init__, for a search.
 
-        The caller vouches for them: ShearBase.prepare checked X and alpha,
+        The caller vouches for them: decompose_dalpha checked X and alpha,
         a is a nonzero Fraction, F0 a two-form of the same dimension, and
         f_eff is -(1/a) * F0.
         """
@@ -102,27 +102,13 @@ class ShearData(Value):
         return self.F0 * (-1 / self.a)
 
 
-class DecompResult(Value):
-    """d(alpha) = eta ^ alpha + f with both parts annihilating X.
-
-    eta_bracket is the one-form defined by [A, X] = eta_bracket(A) * X.  It
-    is -eta, by the sign convention d(alpha)(A, B) = -alpha([A, B]): as X
-    spans an ideal and alpha(X) = 1, eta_bracket(A) = alpha([A, X])
-    = -d(alpha)(A, X) = d(alpha)(X, A) = (X . d(alpha))(A) = -eta(A).
-    """
-
-    _fields = ("eta", "f")
-
-    @property
-    def eta_bracket(self) -> KForm:
-        return -self.eta
-
-
 class ShearReport(Value):
+    """Every shear condition of one F0, with `decomp` the base it was judged on."""
+
     _fields = ("valid", "decomp", "eta_prime", "eta_0", "f_prime", "nu", "f_eff", "conditions")
     _hidden = ("conditions",)
 
-    def __init__(self, valid: bool, decomp: DecompResult, eta_prime: KForm, eta_0: KForm,
+    def __init__(self, valid: bool, decomp: ShearBase, eta_prime: KForm, eta_0: KForm,
                  f_prime: KForm, nu: KForm, f_eff: KForm, conditions: dict[str, bool | None]):
         self.__dict__.update(valid=valid, decomp=decomp, eta_prime=eta_prime, eta_0=eta_0,
                              f_prime=f_prime, nu=nu, f_eff=f_eff, conditions=conditions)
@@ -157,8 +143,9 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     return None
 
 
-def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
-    """Split d(alpha) = eta ^ alpha + f with eta = -X . d(alpha), f killing X."""
+def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> ShearBase:
+    """The shear's base: (g, X, alpha) checked, and d(alpha) = eta ^ alpha + f
+    split with eta = -X . d(alpha) and f killing X."""
     if X.dim != g.dim:
         raise ShearDataError(f"dimension mismatch: {X.dim} vs {g.dim}")
     pairing = alpha(X)
@@ -171,28 +158,34 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> DecompResult:
     eta = -interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
     f = dalpha - wedge(eta, alpha)
-    return DecompResult(eta=eta, f=f)
+    return ShearBase(g=g, X=X, alpha=alpha, eta=eta, f=f)
 
 
 class ShearBase(Value):
-    """The part of a shear fixed by (g, X, alpha), checked and decomposed once.
+    """The part of a shear fixed by (g, X, alpha): d(alpha) = eta ^ alpha + f,
+    with both parts annihilating X.
 
-    `prepare` runs the dimension, alpha(X) = 1 and ideal checks and splits
-    d(alpha) (decompose_dalpha); validate_shear then only does the work that
-    depends on F0, a and eta_g.  For an F0 with X . F0 = 0, `leg_free_defect`
-    and `eta_closed` decide validity.  Build one per run over many F0 on one
-    (g, X, alpha); nothing outlives it.
+    decompose_dalpha checks and splits it once; validate_shear then only
+    does the work that depends on F0, a and eta_g.  For an F0 with
+    X . F0 = 0, `leg_free_defect` and `eta_closed` decide validity.  Build
+    one per run over many F0 on one (g, X, alpha); nothing outlives it.
     """
 
-    _fields = ("g", "X", "alpha", "decomp")
+    _fields = ("g", "X", "alpha", "eta", "f")
 
-    def __init__(self, g: LieAlgebra, X: Vector, alpha: KForm, decomp: DecompResult):
+    def __init__(self, g: LieAlgebra, X: Vector, alpha: KForm, eta: KForm, f: KForm):
         # _defects, leg_free_defect's cache, is not a field
-        self.__dict__.update(g=g, X=X, alpha=alpha, decomp=decomp, _defects={})
+        self.__dict__.update(g=g, X=X, alpha=alpha, eta=eta, f=f, _defects={})
 
-    @classmethod
-    def prepare(cls, g: LieAlgebra, X: Vector, alpha: KForm) -> "ShearBase":
-        return cls(g=g, X=X, alpha=alpha, decomp=decompose_dalpha(g, X, alpha))
+    @property
+    def eta_bracket(self) -> KForm:
+        """The one-form with [A, X] = eta_bracket(A) * X, which is -eta.
+
+        By the sign convention d(alpha)(A, B) = -alpha([A, B]): as X spans an
+        ideal and alpha(X) = 1, eta_bracket(A) = alpha([A, X])
+        = -d(alpha)(A, X) = d(alpha)(X, A) = (X . d(alpha))(A) = -eta(A).
+        """
+        return -self.eta
 
     @cached_property
     def plan(self) -> Plan:
@@ -202,7 +195,7 @@ class ShearBase(Value):
     @cached_property
     def eta_closed(self) -> bool:
         """d(eta) = 0, which is eta0_closed for every F0 with X . F0 = 0."""
-        return self.g.d(self.decomp.eta).is_zero()
+        return self.g.d(self.eta).is_zero()
 
     def leg_free_defect(self, f0: KForm) -> KForm:
         """dF0 - eta ^ F0, for an F0 with X . F0 = 0.
@@ -218,7 +211,7 @@ class ShearBase(Value):
             defect = self._defects.get(mask)
             if defect is None:
                 e = _make(self.g.dim, 2, {mask: 1})
-                defect = self._defects[mask] = self.g.d(e) - wedge(self.decomp.eta, e)
+                defect = self._defects[mask] = self.g.d(e) - wedge(self.eta, e)
             for m, v in defect.terms.items():
                 terms[m] = terms[m] + c * v if m in terms else c * v
         return _make(self.g.dim, 3, terms)
@@ -227,7 +220,7 @@ class ShearBase(Value):
 def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:
     """Evaluate every shear condition; validity means the sheared algebra exists.
 
-    `base` is ShearBase.prepare(g, data.X, data.alpha), made here when None;
+    `base` is decompose_dalpha(g, data.X, data.alpha), made here when None;
     a base prepared for another algebra, X or alpha raises ShearDataError.
 
     eta0_vanishes_on_xi is reported True without evaluation, because it holds
@@ -235,13 +228,12 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
     and (X . F_eff)(X) = F_eff(X, X) = 0, both forms being alternating.
     """
     if base is None:
-        base = ShearBase.prepare(g, data.X, data.alpha)
+        base = decompose_dalpha(g, data.X, data.alpha)
     else:
         for name, mine, theirs in (("algebra", base.g, g), ("X", base.X, data.X),
                                    ("alpha", base.alpha, data.alpha)):
             if mine is not theirs and mine != theirs:
                 raise ShearDataError(f"shear base was prepared for another {name}")
-    decomp = base.decomp
     if data.eta_g is not None and not g.d(data.eta_g).is_zero():
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff
@@ -249,13 +241,13 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
     if nu.is_zero():
         # eta' = 0 and d(nu) = 0: eta_0 = eta and f' = F_eff, so the required
         # conditions are base.eta_closed and leg_free_defect(F0) = 0
-        eta_prime, eta_0, f_prime = nu, decomp.eta, f_eff
+        eta_prime, eta_0, f_prime = nu, base.eta, f_eff
         df_ok = base.leg_free_defect(data.F0).is_zero()
         eta0_closed = base.eta_closed
         dnu_wedge_nu_zero = dnu_zero = True
     else:
         eta_prime = nu * (1 / data.a)  # -X . F_eff, as F_eff = -(1/a) F0
-        eta_0 = decomp.eta + eta_prime  # eta - X . F_eff
+        eta_0 = base.eta + eta_prime  # eta - X . F_eff
         f_prime = f_eff - wedge(eta_prime, data.alpha)
         df_ok = g.d(f_eff) == wedge(eta_0, f_eff)
         eta0_closed = g.d(eta_0).is_zero()
@@ -263,7 +255,7 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         dnu_wedge_nu_zero = wedge(dnu, nu).is_zero()
         dnu_zero = dnu.is_zero()
     conditions: dict[str, bool | None] = {
-        "xi_ideal": True,  # established by ShearBase.prepare
+        "xi_ideal": True,  # established by decompose_dalpha
         "df_eff_eq_eta0_wedge_f_eff": df_ok,
         "eta0_closed": eta0_closed,
         "eta0_vanishes_on_xi": True,  # an identity, see the docstring
@@ -274,7 +266,7 @@ def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None
         ),
     }
     valid = all(conditions[name] for name in REQUIRED_CONDITIONS)
-    return ShearReport(valid=valid, decomp=decomp, eta_prime=eta_prime, eta_0=eta_0, f_prime=f_prime,
+    return ShearReport(valid=valid, decomp=base, eta_prime=eta_prime, eta_0=eta_0, f_prime=f_prime,
                        nu=nu, f_eff=f_eff, conditions=conditions)
 
 
@@ -289,13 +281,16 @@ def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:
 
 def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
     """Shear g by the given data; raises InvalidShearError when conditions fail."""
-    return _sheared(g, data, validate_shear(g, data))
+    return _sheared(validate_shear(g, data))
 
 
-def _sheared(g: LieAlgebra, data: ShearData, report: ShearReport) -> LieAlgebra:
+def _sheared(report: ShearReport) -> LieAlgebra:
+    """The algebra of a validated shear, read off its report alone: the
+    algebra and the plan from its base, F_eff from its fields."""
     if not report.valid:
         raise InvalidShearError(report)
-    return _shear_by(g, _shear_plan(g, data.X), data.f_eff, guard=True)
+    base = report.decomp
+    return _shear_by(base.g, base.plan, report.f_eff, guard=True)
 
 
 def _shear_plan(g: LieAlgebra, X: Vector) -> Plan:
@@ -422,4 +417,4 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     report = validate_shear(g, data)
     if not (report.decomp.eta.is_zero() and report.eta_prime.is_zero()):
         raise TwistError("twist data produced nonzero eta parts")
-    return _sheared(g, data, report)
+    return _sheared(report)

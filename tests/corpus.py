@@ -10,7 +10,7 @@ from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, Shear
 from lieshear.exterior import form_row, interior
 from lieshear.lie import _chain
 from lieshear.literals import format_vector
-from lieshear.shear import REQUIRED_CONDITIONS, ShearBase, _sheared, validate_shear
+from lieshear.shear import REQUIRED_CONDITIONS, _sheared, validate_shear
 
 HEISENBERG = "(0,0,12)"
 ABELIAN3 = "(0,0,0)"
@@ -168,14 +168,22 @@ def random_unimodular(rng: random.Random, n: int, steps: int) -> tuple[list[list
     return p, q
 
 
-def change_basis(g: LieAlgebra, seed: int, steps: int) -> LieAlgebra:
-    """g in the coframe f = P e for a random unimodular integer P made of
-    `steps` elementary row operations: d f_i = P_i . (d e) with e = P^-1 f,
-    so nearly every d f_k has nearly every term."""
+def change_basis(g: LieAlgebra, seed: int = 0, steps: int = 0, frame=None) -> LieAlgebra:
+    """g in the coframe f = P e for a unimodular integer P: `frame` = (P, P^-1),
+    or else a random P made of `steps` elementary row operations.  d f_i =
+    P_i . (d e) with e = P^-1 f, so nearly every d f_k has nearly every term."""
     n = g.dim
-    p, q = random_unimodular(random.Random(seed), n, steps)
+    p, q = frame or random_unimodular(random.Random(seed), n, steps)
     zero = KForm.zero(n, 2)
     return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
+
+
+def move_shear(data: ShearData, frame) -> ShearData:
+    """The shear data in change_basis's coframe f = P e, `frame` = (P, P^-1):
+    X goes to P X, and alpha and F0 to their pullbacks by P^-1."""
+    p, q = frame
+    x = Vector([sum(c * v for c, v in zip(row, data.X)) for row in p])
+    return ShearData(X=x, alpha=pullback(q, data.alpha), F0=pullback(q, data.F0), a=data.a)
 
 
 EIGEN_POOL = [Fraction(c) for c in (-2, -1, 0, 0, 1, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
@@ -436,8 +444,9 @@ def reference_det(a) -> Fraction:
 
 
 def reference_shear(g: LieAlgebra, data: ShearData) -> tuple[ShearReport, dict[str, KForm]]:
-    """validate_shear by the general formulas of the paper alone, with no
-    ShearBase and no shortcut for X . F0 = 0: the oracle for its leg-free
+    """validate_shear by the general formulas of the paper alone, with none
+    of ShearBase's shortcuts (leg_free_defect, eta_closed, plan), only its
+    eta and f, and no shortcut for X . F0 = 0: the oracle for its leg-free
     branch.  eta0_vanishes_on_xi is evaluated here, not taken as an identity.
 
     Beside the report come eta_tilde = eta - X . F_eff, f_tilde = f + f' and
@@ -483,7 +492,7 @@ def reference_enumerate_f0(spec) -> list[SearchHit]:
     algebras."""
     support = spec.effective_support()
     nonzero = tuple(c for c in spec.coefficients if c)
-    base = ShearBase.prepare(spec.base, spec.X, spec.alpha)
+    base = decompose_dalpha(spec.base, spec.X, spec.alpha)
     hits = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -494,7 +503,7 @@ def reference_enumerate_f0(spec) -> list[SearchHit]:
                 report = validate_shear(spec.base, data, base)
                 if report.valid and all(preserves_closure(spec.base, spec.X, f0, s)
                                         for s in spec.preserve):
-                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(spec.base, data, report)))
+                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))
     return hits
 
 
@@ -539,4 +548,4 @@ def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     red, pivots = reference_rref([[*row, int(k == g.dim - 1)] for k, row in enumerate(rows)])
     assert pivots == tuple(range(g.dim)), "the splitting is not a basis of g*"
     data = ShearData(X=Vector([row[-1] for row in red]), alpha=alpha, F0=f2)
-    return _sheared(g, data, validate_shear(g, data))
+    return _sheared(validate_shear(g, data))

@@ -14,8 +14,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from corpus import replaced
-from lieshear import cli
+from corpus import mono, reference_enumerate_f0, replaced
+from lieshear import SearchSpec, Vector, cli, parse_salamon
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -24,6 +24,7 @@ PSI_LITERAL = "e1425 + e1436 + e2536 - e4567 + e4237 + e1267 + e1537"
 PHI_LITERAL = "e123+e145+e167+e246-e257-e347-e356"
 IDENTITY6 = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
 J6 = "0,-1,0,0,0,0;1,0,0,0,0,0;0,0,0,-1,0,0;0,0,1,0,0,0;0,0,0,0,0,-1;0,0,0,0,1,0"
+MINUS_J6 = ";".join(",".join(str(-int(v)) for v in row.split(",")) for row in J6.split(";"))
 
 # text reports pinned byte for byte, one file each in tests/golden/
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,6 +153,15 @@ class TestSubstitutions:
         code, out, _ = run(capsys, "algebra-check", files["json_doc"])
         assert code == 0
         assert "algebra: (0,0,12,2.13)" in out
+
+    @pytest.mark.parametrize("name", ["e", "c"])
+    def test_a_name_before_a_bracket_is_left_to_the_monomial(self, capsys, tmp_path, name):
+        # the e of e[1,2] is not the parameter e, which replaces only the bare name
+        p = tmp_path / "d10.alg"
+        p.write_text(json.dumps({"dim": 10, "d": {"10": f"{name} * e[1,2]"}, "substitutions": {name: "2"}}))
+        code, out, err = run(capsys, "algebra-check", str(p), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(json.loads(out)["result"]["algebra"])["d"]["10"] == "2*e[1,2]"
 
 
 WRONG_SHAPE_DOCUMENTS = {
@@ -365,6 +375,19 @@ class TestCheckStructure:
         assert code == 0
         assert "passed: pass" in out
 
+    @pytest.mark.parametrize("flag, value, failed", [
+        ("--metric", IDENTITY6.replace("1", "2", 1), "metric_j_invariant"),  # diag(2, 1, ..., 1)
+        ("--j", MINUS_J6, "omega_equals_metric_j"),
+    ], ids=["metric", "j"])
+    def test_an_explicit_part_replaces_the_standard_one(self, capsys, files, flag, value, failed):
+        # README: --metric and --j each replace their part of --standard, and
+        # each of these fails one check
+        code, out, _ = run(capsys, "check-structure", files["kahler6"], "--type", "kahler", "--standard",
+                           flag, value, "--json")
+        result = json.loads(out)["result"]
+        assert (code, result["passed"]) == (0, False)
+        assert [name for name, ok in result["checks"].items() if not ok] == [failed]
+
     def test_symplectic_fail_is_exit_0(self, capsys, files):
         code, out, _ = run(capsys, "check-structure", files["ab6"],
                            "--type", "symplectic", "--omega", "e12+e34")
@@ -440,6 +463,17 @@ class TestSearchCommand:
         assert code == 0 and json.loads(plain)["result"]["hits"]
         code, preserving, _ = run(capsys, *argv, "--preserve", "0")
         assert code == 0 and preserving == plain
+
+    def test_max_terms_reaches_the_search(self, capsys, files):
+        # the default support of Ann(E4) has 6 monomials: 233 candidates with
+        # up to three terms, 73 with up to two
+        code, out, _ = run(capsys, "search", files["s5"], "--x", "E4", "--alpha", "e4", "--max-terms", "3",
+                           "--json")
+        result = json.loads(out)["result"]
+        spec = SearchSpec(base=parse_salamon("(51,52,53,2.54,0)"), X=Vector.basis(5, 4), alpha=mono(5, (4,)),
+                          max_terms=3)
+        assert (code, result["candidates"]) == (0, 233)
+        assert [h["f0"] for h in result["hits"]] == [str(h.f0) for h in reference_enumerate_f0(spec)]
 
     def test_cap_exit_4(self, capsys, files):
         code, _, err = run(capsys, "search", files["ab6"],

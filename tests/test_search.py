@@ -126,7 +126,9 @@ class TestEnumerate:
             calls.append(args)
             return real(*args)
 
+        # enumerate_f0 and validate_shear each hold their own binding
         monkeypatch.setattr(shear, "decompose_dalpha", counted)
+        monkeypatch.setattr(search, "decompose_dalpha", counted)
         g = parse_salamon(S5)
         spec = spec_on(g, 4, max_terms=2)
         assert len(enumerate_f0(spec)) == spec.candidate_count() == 73
@@ -348,7 +350,7 @@ class TestEnumerate:
         base = parse_salamon("(12,34,0,0)")
         spec = spec_on(base, 1, support=tuple(combinations(range(1, 5), 2)), max_terms=2, a=2)
         assert not base.jacobi_check().passed
-        assert not shear.ShearBase.prepare(base, spec.X, spec.alpha).eta_closed
+        assert not shear.decompose_dalpha(base, spec.X, spec.alpha).eta_closed
         expected = reference_enumerate_f0(spec)
         calls = []
         real = search.validate_shear

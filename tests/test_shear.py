@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import (
+    change_basis,
     frame_ideal_indices,
     g_lm,
     h_lm,
     mono,
+    move_shear,
     paper_algebras,
     psi4,
     random_almost_abelian,
@@ -24,6 +26,7 @@ from corpus import (
     random_form,
     random_nilpotent,
     random_shears,
+    random_unimodular,
     reference_shear,
     reference_twist,
     reference_validate_shear,
@@ -33,7 +36,6 @@ from lieshear import (
     InvalidShearError,
     KForm,
     LieAlgebra,
-    ShearBase,
     ShearData,
     ShearDataError,
     TwistError,
@@ -112,6 +114,26 @@ class TestDerivedForms:
         assert report.eta_tilde == report.eta_0 == derived["eta_tilde"]
         assert report.f_tilde == report.decomp.f + report.f_prime == derived["f_tilde"]
         assert report.decomp.eta_bracket == -report.decomp.eta == derived["eta_bracket"]
+
+
+class TestFrameChange:
+    def test_validity_and_the_sheared_algebra_move_with_the_frame(self):
+        # every fifth case of the stream, moved to the coframe f = P e: X goes
+        # to P X, off the frame vectors, so each x_j of d e_j + x_j F_eff counts
+        rng = random.Random(26)
+        cases = RANDOM_SHEARS[::5]
+        off_frame = valid = 0
+        for g, data in cases:
+            frame = random_unimodular(rng, g.dim, 2 * g.dim)
+            moved_g, moved = change_basis(g, frame=frame), move_shear(data, frame)
+            report, moved_report = validate_shear(g, data), validate_shear(moved_g, moved)
+            assert moved_report.conditions == report.conditions
+            assert moved_report.valid == shear_candidate(moved_g, moved).jacobi_check().passed
+            if report.valid:
+                assert apply_shear(moved_g, moved) == change_basis(apply_shear(g, data), frame=frame)
+                valid += 1
+            off_frame += any(x not in (0, 1) for x in moved.X)
+        assert 10 < valid < len(cases) - 10 and off_frame > len(cases) // 2
 
 
 class TestDecompose:
@@ -315,10 +337,10 @@ def _valid_leg_free(case):
     """The prepared base of a case, a basis of Lambda^2 Ann(X), and a basis of
     the F0 in it that make a valid shear: the kernel of leg_free_defect."""
     g, x, alpha = LEG_FREE_BASES[case]
-    base = ShearBase.prepare(g, Vector(x), alpha)
+    base = decompose_dalpha(g, Vector(x), alpha)
     ann = [one_form(row) for row in linalg.nullspace([x], g.dim)]
     forms = [wedge(u, v) for u, v in combinations(ann, 2)]
-    defects = [g.d(f) - wedge(base.decomp.eta, f) for f in forms]
+    defects = [g.d(f) - wedge(base.eta, f) for f in forms]
     rows = [[d.terms.get(m, 0) for d in defects] for m in sorted({m for d in defects for m in d.terms})]
     kernel = [sum((c * f for c, f in zip(vec, forms)), KForm.zero(g.dim, 2))
               for vec in linalg.nullspace(rows, len(forms))]
@@ -327,7 +349,7 @@ def _valid_leg_free(case):
 
 class TestShearBase:
     def test_equal_algebra_is_accepted(self):
-        base = ShearBase.prepare(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,)))
+        base = decompose_dalpha(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,)))
         g = parse_salamon(S5)
         assert base.g is not g
         assert validate_shear(g, data_on(g, 4, mono(5, (1, 3))), base).valid
@@ -336,7 +358,7 @@ class TestShearBase:
     def test_base_for_other_data_raises(self, other):
         g = parse_salamon("(0,0,12,0)")
         x, alpha = Vector.basis(4, 4), mono(4, (4,))
-        base = ShearBase.prepare(LieAlgebra.abelian(4) if other == "algebra" else g, x, alpha)
+        base = decompose_dalpha(LieAlgebra.abelian(4) if other == "algebra" else g, x, alpha)
         if other == "X":
             x = Vector([0, 0, 1, 1])
         if other == "alpha":
@@ -350,12 +372,12 @@ class TestShearBase:
         for g, data in random_shears(120):
             (k,) = [i for i, x in enumerate(data.X.components, start=1) if x]
             f0 = KForm(g.dim, 2, {m: c for m, c in data.F0.terms.items() if not m >> (k - 1) & 1})
-            base = ShearBase.prepare(g, data.X, data.alpha)
+            base = decompose_dalpha(g, data.X, data.alpha)
             assert validate_shear(g, data, base) == reference_validate_shear(g, data)
             leg_free = ShearData(X=data.X, alpha=data.alpha, F0=f0, a=data.a)
             report = validate_shear(g, leg_free, base)
             assert report == reference_validate_shear(g, leg_free)
-            assert base.leg_free_defect(f0) == g.d(f0) - wedge(base.decomp.eta, f0)
+            assert base.leg_free_defect(f0) == g.d(f0) - wedge(base.eta, f0)
             valid = shear_candidate(g, leg_free).jacobi_check().passed
             assert report.valid == valid == (base.eta_closed and base.leg_free_defect(f0).is_zero())
             verdicts.add(valid)
@@ -379,7 +401,7 @@ class TestShearBase:
     def test_leg_free_cases_cover_eta_and_frame(self):
         cases = [_valid_leg_free(case) for case in range(len(LEG_FREE_BASES))]
         assert all(base.eta_closed and kernel for base, _, kernel in cases)
-        assert {base.decomp.eta.is_zero() for base, _, _ in cases} == {True, False}
+        assert {base.eta.is_zero() for base, _, _ in cases} == {True, False}
         assert {sum(map(bool, base.X.components)) == 1 for base, _, _ in cases} == {True, False}
         # some F0 in Lambda^2 Ann(X) have monomials with an X-leg
         assert any(m >> i & 1 for base, forms, _ in cases for f in forms for m in f.terms
@@ -387,9 +409,9 @@ class TestShearBase:
 
     def test_eta_closed_only_fails_off_jacobi(self):
         # eta is minus the character of the ideal span(X), closed by Jacobi
-        assert ShearBase.prepare(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,))).eta_closed
-        base = ShearBase.prepare(parse_salamon("(12,34,0,0)"), Vector.basis(4, 1), mono(4, (1,)))
-        assert base.decomp.eta == -mono(4, (2,)) and not base.eta_closed
+        assert decompose_dalpha(parse_salamon(S5), Vector.basis(5, 4), mono(5, (4,))).eta_closed
+        base = decompose_dalpha(parse_salamon("(12,34,0,0)"), Vector.basis(4, 1), mono(4, (1,)))
+        assert base.eta == -mono(4, (2,)) and not base.eta_closed
 
 
 class TestApplyTwist:
