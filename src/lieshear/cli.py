@@ -55,7 +55,8 @@ def _verdict(ok: bool | None) -> str:
 
 def _substitute(text: str, subs: dict[str, str]) -> str:
     for name in sorted(subs):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        # e12 names a monomial and E1 a frame vector: replacing them would rewrite the form
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or re.fullmatch(r"[eE][0-9]+", name):
             raise UsageError(f"bad substitution name {name!r}")
         # a name before "[" is a bracketed monomial's e, as in e[1,2]
         pattern = rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_]|\s*\[)"

@@ -243,12 +243,18 @@ class LieAlgebra:
         # a span is blind to the scale of each bracket: bracket the integer rows
         # through the `_int_terms`.  One pass over the terms per right row v
         # gives the columns [E_i, v]; then [u, v] sums u_i [E_i, v] over the
-        # nonzero u_i only, a column lookup for the unit rows of a lower-central step
+        # nonzero u_i only, a column lookup for the unit rows of a lower-central step.
+        # A self-span, as [g, g] and each derived step, takes each unordered pair
+        # once: [u, v] = -[v, u] and [v, v] = 0 for any two-form structure constants
         supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
+        same = left == right
         vecs = []
-        for v in right:
+        for k, v in enumerate(right):
+            lefts = supports[:k] if same else supports
+            if not lefts:
+                continue
             cols = _columns(terms, v)
-            for (i, x), *rest in supports:
+            for (i, x), *rest in lefts:
                 b = cols[i] if x == 1 else [x * c for c in cols[i]]
                 for i, x in rest:
                     b = [p + x * c for p, c in zip(b, cols[i])]
@@ -363,7 +369,16 @@ class LieAlgebra:
                         im = [b[p] * x - im[p] * y for x, y in zip(im, b)] if im[p] else im
                     if any(im):
                         raise RuntimeError("complement action does not preserve the target subspace")
-                restricted = [[Fraction(im[p], scale * b[p]) for im in images] for b, p in zip(basis, pivots)]
+                # the restricted matrix has entries im_j[p_i] / d_i, d_i = scale b_i[p_i] > 0.
+                # Row i's reduced denominators have the lcm d_i / gcd(d_i, im_1[p_i], ...), so
+                # with den the lcm of those, R = den A is the least integer multiple of A
+                rows = [[im[p] for im in images] for p in pivots]
+                ds = [scale * b[p] for b, p in zip(basis, pivots)]
+                den = lcm(*(d // gcd(d, *row) for d, row in zip(ds, rows)))
+                restricted = [[x * den // d for x in row] for d, row in zip(ds, rows)]
+                # charpoly(R) is monic over the integers, so its rational roots are
+                # integers mu; the eigenvalues of A are mu / den, with the eigenspaces
+                # of R, the nullspaces of the integer rows R - mu I
                 roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
                 nonrational = nonrational or bool(leftover)
                 columns = list(zip(*basis))
@@ -371,11 +386,12 @@ class LieAlgebra:
                 # sorted.  A nullspace row y is reduced echelon with a positive pivot,
                 # and so is sum_i y_i b_i, whose entry at p_i is y_i b_i[p_i]
                 for root, _mult in roots:
-                    shifted = [[x - root if i == j else x for j, x in enumerate(row)]
+                    mu = root.numerator
+                    shifted = [[x - mu if i == j else x for j, x in enumerate(row)]
                                for i, row in enumerate(restricted)]
                     sums = [[sum(map(mul, y, col)) for col in columns] for y in linalg.nullspace(shifted, len(basis))]
                     eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
-                    refined.append((eigs + (root,), eigvecs))
+                    refined.append((eigs + (Fraction(mu, den),), eigvecs))
             spaces = refined
         eig = tuple(EigenSpace(eigenvalues=e, basis=linalg.reduced(b)) for e, b in spaces)
         return ShearLineReport(

@@ -6,12 +6,13 @@ Inside the package a subspace is the tuple of its reduced row echelon rows
 pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
 is canonical, so subspace equality is a tuple comparison; `reduced` gives the
 `Fraction` rows with pivot 1 that the public reports hold.  `charpoly` works
-on the integer matrix L*A and `rational_roots` bisects integer polynomials;
-only their returned entries are Fractions.  `definiteness` tells positive
-from negative definite by the signs of one `charpoly`.  `rational_roots`
-neither factors nor searches divisors: its work is polynomial in the bit
-length of the coefficients, so no input makes it run unbounded.  The
-subspace questions of the package are asked here:
+on the integer matrix L*A, building each row of a product from the nonzero
+entries of that row of L*A alone, and `rational_roots` bisects integer
+polynomials; only their returned entries are Fractions.  `definiteness`
+tells positive from negative definite by the signs of one `charpoly`.
+`rational_roots` neither factors nor searches divisors: its work is
+polynomial in the bit length of the coefficients, so no input makes it run
+unbounded.  The subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 Row = tuple[int, ...]
@@ -166,18 +166,25 @@ def definiteness(a: Sequence[Sequence]) -> int:
 def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
     """Characteristic polynomial det(xI - A), coefficients ascending, monic.
 
-    Faddeev-LeVerrier on the integer matrix L*A, L the lcm of the entries'
+    Faddeev-LeVerrier on the integer matrix B = L*A, L the lcm of the entries'
     denominators: the coefficient of x^(n-k) of L*A is L^k times that of A,
-    and each of its trace divisions by k is exact over the integers.
+    and each of its trace divisions by k is exact over the integers.  The
+    product B M is sparse in B: its row i sums x * (row j of M) over the
+    nonzero x = B[i][j] only, so a zero row of B costs nothing.
     """
     n = len(a)
     scale = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    supports = [[(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x] for row in a]
     coeffs = [0] * n + [1]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        cols = list(zip(*mk))
-        mk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        product = []
+        for support in supports:
+            row = [0] * n
+            for j, x in support:
+                row = [r + x * y for r, y in zip(row, mk[j])]
+            product.append(row)
+        mk = product
         ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
         if rem:
             raise ArithmeticError(f"trace of step {k} is not divisible by {k}")

@@ -212,8 +212,13 @@ class TestDocumentShape:
 
     @pytest.mark.parametrize("doc, flags, message", [
         ("(0,0,12)", ["--set", "1x=2"], "bad substitution name '1x'"),
+        # a name that is a monomial or a frame vector, from a document or from --set
+        (json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2", "e12": "5"}}), [],
+         "bad substitution name 'e12'"),
+        (json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2"}}), ["--set", "E1=5"],
+         "bad substitution name 'E1'"),
         ('{"salamon": ' + "[" * 100_000 + "]" * 100_000 + "}", [], "document nests too deeply"),
-    ], ids=["substitution-name", "deep-nesting"])
+    ], ids=["substitution-name", "monomial-name", "frame-vector-name", "deep-nesting"])
     def test_input_error_is_one_line(self, capsys, tmp_path, doc, flags, message):
         p = tmp_path / "doc.alg"
         p.write_text(doc)

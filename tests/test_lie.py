@@ -708,6 +708,19 @@ class TestShearLines:
         assert rep.nonrational_present
         assert rep.eigenspaces == ()
 
+    def test_fractional_eigenvalues_in_a_tilted_frame(self):
+        # E5 acts on R^4 by diag(1/2, -3/4) and [[0, 2], [1, 0]] (eigenvalues +-sqrt(2)).
+        # In this frame every echelon row of the target has pivot 3, and the
+        # restricted matrix has fractional entries: the eigen step scales it by den > 1
+        action = [[Fraction(1, 2), 0, 0, 0], [0, Fraction(-3, 4), 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+        diffs = [sum((mono(5, (j + 1, 5), c) for j, c in enumerate(row) if c), KForm.zero(5, 2)) for row in action]
+        g = change_basis(LieAlgebra(diffs + [KForm.zero(5, 2)]), 55, 12)
+        rep = g.find_shear_lines()
+        assert [next(filter(None, row)) for row in linalg.span_rref(rep.target)] == [3, 3, 3, 3]
+        assert rep == reference_shear_lines(g)
+        assert [es.eigenvalues for es in rep.eigenspaces] == [(Fraction(-3, 4),), (Fraction(1, 2),)]
+        assert rep.nonrational_present
+
     def test_random_almost_abelian_lines_are_ideals(self):
         rng = random.Random(13)
         for _ in range(10):

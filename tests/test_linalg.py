@@ -227,6 +227,30 @@ def matrices(draw, max_rows=40, max_cols=8, square=False):
     return rows
 
 
+@st.composite
+def sparse_square_matrices(draw, max_n=12):
+    """Square matrices that are mostly zeros: a few entries anywhere, or a
+    triangular matrix conjugated by a permutation, as the shear lines' actions
+    on a frame are; then some rows and columns zeroed."""
+    n = draw(st.integers(0, max_n))
+    a = [[0] * n for _ in range(n)]
+    if n and draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        cells = [(i, i) for i in range(n)] + (draw(st.lists(st.sampled_from(above), max_size=n)) if above else [])
+        for i, j in cells:
+            a[perm[i]][perm[j]] = draw(entries)
+    elif n:
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for i, j in draw(st.lists(st.sampled_from(cells), max_size=2 * n)):
+            a[i][j] = draw(entries)
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []:
+        a[k] = [0] * n
+        for row in a:
+            row[k] = 0
+    return a
+
+
 def assert_primitive_echelon(rows):
     """Every row a tuple of ints with gcd 1 and a positive leading entry."""
     for row in rows:
@@ -256,6 +280,15 @@ class TestIntegerElimination:
 
     @given(matrices(max_cols=7, square=True))
     def test_charpoly_matches_fraction_faddeev_leverrier(self, a):
+        got = linalg.charpoly(a)
+        assert got == reference_charpoly(a)
+        assert all(type(c) is Fraction for c in got)
+
+    @given(sparse_square_matrices())
+    @settings(max_examples=60)
+    def test_sparse_charpoly_matches_fraction_faddeev_leverrier(self, a):
+        # the product skips the zero entries of each row, so zero rows and
+        # columns and the zeros of a permuted triangle must change nothing
         got = linalg.charpoly(a)
         assert got == reference_charpoly(a)
         assert all(type(c) is Fraction for c in got)

@@ -331,10 +331,24 @@ class TestSparseBrackets:
         left, right = (linalg.span_rref(data.draw(row_lists(g.dim))) for _ in range(2))
         terms = g._int_terms()[1]
         full = linalg.span_rref(linalg.identity(g.dim))  # a lower-central step
-        for u, v in ((left, right), (full, right), (left, left)):
+        for u, v in ((left, right), (full, right), (left, left), (full, full), (right, right)):
             got = g._bracket_span(u, v, terms)
             assert linalg.reduced(got) == reference_bracket_span(g, linalg.reduced(u), linalg.reduced(v))
             assert got == linalg.span_rref(got)
+
+    @given(st.data())
+    @settings(max_examples=30)
+    def test_a_self_span_brackets_each_unordered_pair_once(self, data):
+        # at most C(k, 2) brackets reach the elimination, the nonzero [u_a, u_b] for a < b
+        g = LieAlgebra(data.draw(structure_diffs()))
+        drawn, full = linalg.span_rref(data.draw(row_lists(g.dim))), linalg.span_rref(linalg.identity(g.dim))
+        handed = []
+        span_rref = linalg.span_rref
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "span_rref", lambda vecs: handed.append(len(vecs)) or span_rref(vecs))
+            for rows in (drawn, full):
+                g._bracket_span(rows, rows, g._int_terms()[1])
+        assert all(h <= len(rows) * (len(rows) - 1) // 2 for h, rows in zip(handed, (drawn, full), strict=True))
 
     @given(st.data())
     def test_bracket_is_ad_applied(self, data):
