@@ -376,17 +376,18 @@ class LieAlgebra:
                 ds = [scale * b[p] for b, p in zip(basis, pivots)]
                 den = lcm(*(d // gcd(d, *row) for d, row in zip(ds, rows)))
                 restricted = [[x * den // d for x in row] for d, row in zip(ds, rows)]
-                # charpoly(R) is monic over the integers, so its rational roots are
-                # integers mu; the eigenvalues of A are mu / den, with the eigenspaces
-                # of R, the nullspaces of the integer rows R - mu I
-                roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
-                nonrational = nonrational or bool(leftover)
+                # det(xI - R) is monic over the integers, so its rational roots are
+                # integers mu, read block by block off R's strongly connected
+                # components (a 1x1 block is its own root, with no polynomial); the
+                # eigenvalues of A are mu / den, with the eigenspaces of R, the
+                # nullspaces of the integer rows R - mu I
+                roots, nonrational_here = linalg.rational_eigenvalues(restricted)
+                nonrational = nonrational or nonrational_here
                 columns = list(zip(*basis))
                 # roots ascend and each chain occurs once, so `refined` comes out
                 # sorted.  A nullspace row y is reduced echelon with a positive pivot,
                 # and so is sum_i y_i b_i, whose entry at p_i is y_i b_i[p_i]
-                for root, _mult in roots:
-                    mu = root.numerator
+                for mu in roots:
                     shifted = [[x - mu if i == j else x for j, x in enumerate(row)]
                                for i, row in enumerate(restricted)]
                     sums = [[sum(map(mul, y, col)) for col in columns] for y in linalg.nullspace(shifted, len(basis))]

@@ -10,9 +10,13 @@ on the integer matrix L*A, building each row of a product from the nonzero
 entries of that row of L*A alone, and `rational_roots` bisects integer
 polynomials; only their returned entries are Fractions.  `definiteness`
 tells positive from negative definite by the signs of one `charpoly`.
-`rational_roots` neither factors nor searches divisors: its work is
-polynomial in the bit length of the coefficients, so no input makes it run
-unbounded.  The subspace questions of the package are asked here:
+`rational_eigenvalues` gives the integer eigenvalues of an integer matrix
+from the strongly connected components of its nonzero pattern: a 1x1 block
+is its own eigenvalue, so `charpoly` and `rational_roots` see only the
+irreducible blocks of size 2 or more.  `rational_roots` neither factors nor
+searches divisors: its work is polynomial in the bit length of the
+coefficients, so no input makes it run unbounded.  The subspace questions of
+the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
@@ -170,27 +174,36 @@ def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
     denominators: the coefficient of x^(n-k) of L*A is L^k times that of A,
     and each of its trace divisions by k is exact over the integers.  The
     product B M is sparse in B: its row i sums x * (row j of M) over the
-    nonzero x = B[i][j] only, so a zero row of B costs nothing.
+    nonzero x = B[i][j] only, so a zero row of B costs nothing.  The first
+    product B I is B itself, and of the last, B M_(n-1), only the trace is read.
     """
     n = len(a)
     scale = lcm(*(x.denominator for row in a for x in row))
     supports = [[(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x] for row in a]
     coeffs = [0] * n + [1]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    mk = [[0] * n for _ in range(n)]  # the first product, B I = B
+    for row, support in zip(mk, supports):
+        for j, x in support:
+            row[j] = x
+    trace = sum(mk[i][i] for i in range(n))
     for k in range(1, n + 1):
-        product = []
-        for support in supports:
-            row = [0] * n
-            for j, x in support:
-                row = [r + x * y for r, y in zip(row, mk[j])]
-            product.append(row)
-        mk = product
-        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        ck, rem = divmod(-trace, k)
         if rem:
             raise ArithmeticError(f"trace of step {k} is not divisible by {k}")
         coeffs[n - k] = ck
         for i in range(n):
             mk[i][i] += ck
+        if k + 1 < n:
+            product = []
+            for support in supports:
+                row = [0] * n
+                for j, x in support:
+                    row = [r + x * y for r, y in zip(row, mk[j])]
+                product.append(row)
+            mk = product
+            trace = sum(mk[i][i] for i in range(n))
+        elif k + 1 == n:  # the trace of the last product: sum_i B[i][j] M[j][i]
+            trace = sum(x * mk[j][i] for i, support in enumerate(supports) for j, x in support)
     return [Fraction(c, scale ** (n - i)) for i, c in enumerate(coeffs)]
 
 
@@ -256,3 +269,37 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
             roots.append((Fraction(y, a), m))
     roots.sort()
     return roots, degree - sum(m for _, m in roots)
+
+
+def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
+    """The distinct integer roots of det(xI - R), ascending, for a square
+    integer matrix R, and whether det(xI - R) has a root that is not rational.
+
+    Listing the strongly connected components of R's nonzero pattern in
+    topological order makes R block triangular under a permutation, so
+    det(xI - R) is the product of the char polys of the components' diagonal
+    blocks.  The components come from the reachability closure, Warshall's
+    O(m^3) steps on int bitmasks: i and j share one when each reaches the
+    other.  A 1x1 block contributes its entry as a root.  Only a block of size
+    2 or more goes through `charpoly` and `rational_roots`; its char poly is
+    monic over the integers, so its rational roots are integers.
+    """
+    m = len(r)
+    reach = [sum(1 << j for j, x in enumerate(row) if x) | 1 << i for i, row in enumerate(r)]
+    for k in range(m):
+        for i in range(m):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    roots: set[int] = set()
+    nonrational = False
+    for i in range(m):
+        block = [j for j in range(m) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        if block[0] < i:  # read at its first row
+            continue
+        if len(block) == 1:
+            roots.add(r[i][i])
+        else:
+            found, leftover = rational_roots(charpoly([[r[a][b] for b in block] for a in block]))
+            roots.update(y.numerator for y, _ in found)
+            nonrational = nonrational or bool(leftover)
+    return sorted(roots), nonrational

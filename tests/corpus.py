@@ -178,6 +178,13 @@ def change_basis(g: LieAlgebra, seed: int = 0, steps: int = 0, frame=None) -> Li
     return LieAlgebra([pullback(q, sum((c * f for c, f in zip(row, g.diffs) if c), zero)) for row in p])
 
 
+def permutation_frame(order) -> tuple[list[list[int]], list[list[int]]]:
+    """(P, P^-1) for the permutation matrix whose row i is the unit row at
+    order[i]: in change_basis's coframe f = P e, f_i = e_order[i]."""
+    p = [[int(j == k) for j in range(len(order))] for k in order]
+    return p, [list(col) for col in zip(*p)]
+
+
 def move_shear(data: ShearData, frame) -> ShearData:
     """The shear data in change_basis's coframe f = P e, `frame` = (P, P^-1):
     X goes to P X, and alpha and F0 to their pullbacks by P^-1."""
@@ -189,15 +196,18 @@ def move_shear(data: ShearData, frame) -> ShearData:
 EIGEN_POOL = [Fraction(c) for c in (-2, -1, 0, 0, 1, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
 
 
-def random_solvable_extension(rng: random.Random) -> LieAlgebra:
-    """R^k x| R^m, tilted: m = 1-3 commuting actions on R^k (k = 2-5).
+def random_solvable_extension(rng: random.Random, frame: str = "tilt") -> LieAlgebra:
+    """R^k x| R^m: m = 1-3 commuting actions on R^k (k = 2-5), in the frame
+    `frame` names.
 
     The actions are block diagonal.  On each block every action is a_t I + b_t M
     for one M per block: a nilpotent Jordan shift of size 1-3 (Jordan blocks,
     and zero rows that leave g' short of R^k) or the companion matrix of
     x^2 - c, c in {2, -1, 3} (irrational roots).  The a_t come from a small
-    pool, so eigenvalues repeat across blocks.  A unimodular change of basis
-    then tilts g', its lower central series and the acting vectors off the frame.
+    pool, so eigenvalues repeat across blocks.  Then "tilt" changes the basis
+    by a random unimodular P, which tilts g', its lower central series and the
+    acting vectors off the frame; "permutation" permutes the frame, so each
+    action stays triangular up to a permutation; "identity" keeps the frame.
     """
     k, m = rng.randint(2, 5), rng.randint(1, 3)
     actions = [[[Fraction(0)] * k for _ in range(k)] for _ in range(m)]
@@ -219,7 +229,14 @@ def random_solvable_extension(rng: random.Random) -> LieAlgebra:
     # [E_(k+t), E_j] = sum_i A_t[i][j] E_i, so d e_i has A_t[i][j] e_j ^ e_(k+t)
     diffs = [sum((mono(n, (j + 1, k + t + 1), a[i][j]) for t, a in enumerate(actions) for j in range(k)),
                  KForm.zero(n, 2)) for i in range(k)]
-    return change_basis(LieAlgebra(diffs + [KForm.zero(n, 2)] * m), rng.randrange(1 << 32), 2 * n)
+    g = LieAlgebra(diffs + [KForm.zero(n, 2)] * m)
+    if frame == "tilt":
+        return change_basis(g, rng.randrange(1 << 32), 2 * n)
+    if frame == "permutation":
+        return change_basis(g, frame=permutation_frame(rng.sample(range(n), n)))
+    if frame == "identity":
+        return g
+    raise ValueError(f"unknown frame {frame!r}")
 
 
 def reference_rref(vectors):

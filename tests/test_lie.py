@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, psi4, random_almost_abelian,
-                    random_nilpotent, random_solvable_extension, reference_shear_lines)
+from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, permutation_frame, psi4,
+                    random_almost_abelian, random_nilpotent, random_solvable_extension, reference_shear_lines)
 from lieshear import (
     JacobiReport,
     KForm,
@@ -775,6 +775,93 @@ class TestShearLines:
             seen["tilted"] += any(sum(map(bool, row)) > 1 for row in got.target)
             seen["nonrational"] += got.nonrational_present
         assert min(seen[key] for key in ("refused", "three acting", "plane", "tilted", "nonrational")) >= 2, seen
+
+    @pytest.mark.parametrize("frame", ["identity", "permutation"])
+    def test_frame_aligned_extensions_match_the_elimination_reference(self, monkeypatch, frame):
+        # untilted, each action is triangular up to a permutation except for its
+        # companion blocks, so the restricted matrices split into 1x1 blocks and
+        # 2x2 ones with irrational roots; the reference takes one charpoly each
+        inside, records = [], []
+        charpoly, eigenvalues = linalg.charpoly, linalg.rational_eigenvalues
+
+        def recorded_charpoly(a):
+            if inside:
+                inside[-1].append(len(a))
+            return charpoly(a)
+
+        def recorded_eigenvalues(r):
+            inside.append([])
+            try:
+                return eigenvalues(r)
+            finally:
+                records.append((len(r), inside.pop()))
+
+        monkeypatch.setattr(linalg, "charpoly", recorded_charpoly)
+        monkeypatch.setattr(linalg, "rational_eigenvalues", recorded_eigenvalues)
+        seen = Counter()
+        for seed in range(100):
+            g = random_solvable_extension(random.Random(seed), frame)
+            if g.series().is_abelian:  # every action vanished: no line to find
+                continue
+            records.clear()
+            got = g.find_shear_lines()
+            assert got == reference_shear_lines(g), g
+            # some restricted matrix splits into 1x1 blocks beside a larger one
+            seen["mixed"] += any(blocks and sum(blocks) < size for size, blocks in records)
+            seen["nonrational"] += got.nonrational_present
+        assert min(seen["mixed"], seen["nonrational"]) >= 2, seen
+
+    @staticmethod
+    def _triangular_extension(diagonal, rng):
+        # R^k x| R, E_(k+1) acting by an upper triangular matrix with the given
+        # diagonal and small random entries above it
+        k = len(diagonal)
+        action = [[diagonal[i] if i == j else Fraction(rng.randint(-3, 3)) if j > i else 0 for j in range(k)]
+                  for i in range(k)]
+        n = k + 1
+        diffs = [sum((mono(n, (j + 1, n), x) for j, x in enumerate(row) if x), KForm.zero(n, 2)) for row in action]
+        return LieAlgebra(diffs + [KForm.zero(n, 2)])
+
+    def test_a_frame_aligned_action_takes_no_char_poly(self, monkeypatch):
+        # triangular up to a permutation, every restricted matrix splits into 1x1
+        # blocks; tilted by a unimodular P it is one irreducible block per eigen step
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(linalg, name)
+            return lambda *args: calls.update([name]) or f(*args)
+
+        for name in ("charpoly", "rational_roots", "rational_eigenvalues"):
+            monkeypatch.setattr(linalg, name, counted(name))
+        diagonal = [Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-5, 3)]
+        g = self._triangular_extension(diagonal, random.Random(4))
+        permuted = change_basis(g, frame=permutation_frame([3, 5, 0, 2, 4, 1]))
+        want = [(x,) for x in sorted(diagonal)]
+        for h in (g, permuted):
+            calls.clear()
+            assert [es.eigenvalues for es in h.find_shear_lines().eigenspaces] == want
+            assert calls == {"rational_eigenvalues": 1}
+        # the tilted frame's acting vector is another one, with other eigenvalues
+        tilted = change_basis(g, 5, 12)
+        want = reference_shear_lines(tilted)
+        calls.clear()
+        assert tilted.find_shear_lines() == want
+        assert calls == {"rational_eigenvalues": 1, "charpoly": 1, "rational_roots": 1}
+
+    def test_eighty_digit_eigenvalues_of_a_permuted_triangular_action(self):
+        # the root search on the whole char poly bisects to the bits of the
+        # product of the denominators; the 1x1 blocks need no polynomial at all
+        rng = random.Random(80)
+        diagonal = [Fraction(rng.choice((-1, 1)) * rng.randrange(10**79, 10**80), rng.randrange(10**79, 10**80))
+                    for _ in range(6)]
+        g = self._triangular_extension(diagonal, rng)
+        g = change_basis(g, frame=permutation_frame(random.Random(7).sample(range(7), 7)))
+        rep = g.find_shear_lines()
+        assert [es.eigenvalues for es in rep.eigenspaces] == [(x,) for x in sorted(diagonal)]
+        assert not rep.nonrational_present
+        for es in rep.eigenspaces:
+            x = Vector(es.basis[0])
+            assert g.bracket(rep.acting[0], x) == es.eigenvalues[0] * x
 
     @pytest.mark.parametrize("text, term", [
         # E5 acts on the target span{E1, ..., E4}; the stray term puts an E5 into

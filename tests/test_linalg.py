@@ -475,6 +475,61 @@ class TestRationalRoots:
         assert linalg.rational_roots([F(0), F(0), F(-4)]) == ([(F(0), 2)], 0)
 
 
+@st.composite
+def permuted_block_triangular(draw):
+    """Integer matrices P T P^-1, T block upper triangular with random entries
+    above its planted diagonal blocks: 1x1 blocks, Jordan shifts, companions
+    of x^2 - c (irrational roots unless c is a square), dense 3x3 blocks and
+    zero blocks; or a fully dense matrix with no planted structure."""
+    small = st.integers(-4, 4)
+    if draw(st.integers(0, 5)) == 0:
+        n = draw(st.integers(0, 6))
+        return [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(n)]
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["1x1", "jordan", "companion", "dense", "zero"]),
+                              min_size=1, max_size=5)):
+        if kind == "1x1":
+            blocks.append([[draw(small)]])
+        elif kind == "jordan":
+            size, a = draw(st.integers(2, 3)), draw(small)
+            blocks.append([[a if i == j else int(j == i + 1) for j in range(size)] for i in range(size)])
+        elif kind == "companion":
+            blocks.append([[0, draw(st.sampled_from([2, 3, -1, 4, 9]))], [1, 0]])
+        elif kind == "dense":
+            blocks.append([draw(st.lists(small, min_size=3, max_size=3)) for _ in range(3)])
+        else:
+            size = draw(st.integers(1, 3))
+            blocks.append([[0] * size for _ in range(size)])
+    n = sum(map(len, blocks))
+    t = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            t[start + i][start:start + len(row)] = row
+            t[start + i][start + len(row):] = draw(st.lists(small, min_size=n - start - len(row),
+                                                             max_size=n - start - len(row)))
+        start += len(block)
+    perm = draw(st.permutations(range(n)))
+    return [[t[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+class TestRationalEigenvalues:
+    @given(permuted_block_triangular())
+    @settings(max_examples=150)
+    def test_matches_the_roots_of_the_whole_char_poly(self, r):
+        roots, leftover = linalg.rational_roots(linalg.charpoly(r))
+        assert all(y.denominator == 1 for y, _ in roots)
+        assert linalg.rational_eigenvalues(r) == ([y.numerator for y, _ in roots], leftover > 0)
+
+    def test_examples(self):
+        assert linalg.rational_eigenvalues([]) == ([], False)
+        assert linalg.rational_eigenvalues([[5]]) == ([5], False)
+        # a 1x1 block (-1) and a 2x2 block with roots +-sqrt(2), as in (41,43,2.42,0)
+        assert linalg.rational_eigenvalues([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]) == ([-1], True)
+        # a 3-cycle: no two rows reach each other directly, yet it is one block, x^3 - 8
+        assert linalg.rational_eigenvalues([[0, 2, 0], [0, 0, 2], [2, 0, 0]]) == ([2], True)
+
+
 class TestOneEliminationNullspace:
     @given(matrices(max_rows=8))
     def test_matches_the_two_elimination_nullspace(self, rows):
