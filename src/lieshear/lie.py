@@ -366,7 +366,7 @@ class LieAlgebra:
                 pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
                 for im in images:
                     for b, p in zip(basis, pivots):
-                        im = [b[p] * x - im[p] * y for x, y in zip(im, b)] if im[p] else im
+                        im = linalg._eliminate(im, b, p) if im[p] else im
                     if any(im):
                         raise RuntimeError("complement action does not preserve the target subspace")
                 # the restricted matrix has entries im_j[p_i] / d_i, d_i = scale b_i[p_i] > 0.

@@ -1,22 +1,27 @@
-"""Exact linear algebra over the rationals: RREF, subspaces, char polys, rational roots.
+"""Exact linear algebra over the rationals: RREF, subspaces, definiteness, char polys, integer roots.
 
 Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`.
 Inside the package a subspace is the tuple of its reduced row echelon rows
 (zero rows dropped), each the primitive integer multiple with a positive
 pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
 is canonical, so subspace equality is a tuple comparison; `reduced` gives the
-`Fraction` rows with pivot 1 that the public reports hold.  `charpoly` works
-on the integer matrix L*A, building each row of a product from the nonzero
-entries of that row of L*A alone, and `rational_roots` bisects integer
-polynomials; only their returned entries are Fractions.  `definiteness`
-tells positive from negative definite by the signs of one `charpoly`.
-`rational_eigenvalues` gives the integer eigenvalues of an integer matrix
-from the strongly connected components of its nonzero pattern: a 1x1 block
-is its own eigenvalue, so `charpoly` and `rational_roots` see only the
-irreducible blocks of size 2 or more.  `rational_roots` neither factors nor
-searches divisors: its work is polynomial in the bit length of the
-coefficients, so no input makes it run unbounded.  The subspace questions of
-the package are asked here:
+`Fraction` rows with pivot 1 that the public reports hold.  Every elimination
+of the package takes one fraction-free step, `_eliminate`: row <- p*row -
+f*pivot_row, kept primitive.  `rref` takes it, and so do the invariance check
+of the shear lines and `definiteness`, which is Sylvester's criterion: a
+symmetric matrix is positive definite exactly when elimination without row
+swaps on its `primitive` rows meets only positive pivots, in O(n^3) steps
+whose entries stay bounded by minors of the row-scaled matrix.  `charpoly`
+and `rational_roots` take and return integers only: `charpoly` works on an
+integer matrix, building each row of a product from the nonzero entries of
+that row alone, and `rational_roots` bisects a monic integer polynomial,
+whose rational roots are integers.  `rational_eigenvalues` gives the integer
+eigenvalues of an integer matrix from the strongly connected components of
+its nonzero pattern: a 1x1 block is its own eigenvalue, so `charpoly` and
+`rational_roots` see only the irreducible blocks of size 2 or more.
+`rational_roots` neither factors nor searches divisors: its work is
+polynomial in the bit length of the coefficients, so no input makes it run
+unbounded.  The subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
@@ -50,13 +55,24 @@ def primitive(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def _eliminate(row: Sequence[int], prow: Sequence[int], c: int) -> list[int]:
+    """The fraction-free step of every elimination in the package: row <-
+    p*row - f*prow, p = prow[c] and f = row[c], kept primitive, so it
+    vanishes at column c.  The gcd divided out is positive, so for p > 0 the
+    row is scaled by a positive factor."""
+    p, f = prow[c], row[c]
+    row = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
 def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
     Fraction-free Gauss-Jordan on integer rows, a row with a Fraction entry
-    made `primitive` first: eliminating column c with pivot p from a row with
-    entry f there is row <- p*row - f*pivot_row, kept primitive.  Each output
-    row is the primitive multiple, pivot positive, of the one with pivot 1.
+    made `primitive` first: column c is eliminated from every other row by
+    `_eliminate` with the pivot row.  Each output row is the primitive
+    multiple, pivot positive, of the one with pivot 1.
     """
     m = [row if {*map(type, row)} == {int} else primitive(row) for row in vectors]
     pivots: list[int] = []
@@ -67,13 +83,9 @@ def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]
             continue
         m[r], m[pivot] = m[pivot], m[r]
         prow = m[r]
-        p = prow[c]
         for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                row = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [a // g for a in row] if g > 1 else row
+            if row[c] and i != r:
+                m[i] = _eliminate(row, prow, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -154,37 +166,44 @@ def is_symmetric(a: Sequence[Sequence]) -> bool:
 def definiteness(a: Sequence[Sequence]) -> int:
     """1 if A is symmetric positive definite, -1 if symmetric negative definite, else 0.
 
-    From one `charpoly`: the real eigenvalues of a symmetric A are all positive
-    exactly when the coefficients of det(xI - A) strictly alternate in sign
-    (that of x^k has the sign of (-1)^(n-k)), and all negative exactly when
-    they are all positive.  The empty matrix counts as positive definite.
+    Sylvester's criterion by elimination: a symmetric A is positive definite
+    exactly when Gaussian elimination without row swaps meets only positive
+    pivots, and negative definite exactly when -A is positive definite, so the
+    sign of A[0][0] picks which of A and -A is eliminated.  The rows are made
+    `primitive` and each step is `_eliminate` with a positive pivot, which
+    scales a row by a positive factor: every pivot keeps the sign of the
+    ratio of consecutive leading principal minors.  That is O(n^3) steps,
+    and each row stays the primitive part of a vector of minors of the
+    row-scaled matrix, so its entries are bounded by those minors.  The empty
+    matrix counts as positive definite.
     """
     if not is_symmetric(a):
         return 0
-    coeffs = charpoly(a)
-    if all(c * (-1) ** (len(a) - k) > 0 for k, c in enumerate(coeffs)):
-        return 1
-    return -1 if all(c > 0 for c in coeffs) else 0
+    sign = -1 if a and a[0][0] < 0 else 1
+    m = [primitive([sign * x for x in row]) for row in a]
+    for k in range(len(m)):
+        if m[k][k] <= 0:
+            return 0
+        for i in range(k + 1, len(m)):
+            if m[i][k]:
+                m[i] = _eliminate(m[i], m[k], k)
+    return sign
 
 
-def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), coefficients ascending, monic.
+def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
+    """Characteristic polynomial det(xI - A) of an integer matrix, integer
+    coefficients ascending, monic.
 
-    Faddeev-LeVerrier on the integer matrix B = L*A, L the lcm of the entries'
-    denominators: the coefficient of x^(n-k) of L*A is L^k times that of A,
-    and each of its trace divisions by k is exact over the integers.  The
-    product B M is sparse in B: its row i sums x * (row j of M) over the
-    nonzero x = B[i][j] only, so a zero row of B costs nothing.  The first
-    product B I is B itself, and of the last, B M_(n-1), only the trace is read.
+    Faddeev-LeVerrier, each of whose trace divisions by k is exact over the
+    integers.  The product A M is sparse in A: its row i sums x * (row j of
+    M) over the nonzero x = A[i][j] only, so a zero row of A costs nothing.
+    The first product A I is A itself, and of the last, A M_(n-1), only the
+    trace is read.
     """
     n = len(a)
-    scale = lcm(*(x.denominator for row in a for x in row))
-    supports = [[(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x] for row in a]
+    supports = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     coeffs = [0] * n + [1]
-    mk = [[0] * n for _ in range(n)]  # the first product, B I = B
-    for row, support in zip(mk, supports):
-        for j, x in support:
-            row[j] = x
+    mk = [list(row) for row in a]  # the first product, A I = A
     trace = sum(mk[i][i] for i in range(n))
     for k in range(1, n + 1):
         ck, rem = divmod(-trace, k)
@@ -202,9 +221,9 @@ def charpoly(a: Sequence[Sequence]) -> list[Fraction]:
                 product.append(row)
             mk = product
             trace = sum(mk[i][i] for i in range(n))
-        elif k + 1 == n:  # the trace of the last product: sum_i B[i][j] M[j][i]
+        elif k + 1 == n:  # the trace of the last product: sum_i A[i][j] M[j][i]
             trace = sum(x * mk[j][i] for i, support in enumerate(supports) for j, x in support)
-    return [Fraction(c, scale ** (n - i)) for i, c in enumerate(coeffs)]
+    return coeffs
 
 
 def _horner(q: Sequence[int], y: int) -> int:
@@ -214,15 +233,15 @@ def _horner(q: Sequence[int], y: int) -> int:
     return out
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicity, plus the degree left unfactored.
+def rational_roots(q: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """The rational roots of a monic integer polynomial q, ascending with
+    multiplicity, plus the degree left unfactored.
 
-    The leftover degree is nonzero exactly when non-rational (real or complex)
-    roots are present.  Nothing is factored and no divisor is searched.  With p
-    the primitive integer polynomial, a its leading coefficient and d its
-    degree, the rational roots of p are y/a for the integer roots y of the
-    monic q(y) = a^(d-1) p(y/a), whose roots lie in [-B, B] for the Fujiwara
-    bound B = 2 max_i 2^ceil(bits(q_i)/(d-i)).  Going up from the linear
+    The rational roots of a monic integer polynomial are integers.  The
+    leftover degree is nonzero exactly when non-rational (real or complex)
+    roots are present.  Nothing is factored and no divisor is searched.  With
+    d the degree of q, its roots lie in [-B, B] for the Fujiwara bound
+    B = 2 max_i 2^ceil(bits(q_i)/(d-i)).  Going up from the linear
     derivative of q to q itself, a set of cut points holds the floor of every
     real root of the polynomial last handled.  The cut points of r' split
     [-B, B] into stretches on which r is monotone, and each sign change of r
@@ -230,45 +249,35 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     stretch end where r vanishes and the cut points of r' are the cut points
     of r.  That is O(d^2) cut points, O(d^3) stretch ends and at most d^2
     bisections of O(log B) integer evaluations: polynomial in the bit length
-    of the coefficients.  Every integer root of q is a cut point, tested
-    exactly; its multiplicity is the number of successive derivatives of q
-    vanishing there.
+    of the coefficients.  Every integer root of q, 0 among them, is a cut
+    point, tested exactly; its multiplicity is the number of successive
+    derivatives of q vanishing there.
     """
-    p = primitive(coeffs)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    degree = len(p) - 1
-    zeros = next((i for i, c in enumerate(p) if c), 0)
-    roots = [(Fraction(0), zeros)] if zeros else []
-    p = p[zeros:]
-    d = len(p) - 1
-    if d < 1:
-        return roots, degree - zeros
-    a = p[-1]
-    ders = [[c * a ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]]  # q, q', ..., q^(d)
+    d = len(q) - 1
+    ders = [list(q)]  # q, q', ..., q^(d)
     while len(ders[-1]) > 1:
         ders.append([i * c for i, c in enumerate(ders[-1])][1:])
-    bound = 2 * max(1 << -(-abs(c).bit_length() // (d - i)) for i, c in enumerate(ders[0][:-1]))
+    bound = 2 * max((1 << -(-abs(c).bit_length() // (d - i)) for i, c in enumerate(q[:-1])), default=1)
     cuts: set[int] = set()  # the constant q^(d) has no roots
-    for q in reversed(ders[:-1]):
+    for r in reversed(ders[:-1]):
         ends = sorted(cuts)
         for lo, hi in zip([-bound] + [f + 1 for f in ends], ends + [bound]):
-            vlo, vhi = _horner(q, lo), _horner(q, hi)
+            vlo, vhi = _horner(r, lo), _horner(r, hi)
             cuts.update(y for y, v in ((lo, vlo), (hi, vhi)) if not v)
             if (vlo < 0 < vhi) or (vhi < 0 < vlo):
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if (_horner(q, mid) < 0) == (vlo < 0):
+                    if (_horner(r, mid) < 0) == (vlo < 0):
                         lo = mid
                     else:
                         hi = mid
                 cuts.update((lo, hi))
-    for y in cuts:
-        m = next(k for k, q in enumerate(ders) if _horner(q, y))
+    roots = []
+    for y in sorted(cuts):
+        m = next(k for k, r in enumerate(ders) if _horner(r, y))
         if m:
-            roots.append((Fraction(y, a), m))
-    roots.sort()
-    return roots, degree - sum(m for _, m in roots)
+            roots.append((y, m))
+    return roots, d - sum(m for _, m in roots)
 
 
 def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
@@ -300,6 +309,6 @@ def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
             roots.add(r[i][i])
         else:
             found, leftover = rational_roots(charpoly([[r[a][b] for b in block] for a in block]))
-            roots.update(y.numerator for y, _ in found)
+            roots.update(y for y, _ in found)
             nonrational = nonrational or bool(leftover)
     return sorted(roots), nonrational

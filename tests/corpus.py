@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, ShearReport, TwistError,
                       Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
@@ -276,6 +277,101 @@ def reference_nullspace(vectors, ncols):
     return reference_rref(basis)[0]
 
 
+# -- char polys and rational roots ----------------------------------------------
+# Faddeev-LeVerrier on Fraction rows, and the rational root theorem by divisor
+# search, on Fraction coefficients: the oracles of linalg's integer charpoly and
+# its root bisection, sharing no code with them.  Both are exact; the divisor
+# search takes work that grows with the size of the coefficients, so it only
+# sees small ones.
+
+
+def reference_charpoly(a):
+    """det(xI - A) for a matrix of ints or Fractions, Fraction coefficients ascending."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*mk)] for row in m]
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            mk[i][i] += ck
+    return coeffs
+
+
+def reference_poly_eval(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def reference_divide_out_root(coeffs, root):
+    # synthetic division by (x - root); exact, remainder must vanish
+    n = len(coeffs) - 1
+    out = [Fraction(0)] * n
+    acc = Fraction(0)
+    for k in range(n, 0, -1):
+        acc = coeffs[k] + acc * root
+        out[k - 1] = acc
+    remainder = coeffs[0] + acc * root
+    if remainder:
+        raise ArithmeticError(f"{root} is not a root: remainder {remainder}")
+    return out
+
+
+def reference_divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def reference_rational_roots(coeffs):
+    """(sorted (root, multiplicity) pairs, leftover degree) of a polynomial
+    with int or Fraction coefficients, ascending, by the rational root theorem."""
+    poly = [Fraction(c) for c in coeffs]
+    while len(poly) > 1 and not poly[-1]:
+        poly.pop()
+    roots = {}
+    while len(poly) > 1:
+        if not poly[0]:
+            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+            poly = poly[1:]
+            continue
+        scale = 1
+        for c in poly:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        ints = [int(c * scale) for c in poly]
+        content = 0
+        for v in ints:
+            content = gcd(content, v)
+        ints = [v // content for v in ints]
+        a0, an = abs(ints[0]), abs(ints[-1])
+        found = None
+        for p in sorted(reference_divisors(a0)):
+            for q in sorted(reference_divisors(an)):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if reference_poly_eval(poly, cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        poly = reference_divide_out_root(poly, found)
+    return sorted(roots.items(), key=lambda t: t[0]), len(poly) - 1
+
+
 def reference_ad(g: LieAlgebra, v) -> list[list]:
     """ad(v) built entry by entry, as the package did before brackets were
     read off the terms of d e_k: a term c e_ij (i < j) of d e_k puts -c v_i in
@@ -328,9 +424,10 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
     """find_shear_lines on Fraction rows, with its brackets taken from the
     dense reference_ad and its eigen step done by eliminations: one
     reference_rref of [basis^T | images] gives each restricted matrix (a pivot
-    among the images' columns means an image left the space), each root's
-    eigenvectors are reduced again, and the refined spaces are sorted.  The
-    oracle for find_shear_lines' reports and refusals."""
+    among the images' columns means an image left the space), its roots come
+    from reference_charpoly and the divisor search, each root's eigenvectors
+    are reduced again, and the refined spaces are sorted.  The oracle for
+    find_shear_lines' reports and refusals."""
     rep = g.series()
     if not rep.is_solvable:
         raise ValueError("shear lines require a solvable algebra")
@@ -356,7 +453,7 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
             restricted = [[Fraction(0)] * k for _ in range(k)]
             for r, pc in enumerate(pivots):
                 restricted[pc] = list(red[r][k:])
-            roots, leftover = linalg.rational_roots(linalg.charpoly(restricted))
+            roots, leftover = reference_rational_roots(reference_charpoly(restricted))
             nonrational = nonrational or bool(leftover)
             for root, _mult in roots:
                 shifted = [[x - root if i == j else x for j, x in enumerate(row)] for i, row in enumerate(restricted)]

@@ -3,11 +3,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -379,6 +381,31 @@ class TestCheckStructure:
                            "--type", "kahler", "--standard")
         assert code == 0
         assert "passed: pass" in out
+
+    def test_a_metric_with_120_digit_entries_finishes(self, tmp_path):
+        # a 12x12 diagonally dominant metric whose numerators and denominators
+        # all have 120 digits, about 35 KB of literal: its pivots stay bounded by
+        # minors of the row-scaled matrix, where a char poly of the matrix
+        # cleared by the lcm of all its denominators took minutes
+        rng = random.Random(120)
+        n = 12
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            # below 1.35 off the diagonal of a row in all, above 2.5 on it
+            gram[i][i] = Fraction(rng.randrange(5 * 10**119, 10**120), rng.randrange(10**119, 2 * 10**119))
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = Fraction(rng.choice((-1, 1)) * rng.randrange(10**119, 11 * 10**118),
+                                                   rng.randrange(9 * 10**119, 10**120))
+        doc = tmp_path / "flat12.json"
+        doc.write_text(json.dumps({"dim": n, "d": {}}))
+        literal = ";".join(",".join(map(str, row)) for row in gram)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieshear", "check-structure", str(doc), "--type", "kahler", "--standard",
+             "--metric", literal],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "  metric_positive_definite: pass" in proc.stdout.splitlines()
 
     @pytest.mark.parametrize("flag, value, failed", [
         ("--metric", IDENTITY6.replace("1", "2", 1), "metric_j_invariant"),  # diag(2, 1, ..., 1)

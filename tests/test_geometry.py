@@ -386,18 +386,18 @@ class TestPhiStability:
             tuple(-x for x in row) for row in phi_stability(phi0()).b_matrix
         )
 
-    def test_one_charpoly_per_call(self, monkeypatch):
-        # positive, negative and indefinite B alike: the definiteness is read
-        # off a single characteristic polynomial
-        calls = []
-        charpoly = linalg.charpoly
-        monkeypatch.setattr(linalg, "charpoly", lambda a: calls.append(a) or charpoly(a))
-        kinds = []
-        for phi in (phi0(), -1 * phi0(), mono(7, (1, 2, 3))):
-            calls.clear()
-            kinds.append(phi_stability(phi).definiteness)
-            assert len(calls) == 1
-        assert sorted(kinds) == ["indefinite-or-degenerate", "negative", "positive"]
+    def test_definiteness_takes_no_charpoly(self, monkeypatch):
+        # positive, negative and indefinite alike, B and a metric's Gram matrix
+        # are read by Sylvester's pivots, with no characteristic polynomial
+        def refuse(*args):
+            raise AssertionError("definiteness took a characteristic polynomial")
+
+        monkeypatch.setattr(linalg, "charpoly", refuse)
+        monkeypatch.setattr(linalg, "rational_roots", refuse)
+        kinds = [phi_stability(phi).definiteness for phi in (phi0(), -1 * phi0(), mono(7, (1, 2, 3)))]
+        assert kinds == ["positive", "negative", "indefinite-or-degenerate"]
+        grams = ([[2, 1], [1, 2]], [[-2, 1], [1, -2]], [[1, 2], [2, 1]])
+        assert [Metric(g).is_positive_definite() for g in grams] == [True, False, False]
 
     def test_b_matrix_symmetric_for_random_forms(self):
         rng = random.Random(34)

@@ -780,7 +780,7 @@ class TestShearLines:
     def test_frame_aligned_extensions_match_the_elimination_reference(self, monkeypatch, frame):
         # untilted, each action is triangular up to a permutation except for its
         # companion blocks, so the restricted matrices split into 1x1 blocks and
-        # 2x2 ones with irrational roots; the reference takes one charpoly each
+        # 2x2 ones with irrational roots; the reference takes one whole char poly each
         inside, records = [], []
         charpoly, eigenvalues = linalg.charpoly, linalg.rational_eigenvalues
 
