@@ -6,13 +6,15 @@ so everything stays inside exact arithmetic.
 """
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
 from ._value import Value
 from .exterior import MAX_DIM, KForm, Vector, _as_fraction, interior, pullback, wedge
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _columns
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -44,7 +46,7 @@ class Metric(Value):
 
     @classmethod
     def standard(cls, dim: int) -> "Metric":
-        return cls(linalg.identity(dim))
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     def is_positive_definite(self) -> bool:
         return linalg.definiteness(self.gram) == 1
@@ -59,8 +61,7 @@ class ComplexStructure(Value):
         m = _as_matrix(j, "J")
         if len(m) % 2:
             raise ValueError("complex structure needs even dimension")
-        square = linalg.mat_mul(m, m)
-        if square != [[-Fraction(i == k) for k in range(len(m))] for i in range(len(m))]:
+        if linalg.mat_mul(m, m) != [[-(i == k) for k in range(len(m))] for i in range(len(m))]:
             raise ValueError("J^2 must be -Id")
         object.__setattr__(self, "j", m)
 
@@ -78,7 +79,8 @@ class ComplexStructure(Value):
         return cls(m)
 
     def apply(self, v: Vector) -> Vector:
-        return Vector(linalg.mat_vec(self.j, v.components))
+        # the row v^T J^T is (J v)^T, the product sparse in v
+        return Vector(linalg.mat_mul([v.components], [*zip(*self.j)])[0])
 
 
 def is_closed(g: LieAlgebra, form: KForm) -> bool:
@@ -109,25 +111,35 @@ class NijenhuisResult(Value):
 
 
 def nijenhuis(g: LieAlgebra, js: ComplexStructure) -> NijenhuisResult:
-    """N(v,w) = [Jv,Jw] - J[Jv,w] - J[v,Jw] - [v,w] on all frame pairs."""
+    """N(v,w) = [Jv,Jw] - J[Jv,w] - J[v,Jw] - [v,w] on all frame pairs.
+
+    For each b, P and Q have the columns [E_c, E_b] and [E_c, J E_b], each
+    from one `_columns` pass over the algebra's integer terms; column a of
+    Q J - J (P J + Q) - P is then N(E_a, E_b).  J enters as its least integer
+    multiple K = s J, so every product runs over the integers and gives
+    scale s^2 N.  The rows held are the transposes: rows c > b of
+    K^T Q^T - (K^T P^T + Q^T) K^T - s^2 P^T, from which N(E_b, E_c) =
+    -N(E_c, E_b) is read, each frame pair once and in the order of `values`.
+    """
     if js.dim != g.dim:
         raise ValueError(f"dimension mismatch: {js.dim} vs {g.dim}")
+    if not g.jacobi_check().passed:
+        warnings.warn("Nijenhuis tensor on an algebra failing the Jacobi identity", RuntimeWarning)
+    n = g.dim
+    scale, terms = g._int_terms()
+    s = lcm(*(x.denominator for row in js.j for x in row))
+    kt = [[x.numerator * (s // x.denominator) for x in col] for col in zip(*js.j)]  # row c: s J E_c
+    s2, den = s * s, s * s * scale
     values = []
-    integrable = True
-    for i in range(1, g.dim + 1):
-        for j in range(i + 1, g.dim + 1):
-            v, w = Vector.basis(g.dim, i), Vector.basis(g.dim, j)
-            jv, jw = js.apply(v), js.apply(w)
-            n = (
-                g.bracket(jv, jw)
-                - js.apply(g.bracket(jv, w))
-                - js.apply(g.bracket(v, jw))
-                - g.bracket(v, w)
-            )
-            if not n.is_zero():
-                integrable = False
-            values.append(((i, j), n))
-    return NijenhuisResult(values=tuple(values), integrable=integrable)
+    for b in range(n):
+        p = _columns(terms, [int(c == b) for c in range(n)])  # row c: scale [E_c, E_b]
+        q = _columns(terms, kt[b])                              # row c: s scale [E_c, J E_b]
+        after = kt[b + 1:]
+        inner = [[x + y for x, y in zip(u, v)] for u, v in zip(linalg.mat_mul(after, p), q[b + 1:])]
+        rows = zip(linalg.mat_mul(after, q), linalg.mat_mul(inner, kt), p[b + 1:])
+        for c, (u, v, w) in enumerate(rows, start=b + 2):
+            values.append(((b + 1, c), Vector([Fraction(y + s2 * z - x, den) for x, y, z in zip(u, v, w)])))
+    return NijenhuisResult(values=tuple(values), integrable=all(v.is_zero() for _, v in values))
 
 
 def type_components(js: ComplexStructure, f2: KForm) -> tuple[KForm, KForm]:

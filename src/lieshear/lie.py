@@ -16,7 +16,7 @@ import warnings
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Callable, Sequence
 
 from . import linalg
@@ -94,9 +94,10 @@ class LieAlgebra:
     replaced, and checks only the generators `_recheck` names for them; the
     report is the full check's either way.  Brackets are
     read off the terms of the d e_k when asked for, by the one formula of
-    `_columns`: the bracket, the series, the centralizer, the shear lines and
-    the ideal test of a shear all go through it, and no bracket table or ad
-    matrix is ever built.  Instances are safe to share between threads.
+    `_columns`: the bracket, the series, the centralizer, the shear lines,
+    the ideal test of a shear and the Nijenhuis tensor of `geometry` all go
+    through it, and no bracket table or ad matrix is ever built.  Instances
+    are safe to share between threads.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series")
@@ -383,14 +384,13 @@ class LieAlgebra:
                 # nullspaces of the integer rows R - mu I
                 roots, nonrational_here = linalg.rational_eigenvalues(restricted)
                 nonrational = nonrational or nonrational_here
-                columns = list(zip(*basis))
                 # roots ascend and each chain occurs once, so `refined` comes out
                 # sorted.  A nullspace row y is reduced echelon with a positive pivot,
                 # and so is sum_i y_i b_i, whose entry at p_i is y_i b_i[p_i]
                 for mu in roots:
                     shifted = [[x - mu if i == j else x for j, x in enumerate(row)]
                                for i, row in enumerate(restricted)]
-                    sums = [[sum(map(mul, y, col)) for col in columns] for y in linalg.nullspace(shifted, len(basis))]
+                    sums = linalg.mat_mul(linalg.nullspace(shifted, len(basis)), basis)
                     eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
                     refined.append((eigs + (Fraction(mu, den),), eigvecs))
             spaces = refined

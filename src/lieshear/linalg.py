@@ -1,6 +1,12 @@
 """Exact linear algebra over the rationals: RREF, subspaces, definiteness, char polys, integer roots.
 
-Matrices are lists of row tuples/lists whose entries are `int` or `Fraction`.
+The eliminations and polynomials here compute on `int` rows: `rref` and
+`definiteness` make a `Fraction` row `primitive` first, and `reduced` gives
+`Fraction` rows back.  `mat_mul`, the package's one matrix product, takes
+either kind of entry and keeps int factors int; it is sparse in its left
+factor, and `charpoly`, the shear lines' eigenvectors and the structure
+checks of `geometry` all go through it.
+
 Inside the package a subspace is the tuple of its reduced row echelon rows
 (zero rows dropped), each the primitive integer multiple with a positive
 pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
@@ -13,8 +19,7 @@ symmetric matrix is positive definite exactly when elimination without row
 swaps on its `primitive` rows meets only positive pivots, in O(n^3) steps
 whose entries stay bounded by minors of the row-scaled matrix.  `charpoly`
 and `rational_roots` take and return integers only: `charpoly` works on an
-integer matrix, building each row of a product from the nonzero entries of
-that row alone, and `rational_roots` bisects a monic integer polynomial,
+integer matrix, and `rational_roots` bisects a monic integer polynomial,
 whose rational roots are integers.  `rational_eigenvalues` gives the integer
 eigenvalues of an integer matrix from the strongly connected components of
 its nonzero pattern: a 1x1 block is its own eigenvalue, so `charpoly` and
@@ -35,7 +40,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 Row = tuple[int, ...]
-Matrix = list[list[Fraction]]
 
 
 def primitive(row: Sequence) -> list[int]:
@@ -140,22 +144,19 @@ def complement(basis: Sequence[Sequence], ncols: int) -> tuple[int, ...]:
     return tuple(next(j for j, x in enumerate(row) if x) for row in nullspace(basis, ncols))
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    cols = [*zip(*b)]  # row i of A B is B^T applied to row i of A
-    return [mat_vec(cols, row) for row in a]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    """A v for int or Fraction entries, skipping the zero entries of A.
-
-    The Fraction start keeps every result entry a Fraction, never an int.
-    """
-    return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
-
-
-def identity(n: int) -> Matrix:
-    zero, one = Fraction(0), Fraction(1)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """A B for int or Fraction entries: row i sums x * (row j of B) over the
+    nonzero x = A[i][j] only, so a zero entry of A costs nothing.  Int
+    factors give int rows, and each row is a new list.  The package's one
+    matrix product."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [r + x * y for r, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def is_symmetric(a: Sequence[Sequence]) -> bool:
@@ -195,13 +196,10 @@ def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     coefficients ascending, monic.
 
     Faddeev-LeVerrier, each of whose trace divisions by k is exact over the
-    integers.  The product A M is sparse in A: its row i sums x * (row j of
-    M) over the nonzero x = A[i][j] only, so a zero row of A costs nothing.
-    The first product A I is A itself, and of the last, A M_(n-1), only the
-    trace is read.
+    integers.  Each product A M is `mat_mul`, sparse in A.  The first product
+    A I is A itself, and of the last, A M_(n-1), only the trace is read.
     """
     n = len(a)
-    supports = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     coeffs = [0] * n + [1]
     mk = [list(row) for row in a]  # the first product, A I = A
     trace = sum(mk[i][i] for i in range(n))
@@ -213,16 +211,10 @@ def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
         for i in range(n):
             mk[i][i] += ck
         if k + 1 < n:
-            product = []
-            for support in supports:
-                row = [0] * n
-                for j, x in support:
-                    row = [r + x * y for r, y in zip(row, mk[j])]
-                product.append(row)
-            mk = product
+            mk = mat_mul(a, mk)
             trace = sum(mk[i][i] for i in range(n))
         elif k + 1 == n:  # the trace of the last product: sum_i A[i][j] M[j][i]
-            trace = sum(x * mk[j][i] for i, support in enumerate(supports) for j, x in support)
+            trace = sum(x * mk[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x)
     return coeffs
 
 

@@ -656,7 +656,7 @@ def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
         w_rows = linalg.span_rref([form_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)])
         if in_span(w_rows, alpha_row):
             raise TwistError("F must have no alpha-leg on an abelian base")
-    frame = linalg.identity(g.dim)
+    frame = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
     rows = [*w_rows, *(frame[j] for j in linalg.complement([*w_rows, alpha_row], g.dim)), alpha_row]
     # the n x n system rows X = (0, ..., 0, 1), by one elimination of [rows | rhs]
     red, pivots = reference_rref([[*row, int(k == g.dim - 1)] for k, row in enumerate(rows)])

@@ -40,12 +40,62 @@ def dense_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def conjugated_structure(rng: random.Random, n: int):
-    """(J, G): J = P J_0 P^-1 for the standard J_0 and a random unimodular P,
-    and the J-invariant metric G = P^-T P^-1, both with int entries."""
+def conjugated_structure(rng: random.Random, n: int, fractional: bool = False):
+    """(J, G): J = S J_0 S^-1 for the standard J_0 and S = P D, with P a random
+    unimodular matrix, and the J-invariant metric G = S^-T S^-1.  D is the
+    identity, which leaves integral entries, or with `fractional` a random
+    positive rational diagonal, which makes J and G fractional."""
     p, q = random_unimodular(rng, n, 3 * n)
-    j = dense_mul(dense_mul(p, ComplexStructure.standard(n).j), q)
-    return [[int(x) for x in row] for row in j], dense_mul([list(col) for col in zip(*q)], q)
+    d = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) if fractional else Fraction(1) for _ in range(n)]
+    s = [[x * dk for x, dk in zip(row, d)] for row in p]  # P D
+    s_inv = [[x / dk for x in row] for row, dk in zip(q, d)]  # D^-1 P^-1
+    j = dense_mul(dense_mul(s, ComplexStructure.standard(n).j), s_inv)
+    return j, dense_mul([list(col) for col in zip(*s_inv)], s_inv)
+
+
+# every argument check of the module, by the call that trips it
+REFUSALS = {
+    "metric-size": (lambda: Metric([]), f"metric dimension must be in 1..{MAX_DIM}, got 0"),
+    "metric-square": (lambda: Metric([[1, 0], [0]]), "metric must be 2x2"),
+    "metric-symmetric": (lambda: Metric([[1, 2], [0, 1]]), "metric must be symmetric"),
+    "j-even": (lambda: ComplexStructure([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), "complex structure needs even dimension"),
+    "j-square": (lambda: ComplexStructure([[1, 0], [0, 1]]), "J^2 must be -Id"),
+    "symplectic-even": (lambda: symplectic_check(LieAlgebra.abelian(5), KForm.zero(5, 2)),
+                        "symplectic check needs even dimension"),
+    "symplectic-degree": (lambda: symplectic_check(LieAlgebra.abelian(4), mono(4, (1,))),
+                          "omega must be a two-form on the algebra"),
+    "symplectic-dim": (lambda: symplectic_check(LieAlgebra.abelian(4), omega_std(6)),
+                       "omega must be a two-form on the algebra"),
+    "nijenhuis-dim": (lambda: nijenhuis(LieAlgebra.abelian(4), ComplexStructure.standard(6)),
+                      "dimension mismatch: 6 vs 4"),
+    "type-dim": (lambda: type_components(ComplexStructure.standard(4), omega_std(6)), "dimension mismatch: 6 vs 4"),
+    "type-degree": (lambda: type_components(ComplexStructure.standard(4), mono(4, (1,))),
+                    "type decomposition needs a two-form"),
+    "kahler-even": (lambda: kahler_check(LieAlgebra.abelian(5), Metric.standard(4), ComplexStructure.standard(4),
+                                         omega_std(4)), "Kaehler check needs even dimension"),
+    "kahler-dim": (lambda: kahler_check(LieAlgebra.abelian(4), Metric.standard(6), ComplexStructure.standard(4),
+                                        omega_std(4)), "metric, J and omega must live on the algebra's dimension"),
+    "half-flat-dim": (lambda: half_flat_check(LieAlgebra.abelian(4), KForm.zero(4, 2), KForm.zero(4, 3)),
+                      "half-flat structures live in dimension 6"),
+    "half-flat-omega": (lambda: half_flat_check(LieAlgebra.abelian(6), mono(6, (1,)), KForm.zero(6, 3)),
+                        "need a two-form omega and a three-form rho_-"),
+    "half-flat-rho": (lambda: half_flat_check(LieAlgebra.abelian(6), omega_std(6), mono(6, (1, 2))),
+                      "need a two-form omega and a three-form rho_-"),
+    "cocal-dim": (lambda: g2_cocal_check(LieAlgebra.abelian(6), KForm.zero(6, 4)),
+                  "co-calibrated structures live in dimension 7"),
+    "cocal-degree": (lambda: g2_cocal_check(LieAlgebra.abelian(7), mono(7, (1, 2, 3))), "psi must be a four-form"),
+    "phi-dim": (lambda: phi_stability(KForm.zero(6, 3)), "stability test is for three-forms in dimension 7"),
+    "phi-degree": (lambda: phi_stability(mono(7, (1, 2))), "phi must be a three-form"),
+    "preserves-dim": (lambda: preserves_closure(LieAlgebra.abelian(6), Vector.basis(4, 1), mono(6, (1, 2)),
+                                                omega_std(6)), "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestClosedness:
@@ -156,11 +206,11 @@ class TestNijenhuis:
 
 class TestNijenhuisDenseReference:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]),
-           st.sampled_from(["almost abelian", "nilpotent", "tilted"]))
+           st.sampled_from(["almost abelian", "nilpotent", "tilted"]), st.booleans())
     @settings(max_examples=40)
-    def test_matches_the_dense_reference_on_conjugated_structures(self, seed, n, kind):
-        # random J = P J_0 P^-1 and structure constants with 1/2 and -1/3 in them,
-        # which the tilted change of basis spreads over every d e_k
+    def test_matches_the_dense_reference_on_conjugated_structures(self, seed, n, kind, fractional):
+        # random J = (P D) J_0 (P D)^-1, integral or fractional, and structure constants
+        # with 1/2 and -1/3 in them, which the tilted change of basis spreads over every d e_k
         rng = random.Random(seed)
         if kind == "nilpotent":
             g = random_nilpotent(rng, n)
@@ -168,11 +218,38 @@ class TestNijenhuisDenseReference:
             g = random_almost_abelian(rng, n)
             if kind == "tilted":
                 g = change_basis(g, rng.randrange(1 << 32), 2 * n)
-        j, _ = conjugated_structure(rng, n)
+        j, _ = conjugated_structure(rng, n, fractional)
         res = nijenhuis(g, ComplexStructure(j))
         want = reference_nijenhuis(g, j)
         assert res.values == tuple((ab, Vector(v)) for ab, v in want)
         assert res.integrable == (not any(any(v) for _, v in want))
+
+
+class TestNijenhuisReadsTheTermsOnce:
+    def test_no_bracket_and_one_term_read_at_dimension_14(self, monkeypatch):
+        # R^13 x| R with a diagonal action: 4 C(14, 2) = 364 brackets for N on the frame
+        # pairs, each reading the terms again, if N went through LieAlgebra.bracket
+        rng = random.Random(39)
+        g = LieAlgebra([mono(14, (i, 14), rng.choice([-5, -3, -1, 1, 2, 4])) for i in range(1, 14)]
+                       + [KForm.zero(14, 2)])
+        js = ComplexStructure.standard(14)
+        counts = {}
+        for name in ("bracket", "_int_terms"):
+            def counted(self, *args, _name=name, _method=getattr(LieAlgebra, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(LieAlgebra, name, counted)
+        for check in (lambda: nijenhuis(g, js), lambda: kahler_check(g, Metric.standard(14), js, omega_std(14))):
+            counts.update(bracket=0, _int_terms=0)
+            check()
+            assert counts == {"bracket": 0, "_int_terms": 1}
+
+    def test_an_algebra_failing_jacobi_warns_once(self):
+        g = parse_salamon("(0,12,0,23,0,0)")
+        message = "^Nijenhuis tensor on an algebra failing the Jacobi identity$"
+        with pytest.warns(RuntimeWarning, match=message) as record:
+            nijenhuis(g, ComplexStructure.standard(6))
+        assert len(record) == 1
 
 
 def _dphi_anti_invariant_test(g, js):
@@ -288,16 +365,17 @@ def reference_kahler_checks(g, gram, j, omega) -> dict:
 
 class TestKahlerDenseReference:
     def test_matches_the_dense_reference_on_conjugated_structures(self):
-        # on J = P J_0 P^-1: the invariant G = P^-T P^-1 and its omega, G with one
-        # diagonal entry raised off invariance, the negative definite -G, and a wrong omega
+        # on J = S J_0 S^-1, S = P or P D as in conjugated_structure: the invariant
+        # G = S^-T S^-1 and its omega, G with one diagonal entry raised off
+        # invariance, the negative definite -G, and a wrong omega
         rng = random.Random(37)
         algebras = [parse_salamon(s) for s in ["(0,0,0,0,0,0)", "(12,0,0,0,0,0)", "(0,0,0,0,13,0)", "(0,0,0,0,12,34)"]]
         algebras += [LieAlgebra.abelian(4)] + [random_almost_abelian(rng, n) for n in (4, 8)]
         seen = {}
         for g in algebras:
             n = g.dim
-            for _ in range(2):
-                j, gram = conjugated_structure(rng, n)
+            for fractional in (False, False, True, True):
+                j, gram = conjugated_structure(rng, n, fractional)
                 k = rng.randrange(n)
                 perturbed = [[x + (a == b == k) for b, x in enumerate(row)] for a, row in enumerate(gram)]
                 negated = [[-x for x in row] for row in gram]
@@ -311,6 +389,88 @@ class TestKahlerDenseReference:
                     for name, value in want.items():
                         seen.setdefault(name, set()).add(value)
         assert all(values == {True, False} for values in seen.values()), seen
+
+
+class TestFrameChange:
+    """Verdicts in change_basis's coframe f = P e, Q = P^-1: a vector goes to
+    P v, so J goes to P J Q and the Gram matrix G to Q^T G Q, and every form
+    is pulled back by Q.  P is unimodular with determinant 1, so the volume
+    form and with it the sign of phi's B are kept."""
+
+    def test_kahler_verdicts(self):
+        # TestKahlerDenseReference's cases, each check (the Nijenhuis verdict among
+        # them) coming out both ways.  With a metric that is not J-invariant,
+        # omega_equals_metric_j is left out: it compares omega with the entries
+        # below the diagonal of G J alone, not a two-form's, so it depends on the frame
+        rng = random.Random(38)
+        algebras = [parse_salamon(s) for s in ["(0,0,0,0,0,0)", "(12,0,0,0,0,0)", "(0,0,0,0,13,0)", "(0,0,0,0,12,34)"]]
+        algebras += [LieAlgebra.abelian(4)] + [random_almost_abelian(rng, n) for n in (4, 8)]
+        seen = {}
+        for g in algebras:
+            n = g.dim
+            for fractional in (False, True):
+                j, gram = conjugated_structure(rng, n, fractional)
+                p, q = random_unimodular(rng, n, 3 * n)
+                moved_g, moved_j = change_basis(g, frame=(p, q)), dense_mul(dense_mul(p, j), q)
+                k = rng.randrange(n)
+                perturbed = [[x + (a == b == k) for b, x in enumerate(row)] for a, row in enumerate(gram)]
+                negated = [[-x for x in row] for row in gram]
+                cases = [(m, metric_omega(j, m)) for m in (gram, perturbed, negated)]
+                cases.append((gram, cases[0][1] + mono(n, (1, 2))))
+                for metric, omega in cases:
+                    got = kahler_check(g, Metric(metric), ComplexStructure(j), omega)
+                    moved_metric = dense_mul(dense_mul([list(col) for col in zip(*q)], metric), q)
+                    moved = kahler_check(moved_g, Metric(moved_metric), ComplexStructure(moved_j), pullback(q, omega))
+                    if got.checks["metric_j_invariant"]:
+                        assert moved == got
+                    else:  # G J is not antisymmetric, and omega_equals_metric_j reads its lower triangle only
+                        assert moved.passed is False
+                        assert ({**moved.checks, "omega_equals_metric_j": None}
+                                == {**got.checks, "omega_equals_metric_j": None})
+                    for name, value in got.checks.items():
+                        seen.setdefault(name, set()).add(value)
+        assert all(values == {True, False} for values in seen.values()), seen
+
+    def test_closure_verdicts(self):
+        # symplectic in dimensions 4 and 6, half-flat in 6 and co-calibrated in 7,
+        # on the standard forms and random ones
+        rng = random.Random(40)
+        seen = {}
+        even = [parse_salamon(s) for s in ["(0,0,0,0,0,0)", "(12,0,0,0,0,0)", "(0,0,0,0,12,13)", "(0,0,0,0,12,34)"]]
+        even += [LieAlgebra.abelian(4), parse_salamon("(0,0,12,0)")]
+        seven = [g_lm(1, 2), h_lm(1, -1), LieAlgebra.abelian(7), LieAlgebra([mono(7, (6, 7))] + [KForm.zero(7, 2)] * 6)]
+        for g in even + seven:
+            n = g.dim
+            p, q = random_unimodular(rng, n, 3 * n)
+            moved_g = change_basis(g, frame=(p, q))
+            for _ in range(3):
+                if n % 2 == 0:
+                    for omega in (omega_std(n), random_form(rng, n, 2)):
+                        verdict = symplectic_check(g, omega)
+                        assert symplectic_check(moved_g, pullback(q, omega)) == verdict
+                        seen.setdefault("symplectic", set()).add(verdict)
+                if n == 6:
+                    for rho in (rho_minus_std(), rho_minus_std() + random_form(rng, 6, 3, max_terms=2)):
+                        omega = omega_std(6) + random_form(rng, 6, 2, max_terms=1)
+                        rep = half_flat_check(g, omega, rho)
+                        assert half_flat_check(moved_g, pullback(q, omega), pullback(q, rho)) == rep
+                        seen.setdefault("half-flat", set()).add(rep.passed)
+                if n == 7:
+                    for psi in (psi4(), random_form(rng, 7, 4, max_terms=3)):
+                        verdict = g2_cocal_check(g, psi)
+                        assert g2_cocal_check(moved_g, pullback(q, psi)) == verdict
+                        seen.setdefault("co-calibrated", set()).add(verdict)
+        assert all(values == {True, False} for values in seen.values()), seen
+
+    def test_phi_definiteness(self):
+        rng = random.Random(42)
+        seen = set()
+        for phi in [phi0(), -1 * phi0(), mono(7, (1, 2, 3))] + [random_form(rng, 7, 3, max_terms=5) for _ in range(5)]:
+            _, q = random_unimodular(rng, 7, 21)
+            kind = phi_stability(phi).definiteness
+            assert phi_stability(pullback(q, phi)).definiteness == kind
+            seen.add(kind)
+        assert seen == {"positive", "negative", "indefinite-or-degenerate"}
 
 
 def rho_minus_std() -> KForm:

@@ -353,6 +353,16 @@ class TestConstruction:
             make()
         assert str(err.value) == f"need at least 2 generator differentials, got {count}"
 
+    @pytest.mark.parametrize("diffs, message", [
+        ([KForm.zero(3, 2), KForm.zero(4, 2), KForm.zero(3, 2)], "d e_2 lives on dimension 4, expected 3"),
+        ([KForm.zero(3, 2), mono(3, (1,)), KForm.zero(3, 2)], "d e_2 must be a two-form, got degree 1"),
+        ([KForm.zero(3, 2)] * 2, "got 2 differentials for dimension 3"),
+    ], ids=["dimension", "degree", "count"])
+    def test_malformed_differentials_are_refused(self, diffs, message):
+        with pytest.raises(ValueError) as err:
+            LieAlgebra(diffs)
+        assert str(err.value) == message
+
 
 class TestJacobi:
     def test_paper_algebras_pass(self):

@@ -67,7 +67,7 @@ class TestComplement:
     def test_edge_cases(self):
         assert linalg.complement([], 3) == (0, 1, 2)
         assert linalg.complement([[F(0), F(0), F(0)]], 3) == (0, 1, 2)
-        assert linalg.complement(linalg.identity(3), 3) == ()
+        assert linalg.complement([[int(i == j) for j in range(3)] for i in range(3)], 3) == ()
         assert linalg.complement([[F(1), F(1), F(0)], [F(2), F(2), F(0)]], 3) == (0, 2)
         assert linalg.complement([[F(0), F(1), F(1)]], 3) == (0, 1)
 
@@ -187,14 +187,19 @@ class TestCharpolyRoots:
         assert roots == [(0, 2), (1, 1)]
         assert leftover == 0
 
-    def test_products_of_int_matrices_are_fractions(self):
-        # the Fraction start keeps results Fractions: two ints would divide to a float
-        a = [[1, 2], [0, -3]]
-        v = linalg.mat_vec(a, [4, 5])
-        m = linalg.mat_mul(a, a)
-        assert v == [F(14), F(-15)] and m == [[F(1), F(-4)], [F(0), F(9)]]
-        zero = linalg.mat_vec([[0, 0]], [4, 5])  # every entry of the row skipped
-        assert all(type(x) is Fraction for x in [*v, *m[0], *m[1], *zero])
+    def test_mat_mul_matches_the_dense_product(self):
+        # sparse in the left factor: int factors stay int, and every row is a
+        # new list, so a caller may update the product in place
+        rng = random.Random(41)
+        pool = [0, 0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
+        for _ in range(60):
+            n, m, k = (rng.randint(1, 5) for _ in range(3))
+            a = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+            b = [[rng.choice(pool) for _ in range(k)] for _ in range(m)]
+            assert linalg.mat_mul(a, b) == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        product = linalg.mat_mul([[1, 2], [0, 0], [0, 0]], [[0, -3], [4, 5]])
+        assert product == [[8, 7], [0, 0], [0, 0]] and product[1] is not product[2]
+        assert all(type(x) is int for row in product for x in row)
 
 
 # -- Fraction reference implementations ----------------------------------------

@@ -99,6 +99,33 @@ class TestShearData:
         assert d == data_on(LieAlgebra.abelian(4), 1, mono(4, (2, 3)), a=Fraction(2))
 
 
+# every argument check of ShearData and apply_twist, by the call that trips it
+E1, H3, ZERO2 = Vector.basis(3, 1), parse_salamon("(0,0,12)"), KForm.zero(3, 2)
+REFUSALS = {
+    "shear-data-dimensions": (ShearDataError, lambda: ShearData(X=E1, alpha=mono(4, (1,)), F0=ZERO2),
+                              "mixed dimensions in shear data: [3, 4]"),
+    "shear-data-eta-dimension": (ShearDataError, lambda: ShearData(X=E1, alpha=mono(3, (1,)), F0=ZERO2,
+                                                                   eta_g=mono(4, (2,))),
+                                 "mixed dimensions in shear data: [3, 4]"),
+    "shear-data-alpha": (ShearDataError, lambda: ShearData(X=E1, alpha=mono(3, (1, 2)), F0=ZERO2),
+                         "alpha must be a one-form"),
+    "shear-data-f0": (ShearDataError, lambda: ShearData(X=E1, alpha=mono(3, (1,)), F0=mono(3, (2,))),
+                      "F0 must be a two-form"),
+    "shear-data-eta": (ShearDataError, lambda: ShearData(X=E1, alpha=mono(3, (1,)), F0=ZERO2, eta_g=mono(3, (2, 3))),
+                       "eta_g must be a one-form"),
+    "twist-dimension": (TwistError, lambda: apply_twist(H3, mono(4, (3,)), ZERO2), "dimension mismatch in twist data"),
+    "twist-alpha": (TwistError, lambda: apply_twist(H3, mono(3, (1, 3)), ZERO2), "alpha must be a one-form"),
+    "twist-f": (TwistError, lambda: apply_twist(H3, mono(3, (3,)), mono(3, (1,))), "F must be a two-form"),
+}
+
+
+@pytest.mark.parametrize("error, call, message", REFUSALS.values(), ids=REFUSALS)
+def test_malformed_arguments_are_refused(error, call, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 RANDOM_SHEARS = random_shears()
 
 
