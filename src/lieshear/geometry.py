@@ -163,20 +163,28 @@ class KahlerReport(Value):
 
 
 def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KForm) -> KahlerReport:
-    """Positive metric, J-compatibility, omega = metric(J., .), closedness, integrability."""
+    """Positive metric, J-compatibility, omega = metric(J., .), closedness, integrability.
+
+    omega_equals_metric_j fails whenever metric_j_invariant does, as
+    metric(J., .) is a two-form only for a J-invariant metric.
+    """
     if g.dim % 2:
         raise ValueError("Kaehler check needs even dimension")
     if {metric.dim, js.dim, omega.dim} != {g.dim}:
         raise ValueError("metric, J and omega must live on the algebra's dimension")
     # M = G J is all the matrix work: omega(E_i, E_j) = metric(J E_i, E_j) = M[j][i],
-    # and since J^2 = -Id and G is symmetric, J^T G J = G exactly when M^T = -M
+    # and since J^2 = -Id and G is symmetric, J^T G J = G exactly when M^T = -M.
+    # Only then is metric(J., .) a two-form, so otherwise omega cannot equal it:
+    # comparing omega with M's lower triangle alone gives a verdict that
+    # depends on the frame
     n = g.dim
     m = linalg.mat_mul(metric.gram, js.j)
+    invariant = all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
     omega_expected = KForm(n, 2, {(1 << i) | (1 << j): m[j][i] for i in range(n) for j in range(i + 1, n) if m[j][i]})
     checks = {
         "metric_positive_definite": metric.is_positive_definite(),
-        "metric_j_invariant": all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)),
-        "omega_equals_metric_j": omega == omega_expected,
+        "metric_j_invariant": invariant,
+        "omega_equals_metric_j": invariant and omega == omega_expected,
         "omega_closed": is_closed(g, omega),
         "nijenhuis_vanishes": nijenhuis(g, js).integrable,
     }

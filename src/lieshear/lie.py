@@ -96,11 +96,19 @@ class LieAlgebra:
     read off the terms of the d e_k when asked for, by the one formula of
     `_columns`: the bracket, the series, the centralizer, the shear lines,
     the ideal test of a shear and the Nijenhuis tensor of `geometry` all go
-    through it, and no bracket table or ad matrix is ever built.  Instances
-    are safe to share between threads.
+    through it, and no bracket table or ad matrix is ever built.
+
+    Two slots are filled on use: `_series` caches the series, and `_decomp`
+    holds the last decomposition `shear.decompose_dalpha` made of this
+    algebra, as the forms (X, alpha, eta, f), so a shear validated, applied
+    and probed along one (X, alpha) splits d(alpha) once.  An algebra built
+    by `_replacing` starts with both empty.  Instances are safe to share
+    between threads: each slot is only ever assigned a complete immutable
+    value, an atomic store, so a reader sees the old value or the new one,
+    and a race between two writers only costs one recomputation.
     """
 
-    __slots__ = ("dim", "diffs", "_jacobi", "_series")
+    __slots__ = ("dim", "diffs", "_jacobi", "_series", "_decomp")
 
     def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
         diffs = tuple(diffs)
@@ -141,9 +149,10 @@ class LieAlgebra:
             if not dd.is_zero():
                 failures.append((k + 1, dd))
         object.__setattr__(self, "_jacobi", JacobiReport(not failures, tuple(failures)))
-        # the series cache is filled on first use; assigning an immutable value
-        # is atomic and idempotent, so shared readers need no synchronization
+        # filled on first use; assigning an immutable value is atomic, so
+        # shared readers need no synchronization
         object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "_decomp", None)
 
     def _recheck(self, changed: int) -> tuple[int, ...]:
         """The generators whose d(d e_k) can change when the d e_i of the
@@ -346,10 +355,12 @@ class LieAlgebra:
             raise ValueError("abelian algebra has no canonical line")
         dsub, n = derived[0], self.dim
         scale, terms = self._int_terms()
-        # lower central series of n = g' (brackets taken inside n): [n, n] = g''
+        # lower central series of n = g' (brackets taken inside n): [n, n] = g''.
+        # It ends in zero, so lower[-2] exists: g is solvable, so g' is nilpotent
+        # (Lie's theorem for g (x) C, whose derived algebra is g' (x) C), and
+        # `_chain` stops at its first zero or at its first repeat, which for a
+        # nonzero term would keep the series from ever reaching zero
         lower = [dsub, *_chain(derived[1], lambda s: self._bracket_span(dsub, s, terms))]
-        if lower[-1]:
-            raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
         target = lower[-2]  # last nonzero term (n itself when n is abelian)
         complement = linalg.complement(dsub, n)
         spaces: list[tuple[tuple[Fraction, ...], Rows]] = [((), target)]
@@ -381,16 +392,15 @@ class LieAlgebra:
                 # integers mu, read block by block off R's strongly connected
                 # components (a 1x1 block is its own root, with no polynomial); the
                 # eigenvalues of A are mu / den, with the eigenspaces of R, the
-                # nullspaces of the integer rows R - mu I
-                roots, nonrational_here = linalg.rational_eigenvalues(restricted)
+                # nullspaces of the integer rows R - mu I, each taken on the rows
+                # that reach a block of root mu
+                eigenspaces, nonrational_here = linalg.rational_eigenspaces(restricted)
                 nonrational = nonrational or nonrational_here
                 # roots ascend and each chain occurs once, so `refined` comes out
                 # sorted.  A nullspace row y is reduced echelon with a positive pivot,
                 # and so is sum_i y_i b_i, whose entry at p_i is y_i b_i[p_i]
-                for mu in roots:
-                    shifted = [[x - mu if i == j else x for j, x in enumerate(row)]
-                               for i, row in enumerate(restricted)]
-                    sums = linalg.mat_mul(linalg.nullspace(shifted, len(basis)), basis)
+                for mu, kernel in eigenspaces:
+                    sums = linalg.mat_mul(kernel, basis)
                     eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
                     refined.append((eigs + (Fraction(mu, den),), eigvecs))
             spaces = refined

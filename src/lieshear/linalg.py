@@ -20,10 +20,12 @@ swaps on its `primitive` rows meets only positive pivots, in O(n^3) steps
 whose entries stay bounded by minors of the row-scaled matrix.  `charpoly`
 and `rational_roots` take and return integers only: `charpoly` works on an
 integer matrix, and `rational_roots` bisects a monic integer polynomial,
-whose rational roots are integers.  `rational_eigenvalues` gives the integer
+whose rational roots are integers.  `rational_eigenspaces` gives the integer
 eigenvalues of an integer matrix from the strongly connected components of
 its nonzero pattern: a 1x1 block is its own eigenvalue, so `charpoly` and
-`rational_roots` see only the irreducible blocks of size 2 or more.
+`rational_roots` see only the irreducible blocks of size 2 or more.  It
+takes each eigenspace as a `nullspace` on the rows that reach a block of
+its eigenvalue only.
 `rational_roots` neither factors nor searches divisors: its work is
 polynomial in the bit length of the coefficients, so no input makes it run
 unbounded.  The subspace questions of the package are asked here:
@@ -272,9 +274,10 @@ def rational_roots(q: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
     return roots, d - sum(m for _, m in roots)
 
 
-def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
-    """The distinct integer roots of det(xI - R), ascending, for a square
-    integer matrix R, and whether det(xI - R) has a root that is not rational.
+def rational_eigenspaces(r: Sequence[Sequence[int]]) -> tuple[list[tuple[int, tuple[Row, ...]]], bool]:
+    """(mu, nullspace(R - mu I)) for each distinct integer root mu of
+    det(xI - R), mu ascending, for a square integer matrix R, and whether
+    det(xI - R) has a root that is not rational.
 
     Listing the strongly connected components of R's nonzero pattern in
     topological order makes R block triangular under a permutation, so
@@ -284,6 +287,12 @@ def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
     other.  A 1x1 block contributes its entry as a root.  Only a block of size
     2 or more goes through `charpoly` and `rational_roots`; its char poly is
     monic over the integers, so its rational roots are integers.
+
+    Root mu's kernel is taken on U, the rows that reach a block with root mu,
+    and padded with zeros.  A row outside U reaches only rows outside U, so it
+    has no entry in U's columns, and the rows outside U are block triangular
+    with no block of root mu: a kernel vector vanishes off U.  Zero columns
+    added in column order keep the rows the canonical echelon basis.
     """
     m = len(r)
     reach = [sum(1 << j for j, x in enumerate(row) if x) | 1 << i for i, row in enumerate(r)]
@@ -291,16 +300,29 @@ def rational_eigenvalues(r: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
         for i in range(m):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
-    roots: set[int] = set()
+    blocks: dict[int, int] = {}  # root -> bitmask of the rows of its blocks
     nonrational = False
     for i in range(m):
         block = [j for j in range(m) if reach[i] >> j & 1 and reach[j] >> i & 1]
         if block[0] < i:  # read at its first row
             continue
         if len(block) == 1:
-            roots.add(r[i][i])
+            roots = [r[i][i]]
         else:
             found, leftover = rational_roots(charpoly([[r[a][b] for b in block] for a in block]))
-            roots.update(y for y, _ in found)
+            roots = [y for y, _ in found]
             nonrational = nonrational or bool(leftover)
-    return sorted(roots), nonrational
+        mask = sum(1 << j for j in block)
+        for y in roots:
+            blocks[y] = blocks.get(y, 0) | mask
+    spaces = []
+    for mu in sorted(blocks):
+        rows = [i for i in range(m) if reach[i] & blocks[mu]]
+        padded = []
+        for v in nullspace([[r[i][j] - mu if i == j else r[i][j] for j in rows] for i in rows], len(rows)):
+            full = [0] * m
+            for j, x in zip(rows, v):
+                full[j] = x
+            padded.append(tuple(full))
+        spaces.append((mu, tuple(padded)))
+    return spaces, nonrational

@@ -350,14 +350,21 @@ def metric_omega(j, gram) -> KForm:
                KForm.zero(n, 2))
 
 
+def is_antisymmetric(m) -> bool:
+    return all(m[a][b] == -m[b][a] for a in range(len(m)) for b in range(len(m)))
+
+
 def reference_kahler_checks(g, gram, j, omega) -> dict:
     """kahler_check's checks computed densely: J^T G J and J^T G as plain
-    matrix products, definiteness by Sylvester's leading minors."""
+    matrix products, definiteness by Sylvester's leading minors.  omega
+    equals metric(J., .) only when J^T G is antisymmetric, which makes
+    metric_omega's upper triangle a two-form's."""
     n = g.dim
     return {
         "metric_positive_definite": all(reference_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)),
         "metric_j_invariant": dense_mul(dense_mul([list(col) for col in zip(*j)], gram), j) == gram,
-        "omega_equals_metric_j": omega == metric_omega(j, gram),
+        "omega_equals_metric_j": is_antisymmetric(dense_mul([list(col) for col in zip(*j)], gram))
+                                 and omega == metric_omega(j, gram),
         "omega_closed": g.d(omega).is_zero(),
         "nijenhuis_vanishes": not any(any(v) for _, v in reference_nijenhuis(g, j)),
     }
@@ -399,9 +406,7 @@ class TestFrameChange:
 
     def test_kahler_verdicts(self):
         # TestKahlerDenseReference's cases, each check (the Nijenhuis verdict among
-        # them) coming out both ways.  With a metric that is not J-invariant,
-        # omega_equals_metric_j is left out: it compares omega with the entries
-        # below the diagonal of G J alone, not a two-form's, so it depends on the frame
+        # them) coming out both ways
         rng = random.Random(38)
         algebras = [parse_salamon(s) for s in ["(0,0,0,0,0,0)", "(12,0,0,0,0,0)", "(0,0,0,0,13,0)", "(0,0,0,0,12,34)"]]
         algebras += [LieAlgebra.abelian(4)] + [random_almost_abelian(rng, n) for n in (4, 8)]
@@ -421,12 +426,7 @@ class TestFrameChange:
                     got = kahler_check(g, Metric(metric), ComplexStructure(j), omega)
                     moved_metric = dense_mul(dense_mul([list(col) for col in zip(*q)], metric), q)
                     moved = kahler_check(moved_g, Metric(moved_metric), ComplexStructure(moved_j), pullback(q, omega))
-                    if got.checks["metric_j_invariant"]:
-                        assert moved == got
-                    else:  # G J is not antisymmetric, and omega_equals_metric_j reads its lower triangle only
-                        assert moved.passed is False
-                        assert ({**moved.checks, "omega_equals_metric_j": None}
-                                == {**got.checks, "omega_equals_metric_j": None})
+                    assert moved == got
                     for name, value in got.checks.items():
                         seen.setdefault(name, set()).add(value)
         assert all(values == {True, False} for values in seen.values()), seen

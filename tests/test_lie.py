@@ -792,22 +792,22 @@ class TestShearLines:
         # companion blocks, so the restricted matrices split into 1x1 blocks and
         # 2x2 ones with irrational roots; the reference takes one whole char poly each
         inside, records = [], []
-        charpoly, eigenvalues = linalg.charpoly, linalg.rational_eigenvalues
+        charpoly, eigenspaces = linalg.charpoly, linalg.rational_eigenspaces
 
         def recorded_charpoly(a):
             if inside:
                 inside[-1].append(len(a))
             return charpoly(a)
 
-        def recorded_eigenvalues(r):
+        def recorded_eigenspaces(r):
             inside.append([])
             try:
-                return eigenvalues(r)
+                return eigenspaces(r)
             finally:
                 records.append((len(r), inside.pop()))
 
         monkeypatch.setattr(linalg, "charpoly", recorded_charpoly)
-        monkeypatch.setattr(linalg, "rational_eigenvalues", recorded_eigenvalues)
+        monkeypatch.setattr(linalg, "rational_eigenspaces", recorded_eigenspaces)
         seen = Counter()
         for seed in range(100):
             g = random_solvable_extension(random.Random(seed), frame)
@@ -841,7 +841,7 @@ class TestShearLines:
             f = getattr(linalg, name)
             return lambda *args: calls.update([name]) or f(*args)
 
-        for name in ("charpoly", "rational_roots", "rational_eigenvalues"):
+        for name in ("charpoly", "rational_roots", "rational_eigenspaces"):
             monkeypatch.setattr(linalg, name, counted(name))
         diagonal = [Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-5, 3)]
         g = self._triangular_extension(diagonal, random.Random(4))
@@ -850,13 +850,13 @@ class TestShearLines:
         for h in (g, permuted):
             calls.clear()
             assert [es.eigenvalues for es in h.find_shear_lines().eigenspaces] == want
-            assert calls == {"rational_eigenvalues": 1}
+            assert calls == {"rational_eigenspaces": 1}
         # the tilted frame's acting vector is another one, with other eigenvalues
         tilted = change_basis(g, 5, 12)
         want = reference_shear_lines(tilted)
         calls.clear()
         assert tilted.find_shear_lines() == want
-        assert calls == {"rational_eigenvalues": 1, "charpoly": 1, "rational_roots": 1}
+        assert calls == {"rational_eigenspaces": 1, "charpoly": 1, "rational_roots": 1}
 
     def test_eighty_digit_eigenvalues_of_a_permuted_triangular_action(self):
         # the root search on the whole char poly bisects to the bits of the

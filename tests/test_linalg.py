@@ -445,15 +445,58 @@ class TestRationalEigenvalues:
     @settings(max_examples=150)
     def test_matches_the_roots_of_the_whole_char_poly(self, r):
         roots, leftover = linalg.rational_roots(linalg.charpoly(r))
-        assert linalg.rational_eigenvalues(r) == ([y for y, _ in roots], leftover > 0)
+        spaces, nonrational = linalg.rational_eigenspaces(r)
+        assert ([mu for mu, _ in spaces], nonrational) == ([y for y, _ in roots], leftover > 0)
+
+    @given(permuted_block_triangular())
+    @settings(max_examples=150)
+    def test_each_eigenspace_is_the_nullspace_of_the_whole_shift(self, r):
+        for mu, kernel in linalg.rational_eigenspaces(r)[0]:
+            shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(r)]
+            assert kernel == linalg.nullspace(shifted, len(r))
+            assert kernel
 
     def test_examples(self):
-        assert linalg.rational_eigenvalues([]) == ([], False)
-        assert linalg.rational_eigenvalues([[5]]) == ([5], False)
+        assert linalg.rational_eigenspaces([]) == ([], False)
+        assert linalg.rational_eigenspaces([[5]]) == ([(5, ((1,),))], False)
         # a 1x1 block (-1) and a 2x2 block with roots +-sqrt(2), as in (41,43,2.42,0)
-        assert linalg.rational_eigenvalues([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]) == ([-1], True)
+        assert linalg.rational_eigenspaces([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]) == ([(-1, ((1, 0, 0),))], True)
         # a 3-cycle: no two rows reach each other directly, yet it is one block, x^3 - 8
-        assert linalg.rational_eigenvalues([[0, 2, 0], [0, 0, 2], [2, 0, 0]]) == ([2], True)
+        assert linalg.rational_eigenspaces([[0, 2, 0], [0, 0, 2], [2, 0, 0]]) == ([(2, ((1, 1, 1),))], True)
+        # (14,14+24,24+2.34,0)'s action: a Jordan block of root 1, and root 2,
+        # whose row reaches the others but is reached by none, so U_2 = {E3}
+        assert linalg.rational_eigenspaces([[1, 0, 0], [1, 1, 0], [0, 1, 2]]) == (
+            [(1, ((0, 1, -1),)), (2, ((0, 0, 1),))], False)
+
+    def test_each_kernel_sees_only_the_rows_reaching_its_root(self, monkeypatch):
+        # a triangular action under a permutation: each row is its own block, and
+        # root mu's kernel is taken on the rows from which mu's row is reachable
+        rng = random.Random(12)
+        n = 9
+        diagonal = rng.sample(range(-9, 10), n)
+        t = [[diagonal[i] if i == j else rng.choice([0, 0, 0, 1, -2]) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        perm = rng.sample(range(n), n)
+        r = [[t[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+        def reached_from(i):
+            seen, todo = {i}, [i]
+            while todo:
+                for j, x in enumerate(r[todo.pop()]):
+                    if x and j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            return seen
+
+        columns, nullspace = [], linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: columns.append(ncols) or nullspace(rows, ncols))
+        spaces, nonrational = linalg.rational_eigenspaces(r)
+        want = [sum(any(r[k][k] == mu for k in reached_from(i)) for i in range(n)) for mu in sorted(diagonal)]
+        assert [mu for mu, _ in spaces] == sorted(diagonal) and not nonrational
+        assert columns == want and min(want) == 1 and max(want) < n
+        for mu, kernel in spaces:
+            assert kernel == nullspace([[x - mu if i == j else x for j, x in enumerate(row)]
+                                        for i, row in enumerate(r)], n)
 
 
 class TestOneEliminationNullspace:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -53,7 +54,7 @@ from lieshear import (
     validate_shear,
     wedge,
 )
-from lieshear.exterior import one_form
+from lieshear.exterior import interior, one_form
 
 S5 = "(51,52,53,2.54,0)"
 
@@ -213,6 +214,93 @@ class TestDecompose:
         g = LieAlgebra.abelian(3)
         with pytest.raises(ShearDataError):
             decompose_dalpha(g, Vector.basis(3, 1), mono(3, (1,), 2))
+
+    # on (51,52,53,2.54,0): E4, E1 + E2 and 2 E3 span ideals, E1 + E4 and E5 do not
+    KEPT_XS = [(0, 0, 0, 1, 0), (1, 1, 0, 0, 0), (1, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 2, 0, 0)]
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, len(KEPT_XS) - 1), st.integers(-1, 1), st.sampled_from([1, 2])),
+                    min_size=2, max_size=12))
+    def test_a_kept_decomposition_equals_a_fresh_one(self, steps):
+        # (X, alpha) in turn on one algebra, repeats and failing pairs among them:
+        # alpha is e_q / x_q tilted by a covector killing X, or twice that
+        g = parse_salamon(S5)
+        for i, tilt, scale in steps:
+            comps = self.KEPT_XS[i]
+            q = max(k for k, x in enumerate(comps) if x)
+            p = (q + 1) % 5
+            x = Vector(comps)
+            alpha = mono(5, (q + 1,), Fraction(scale, comps[q])) + tilt * (
+                mono(5, (p + 1,)) - mono(5, (q + 1,), Fraction(comps[p], comps[q])))
+            outcomes = []
+            for h in (g, LieAlgebra(g.diffs)):  # the kept algebra, and one with nothing kept
+                try:
+                    outcomes.append(decompose_dalpha(h, x, alpha))
+                except ShearDataError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if not isinstance(outcomes[0], str):
+                dalpha = g.d(alpha)
+                assert outcomes[0].eta == -interior(x, dalpha)
+                assert outcomes[0].f == dalpha - wedge(outcomes[0].eta, alpha)
+
+    def test_only_a_new_pair_is_checked_and_split(self, monkeypatch):
+        calls = []
+        check = lieshear.shear.check_xi_ideal
+        monkeypatch.setattr(lieshear.shear, "check_xi_ideal", lambda g, X: calls.append(X) or check(g, X))
+        g = parse_salamon(S5)
+        kept, failing, other = (Vector.basis(5, 4), mono(5, (4,))), (Vector.basis(5, 5), mono(5, (5,))), \
+            (Vector([1, 1, 0, 0, 0]), mono(5, (1,)))
+        bases = []
+        for x, alpha in (kept, kept, failing, kept, other, kept):
+            try:
+                bases.append(decompose_dalpha(g, x, alpha))
+            except ShearDataError:
+                bases.append(None)
+        # the failing pair is not kept, so the kept one survives it
+        assert calls == [kept[0], failing[0], other[0], kept[0]]
+        assert bases[0] == bases[1] == bases[3] == bases[5] and bases[0] is not bases[1]
+        assert bases[2] is None and bases[4].X == other[0]
+        with pytest.raises(ShearDataError, match="not an ideal"):
+            decompose_dalpha(g, *failing)
+
+    def test_a_sheared_algebra_is_decomposed_afresh(self):
+        # shearing by e13 along E4 adds F_eff = e13 to d e4 = d(alpha), so the
+        # sheared algebra must split its own d(alpha), not read its base's
+        g = parse_salamon(S5)
+        data = data_on(g, 4, mono(5, (1, 3)))
+        base = decompose_dalpha(g, data.X, data.alpha)
+        sheared = apply_shear(g, data)
+        again = decompose_dalpha(sheared, data.X, data.alpha)
+        assert again.g is sheared and again.eta == base.eta
+        assert again.f == base.f + mono(5, (1, 3)) == sheared.d(data.alpha) - wedge(again.eta, data.alpha)
+        assert invert_shear(sheared, data).F0 == -data.F0
+
+    def test_threads_sharing_an_algebra_read_whole_decompositions(self):
+        # each thread decomposes its own (X, alpha) on one algebra, so the kept
+        # decomposition is overwritten under it all the time; a reader that mixed
+        # two of them would return a base that differs from the fresh one
+        g = parse_salamon(S5)
+        pairs = [(Vector.basis(5, k), mono(5, (k,))) for k in range(1, 5)]
+        want = [decompose_dalpha(LieAlgebra(g.diffs), x, alpha) for x, alpha in pairs]
+        wrong = []
+
+        def work(k):
+            for _ in range(1000):
+                if decompose_dalpha(g, *pairs[k]) != want[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k % 4,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
 
 
 class TestValidate:
@@ -615,6 +703,15 @@ class TestInvert:
         g = parse_salamon(S5)
         data = data_on(g, 4, KForm.zero(5, 2))
         assert invert_shear(g, data).F0.is_zero()
+
+    def test_refuses_data_that_is_invalid_on_the_given_algebra(self):
+        # invert_shear validates -F0 on the algebra it is given, which need not
+        # come from a valid shear: F0 = e14 is invalid on (51,52,53,2.54,0)
+        g = parse_salamon(S5)
+        with pytest.raises(InvalidShearError) as err:
+            invert_shear(g, data_on(g, 4, mono(5, (1, 4), -1)))
+        assert str(err.value) == "invalid shear data, failed: df_eff_eq_eta0_wedge_f_eff, eta0_closed"
+        assert err.value.report == validate_shear(g, data_on(g, 4, mono(5, (1, 4))))
 
     def test_roundtrip_over_corpus(self):
         rng = random.Random(22)
