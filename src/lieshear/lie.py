@@ -96,16 +96,20 @@ class LieAlgebra:
     read off the terms of the d e_k when asked for, by the one formula of
     `_columns`: the bracket, the series, the centralizer, the shear lines,
     the ideal test of a shear and the Nijenhuis tensor of `geometry` all go
-    through it, and no bracket table or ad matrix is ever built.
+    through it, and no bracket table or ad matrix is ever built.  Only
+    [g, g] skips it: its spanning brackets [E_i, E_j] are the terms of one
+    index pair each.
 
-    Two slots are filled on use: `_series` caches the series, and `_decomp`
+    Two slots are filled on use: `_series` caches the series with the
+    integral terms it bracketed by, which the shear lines read, and `_decomp`
     holds the last decomposition `shear.decompose_dalpha` made of this
     algebra, as the forms (X, alpha, eta, f), so a shear validated, applied
     and probed along one (X, alpha) splits d(alpha) once.  An algebra built
     by `_replacing` starts with both empty.  Instances are safe to share
-    between threads: each slot is only ever assigned a complete immutable
-    value, an atomic store, so a reader sees the old value or the new one,
-    and a race between two writers only costs one recomputation.
+    between threads: each slot is only ever assigned a complete value that
+    nothing changes afterwards, an atomic store, so a reader sees the old
+    value or the new one, and a race between two writers only costs one
+    recomputation.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series", "_decomp")
@@ -249,55 +253,50 @@ class LieAlgebra:
 
     # -- series and classification -------------------------------------------
 
-    def _bracket_span(self, left: Rows, right: Rows, terms) -> Rows:
-        # a span is blind to the scale of each bracket: bracket the integer rows
-        # through the `_int_terms`.  One pass over the terms per right row v
-        # gives the columns [E_i, v]; then [u, v] sums u_i [E_i, v] over the
-        # nonzero u_i only, a column lookup for the unit rows of a lower-central step.
-        # A self-span, as [g, g] and each derived step, takes each unordered pair
-        # once: [u, v] = -[v, u] and [v, v] = 0 for any two-form structure constants
-        supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
-        same = left == right
-        vecs = []
-        for k, v in enumerate(right):
-            lefts = supports[:k] if same else supports
-            if not lefts:
-                continue
-            cols = _columns(terms, v)
-            for (i, x), *rest in lefts:
-                b = cols[i] if x == 1 else [x * c for c in cols[i]]
-                for i, x in rest:
-                    b = [p + x * c for p, c in zip(b, cols[i])]
-                if any(b):
-                    vecs.append(b)
-        return linalg.span_rref(vecs)
-
     def series(self) -> SeriesReport:
-        """The series report; `_series` caches it with its lower central and derived chains as `Rows`."""
+        """The series report; `_series` caches it with its lower central and
+        derived chains as `Rows`, and the `_int_terms` they were bracketed by.
+
+        [g, g] is read off the terms: one vector, scale [E_i, E_j], per pair
+        i < j with a term.  Each later step brackets into its predecessor s
+        by `_brackets`, through the columns [E_i, v] of each row v of s, taken
+        once per row in this call: the lower-central step [g, s] and the
+        derived step [s, s] share them, and for g' = [g, g] both brackets of
+        g' read the same columns.  `_chain` ranks a step's brackets at the
+        pivots of s, so a term that repeats ends its chain without an
+        elimination.
+        """
         if not self._jacobi.passed:
             raise ValueError("series undefined: the Jacobi identity fails")
         if self._series is None:
-            terms = self._int_terms()[1]
-            full = tuple([tuple([int(i == j) for j in range(self.dim)]) for i in range(self.dim)])
-            lower = _chain(self._bracket_span(full, full, terms), lambda s: self._bracket_span(full, s, terms))
-            derived = _chain(lower[0], lambda s: self._bracket_span(s, s, terms))
+            n = self.dim
+            int_terms = self._int_terms()
+            terms = int_terms[1]
+            pairs: dict[int, list[int]] = {}
+            for i, j, k, c in terms:  # d e_k has one term per pair, so each entry is set once
+                pairs.setdefault(i * n + j, [0] * n)[k] = -c
+            full = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+            columns: dict[linalg.Row, list[list[int]]] = {}
+            lower = _chain(linalg.span_rref(list(pairs.values())), lambda s: _brackets(full, s, terms, columns))
+            derived = _chain(lower[0], lambda s: _brackets(s, s, terms, columns))
             is_nilpotent, is_solvable = not lower[-1], not derived[-1]
+            first = linalg.reduced(lower[0])  # the derived chain starts at g' too
             report = SeriesReport(
-                lower_central=tuple(map(linalg.reduced, lower)),
-                derived=tuple(map(linalg.reduced, derived)),
+                lower_central=(first, *map(linalg.reduced, lower[1:])),
+                derived=(first, *map(linalg.reduced, derived[1:])),
                 is_abelian=not lower[0],
                 is_nilpotent=is_nilpotent,
                 is_solvable=is_solvable,
                 step_length=len(lower) if is_nilpotent else None,
                 derived_length=len(derived) if is_solvable else None,
             )
-            object.__setattr__(self, "_series", (report, lower, derived))
+            object.__setattr__(self, "_series", (report, lower, derived, int_terms))
         return self._series[0]
 
     def twist_filtration(self) -> Filtration:
         """Dual filtration V_i = Ann(n^(r-i)) of a nilpotent algebra."""
         rep = self.series()
-        _, lower, _ = self._series
+        _, lower, _, _ = self._series
         if not rep.is_nilpotent:
             raise ValueError("twist filtration requires a nilpotent algebra")
         # chain[i] = Ann(n^(r-i)), i = 0..r-1, from n^(r) = 0 up to n^(1).
@@ -305,7 +304,7 @@ class LieAlgebra:
         # with k = r-i, V_{i+1} = Ann(n^(k-1)), and a two-form lies in
         # Lambda^2 V_{i+1} when X . d(phi) = 0 for every X in n^(k-1) (n^(0) = g).
         # For phi in V_i = Ann(n^(k)), (X . d(phi))(A) = -phi([X, A]) = 0, since
-        # [X, A] lies in n^(k) = [g, n^(k-1)], which `_bracket_span` builds.
+        # [X, A] lies in n^(k) = [g, n^(k-1)], which `_brackets` spans.
         chain = [linalg.reduced(linalg.nullspace(n_k, ncols=self.dim)) for n_k in reversed(lower)]
         return Filtration(chain=tuple(chain))
 
@@ -316,7 +315,7 @@ class LieAlgebra:
         codimension >= 3, which is reported as undecided (None).
         """
         rep = self.series()
-        _, _, derived = self._series
+        _, _, derived, _ = self._series
         if rep.is_abelian:
             return True, "abelian"
         dsub = derived[0]
@@ -346,21 +345,28 @@ class LieAlgebra:
 
     def find_shear_lines(self) -> ShearLineReport:
         """Simultaneous rational eigenspaces of the complement action on the
-        last nonzero lower-central term of the derived subalgebra."""
+        last nonzero lower-central term of the derived subalgebra.
+
+        The chain of g' brackets into each term s by `_brackets`, from the
+        series' cached terms, with the columns of each row of s taken once;
+        `_chain` ranks each step at the pivots of s.  That the action keeps
+        the target is checked by one `linalg.mat_mul` per refined space, and
+        each subspace is reduced to its public form once.
+        """
         rep = self.series()
-        _, _, derived = self._series
+        _, _, derived, (scale, terms) = self._series
         if not rep.is_solvable:
             raise ValueError("shear lines require a solvable algebra")
         if rep.is_abelian:
             raise ValueError("abelian algebra has no canonical line")
         dsub, n = derived[0], self.dim
-        scale, terms = self._int_terms()
         # lower central series of n = g' (brackets taken inside n): [n, n] = g''.
         # It ends in zero, so lower[-2] exists: g is solvable, so g' is nilpotent
         # (Lie's theorem for g (x) C, whose derived algebra is g' (x) C), and
         # `_chain` stops at its first zero or at its first repeat, which for a
         # nonzero term would keep the series from ever reaching zero
-        lower = [dsub, *_chain(derived[1], lambda s: self._bracket_span(dsub, s, terms))]
+        columns: dict[linalg.Row, list[list[int]]] = {}
+        lower = [dsub, *_chain(derived[1], lambda s: _brackets(dsub, s, terms, columns))]
         target = lower[-2]  # last nonzero term (n itself when n is abelian)
         complement = linalg.complement(dsub, n)
         spaces: list[tuple[tuple[Fraction, ...], Rows]] = [((), target)]
@@ -373,14 +379,15 @@ class LieAlgebra:
                 # the acting frame vector maps b_j to [E_gen, b_j] = images[j] / scale.  At
                 # the pivot p_i of b_i the other rows vanish, so a vector v of the span is
                 # sum_i v[p_i] / b_i[p_i] b_i: that reads the restricted matrix in the
-                # basis b, and eliminating each pivot from an image must leave zero
+                # basis b.  With L the lcm of the pivot entries, L v is the product of
+                # its pivot entries, each scaled by L / b_i[p_i], with the basis; an
+                # image off the span differs from that product
                 images = [_columns(acting, b)[gen] for b in basis]
                 pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
-                for im in images:
-                    for b, p in zip(basis, pivots):
-                        im = linalg._eliminate(im, b, p) if im[p] else im
-                    if any(im):
-                        raise RuntimeError("complement action does not preserve the target subspace")
+                big = lcm(*(b[p] for b, p in zip(basis, pivots)))
+                coords = [[im[p] * (big // b[p]) for b, p in zip(basis, pivots)] for im in images]
+                if linalg.mat_mul(coords, basis) != [[big * x for x in im] for im in images]:
+                    raise RuntimeError("complement action does not preserve the target subspace")
                 # the restricted matrix has entries im_j[p_i] / d_i, d_i = scale b_i[p_i] > 0.
                 # Row i's reduced denominators have the lcm d_i / gcd(d_i, im_1[p_i], ...), so
                 # with den the lcm of those, R = den A is the least integer multiple of A
@@ -404,23 +411,64 @@ class LieAlgebra:
                     eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
                     refined.append((eigs + (Fraction(mu, den),), eigvecs))
             spaces = refined
-        eig = tuple(EigenSpace(eigenvalues=e, basis=linalg.reduced(b)) for e, b in spaces)
+        public = {dsub: rep.derived[0]}  # each subspace reduced once: the target is often g'
+
+        def reduced(rows: Rows) -> Subspace:
+            return public.get(rows) or public.setdefault(rows, linalg.reduced(rows))
+
         return ShearLineReport(
             derived_subalgebra=rep.derived[0],
-            target=linalg.reduced(target),
+            target=reduced(target),
             acting=tuple(Vector.basis(n, j + 1) for j in complement),
-            eigenspaces=eig,
+            eigenspaces=tuple(EigenSpace(eigenvalues=e, basis=reduced(b)) for e, b in spaces),
             nonrational_present=nonrational,
         )
 
 
-def _chain(first: Rows, step: Callable[[Rows], Rows]) -> list[Rows]:
-    """first, step(first), ... up to the first zero term, or up to the term
-    before the first repeat."""
+def _chain(first: Rows, brackets: Callable[[Rows], list[list[int]]]) -> list[Rows]:
+    """first, then the span of brackets(s) after each nonzero term s, up to the
+    first zero term or up to the term before the first repeat.
+
+    The brackets of each step lie in span(s), [g, s], [s, s] or [g', s] of
+    an ideal s, so their rank at the pivots of s (`linalg.rank_at`) is the
+    rank of their span: at |s| the term repeats and the chain ends with no
+    elimination, and only a term that shrinks goes through `span_rref`.
+    """
     chain = [first]
-    while chain[-1] and (nxt := step(chain[-1])) != chain[-1]:
-        chain.append(nxt)
+    while s := chain[-1]:
+        vecs = brackets(s)
+        if linalg.rank_at(vecs, [next(c for c, x in enumerate(v) if x) for v in s]) == len(s):
+            break
+        chain.append(linalg.span_rref(vecs))
     return chain
+
+
+def _brackets(left: Rows, right: Rows, terms, columns: dict) -> list[list[int]]:
+    """The nonzero scale [u, v] for u in `left` and v in `right`, integer rows
+    bracketed through the `_int_terms`, whose span is blind to the scale.
+
+    `columns` keeps the columns scale [E_i, v] of each right row v, one pass of
+    `_columns` over the terms per row for all the steps of one chain or two;
+    then [u, v] sums u_i [E_i, v] over the nonzero u_i only, a column lookup
+    for the unit rows of a lower-central step.  A self-span, as each derived
+    step, takes each unordered pair once: [u, v] = -[v, u] and [v, v] = 0 for
+    any two-form structure constants.
+    """
+    supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
+    same = left == right
+    vecs = []
+    for k, v in enumerate(right):
+        lefts = supports[:k] if same else supports
+        if not lefts:
+            continue
+        cols = columns.get(v) or columns.setdefault(v, _columns(terms, v))
+        for (i, x), *rest in lefts:
+            b = cols[i] if x == 1 else [x * c for c in cols[i]]
+            for i, x in rest:
+                b = [p + x * c for p, c in zip(b, cols[i])]
+            if any(b):
+                vecs.append(b)
+    return vecs
 
 
 def _columns(terms: Sequence[tuple[int, int, int, int]], v: Sequence[Coeff]) -> list[list[Coeff]]:

@@ -4,8 +4,11 @@ The eliminations and polynomials here compute on `int` rows: `rref` and
 `definiteness` make a `Fraction` row `primitive` first, and `reduced` gives
 `Fraction` rows back.  `mat_mul`, the package's one matrix product, takes
 either kind of entry and keeps int factors int; it is sparse in its left
-factor, and `charpoly`, the shear lines' eigenvectors and the structure
-checks of `geometry` all go through it.
+factor, and `charpoly`, the shear lines' eigenvectors, their check that the
+action keeps the target and the structure checks of `geometry` all go
+through it.  That check is one product: with L the lcm of the pivot entries
+of echelon rows B, a vector v lies in span(B) exactly when L v equals the
+product of its pivot entries v[p_i], each scaled by L / b_i[p_i], with B.
 
 Inside the package a subspace is the tuple of its reduced row echelon rows
 (zero rows dropped), each the primitive integer multiple with a positive
@@ -13,11 +16,11 @@ pivot: `rref`, `span_rref` and `nullspace` return these `int` rows.  The form
 is canonical, so subspace equality is a tuple comparison; `reduced` gives the
 `Fraction` rows with pivot 1 that the public reports hold.  Every elimination
 of the package takes one fraction-free step, `_eliminate`: row <- p*row -
-f*pivot_row, kept primitive.  `rref` takes it, and so do the invariance check
-of the shear lines and `definiteness`, which is Sylvester's criterion: a
-symmetric matrix is positive definite exactly when elimination without row
-swaps on its `primitive` rows meets only positive pivots, in O(n^3) steps
-whose entries stay bounded by minors of the row-scaled matrix.  `charpoly`
+f*pivot_row, kept primitive.  `rref` takes it, and so do `rank_at` and
+`definiteness`, which is Sylvester's criterion: a symmetric matrix is
+positive definite exactly when elimination without row swaps on its
+`primitive` rows meets only positive pivots, in O(n^3) steps whose entries
+stay bounded by minors of the row-scaled matrix.  `charpoly`
 and `rational_roots` take and return integers only: `charpoly` works on an
 integer matrix, and `rational_roots` bisects a monic integer polynomial,
 whose rational roots are integers.  `rational_eigenspaces` gives the integer
@@ -31,6 +34,10 @@ polynomial in the bit length of the coefficients, so no input makes it run
 unbounded.  The subspace questions of the package are asked here:
 
 - `span_rref(rows)`: the canonical basis of span(rows);
+- `rank_at(rows, pivots)`: the rank of rows inside the span of echelon rows
+  with those pivot columns, read at the pivots alone.  Each step of a series
+  chain lies inside the term before it, so its brackets span that term
+  exactly when this rank is full, and a repeating term costs no `rref`;
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
 - `complement(basis, ncols)`: the column indices j whose unit vectors
   greedily complete span(basis) to the whole space.
@@ -104,6 +111,31 @@ def rref(vectors: Sequence[Sequence]) -> tuple[tuple[Row, ...], tuple[int, ...]]
 def span_rref(vectors: Sequence[Sequence]) -> tuple[Row, ...]:
     """Canonical (echelon) basis of the span of the given vectors."""
     return rref(vectors)[0]
+
+
+def rank_at(vectors: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """The rank of the integer vectors' entries at the columns `cols`, by
+    forward `_eliminate` steps; it stops once the rank reaches len(cols).
+
+    For vectors inside span(B), B echelon rows with the pivot columns `cols`,
+    it is the rank of the vectors: at pivot p_i every row but b_i vanishes,
+    so a vector v of span(B) is sum_i v[p_i] / b_i[p_i] b_i, and its entries
+    at the pivots are its coordinates, each scaled by a nonzero factor.
+    """
+    found: list[tuple[list[int], int]] = []  # each kept row with its leading column
+    for v in vectors:
+        row = [v[c] for c in cols]
+        # a kept row vanishes at the leading columns of the rows kept before it,
+        # so eliminating in that order keeps the cleared entries zero
+        for prow, c in found:
+            if row[c]:
+                row = _eliminate(row, prow, c)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            found.append((row, lead))
+            if len(found) == len(cols):
+                break
+    return len(found)
 
 
 def reduced(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
@@ -206,9 +238,11 @@ def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     mk = [list(row) for row in a]  # the first product, A I = A
     trace = sum(mk[i][i] for i in range(n))
     for k in range(1, n + 1):
-        ck, rem = divmod(-trace, k)
-        if rem:
-            raise ArithmeticError(f"trace of step {k} is not divisible by {k}")
+        # exact: with M_1 = I and M_(k+1) = A M_k + c_(n-k) I, the c_(n-k) =
+        # -tr(A M_k) / k are det(xI - A)'s coefficients, sums of signed principal
+        # minors of A, so integers.  By induction every M_k is an integer matrix,
+        # and tr(A M_k) = -k c_(n-k) is a multiple of k
+        ck = -trace // k
         coeffs[n - k] = ck
         for i in range(n):
             mk[i][i] += ck

@@ -9,7 +9,6 @@ from math import gcd
 from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, ShearReport, TwistError,
                       Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
 from lieshear.exterior import form_row, interior
-from lieshear.lie import _chain
 from lieshear.literals import format_vector
 from lieshear.shear import REQUIRED_CONDITIONS, _sheared, validate_shear
 
@@ -413,6 +412,18 @@ def reference_nijenhuis(g: LieAlgebra, j) -> list[tuple[tuple[int, int], list[Fr
     return out
 
 
+def reference_chain(first, step):
+    """first, step(first), ... up to the first zero term, or up to the term
+    before the first step that does not shrink its term.  In a descending
+    chain that step is a repeat.  A start that is no ideal, as a broken
+    series would give, can lead to steps that leave their term and wander
+    through subspaces forever; they end the chain too."""
+    chain = [first]
+    while chain[-1] and len(nxt := step(chain[-1])) < len(chain[-1]):
+        chain.append(nxt)
+    return chain
+
+
 def reference_bracket_span(g: LieAlgebra, left, right):
     """The reduced Fraction rows of span{[u, v]}: the dense ad(u) applied to
     each v with n^2 Fraction products, then reference_rref."""
@@ -434,7 +445,7 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
     if rep.is_abelian:
         raise ValueError("abelian algebra has no canonical line")
     dsub = rep.derived[0]
-    lower = _chain(dsub, lambda s: reference_bracket_span(g, dsub, s))
+    lower = reference_chain(dsub, lambda s: reference_bracket_span(g, dsub, s))
     if lower[-1]:
         raise RuntimeError("derived subalgebra of a solvable algebra must be nilpotent")
     target = lower[-2]

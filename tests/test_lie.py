@@ -5,10 +5,11 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, permutation_frame, psi4,
-                    random_almost_abelian, random_nilpotent, random_solvable_extension, reference_shear_lines)
+                    random_almost_abelian, random_nilpotent, random_solvable_extension, random_unimodular,
+                    reference_bracket_span, reference_chain, reference_shear_lines)
 from lieshear import (
     JacobiReport,
     KForm,
@@ -17,6 +18,7 @@ from lieshear import (
     ShearLineReport,
     Vector,
     interior,
+    lie,
     linalg,
     parse_salamon,
     print_salamon,
@@ -308,8 +310,16 @@ class TestPrintSalamon:
         out = print_salamon(g)
         assert out.startswith("{") and '"dim": 10' in out
 
+    def test_repr_names_only_the_dimension_above_dim9(self):
+        assert repr(LieAlgebra.abelian(10)) == "LieAlgebra(dim=10)"
+        assert repr(parse_salamon("(0,0,12)")) == "LieAlgebra('(0,0,12)')"
+
 
 class TestDifferential:
+    def test_refuses_a_form_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            parse_salamon("(0,0,12,13)").d(mono(3, (1,)))
+
     def test_extension_on_solvable_example(self):
         g = parse_salamon("(51,52,53,2.54,0)")
         assert g.d(mono(5, (1, 3))) == mono(5, (1, 3, 5), 2)  # 2 e513
@@ -467,6 +477,12 @@ class TestBracket:
         v = Vector([1, 2, 3, 4, 5])
         assert g.bracket(v, v).is_zero()
 
+    def test_refuses_a_vector_of_another_dimension(self):
+        g = parse_salamon("(0,0,12)")
+        for v, w in ((Vector.basis(4, 1), Vector.basis(3, 2)), (Vector.basis(3, 1), Vector.basis(2, 2))):
+            with pytest.raises(ValueError, match="^dimension mismatch in bracket$"):
+                g.bracket(v, w)
+
 
 class TestSeries:
     def test_heisenberg(self):
@@ -500,6 +516,101 @@ class TestSeries:
     def test_series_requires_jacobi(self):
         with pytest.raises(ValueError):
             parse_salamon("(0,12,0,23)").series()
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(["shrinks", "repeats", "both"]))
+    @settings(max_examples=40)
+    def test_chains_match_the_dense_reference(self, rng, kind):
+        # each chain term against the span of the dense brackets, in a tilted
+        # frame: a nilpotent algebra's chains shrink to zero, a solvable
+        # extension's lower central chain repeats at a nonzero term, and so(3)
+        # plus a nilpotent algebra shrinks both chains onto so(3), which repeats
+        if kind == "repeats":
+            g = random_solvable_extension(rng, "identity")
+        else:
+            g = random_nilpotent(rng, rng.randint(3, 6))
+            if kind == "both":
+                g = direct_sum(parse_salamon("(23,31,12)"), g)
+        g = change_basis(g, frame=random_unimodular(rng, g.dim, 2 * g.dim))
+        rep = g.series()
+        assume(kind != "repeats" or not rep.is_nilpotent)  # every action nilpotent: no repeat
+        assert (rep.is_nilpotent, rep.is_solvable) == {"shrinks": (True, True), "repeats": (False, True),
+                                                       "both": (False, False)}[kind]
+        units = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+        lower = reference_chain(reference_bracket_span(g, units, units), lambda s: reference_bracket_span(g, units, s))
+        derived = reference_chain(lower[0], lambda s: reference_bracket_span(g, s, s))
+        assert rep.lower_central == tuple(lower)
+        assert rep.derived == tuple(derived)
+
+
+def direct_sum(g, h):
+    """g + h, the generators of h numbered after those of g."""
+    n = g.dim + h.dim
+    shifted = [KForm(n, 2, {mask << g.dim: c for mask, c in f.terms.items()}) for f in h.diffs]
+    return LieAlgebra([KForm(n, 2, dict(f.terms)) for f in g.diffs] + shifted)
+
+
+def random_frame(rng, n, rational):
+    """(P, P^-1) for change_basis's coframe f = P e: a random unimodular P, or
+    P = U D for such a U and D a random positive rational diagonal, which
+    rescales the frame vectors, the pivots and the structure constants."""
+    u, u_inv = random_unimodular(rng, n, 2 * n)
+    if not rational:
+        return u, u_inv
+    d = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
+    p = [[x * d[j] for j, x in enumerate(row)] for row in u]
+    return p, [[x / d[i] for x in row] for i, row in enumerate(u_inv)]
+
+
+def moved(subspace, frame):
+    """The subspace of the vectors P v, v in `subspace`, as reduced rows."""
+    p, _ = frame
+    return linalg.reduced(linalg.span_rref([[sum(a * x for a, x in zip(row, v)) for row in p] for v in subspace]))
+
+
+class TestFrameChange:
+    """The series and the shear lines in change_basis's coframe f = P e,
+    where a vector v goes to P v: each subspace must be the moved original.
+    P is unimodular, or U D with D a positive rational diagonal, so pivots
+    move and rescale, and the moved algebra's terms get a new scale."""
+
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.sampled_from(["nilpotent", "extension", "almost abelian"]))
+    @settings(max_examples=40)
+    def test_the_series_moves_with_the_frame(self, rng, rational, family):
+        if family == "nilpotent":
+            g = random_nilpotent(rng, rng.randint(3, 6))
+        elif family == "extension":
+            g = random_solvable_extension(rng, "identity")
+        else:
+            g = random_almost_abelian(rng, rng.randint(3, 6))
+        frame = random_frame(rng, g.dim, rational)
+        rep, got = g.series(), change_basis(g, frame=frame).series()
+        for chain, moved_chain in ((rep.lower_central, got.lower_central), (rep.derived, got.derived)):
+            assert [len(t) for t in moved_chain] == [len(t) for t in chain]
+            assert moved_chain == tuple(moved(t, frame) for t in chain)
+        assert (got.is_abelian, got.is_nilpotent, got.is_solvable, got.step_length, got.derived_length) == (
+            rep.is_abelian, rep.is_nilpotent, rep.is_solvable, rep.step_length, rep.derived_length)
+
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from(["nilpotent", "extension"]))
+    @settings(max_examples=40)
+    def test_the_shear_line_eigenspaces_move_with_the_frame(self, rng, rational, family):
+        # the acting vectors are frame vectors completing g', so they and their
+        # eigenvalues depend on the frame; the eigenspaces, as a set, do not:
+        # the action on the target is trivial on g', so any completion spans
+        # the same commuting operators
+        if family == "nilpotent":
+            g = random_nilpotent(rng, rng.randint(3, 6))
+        else:
+            g = random_solvable_extension(rng, "identity")
+        assume(not g.series().is_abelian)
+        frame = random_frame(rng, g.dim, rational)
+        rep, got = g.find_shear_lines(), change_basis(g, frame=frame).find_shear_lines()
+        assert got.derived_subalgebra == moved(rep.derived_subalgebra, frame)
+        assert got.target == moved(rep.target, frame)
+        assert {es.basis for es in got.eigenspaces} == {moved(es.basis, frame) for es in rep.eigenspaces}
+        assert len(got.eigenspaces) == len(rep.eigenspaces)
+        # measured frame-free on 786 moved extensions before it was asserted
+        assert got.nonrational_present == rep.nonrational_present
 
 
 def subspace_text(basis):
@@ -662,30 +773,30 @@ class TestLieDerivative:
 class TestShearLines:
     def test_starts_from_the_series_second_derived_term(self, monkeypatch):
         # the lower central series of g' begins g', [g', g'], and [g', g'] is the
-        # series' own second derived term: no bracket span recomputes it
+        # series' own second derived term: no bracketing recomputes it
         g = h_lm(1, 2)
         g.series()
-        _, _, derived = g._series
+        _, _, derived, _ = g._series
         rights = []
-        bracket_span = LieAlgebra._bracket_span
+        brackets = lie._brackets
 
-        def recorded(self, left, right, terms):
+        def recorded(left, right, terms, columns):
             rights.append(right)
-            return bracket_span(self, left, right, terms)
+            return brackets(left, right, terms, columns)
 
-        monkeypatch.setattr(LieAlgebra, "_bracket_span", recorded)
+        monkeypatch.setattr(lie, "_brackets", recorded)
         g.find_shear_lines()
         assert len(derived) == 3 and rights == [derived[1]]
 
-    def test_reads_the_integral_terms_once_per_call(self, monkeypatch):
+    def test_reads_the_integral_terms_once_per_algebra(self, monkeypatch):
         calls = []
         int_terms = LieAlgebra._int_terms
         monkeypatch.setattr(LieAlgebra, "_int_terms", lambda self: calls.append(1) or int_terms(self))
-        g = h_lm(1, 2)  # the series takes four bracket span steps, find_shear_lines one
+        g = h_lm(1, 2)  # the series takes three bracketing steps, find_shear_lines one
         g.series()
         assert len(calls) == 1
-        g.find_shear_lines()
-        assert len(calls) == 2
+        g.find_shear_lines()  # from the terms the series cached
+        assert len(calls) == 1
 
     def test_solvable_example(self):
         rep = parse_salamon("(51,52,53,2.54,0)").find_shear_lines()
@@ -882,18 +993,14 @@ class TestShearLines:
         # one nonzero entry sits on the pivot, so only the entry off it gives it away
         ("(13+23,13+23,0)", (0, 1, 0, -1)),
     ])
-    def test_an_image_off_the_target_is_refused(self, monkeypatch, text, term):
+    def test_an_image_off_the_target_is_refused(self, text, term):
         g = parse_salamon(text)
         assert g.find_shear_lines() == reference_shear_lines(g)
-        # the series is cached by then, and g' is abelian, so no bracket span
-        # reads the terms again: only the refinement sees the stray (i, j, k, c) term
-        int_terms = LieAlgebra._int_terms
-
-        def with_stray_term(self):
-            scale, terms = int_terms(self)
-            return scale, terms + [term]
-
-        monkeypatch.setattr(LieAlgebra, "_int_terms", with_stray_term)
+        # the shear lines read the terms the series cached, and g' is abelian,
+        # so no bracketing step reads them: only the refinement sees the stray
+        # (i, j, k, c) term
+        report, lower, derived, (scale, terms) = g._series
+        object.__setattr__(g, "_series", (report, lower, derived, (scale, terms + [term])))
         with pytest.raises(RuntimeError, match="^complement action does not preserve the target subspace$"):
             g.find_shear_lines()
 
@@ -935,3 +1042,8 @@ class TestBracketWarning:
         g = parse_salamon("(0,12,0,23)")
         with pytest.warns(RuntimeWarning):
             g.bracket(Vector.basis(4, 1), Vector.basis(4, 2))
+
+    def test_lie_derivative_warns_without_jacobi(self):
+        g = parse_salamon("(0,12,0,23)")
+        with pytest.warns(RuntimeWarning, match="^Lie derivative on an algebra failing the Jacobi identity$"):
+            g.lie_derivative(Vector.basis(4, 1), mono(4, (2,)))

@@ -527,3 +527,34 @@ class TestOneEliminationNullspace:
         monkeypatch.setattr(linalg, "span_rref", None)
         basis = linalg.nullspace([[F(1), F(2), F(3)], [F(0), F(1), F(1)]], ncols=3)
         assert basis == ((F(1), F(1), F(-1)),) and len(calls) == 1
+
+
+class TestRankAt:
+    @given(matrices(max_rows=8), st.data())
+    def test_is_the_rank_of_the_entries_at_the_columns(self, rows, data):
+        ints = [linalg.primitive(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        cols = data.draw(st.lists(st.integers(0, ncols - 1), unique=True)) if ncols else []
+        assert linalg.rank_at(ints, cols) == len(linalg.span_rref([[row[c] for c in cols] for row in ints]))
+
+    @given(matrices(max_rows=6, values=int_entries), st.data())
+    def test_inside_a_span_it_is_the_rank_at_the_pivots(self, rows, data):
+        # the entries at the pivots of the echelon basis are the coordinates,
+        # so they rank combinations of the basis exactly
+        basis = linalg.span_rref(rows)
+        ncols = len(rows[0]) if rows else 0
+        weights = data.draw(st.lists(st.lists(int_entries, min_size=len(basis), max_size=len(basis)), max_size=8))
+        vectors = [[sum(w * b[k] for w, b in zip(ws, basis)) for k in range(ncols)] for ws in weights]
+        pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+        assert linalg.rank_at(vectors, pivots) == len(linalg.span_rref(vectors))
+
+    def test_examples(self):
+        # span{(1, 0, 2), (0, 1, 3)}: (2, 1, 7) = 2 b_1 + b_2 and (4, 2, 14) its double
+        assert linalg.rank_at([(2, 1, 7), (4, 2, 14)], [0, 1]) == 1
+        assert linalg.rank_at([(2, 1, 7), (4, 2, 14), (0, -1, -3)], [0, 1]) == 2
+        assert linalg.rank_at([(0, 0, 5)], [0, 1]) == 0  # off the span, only its pivot entries count
+        assert linalg.rank_at([], [0, 1]) == 0 and linalg.rank_at([(1, 2)], []) == 0
+
+    def test_stops_reading_at_full_rank(self):
+        # a repeating chain term ends its step at the first |s| independent brackets
+        assert linalg.rank_at(iter([(0, 3, 1), (2, 1, 0), None]), [0, 1]) == 2
