@@ -102,14 +102,15 @@ class LieAlgebra:
 
     Two slots are filled on use: `_series` caches the series with the
     integral terms it bracketed by, which the shear lines read, and `_decomp`
-    holds the last decomposition `shear.decompose_dalpha` made of this
-    algebra, as the forms (X, alpha, eta, f), so a shear validated, applied
-    and probed along one (X, alpha) splits d(alpha) once.  An algebra built
-    by `_replacing` starts with both empty.  Instances are safe to share
-    between threads: each slot is only ever assigned a complete value that
-    nothing changes afterwards, an atomic store, so a reader sees the old
-    value or the new one, and a race between two writers only costs one
-    recomputation.
+    holds the `shear.ShearBase` of the last decomposition
+    `shear.decompose_dalpha` made of this algebra, so a shear validated,
+    applied and probed along one (X, alpha) splits d(alpha) once and fills
+    the base's caches once.  An algebra built by `_replacing` starts with
+    both empty.  Instances are safe to share between threads: each slot is
+    only ever assigned a complete value, an atomic store, so a reader sees
+    the old value or the new one.  The base's caches grow by such stores
+    too, one complete entry at a time, and a race between two writers only
+    costs one recomputation.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series", "_decomp")

@@ -103,22 +103,25 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     """All valid, structure-preserving deformations, in canonical order.
 
     Candidates are ordered by (term count, monomial tuple, coefficient tuple).
-    The (base, X, alpha) part of the shear is checked and decomposed once
-    (decompose_dalpha), before the first candidate.  A candidate without
-    X-legs whose monomials' condition columns, times its coefficients, do not
-    sum to zero (or any, when eta is not closed) is dropped unbuilt; one that
-    passes preserves every form, and validate_shear, which reads its validity
-    off the base's monomial defects, only confirms it.  A candidate with an X-leg goes through validate_shear
-    and, for each preserved sigma, the test F0 ^ (X . sigma) = 0 of
-    preserves_closure, on the legs X . sigma computed once per search.  Each
-    candidate's F0 is assembled from the checked support and coefficients;
-    its F_eff = -(1/a) F0 and its ShearData reuse -1/a, X, alpha and a,
-    checked once per search.  Every hit's algebra is built by _sheared from
-    the shear plan of the base (ShearBase.plan), fixed once per search: the
-    generators X touches, whose d e_k it replaces, and the Jacobi re-check
-    set, which adds those whose d e_k has a monomial on one of them.  For
-    every other generator d(d e_k) is the base's, zero when the base passes
-    (LieAlgebra._replacing); a base that fails gets the full check.
+    The (base, X, alpha) part of the shear is checked and decomposed before
+    the first candidate (decompose_dalpha), and the base algebra keeps that
+    ShearBase, so every candidate's validate_shear reads it, caches and all,
+    without splitting d(alpha) again.  A candidate without X-legs whose
+    monomials' condition columns, times its coefficients, do not sum to zero
+    (or any, when eta is not closed) is dropped unbuilt; one that passes
+    preserves every form, and validate_shear, which reads its validity off
+    the base's monomial defects, only confirms it.  A candidate with an X-leg
+    goes through validate_shear and, for each preserved sigma, the test
+    F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma computed
+    once per search.  Each candidate's F0 is assembled from the checked
+    support and coefficients; its F_eff = -(1/a) F0 and its ShearData reuse
+    -1/a, X, alpha and a, checked once per search.  Every hit's algebra is
+    built by _sheared from the shear plan of the base (ShearBase.plan), fixed
+    once per (base, X, alpha): the generators X touches, whose d e_k it
+    replaces, and the Jacobi re-check set, which adds those whose d e_k has a
+    monomial on one of them.  For every other generator d(d e_k) is the
+    base's, zero when the base passes (LieAlgebra._replacing); a base that
+    fails gets the full check.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -149,7 +152,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                     continue
                 f0 = _make(n, 2, dict(zip(mons, coeffs)))
                 data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
-                report = validate_shear(spec.base, data, base)
+                report = validate_shear(spec.base, data)
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))
     return hits

@@ -153,14 +153,15 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> ShearBase:
     """The shear's base: (g, X, alpha) checked, and d(alpha) = eta ^ alpha + f
     split with eta = -X . d(alpha) and f killing X.
 
-    g keeps the forms (X, alpha, eta, f) of its last decomposition
-    (`LieAlgebra._decomp`), so a call with equal X and alpha skips the
-    checks, which they passed, and the split.  A failing (X, alpha) is not
-    kept, and raises on every call.
+    g keeps the base of its last decomposition (`LieAlgebra._decomp`), so a
+    call with equal X and alpha returns that base itself, caches and all,
+    without the checks, which they passed, or the split.  A failing
+    (X, alpha) is not kept, and raises on every call.
     """
-    last = g._decomp
-    if last is not None and last[0] == X and last[1] == alpha:
-        return ShearBase(g=g, X=X, alpha=alpha, eta=last[2], f=last[3])
+    base = g._decomp
+    # a tuple compares its items by identity first, then by ==
+    if base is not None and (base.X, base.alpha) == (X, alpha):
+        return base
     if X.dim != g.dim:
         raise ShearDataError(f"dimension mismatch: {X.dim} vs {g.dim}")
     pairing = alpha(X)
@@ -172,22 +173,21 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> ShearBase:
     dalpha = g.d(alpha)
     eta = -interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
-    f = dalpha - wedge(eta, alpha)
-    object.__setattr__(g, "_decomp", (X, alpha, eta, f))
-    return ShearBase(g=g, X=X, alpha=alpha, eta=eta, f=f)
+    base = ShearBase(g=g, X=X, alpha=alpha, eta=eta, f=dalpha - wedge(eta, alpha))
+    object.__setattr__(g, "_decomp", base)
+    return base
 
 
 class ShearBase(Value):
     """The part of a shear fixed by (g, X, alpha): d(alpha) = eta ^ alpha + f,
     with both parts annihilating X.
 
-    decompose_dalpha checks and splits it once; validate_shear then only
-    does the work that depends on F0, a and eta_g.  For an F0 with
-    X . F0 = 0, `leg_free_defect` and `eta_closed` decide validity.  Build
-    one per run over many F0 on one (g, X, alpha): its caches (`plan`,
-    `eta_closed`, the monomial defects) live as long as it does.  Only its
-    forms eta and f outlive it, kept by g as its last decomposition, so a
-    later base on (g, X, alpha) starts with the split but empty caches.
+    decompose_dalpha checks and splits it once, and g keeps it as its last
+    decomposition, so its caches (`plan`, `eta_closed`, the monomial
+    defects) are computed once per (g, X, alpha) while g keeps it.
+    validate_shear then only does the work that depends on F0, a and
+    eta_g.  For an F0 with X . F0 = 0, `leg_free_defect` and `eta_closed`
+    decide validity.
     """
 
     _fields = ("g", "X", "alpha", "eta", "f")
@@ -236,23 +236,18 @@ class ShearBase(Value):
         return _make(self.g.dim, 3, terms)
 
 
-def validate_shear(g: LieAlgebra, data: ShearData, base: ShearBase | None = None) -> ShearReport:
+def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
     """Evaluate every shear condition; validity means the sheared algebra exists.
 
-    `base` is decompose_dalpha(g, data.X, data.alpha), made here when None;
-    a base prepared for another algebra, X or alpha raises ShearDataError.
+    The report's base is decompose_dalpha(g, data.X, data.alpha), the one g
+    keeps for that X and alpha, so many F0 on one (g, X, alpha) share its
+    split and its caches.
 
     eta0_vanishes_on_xi is reported True without evaluation, because it holds
     for all shear data: eta_0 = eta - X . F_eff, where eta(X) = -dalpha(X, X) = 0
     and (X . F_eff)(X) = F_eff(X, X) = 0, both forms being alternating.
     """
-    if base is None:
-        base = decompose_dalpha(g, data.X, data.alpha)
-    else:
-        for name, mine, theirs in (("algebra", base.g, g), ("X", base.X, data.X),
-                                   ("alpha", base.alpha, data.alpha)):
-            if mine is not theirs and mine != theirs:
-                raise ShearDataError(f"shear base was prepared for another {name}")
+    base = decompose_dalpha(g, data.X, data.alpha)
     if data.eta_g is not None and not g.d(data.eta_g).is_zero():
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff

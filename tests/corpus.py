@@ -168,6 +168,18 @@ def random_unimodular(rng: random.Random, n: int, steps: int) -> tuple[list[list
     return p, q
 
 
+def random_frame(rng: random.Random, n: int, rational: bool):
+    """(P, P^-1) for change_basis's coframe f = P e: a random unimodular P, or
+    P = U D for such a U and D a random positive rational diagonal, which
+    rescales the frame vectors, the pivots and the structure constants."""
+    u, u_inv = random_unimodular(rng, n, 2 * n)
+    if not rational:
+        return u, u_inv
+    d = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
+    p = [[x * d[j] for j, x in enumerate(row)] for row in u]
+    return p, [[x / d[i] for x in row] for i, row in enumerate(u_inv)]
+
+
 def change_basis(g: LieAlgebra, seed: int = 0, steps: int = 0, frame=None) -> LieAlgebra:
     """g in the coframe f = P e for a unimodular integer P: `frame` = (P, P^-1),
     or else a random P made of `steps` elementary row operations.  d f_i =
@@ -187,10 +199,11 @@ def permutation_frame(order) -> tuple[list[list[int]], list[list[int]]]:
 
 def move_shear(data: ShearData, frame) -> ShearData:
     """The shear data in change_basis's coframe f = P e, `frame` = (P, P^-1):
-    X goes to P X, and alpha and F0 to their pullbacks by P^-1."""
+    X goes to P X, and alpha, F0 and eta_g to their pullbacks by P^-1."""
     p, q = frame
     x = Vector([sum(c * v for c, v in zip(row, data.X)) for row in p])
-    return ShearData(X=x, alpha=pullback(q, data.alpha), F0=pullback(q, data.F0), a=data.a)
+    eta_g = None if data.eta_g is None else pullback(q, data.eta_g)
+    return ShearData(X=x, alpha=pullback(q, data.alpha), F0=pullback(q, data.F0), a=data.a, eta_g=eta_g)
 
 
 EIGEN_POOL = [Fraction(c) for c in (-2, -1, 0, 0, 1, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
@@ -617,7 +630,6 @@ def reference_enumerate_f0(spec) -> list[SearchHit]:
     algebras."""
     support = spec.effective_support()
     nonzero = tuple(c for c in spec.coefficients if c)
-    base = decompose_dalpha(spec.base, spec.X, spec.alpha)
     hits = []
     for t in range(min(spec.max_terms, len(support)) + 1):
         for monomials in combinations(support, t):
@@ -625,7 +637,7 @@ def reference_enumerate_f0(spec) -> list[SearchHit]:
                 f0 = KForm(spec.base.dim, 2, {(1 << (i - 1)) | (1 << (j - 1)): c
                                               for (i, j), c in zip(monomials, coeffs)})
                 data = ShearData(X=spec.X, alpha=spec.alpha, F0=f0, a=spec.a)
-                report = validate_shear(spec.base, data, base)
+                report = validate_shear(spec.base, data)
                 if report.valid and all(preserves_closure(spec.base, spec.X, f0, s)
                                         for s in spec.preserve):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))

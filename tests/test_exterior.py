@@ -344,3 +344,59 @@ class TestPullback:
         ]
         f = random_form(rng, n, 2)
         assert pullback(m2, pullback(m1, f)) == pullback(comp, f)
+
+
+E1_3, E1_4 = Vector.basis(3, 1), Vector.basis(4, 1)
+
+
+def assign(value, name):
+    setattr(value, name, None)
+
+
+# every argument check of the module, by the call that trips it
+REFUSALS = {
+    "kform-dimension": (ValueError, lambda: KForm(0, 1), "dimension must be in 1..14, got 0"),
+    "kform-mask": (ValueError, lambda: KForm(3, 1, {0b1000: 1}), "monomial (4,) does not fit dimension 3"),
+    "kform-mask-degree": (ValueError, lambda: KForm(3, 1, {0b11: 1}), "monomial (1, 2) has degree 2, expected 1"),
+    "kform-coefficient": (TypeError, lambda: KForm(3, 1, {1: 0.5}), "coefficients must be exact rationals, got float"),
+    "index-above": (ValueError, lambda: mono(3, (4,)), "index 4 out of range 1..3"),
+    "index-zero": (ValueError, lambda: mono(3, (0, 1)), "index 0 out of range 1..3"),
+    "coefficient-index": (ValueError, lambda: mono(3, (1, 2)).coefficient((1, 5)), "index 5 out of range 1..3"),
+    "sum-dimension": (ValueError, lambda: mono(3, (1,)) + mono(4, (1,)), "dimension mismatch: 3 vs 4"),
+    "sum-degree": (ValueError, lambda: mono(3, (1,)) - mono(3, (1, 2)), "degree mismatch in sum: 1 vs 2"),
+    "call-count": (ValueError, lambda: mono(3, (1, 2))(E1_3), "need 2 vectors, got 1"),
+    "call-dimension": (ValueError, lambda: mono(3, (1,))(E1_4), "dimension mismatch: 3 vs 4"),
+    "kform-assign": (AttributeError, lambda: assign(mono(3, (1,)), "dim"), "KForm is immutable"),
+    "vector-dimension": (ValueError, lambda: Vector([]), "dimension must be in 1..14, got 0"),
+    "vector-basis-above": (ValueError, lambda: Vector.basis(3, 4), "basis index 4 out of range 1..3"),
+    "vector-basis-zero": (ValueError, lambda: Vector.basis(3, 0), "basis index 0 out of range 1..3"),
+    "vector-sum": (ValueError, lambda: E1_3 - E1_4, "dimension mismatch: 3 vs 4"),
+    "vector-assign": (AttributeError, lambda: assign(E1_3, "components"), "Vector is immutable"),
+    "wedge-dimension": (ValueError, lambda: wedge(mono(3, (1,)), mono(4, (2,))), "dimension mismatch: 3 vs 4"),
+    "interior-dimension": (ValueError, lambda: interior(E1_4, mono(3, (1,))), "dimension mismatch: 4 vs 3"),
+    "form-row-degree": (ValueError, lambda: form_row(mono(3, (1, 2))), "expected a one-form, got degree 2"),
+    "hodge-orientation": (ValueError, lambda: hodge_star_orthonormal(mono(3, (1,)), 2), "orientation must be +1 or -1"),
+    "pullback-rows": (ValueError, lambda: pullback([[1, 0], [0, 1]], mono(3, (1,))), "matrix must be 3x3"),
+    "pullback-ragged": (ValueError, lambda: pullback([[1, 0, 0], [0, 1], [0, 0, 1]], mono(3, (1,))),
+                        "matrix must be 3x3"),
+}
+
+
+@pytest.mark.parametrize("error, call, message", REFUSALS.values(), ids=REFUSALS)
+def test_malformed_arguments_are_refused(error, call, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [mono(3, (1,)), E1_3], ids=["kform", "vector"])
+def test_other_operands_are_not_implemented(value):
+    # the reflected operation gets its turn, and with none a sum is a TypeError
+    # and a comparison is False
+    kind = type(value).__name__
+    assert value.__add__(1) is value.__sub__(1) is value.__eq__(1) is NotImplemented
+    assert value != 1 and not value == "e1"
+    for op, symbol in ((lambda: value + 1, "+"), (lambda: value - 1, "-")):
+        with pytest.raises(TypeError) as err:
+            op()
+        assert str(err.value) == f"unsupported operand type(s) for {symbol}: '{kind}' and 'int'"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, permutation_frame, psi4,
-                    random_almost_abelian, random_nilpotent, random_solvable_extension, random_unimodular,
-                    reference_bracket_span, reference_chain, reference_shear_lines)
+                    random_almost_abelian, random_frame, random_nilpotent, random_solvable_extension,
+                    random_unimodular, reference_bracket_span, reference_chain, reference_shear_lines)
 from lieshear import (
     JacobiReport,
     KForm,
@@ -374,6 +374,16 @@ class TestConstruction:
         assert str(err.value) == message
 
 
+    def test_an_algebra_is_immutable_and_equal_only_to_algebras(self):
+        # the kept series and decomposition are set by their owners alone
+        g = parse_salamon("(0,0,12)")
+        for name in ("diffs", "_decomp"):
+            with pytest.raises(AttributeError) as err:
+                setattr(g, name, None)
+            assert str(err.value) == "LieAlgebra is immutable"
+        assert g.__eq__("(0,0,12)") is NotImplemented and g != "(0,0,12)"
+
+
 class TestJacobi:
     def test_paper_algebras_pass(self):
         for g in paper_algebras():
@@ -547,18 +557,6 @@ def direct_sum(g, h):
     n = g.dim + h.dim
     shifted = [KForm(n, 2, {mask << g.dim: c for mask, c in f.terms.items()}) for f in h.diffs]
     return LieAlgebra([KForm(n, 2, dict(f.terms)) for f in g.diffs] + shifted)
-
-
-def random_frame(rng, n, rational):
-    """(P, P^-1) for change_basis's coframe f = P e: a random unimodular P, or
-    P = U D for such a U and D a random positive rational diagonal, which
-    rescales the frame vectors, the pivots and the structure constants."""
-    u, u_inv = random_unimodular(rng, n, 2 * n)
-    if not rational:
-        return u, u_inv
-    d = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
-    p = [[x * d[j] for j, x in enumerate(row)] for row in u]
-    return p, [[x / d[i] for x in row] for i, row in enumerate(u_inv)]
 
 
 def moved(subspace, frame):

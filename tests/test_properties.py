@@ -13,9 +13,7 @@ from lieshear import (
     KForm,
     LieAlgebra,
     ShearData,
-    ShearReport,
     Vector,
-    decompose_dalpha,
     hodge_star_orthonormal,
     interior,
     parse_salamon,
@@ -439,13 +437,3 @@ class TestPreparedShearBase:
             rep = validate_shear(g, data)
             assert rep.eta_0(data.X) == 0
             assert rep.conditions["eta0_vanishes_on_xi"] is True
-
-    def test_prepared_base_gives_the_same_report(self):
-        valid = 0
-        for g, data in RANDOM_SHEARS:
-            base = decompose_dalpha(g, data.X, data.alpha)
-            prepared, fresh = validate_shear(g, data, base), validate_shear(g, data)
-            for name in ShearReport._fields:
-                assert getattr(prepared, name) == getattr(fresh, name), name
-            valid += fresh.valid
-        assert 10 < valid < len(RANDOM_SHEARS) - 10

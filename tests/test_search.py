@@ -119,21 +119,21 @@ class TestEnumerate:
             assert is_closed(h.sheared, psi4()) or h.f0.is_zero()
 
     def test_decomposes_dalpha_once_per_search(self, monkeypatch):
+        # the screen and every hit's validate_shear read the base the algebra
+        # keeps, so (base, X, alpha) is checked and split once, and not again
+        # by a second search on the same algebra
         calls = []
-        real = shear.decompose_dalpha
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        # enumerate_f0 and validate_shear each hold their own binding
-        monkeypatch.setattr(shear, "decompose_dalpha", counted)
-        monkeypatch.setattr(search, "decompose_dalpha", counted)
+        real = shear.check_xi_ideal
+        monkeypatch.setattr(shear, "check_xi_ideal", lambda g, X: calls.append(X) or real(g, X))
         g = parse_salamon(S5)
         spec = spec_on(g, 4, max_terms=2)
-        assert len(enumerate_f0(spec)) == spec.candidate_count() == 73
+        hits = enumerate_f0(spec)
+        assert len(hits) == spec.candidate_count() == 73
         assert len(calls) == 1
-        enumerate_f0(spec)
+        assert all(h.report.decomp is hits[0].report.decomp for h in hits)
+        assert enumerate_f0(spec) == hits
+        assert len(calls) == 1
+        enumerate_f0(replaced(spec, base=parse_salamon(S5)))
         assert len(calls) == 2
 
     @pytest.mark.parametrize("preserve", [(), (psi4(),)], ids=["plain", "psi4"])
@@ -169,7 +169,7 @@ class TestEnumerate:
         spec = spec_on(parse_salamon(algebra), k, a=0)
         with pytest.raises(ShearDataError, match="^transfer constant a must be nonzero$"):
             enumerate_f0(spec)
-        # the cap and the prepared base are checked first
+        # the cap and the base's (X, alpha) are checked first
         with pytest.raises(SearchSpaceError):
             enumerate_f0(replaced(spec, cap=0))
         wrong = replaced(spec, alpha=2 * spec.alpha)
@@ -206,7 +206,7 @@ class TestEnumerate:
         # Jacobi re-check of its algebra must refuse it, also under
         # `python -O`, as the guard raises rather than asserts
         real = search.validate_shear
-        monkeypatch.setattr(search, "validate_shear", lambda *args: replaced(real(*args), valid=True))
+        monkeypatch.setattr(search, "validate_shear", lambda g, data: replaced(real(g, data), valid=True))
         monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: {m: () for m in masks})
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))
