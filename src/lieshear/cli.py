@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import geometry, literals, search, shear
 from .exterior import MAX_DIM, KForm, Vector
-from .lie import LieAlgebra, parse_salamon, print_salamon
+from .lie import LieAlgebra, ShearLineError, parse_salamon, print_salamon
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -297,10 +297,7 @@ def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
 
 
 def cmd_shear_lines(g: LieAlgebra, args) -> tuple[dict, int]:
-    try:
-        rep = g.find_shear_lines()
-    except ValueError as exc:  # abelian / not solvable: construction-data class
-        raise shear.ShearDataError(str(exc)) from None
+    rep = g.find_shear_lines()
     result = {
         "algebra": print_salamon(g),
         "derived_subalgebra": _subspace_json(rep.derived_subalgebra),
@@ -487,7 +484,7 @@ def main(argv=None) -> int:
         return EXIT_SEARCH_CAP
     except shear.InvalidShearError as exc:
         result, code = {"report": _report_json(exc.report)}, EXIT_INVALID_DATA
-    except (shear.ShearDataError, shear.TwistError) as exc:
+    except (shear.ShearDataError, shear.TwistError, ShearLineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
     except (UsageError, ValueError, OSError) as exc:  # parse, literal, JSON and decode errors

@@ -35,6 +35,10 @@ class SalamonError(ValueError):
         self.position = position
 
 
+class ShearLineError(ValueError):
+    """The shear lines are undefined: the algebra is abelian or not solvable."""
+
+
 class JacobiReport(Value):
     _fields = ("passed", "failures")
 
@@ -357,9 +361,9 @@ class LieAlgebra:
         rep = self.series()
         _, _, derived, (scale, terms) = self._series
         if not rep.is_solvable:
-            raise ValueError("shear lines require a solvable algebra")
+            raise ShearLineError("shear lines require a solvable algebra")
         if rep.is_abelian:
-            raise ValueError("abelian algebra has no canonical line")
+            raise ShearLineError("abelian algebra has no canonical line")
         dsub, n = derived[0], self.dim
         # lower central series of n = g' (brackets taken inside n): [n, n] = g''.
         # It ends in zero, so lower[-2] exists: g is solvable, so g' is nilpotent

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from . import linalg
 from ._value import Value
 from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_row, interior, one_form, wedge
 from .lie import LieAlgebra, _columns
-
-#: _shear_plan's (support, recheck) of a shear along X
-Plan = tuple[tuple[tuple[int, Coeff], ...], tuple[int, ...]]
 
 CONDITION_NAMES = (
     "xi_ideal",
@@ -83,6 +81,7 @@ class ShearData(Value):
             val = self.eta_g(self.X)
             if val != 0:
                 raise ShearDataError(f"eta_g(X) must vanish, got {val}")
+        self.__dict__["f_eff"] = self.F0 * (-1 / self.a)
 
     @classmethod
     def _trusted(cls, X: Vector, alpha: KForm, F0: KForm, a: Fraction, f_eff: KForm) -> "ShearData":
@@ -95,11 +94,6 @@ class ShearData(Value):
         data = object.__new__(cls)
         data.__dict__.update(X=X, alpha=alpha, F0=F0, a=a, eta_g=None, f_eff=f_eff)
         return data
-
-    @cached_property
-    def f_eff(self) -> KForm:
-        """Effective deformation -(1/a) * F0 entering the new differential."""
-        return self.F0 * (-1 / self.a)
 
 
 class ShearReport(Value):
@@ -207,9 +201,11 @@ class ShearBase(Value):
         return -self.eta
 
     @cached_property
-    def plan(self) -> Plan:
-        """_shear_plan(g, X): the generators every shear from this base replaces and re-checks."""
-        return _shear_plan(self.g, self.X)
+    def plan(self) -> tuple[tuple[tuple[int, Coeff], ...], tuple[int, ...]]:
+        """(_support(X), the generators the guard's Jacobi re-check reads):
+        LieAlgebra._recheck of the support, every one when g fails Jacobi."""
+        support = _support(self.X)
+        return support, self.g._recheck(sum(1 << k for k, _ in support))
 
     @cached_property
     def eta_closed(self) -> bool:
@@ -288,9 +284,9 @@ def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:
     """The would-be sheared algebra, built without any validity requirement.
 
     d_new e_j = d e_j + e_j(X) * F_eff on the common frame; passes the Jacobi
-    check exactly when validate_shear reports valid.
+    check exactly when validate_shear reports valid, by the full check.
     """
-    return _shear_by(g, _shear_plan(g, data.X), data.f_eff)
+    return _shear_by(g, _support(data.X), data.f_eff, range(g.dim))
 
 
 def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
@@ -300,36 +296,35 @@ def apply_shear(g: LieAlgebra, data: ShearData) -> LieAlgebra:
 
 def _sheared(report: ShearReport) -> LieAlgebra:
     """The algebra of a validated shear, read off its report alone: the
-    algebra and the plan from its base, F_eff from its fields."""
+    algebra and the plan from its base, F_eff from its fields.
+
+    An algebra failing Jacobi raises: the runtime guard of the validity <=>
+    Jacobi equivalence, kept under `python -O`.  It checks d(d e_k) on the
+    plan's re-check set only (LieAlgebra._replacing).
+    """
     if not report.valid:
         raise InvalidShearError(report)
     base = report.decomp
-    return _shear_by(base.g, base.plan, report.f_eff, guard=True)
+    support, recheck = base.plan
+    sheared = _shear_by(base.g, support, report.f_eff, recheck)
+    if not sheared.jacobi_check().passed:
+        raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {report.f_eff}")
+    return sheared
 
 
-def _shear_plan(g: LieAlgebra, X: Vector) -> Plan:
-    """What a shear of g along X changes, fixed by (g, X): (support, recheck).
-
-    `support` holds (k, x_k) for each nonzero component x_k of X (k 0-based,
-    x_k an int when integral), the generators whose d e_k the shear
-    replaces; `recheck` holds the generators the guard's Jacobi re-check
-    reads (LieAlgebra._recheck), every one when g fails Jacobi.
-    """
-    support = tuple([(k, _as_coeff(x)) for k, x in enumerate(X.components) if x])
-    return support, g._recheck(sum(1 << k for k, _ in support))
+def _support(X: Vector) -> tuple[tuple[int, Coeff], ...]:
+    """(k, x_k) for each nonzero component x_k of X (k 0-based, x_k an int
+    when integral): the generators whose d e_k a shear along X replaces."""
+    return tuple([(k, _as_coeff(x)) for k, x in enumerate(X.components) if x])
 
 
-def _shear_by(g: LieAlgebra, plan: Plan, f_eff: KForm, guard: bool = False) -> LieAlgebra:
+def _shear_by(g: LieAlgebra, support: tuple[tuple[int, Coeff], ...], f_eff: KForm,
+              check: Sequence[int]) -> LieAlgebra:
     """The algebra with d e_j + x_j * F_eff on the common frame: the one shear formula.
 
-    `plan` is _shear_plan(g, X), made once per (g, X).  With `guard`, f_eff
-    comes from a valid shear, and an algebra failing Jacobi raises: the
-    runtime guard of the validity <=> Jacobi equivalence, kept under
-    `python -O`.  The guard checks d(d e_k) on the plan's generators only
-    (LieAlgebra._replacing); without it the check is the full one, the
-    oracle of the equivalence.
+    `support` is _support(X); the Jacobi report reads d(d e_k) for the k of
+    `check` only (LieAlgebra._replacing).
     """
-    support, recheck = plan
     replaced = []
     for k, x in support:
         # summed in one pass into a two-form, whatever the degree of a zero F_eff
@@ -338,10 +333,7 @@ def _shear_by(g: LieAlgebra, plan: Plan, f_eff: KForm, guard: bool = False) -> L
             v = x * c
             terms[m] = terms[m] + v if m in terms else v
         replaced.append((k, _make(g.dim, 2, terms)))
-    sheared = LieAlgebra._replacing(g, replaced, recheck if guard else range(g.dim))
-    if guard and not sheared.jacobi_check().passed:
-        raise AssertionError(f"validity/Jacobi equivalence broken for F_eff = {f_eff}")
-    return sheared
+    return LieAlgebra._replacing(g, replaced, check)
 
 
 def ds_form(g: LieAlgebra, data: ShearData, form: KForm) -> KForm:
@@ -392,7 +384,9 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     As Z is reduced, X is the one vector of span(Z) with alpha(X) = 1 that
     vanishes at the pivots of the other rows of Z.  The shear path with
     a = -1 then gives the new differential d e_j + e_j(X) F, the direct
-    twist construction, as both eta parts vanish.
+    twist construction, as both eta parts vanish.  The echelon basis, so X,
+    depends on the frame: with dim Z >= 2, two frames can give twists that
+    differ by e_j(Y) F, Y in Z with alpha(Y) = 0.
     """
     if alpha.dim != g.dim or f2.dim != g.dim:
         raise TwistError("dimension mismatch in twist data")
@@ -433,4 +427,4 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     # i_v F = 0 for each v of Z: checked above on a nilpotent base, and Z = ker F
     # on an abelian one
     data = ShearData(X=z * (1 / alpha(z)), alpha=alpha, F0=f2, a=Fraction(-1))
-    return _sheared(validate_shear(g, data))
+    return apply_shear(g, data)

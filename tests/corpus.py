@@ -6,8 +6,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineReport, ShearReport, TwistError,
-                      Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
+from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineError, ShearLineReport, ShearReport,
+                      TwistError, Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
 from lieshear.exterior import form_row, interior
 from lieshear.literals import format_vector
 from lieshear.shear import REQUIRED_CONDITIONS, _sheared, validate_shear
@@ -454,9 +454,9 @@ def reference_shear_lines(g: LieAlgebra) -> ShearLineReport:
     find_shear_lines' reports and refusals."""
     rep = g.series()
     if not rep.is_solvable:
-        raise ValueError("shear lines require a solvable algebra")
+        raise ShearLineError("shear lines require a solvable algebra")
     if rep.is_abelian:
-        raise ValueError("abelian algebra has no canonical line")
+        raise ShearLineError("abelian algebra has no canonical line")
     dsub = rep.derived[0]
     lower = reference_chain(dsub, lambda s: reference_bracket_span(g, dsub, s))
     if lower[-1]:

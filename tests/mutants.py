@@ -5,6 +5,10 @@ exact snippet of it, the snippet's replacement, and the ids of the tests
 that must fail once the replacement is made.  tests/test_mutants.py checks,
 in the tier-1 suite, that each snippet occurs exactly once in its file, so
 a refactor that moves the code updates the table in the same change.
+A test is listed as a killer only when it fails with the mutant applied
+when run alone, so no entry leans on state that other tests leave behind
+(a kept ShearBase on a shared algebra, say); a fault no test kills alone
+is left out of the table.
 
 Run as a script, it applies each mutant in turn to a copy of src/ in a
 temporary directory and runs the mutant's tests against that copy in a
@@ -132,9 +136,151 @@ MUTANTS = [
     ),
     Mutant(
         "plan-per-call", "shear.py",
-        "return _shear_by(base.g, base.plan, report.f_eff, guard=True)",
-        "return _shear_by(base.g, _shear_plan(base.g, base.X), report.f_eff, guard=True)",
+        "    support, recheck = base.plan\n",
+        "    support, recheck = ShearBase.plan.func(base)\n",
         ("tests/test_shear.py::TestDecompose::test_one_plan_and_one_d_eta_per_pair",),
+    ),
+    Mutant(
+        "guard-removed", "shear.py",
+        "    if not sheared.jacobi_check().passed:",
+        "    if False:",
+        ("tests/test_search.py::TestEnumerate::test_jacobi_guard_catches_a_hit_validation_let_through",
+         "tests/test_shear.py::TestApplyShear::test_jacobi_recheck_survives_python_O"),
+    ),
+    Mutant(
+        "support-first-component", "shear.py",
+        "for k, x in enumerate(X.components) if x])",
+        "for k, x in enumerate(X.components) if x][:1])",
+        ("tests/test_shear.py::TestFrameChange::test_validity_and_the_sheared_algebra_move_with_the_frame",
+         "tests/test_shear.py::TestFrameChange::test_the_twist_moves_with_the_frame",
+         "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check"),
+    ),
+    Mutant(
+        "eta0-closed-taken-true", "shear.py",
+        "\"eta0_closed\": eta0_closed,",
+        "\"eta0_closed\": True,",
+        ("tests/test_shear.py::TestValidate::test_golden_invalid",
+         "tests/test_shear.py::TestShearBase::test_linear_form_decides_leg_free_deformations",
+         "tests/test_search.py::TestEnumerate::test_search_on_a_base_with_eta_not_closed"),
+    ),
+    Mutant(
+        "recheck-without-touching", "lie.py",
+        "reduce(or_, f.terms, 1 << k) & changed",
+        "(1 << k) & changed",
+        ("tests/test_lie.py::TestIncrementalJacobi::test_report_equals_the_full_check",
+         "tests/test_lie.py::TestIncrementalJacobi::test_pinned_changes[touching-only]"),
+    ),
+    Mutant(
+        "recheck-without-fallback", "lie.py",
+        "        if not self._jacobi.passed:\n            return tuple(range(self.dim))\n",
+        "",
+        ("tests/test_lie.py::TestIncrementalJacobi::test_report_equals_the_full_check",
+         "tests/test_lie.py::TestIncrementalJacobi::test_pinned_changes[failing-base]",
+         "tests/test_lie.py::TestIncrementalJacobi::test_checks_only_the_changed_and_touching_generators"),
+    ),
+    Mutant(
+        "bracket-unscaled", "lie.py",
+        "                x /= scale\n",
+        "",
+        ("tests/test_properties.py::TestJacobiEquivalence::test_bracket_is_minus_d_on_the_pair",
+         "tests/test_properties.py::TestSparseBrackets::test_bracket_is_ad_applied"),
+    ),
+    Mutant(
+        "self-span-always", "lie.py",
+        "    same = left == right",
+        "    same = True",
+        ("tests/test_lie.py::TestSeries::test_chains_match_the_dense_reference",
+         "tests/test_properties.py::TestSparseBrackets::test_bracket_span_matches_dense_reference"),
+    ),
+    Mutant(
+        "self-span-never", "lie.py",
+        "    same = left == right",
+        "    same = False",
+        ("tests/test_properties.py::TestSparseBrackets::test_a_self_span_brackets_each_unordered_pair_once",),
+    ),
+    Mutant(
+        "shear-line-den-one", "lie.py",
+        "den = lcm(*(d // gcd(d, *row) for d, row in zip(ds, rows)))",
+        "den = 1",
+        ("tests/test_lie.py::TestShearLines::test_fractional_eigenvalues_in_a_tilted_frame",
+         "tests/test_lie.py::TestShearLines::test_matches_the_elimination_reference"),
+    ),
+    Mutant(
+        "rref-without-pivot-sign", "linalg.py",
+        "gcd(*row) if row[c] > 0 else -gcd(*row)",
+        "gcd(*row)",
+        ("tests/test_linalg.py::TestIntegerElimination::test_rref_is_blind_to_row_scale",
+         "tests/test_linalg.py::TestIntegerElimination::test_rref_matches_fraction_gauss_jordan",
+         "tests/test_linalg.py::TestRref::test_subspace_equality_is_representation_free"),
+    ),
+    Mutant(
+        "nullspace-without-gcd", "linalg.py",
+        "for g in (gcd(*v),)",
+        "for g in (1,)",
+        ("tests/test_linalg.py::TestOneEliminationNullspace::test_matches_the_two_elimination_nullspace",),
+    ),
+    Mutant(
+        "definiteness-zero-pivot", "linalg.py",
+        "        if m[k][k] <= 0:",
+        "        if m[k][k] < 0:",
+        ("tests/test_linalg.py::TestDeterminants::test_positive_definite",
+         "tests/test_geometry.py::TestPhiStability::test_decomposable_form_unstable"),
+    ),
+    Mutant(
+        "definiteness-sign-fixed", "linalg.py",
+        "    sign = -1 if a and a[0][0] < 0 else 1",
+        "    sign = 1",
+        ("tests/test_linalg.py::TestDeterminants::test_negation_is_negative_definite_exactly_when_positive_definite",
+         "tests/test_geometry.py::TestPhiStability::test_negation_flips_sign"),
+    ),
+    Mutant(
+        "metric-j-invariant-always", "geometry.py",
+        "    invariant = all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))",
+        "    invariant = True",
+        ("tests/test_geometry.py::TestFrameChange::test_kahler_verdicts",
+         "tests/test_geometry.py::TestKahlerDenseReference::test_matches_the_dense_reference_on_conjugated_structures"),
+    ),
+    Mutant(
+        "recheck-set-emptied", "shear.py",
+        "sheared = _shear_by(base.g, support, report.f_eff, recheck)",
+        "sheared = _shear_by(base.g, support, report.f_eff, ())",
+        ("tests/test_search.py::TestEnumerate::test_jacobi_guard_catches_a_hit_validation_let_through",
+         "tests/test_shear.py::TestApplyShear::test_jacobi_recheck_survives_python_O"),
+    ),
+    Mutant(
+        "leg-free-defect-taken-zero", "shear.py",
+        "df_ok = base.leg_free_defect(data.F0).is_zero()",
+        "df_ok = True",
+        ("tests/test_shear.py::TestEquivalence::test_validity_iff_jacobi_on_random_data",
+         "tests/test_shear.py::TestShearBase::test_leg_free_branch_matches_the_general_formulas",
+         "tests/test_search.py::TestEnumerate::test_matches_the_reference_on_random_specs"),
+    ),
+    Mutant(
+        "screen-column-of-e1j-doubled", "search.py",
+        "tuple(image[k].terms.get(m, 0) for k, m in rows)",
+        "tuple((1 + (mon[0] == 1)) * image[k].terms.get(m, 0) for k, m in rows)",
+        ("tests/test_search.py::TestEnumerate::test_completeness_against_brute_force_oracle",),
+    ),
+    Mutant(
+        "invariance-check-deleted", "lie.py",
+        "if linalg.mat_mul(coords, basis) != [[big * x for x in im] for im in images]:",
+        "if False:",
+        ("tests/test_lie.py::TestShearLines::test_an_image_off_the_target_is_refused[(51,52,53,2.54,0)-term0]",
+         "tests/test_lie.py::TestShearLines::test_an_image_off_the_target_is_refused[(13+23,13+23,0)-term2]"),
+    ),
+    Mutant(
+        "rref-without-gcd", "linalg.py",
+        "signed = ((row, gcd(*row) if row[c] > 0 else -gcd(*row)) for row, c in zip(m, pivots))",
+        "signed = ((row, 1 if row[c] > 0 else -1) for row, c in zip(m, pivots))",
+        ("tests/test_linalg.py::TestIntegerElimination::test_rref_is_blind_to_row_scale",
+         "tests/test_linalg.py::TestIntegerElimination::test_primitive_keeps_the_span"),
+    ),
+    Mutant(
+        "omega-read-off-m-ij", "geometry.py",
+        "m[j][i] for i in range(n) for j in range(i + 1, n) if m[j][i]}",
+        "m[i][j] for i in range(n) for j in range(i + 1, n) if m[i][j]}",
+        ("tests/test_geometry.py::TestKahler::test_kahler_shear",
+         "tests/test_geometry.py::TestKahlerDenseReference::test_matches_the_dense_reference_on_conjugated_structures"),
     ),
     Mutant(
         "basis-index-unchecked", "exterior.py",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 
 from corpus import mono, reference_enumerate_f0, replaced
-from lieshear import SearchSpec, Vector, cli, parse_salamon
+from lieshear import SearchSpec, Vector, cli, linalg, parse_salamon
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -554,6 +554,22 @@ class TestShearLines:
         code, _, err = run(capsys, "shear-lines", files["ab6"])
         assert code == 3
         assert "no canonical line" in err
+
+    def test_non_solvable_exit_3(self, capsys, tmp_path):
+        doc = tmp_path / "so3.alg"
+        doc.write_text("(23,-13,12)")
+        code, out, err = run(capsys, "shear-lines", str(doc))
+        assert (code, out, err) == (3, "", "error: shear lines require a solvable algebra\n")
+
+    def test_an_internal_value_error_is_not_invalid_data(self, capsys, files, monkeypatch):
+        # only the two documented refusals (ShearLineError) read as invalid
+        # construction data; any other ValueError of find_shear_lines is a fault
+        def broken(r):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(linalg, "rational_eigenspaces", broken)
+        code, _, err = run(capsys, "shear-lines", files["s5"])
+        assert code != cli.EXIT_INVALID_DATA and "internal fault" in err
 
 
 class TestReports:

@@ -433,24 +433,38 @@ class TestDecompose:
     def test_one_plan_and_one_d_eta_per_pair(self, monkeypatch):
         # validate_shear, apply_shear and a leg-free probe, validated and
         # applied, on one (g, X, alpha) share the base g keeps: one shear
-        # plan, and d(eta) taken once
+        # plan, whose re-check set is the one _recheck call, and d(eta)
+        # taken once
         g = parse_salamon(S5)
         data, probe = data_on(g, 4, mono(5, (1, 3))), data_on(g, 4, mono(5, (2, 3)))
         eta = mono(5, (5,), 2)
-        plans, diffs = [], []
-        plan, d = lieshear.shear._shear_plan, LieAlgebra.d
-        monkeypatch.setattr(lieshear.shear, "_shear_plan", lambda h, X: plans.append((h, X)) or plan(h, X))
+        rechecks, diffs = [], []
+        recheck, d = LieAlgebra._recheck, LieAlgebra.d
+        monkeypatch.setattr(LieAlgebra, "_recheck",
+                            lambda h, changed: rechecks.append((h, changed)) or recheck(h, changed))
         monkeypatch.setattr(LieAlgebra, "d", lambda h, form: diffs.append((h, form)) or d(h, form))
         report = validate_shear(g, data)
         sheared = apply_shear(g, data)
         probed = validate_shear(g, probe)
         probe_sheared = apply_shear(g, probe)
-        assert plans == [(g, data.X)]
+        assert rechecks == [(g, 1 << 3)]
         assert sum(h is g and form == eta for h, form in diffs) == 1
         assert report.decomp is probed.decomp is decompose_dalpha(g, data.X, data.alpha)
         assert report.valid and probed.valid and report.decomp.eta == eta
         monkeypatch.undo()
         assert (sheared, probe_sheared) == (shear_candidate(g, data), shear_candidate(g, probe))
+
+    def test_shear_candidate_takes_no_plan(self, monkeypatch):
+        # the oracle of the validity <=> Jacobi equivalence runs the full
+        # Jacobi check: it asks for no re-check set and decomposes nothing
+        g = parse_salamon(S5)
+        calls = []
+        recheck = LieAlgebra._recheck
+        monkeypatch.setattr(LieAlgebra, "_recheck", lambda h, changed: calls.append(changed) or recheck(h, changed))
+        candidate = shear_candidate(g, data_on(g, 4, mono(5, (1, 4))))
+        assert calls == [] and g._decomp is None
+        assert not candidate.jacobi_check().passed
+        assert candidate.jacobi_check() == LieAlgebra(list(candidate.diffs)).jacobi_check()
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from(["validate", "apply", "invert"]),
