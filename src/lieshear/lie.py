@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from ._value import Value
-from .exterior import Coeff, KForm, Vector, _make, interior, merge_sign
+from .exterior import Coeff, KForm, Vector, _make, interior
 
 Subspace = tuple[tuple[Fraction, ...], ...]  # reduced echelon rows, pivots 1: the public form
 Rows = tuple[linalg.Row, ...]  # primitive integer echelon rows (linalg): the form computed on
@@ -45,6 +45,9 @@ class JacobiReport(Value):
     def __init__(self, passed: bool, failures: tuple[tuple[int, KForm], ...]):
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "failures", failures)  # (generator index, d(d e_k)) for each violation
+
+
+_PASSED = JacobiReport(True, ())  # immutable, so every passing algebra shares it
 
 
 class SeriesReport(Value):
@@ -93,7 +96,8 @@ class ShearLineReport(Value):
 class LieAlgebra:
     """Lie algebra of dimension n >= 2 given by the two-forms d e_1, ..., d e_n.
 
-    Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k.
+    Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k;
+    every algebra that passes shares one immutable JacobiReport(True, ()).
     `_replacing` builds an algebra from a checked one with a few d e_k
     replaced, and checks only the generators `_recheck` names for them; the
     report is the full check's either way.  Brackets are
@@ -155,9 +159,9 @@ class LieAlgebra:
         failures = []
         for k in check:
             dd = self.d(diffs[k])
-            if not dd.is_zero():
+            if dd.terms:
                 failures.append((k + 1, dd))
-        object.__setattr__(self, "_jacobi", JacobiReport(not failures, tuple(failures)))
+        object.__setattr__(self, "_jacobi", JacobiReport(False, tuple(failures)) if failures else _PASSED)
         # filled on first use; assigning an immutable value is atomic, so
         # shared readers need no synchronization
         object.__setattr__(self, "_series", None)
@@ -197,28 +201,16 @@ class LieAlgebra:
     # -- differential and brackets ------------------------------------------
 
     def d(self, form: KForm) -> KForm:
-        """Antiderivation extension of the generator differentials."""
+        """Antiderivation extension of the generator differentials.
+
+        Slot p of a monomial contributes (-1)^p d e_{i_p} ^ (the monomial
+        without i_p), nothing when d e_{i_p} = 0.  A term e_lo ^ e_hi of the
+        two-form d e_{i_p} merges into that rest with the parity of the
+        rest's bits strictly between lo and hi, those under dmask - 2 lo.
+        """
         if form.dim != self.dim:
             raise ValueError(f"dimension mismatch: {form.dim} vs {self.dim}")
-        # d(e_i ^ rest) = d e_i ^ rest - e_i ^ d(rest): slot p of a monomial
-        # contributes (-1)^p d e_{i_p} ^ (the monomial without i_p)
-        terms: dict[int, Coeff] = {}
-        for mask, c in form.terms.items():
-            rem = mask
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                rest = mask ^ low
-                coeff = c
-                if (mask & (low - 1)).bit_count() & 1:
-                    coeff = -c
-                for dmask, dc in self.diffs[low.bit_length() - 1].terms.items():
-                    if dmask & rest:
-                        continue
-                    m = dmask | rest
-                    v = dc * coeff if merge_sign(dmask, rest) > 0 else -(dc * coeff)
-                    terms[m] = terms[m] + v if m in terms else v
-        return _make(self.dim, form.degree + 1, terms)
+        return _make(self.dim, form.degree + 1, _d_terms(self.diffs, form.terms.items(), {}))
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """[v, w], component k equal to -(d e_k)(v, w)."""
@@ -428,6 +420,31 @@ class LieAlgebra:
             eigenspaces=tuple(EigenSpace(eigenvalues=e, basis=reduced(b)) for e, b in spaces),
             nonrational_present=nonrational,
         )
+
+
+def _d_terms(diffs: Sequence[KForm], items, terms: dict[int, Coeff]) -> dict[int, Coeff]:
+    """`terms` with d of each term (mask, c) of `items` added, by the rule of
+    `LieAlgebra.d` on the generator differentials `diffs`."""
+    for mask, c in items:
+        rem = mask
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            dterms = diffs[low.bit_length() - 1].terms
+            if not dterms:
+                continue
+            rest = mask ^ low
+            coeff = -c if (mask & (low - 1)).bit_count() & 1 else c
+            for dmask, dc in dterms.items():
+                if dmask & rest:
+                    continue
+                m = dmask | rest
+                v = dc * coeff
+                # the bits of rest strictly between the two of dmask
+                if (rest & (dmask - 2 * (dmask & -dmask))).bit_count() & 1:
+                    v = -v
+                terms[m] = terms[m] + v if m in terms else v
+    return terms
 
 
 def _chain(first: Rows, brackets: Callable[[Rows], list[list[int]]]) -> list[Rows]:

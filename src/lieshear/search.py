@@ -7,7 +7,7 @@ from math import comb, lcm
 from operator import mul
 
 from ._value import Value
-from .exterior import Coeff, KForm, Vector, _as_fraction, _make, interior, wedge
+from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, interior, wedge
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
 
@@ -103,38 +103,38 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     """All valid, structure-preserving deformations, in canonical order.
 
     Candidates are ordered by (term count, monomial tuple, coefficient tuple).
-    The (base, X, alpha) part of the shear is checked and decomposed before
-    the first candidate (decompose_dalpha), and the base algebra keeps that
-    ShearBase, so every candidate's validate_shear reads it, caches and all,
-    without splitting d(alpha) again.  A candidate without X-legs whose
-    monomials' condition columns, times its coefficients, do not sum to zero
-    (or any, when eta is not closed) is dropped unbuilt; one that passes
-    preserves every form, and validate_shear, which reads its validity off
-    the base's monomial defects, only confirms it.  A candidate with an X-leg
-    goes through validate_shear and, for each preserved sigma, the test
-    F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma computed
-    once per search.  Each candidate's F0 is assembled from the checked
-    support and coefficients; its F_eff = -(1/a) F0 and its ShearData reuse
-    -1/a, X, alpha and a, checked once per search.  Every hit's algebra is
-    built by _sheared from the shear plan of the base (ShearBase.plan), fixed
-    once per (base, X, alpha): the generators X touches, whose d e_k it
-    replaces, and the Jacobi re-check set, which adds those whose d e_k has a
-    monomial on one of them.  For every other generator d(d e_k) is the
-    base's, zero when the base passes (LieAlgebra._replacing); a base that
-    fails gets the full check.
+    The (base, X, alpha) part is checked and split before the first
+    candidate (decompose_dalpha); the base algebra keeps that ShearBase, and
+    every validate_shear reads it, caches and all.  A leg-free candidate
+    whose condition columns, times its coefficients, do not sum to zero (or
+    any, when eta is not closed) is dropped unbuilt; a survivor preserves
+    every form, and validate_shear confirms it from the base's per-mask
+    monomial defects, with nu the shared zero one-form and no defect form
+    built.  A candidate with an X-leg goes through validate_shear and the
+    test F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma
+    computed once per search.  F0 is assembled from stored coefficients,
+    and F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
+    itself when -1/a is 1.  Each hit's algebra is built by _sheared from the
+    base's plan (ShearBase.plan): the generators X touches, whose d e_k it
+    replaces, and the Jacobi re-check set, which adds those whose d e_k has
+    a monomial on one of them.  Every other d(d e_k) is the base's, zero
+    when the base passes (LieAlgebra._replacing); a base that fails gets the
+    full check.  The re-check's d signs by the two-bit rule of
+    LieAlgebra.d, and every passing algebra shares one JacobiReport(True, ()).
     """
     count = spec.candidate_count()
     if count > spec.cap:
         raise SearchSpaceError(count, spec.cap)
     support = spec.effective_support()
-    nonzero = tuple(c for c in spec.coefficients if c)
+    nonzero = tuple(_as_coeff(c) for c in spec.coefficients if c)  # stored form: ints stay ints
     scale = lcm(*(c.denominator for c in nonzero))
     scaled = tuple(int(c * scale) for c in nonzero)
     n = spec.base.dim
     base = decompose_dalpha(spec.base, spec.X, spec.alpha)
     if not spec.a:
         raise ShearDataError("transfer constant a must be nonzero")
-    neg_inv_a = -1 / spec.a
+    neg_inv_a = _as_coeff(-1 / spec.a)
+    unit = neg_inv_a == 1  # then F_eff is F0 itself
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     legs = [interior(spec.X, s) for s in spec.preserve]
     columns = _condition_columns(base, masks, legs)
@@ -151,7 +151,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 if any(sum(map(mul, ks, r)) for r in rows):
                     continue
                 f0 = _make(n, 2, dict(zip(mons, coeffs)))
-                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
+                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 if unit else f0 * neg_inv_a)
                 report = validate_shear(spec.base, data)
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))
@@ -163,16 +163,14 @@ def _condition_columns(base: ShearBase, masks: dict[tuple[int, int], int], legs:
     """Image of each support monomial e_m under the linear conditions, on common rows.
 
     `masks` maps each support monomial (i, j) to its bitmask.  The
-    conditions are base.leg_free_defect and each e_m ^ (X . sigma), with
-    `legs` the X . sigma.  None marks a monomial with an X-leg, on which
-    they are not linear.
+    conditions are the base's monomial `defect` and each e_m ^ (X . sigma),
+    with `legs` the X . sigma.  None marks a monomial with an X-leg, on
+    which they are not linear.
     """
-    comps = base.X.components
-    images = {}
-    for (i, j), mask in masks.items():
-        e = _make(base.g.dim, 2, {mask: 1})
-        images[i, j] = (None if comps[i - 1] or comps[j - 1]
-                        else [base.leg_free_defect(e), *(wedge(e, leg) for leg in legs)])
+    n = base.g.dim
+    images = {mon: None if mask & base._xmask
+              else [base.defect(mask), *(wedge(_make(n, 2, {mask: 1}), leg) for leg in legs)]
+              for mon, mask in masks.items()}
     rows = sorted({(k, m) for image in images.values() if image is not None
                    for k, f in enumerate(image) for m in f.terms})
     return {mon: None if image is None else tuple(image[k].terms.get(m, 0) for k, m in rows)

@@ -18,8 +18,9 @@ from typing import Sequence
 
 from . import linalg
 from ._value import Value
-from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_row, interior, one_form, wedge
-from .lie import LieAlgebra, _columns
+from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_row, interior, one_form,
+                       wedge)
+from .lie import LieAlgebra, _columns, _d_terms
 
 CONDITION_NAMES = (
     "xi_ideal",
@@ -181,14 +182,18 @@ class ShearBase(Value):
     defects) are computed once per (g, X, alpha) while g keeps it.
     validate_shear then only does the work that depends on F0, a and
     eta_g.  For an F0 with X . F0 = 0, `leg_free_defect` and `eta_closed`
-    decide validity.
+    decide validity.  The base holds X's support as a mask: a two-form F0
+    with no monomial on it has nu = X . F0 = 0, the shared zero one-form.
+    Each monomial's defect d e_m - eta ^ e_m is built once, in one term
+    dict (`defect`), and read by mask by leg_free_defect and the search.
     """
 
     _fields = ("g", "X", "alpha", "eta", "f")
 
     def __init__(self, g: LieAlgebra, X: Vector, alpha: KForm, eta: KForm, f: KForm):
-        # _defects, leg_free_defect's cache, is not a field
-        self.__dict__.update(g=g, X=X, alpha=alpha, eta=eta, f=f, _defects={})
+        # not fields: the mask of X's support and the cache of the monomial defects
+        xmask = sum(1 << k for k, x in enumerate(X.components) if x)
+        self.__dict__.update(g=g, X=X, alpha=alpha, eta=eta, f=f, _xmask=xmask, _defects={})
 
     @property
     def eta_bracket(self) -> KForm:
@@ -204,8 +209,7 @@ class ShearBase(Value):
     def plan(self) -> tuple[tuple[tuple[int, Coeff], ...], tuple[int, ...]]:
         """(_support(X), the generators the guard's Jacobi re-check reads):
         LieAlgebra._recheck of the support, every one when g fails Jacobi."""
-        support = _support(self.X)
-        return support, self.g._recheck(sum(1 << k for k, _ in support))
+        return _support(self.X), self.g._recheck(self._xmask)
 
     @cached_property
     def eta_closed(self) -> bool:
@@ -217,19 +221,42 @@ class ShearBase(Value):
 
         Such an F0 has eta_0 = eta and F_eff = -(1/a) F0, so it satisfies
         df_eff_eq_eta0_wedge_f_eff, for every a, exactly when this is zero:
-        with eta_closed, the required conditions are linear in F0.  So the
-        defect of each monomial is computed once per base, and F0's is their
-        combination.
+        with eta_closed, the required conditions are linear in F0.  So F0's
+        defect is the combination of its monomials' `defect`s.
         """
+        return _make(self.g.dim, 3, self._leg_free_terms(f0))
+
+    def _leg_free_terms(self, f0: KForm) -> dict[int, Coeff]:
+        """The terms of leg_free_defect(f0), zeros of cancelled sums kept."""
         terms: dict[int, Coeff] = {}
         for mask, c in f0.terms.items():
-            defect = self._defects.get(mask)
-            if defect is None:
-                e = _make(self.g.dim, 2, {mask: 1})
-                defect = self._defects[mask] = self.g.d(e) - wedge(self.eta, e)
-            for m, v in defect.terms.items():
+            for m, v in self.defect(mask).terms.items():
                 terms[m] = terms[m] + c * v if m in terms else c * v
-        return _make(self.g.dim, 3, terms)
+        return terms
+
+    def defect(self, mask: int) -> KForm:
+        """d e_m - eta ^ e_m for the two-form monomial e_m of `mask`, built
+        once per base by `_monomial_defect` and then read by mask."""
+        defect = self._defects.get(mask)
+        if defect is None:
+            defect = self._defects[mask] = _monomial_defect(self.g, self.eta, mask)
+        return defect
+
+
+# immutable, so one per dimension serves every shear's nu = 0
+_ZERO_ONE_FORMS = {n: KForm.zero(n, 1) for n in range(1, MAX_DIM + 1)}
+
+
+def _monomial_defect(g: LieAlgebra, eta: KForm, mask: int) -> KForm:
+    """d e_m - eta ^ e_m for the monomial e_m of `mask`, in one term dict:
+    e_b ^ e_m is sorted across the bits of m below b."""
+    terms = _d_terms(g.diffs, ((mask, 1),), {})
+    for b, c in eta.terms.items():
+        if not b & mask:
+            m = b | mask
+            v = c if (mask & (b - 1)).bit_count() & 1 else -c
+            terms[m] = terms[m] + v if m in terms else v
+    return _make(g.dim, 3, terms)
 
 
 def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
@@ -247,12 +274,15 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
     if data.eta_g is not None and not g.d(data.eta_g).is_zero():
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff
-    nu = interior(data.X, data.F0)
-    if nu.is_zero():
+    f0 = data.F0
+    # a two-form F0 with no monomial on X's support has nu = X . F0 = 0,
+    # taken without the interior product
+    nu = interior(data.X, f0) if f0.degree != 2 or any(m & base._xmask for m in f0.terms) else _ZERO_ONE_FORMS[g.dim]
+    if not nu.terms:
         # eta' = 0 and d(nu) = 0: eta_0 = eta and f' = F_eff, so the required
         # conditions are base.eta_closed and leg_free_defect(F0) = 0
         eta_prime, eta_0, f_prime = nu, base.eta, f_eff
-        df_ok = base.leg_free_defect(data.F0).is_zero()
+        df_ok = not any(base._leg_free_terms(f0).values())  # leg_free_defect(F0) = 0, built as no form
         eta0_closed = base.eta_closed
         dnu_wedge_nu_zero = dnu_zero = True
     else:
@@ -272,7 +302,7 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
         "dnu_wedge_nu_zero": dnu_wedge_nu_zero,
         "dnu_zero": dnu_zero,
         "f0_compatible_with_eta_g": (
-            None if data.eta_g is None else g.d(data.F0) == wedge(data.eta_g, data.F0)
+            None if data.eta_g is None else g.d(f0) == wedge(data.eta_g, f0)
         ),
     }
     valid = all(conditions[name] for name in REQUIRED_CONDITIONS)

@@ -384,6 +384,38 @@ def reference_rational_roots(coeffs):
     return sorted(roots.items(), key=lambda t: t[0]), len(poly) - 1
 
 
+def reference_d(g: LieAlgebra, form: KForm) -> KForm:
+    """d(form) by the Koszul formula
+
+        d phi(E_i0, ..., E_ik) = sum_{a<b} (-1)^(a+b) phi([E_ia, E_ib], E_i0, ..., ^a, ..., ^b, ..., E_ik),
+
+    with [E_i, E_j] = sum_t c^t_ij E_t and c^t_ij = -(d e_t)(E_i, E_j) read
+    straight off the terms of g.diffs: the oracle for LieAlgebra.d, with no
+    antiderivation rule and no bitmask sign.  Every value of a form on frame
+    vectors takes the sign of an explicit count of inversions.  The formula
+    needs no Jacobi identity."""
+    n, k = g.dim, form.degree
+
+    def value(f: KForm, idx) -> Fraction:
+        # f(E_i, ...) for 0-based indices in any order: the coefficient of the
+        # sorted monomial, times the parity of the sort
+        if len(set(idx)) < len(idx):
+            return Fraction(0)
+        inversions = sum(x > y for x, y in combinations(idx, 2))
+        return (-1) ** inversions * Fraction(f.terms.get(sum(1 << i for i in idx), 0))
+
+    terms = {}
+    for idx in combinations(range(n), k + 1):
+        total = Fraction(0)
+        for a, b in combinations(range(k + 1), 2):
+            rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
+            bracket = [-value(g.diffs[t], (idx[a], idx[b])) for t in range(n)]
+            total += (-1) ** (a + b) * sum((x * value(form, (t, *rest)) for t, x in enumerate(bracket) if x),
+                                           Fraction(0))
+        terms[sum(1 << i for i in idx)] = total
+    return KForm(n, k + 1, terms)
+
+
 def reference_ad(g: LieAlgebra, v) -> list[list]:
     """ad(v) built entry by entry, as the package did before brackets were
     read off the terms of d e_k: a term c e_ij (i < j) of d e_k puts -c v_i in

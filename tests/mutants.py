@@ -249,7 +249,7 @@ MUTANTS = [
     ),
     Mutant(
         "leg-free-defect-taken-zero", "shear.py",
-        "df_ok = base.leg_free_defect(data.F0).is_zero()",
+        "df_ok = not any(base._leg_free_terms(f0).values())",
         "df_ok = True",
         ("tests/test_shear.py::TestEquivalence::test_validity_iff_jacobi_on_random_data",
          "tests/test_shear.py::TestShearBase::test_leg_free_branch_matches_the_general_formulas",
@@ -293,6 +293,37 @@ MUTANTS = [
         "    if X.dim != g.dim:",
         "    if False:",
         ("tests/test_shear.py::test_malformed_arguments_are_refused[decompose-dimension]",),
+    ),
+    Mutant(
+        "d-parity-over-wrong-range", "lie.py",
+        "(rest & (dmask - 2 * (dmask & -dmask)))",
+        "(rest & (dmask - (dmask & -dmask)))",
+        ("tests/test_lie.py::TestDifferentialOracle::test_d_matches_the_koszul_formula",
+         "tests/test_lie.py::TestDifferential::test_extension_on_solvable_example",
+         "tests/test_lie.py::TestDifferential::test_antiderivation_rule"),
+    ),
+    Mutant(
+        "nu-shortcut-without-mask", "shear.py",
+        "if f0.degree != 2 or any(m & base._xmask for m in f0.terms) else",
+        "if f0.degree != 2 else",
+        ("tests/test_shear.py::TestShearBase::test_nu_is_computed_only_for_an_f0_on_the_support_of_x[x-leg-2]",
+         "tests/test_shear.py::TestValidate::test_golden_invalid",
+         "tests/test_search.py::TestEnumerate::test_matches_the_reference_on_random_specs"),
+    ),
+    Mutant(
+        "fill-shares-the-passing-report-on-failures", "lie.py",
+        "JacobiReport(False, tuple(failures)) if failures else _PASSED",
+        "_PASSED",
+        ("tests/test_lie.py::TestJacobi::test_failure_reports_offender",
+         "tests/test_lie.py::TestDifferentialOracle::test_covers_non_jacobi_algebras_and_every_degree",
+         "tests/test_search.py::TestEnumerate::test_jacobi_guard_catches_a_hit_validation_let_through"),
+    ),
+    Mutant(
+        "f-eff-is-f0-for-every-a", "search.py",
+        "    unit = neg_inv_a == 1",
+        "    unit = True",
+        ("tests/test_search.py::TestEnumerate::test_per_search_constants_give_the_reference_hits[2]",
+         "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check"),
     ),
     Mutant(
         "shear-without-x-k", "shear.py",

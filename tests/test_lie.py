@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 
 from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, permutation_frame, psi4,
                     random_almost_abelian, random_frame, random_nilpotent, random_solvable_extension,
-                    random_unimodular, reference_bracket_span, reference_chain, reference_shear_lines)
+                    random_unimodular, reference_bracket_span, reference_chain, reference_d, reference_shear_lines)
 from lieshear import (
     JacobiReport,
     KForm,
@@ -348,6 +348,49 @@ class TestDifferential:
                 from lieshear import wedge
 
                 assert g.d(wedge(a, b)) == wedge(g.d(a), b) + sign * wedge(a, g.d(b))
+
+
+small_fractions = st.integers(-3, 3).map(Fraction) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+def forms_of(dim: int, degree: int):
+    """Forms of one degree with up to 4 terms, Fraction coefficients."""
+    monomials = [sum(1 << i for i in idx) for idx in combinations(range(dim), degree)]
+    terms = st.dictionaries(st.sampled_from(monomials), small_fractions, max_size=4)
+    return terms.map(lambda t: KForm(dim, degree, t))
+
+
+@st.composite
+def algebras_and_forms(draw):
+    """Any generator differentials, Jacobi or not, and a form of any degree."""
+    n = draw(st.integers(2, 8))
+    g = LieAlgebra(draw(st.lists(forms_of(n, 2), min_size=n, max_size=n)))
+    return g, draw(forms_of(n, draw(st.integers(0, n))))
+
+
+class TestDifferentialOracle:
+    @settings(max_examples=150)
+    @given(algebras_and_forms())
+    def test_d_matches_the_koszul_formula(self, case):
+        # the antiderivation law and d^2 = 0 hold for d with any consistent
+        # sign slip; the Koszul formula on the structure constants does not
+        g, form = case
+        assert g.d(form) == reference_d(g, form)
+
+    def test_the_oracle_reads_the_bracket_convention(self):
+        # d e_3 = e12 on the Heisenberg algebra: [E1, E2] = -E3 and d e_3 = e12 back
+        g = parse_salamon("(0,0,12)")
+        assert reference_d(g, mono(3, (3,))) == mono(3, (1, 2))
+        assert reference_d(g, mono(3, (1, 3))).is_zero()
+        assert reference_d(g, KForm.scalar(3, 5)).is_zero()
+
+    def test_covers_non_jacobi_algebras_and_every_degree(self):
+        g = parse_salamon("(12,34,0,0)")  # d(d e_1) = -e134
+        assert not g.jacobi_check().passed
+        for k in range(5):
+            for idx in combinations(range(1, 5), k):
+                form = mono(4, idx, Fraction(-3, 2)) if idx else KForm.scalar(4, Fraction(2, 3))
+                assert g.d(form) == reference_d(g, form)
 
 
 class TestConstruction:

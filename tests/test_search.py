@@ -163,6 +163,31 @@ class TestEnumerate:
         assert leg_free_hits == 3
         assert (spec.candidate_count(), len(calls)) == (33, 33 - 9 + leg_free_hits)
 
+    def test_per_hit_work_on_the_s5_reference_search(self, monkeypatch):
+        # counts, not timings: on leg-free hits validate_shear takes nu as the
+        # shared zero one-form, the guard computes d(d e_k) once per hit for
+        # each generator of the re-check set, and each support monomial's
+        # defect is built once per base
+        g = parse_salamon(S5)
+        spec = spec_on(g, 4, max_terms=3, coefficients=tuple(range(-2, 3)))
+        base = shear.decompose_dalpha(g, spec.X, spec.alpha)
+        assert base.eta_closed  # computed before the count, like the split
+        interiors, defects, ds = [], [], []
+        real_interior, real_defect, real_d = shear.interior, shear._monomial_defect, LieAlgebra.d
+        monkeypatch.setattr(shear, "interior", lambda v, form: interiors.append(form) or real_interior(v, form))
+        monkeypatch.setattr(shear, "_monomial_defect",
+                            lambda g, eta, mask: defects.append(mask) or real_defect(g, eta, mask))
+        monkeypatch.setattr(LieAlgebra, "d", lambda self, form: ds.append(self) or real_d(self, form))
+        hits = enumerate_f0(spec)
+        assert len(hits) == spec.candidate_count() == 1545
+        assert all(interior(spec.X, h.f0).is_zero() for h in hits)
+        assert interiors == []
+        _, recheck = base.plan
+        assert recheck == (3,)  # d e_4 = -2 e45 is the one generator with a monomial on E4
+        assert [id(g) for g in ds] == [id(h.sheared) for h in hits for _ in recheck]
+        masks = [(1 << i - 1) | (1 << j - 1) for i, j in spec.effective_support()]
+        assert sorted(defects) == sorted(masks) and len(masks) == 6
+
     @pytest.mark.parametrize("algebra, k", [(S5, 4), ("(12,34,0,0)", 1)], ids=["s5", "eta-not-closed"])
     def test_zero_constant_is_refused_once_per_search(self, algebra, k):
         # on (12,34,0,0) eta is not closed, so every candidate is dropped unbuilt

@@ -53,6 +53,7 @@ from lieshear import (
     linalg,
     parse_salamon,
     print_salamon,
+    shear,
     shear_candidate,
     validate_shear,
     wedge,
@@ -715,6 +716,39 @@ class TestShearBase:
         # some F0 in Lambda^2 Ann(X) have monomials with an X-leg
         assert any(m >> i & 1 for base, forms, _ in cases for f in forms for m in f.terms
                    for i, x in enumerate(base.X.components) if x)
+
+    @pytest.mark.parametrize("a", [-1, 2, Fraction(-1, 2)])
+    @pytest.mark.parametrize("f0, nu, interior_calls", [
+        (mono(5, (1, 3)) - mono(5, (2, 3)), KForm.zero(5, 1), 1),  # on X's support, X . F0 = 0 by cancellation
+        (mono(5, (3, 4)) + mono(5, (4, 5), 2), KForm.zero(5, 1), 0),  # off X's support
+        (mono(5, (1, 3)) + mono(5, (3, 5)), mono(5, (3,)), 1),  # a real X-leg
+    ], ids=["cancelled", "off-support", "x-leg"])
+    def test_nu_is_computed_only_for_an_f0_on_the_support_of_x(self, monkeypatch, f0, nu, interior_calls, a):
+        # X = E1 + E2 spans an ideal of S5: nu = X . F0 is the interior product
+        # only when a monomial of F0 meets X's support, else a shared zero one-form
+        g, X = parse_salamon(S5), Vector([1, 1, 0, 0, 0])
+        data = ShearData(X=X, alpha=mono(5, (1,)), F0=f0, a=a)
+        expected = reference_validate_shear(g, data)
+        calls = []
+        monkeypatch.setattr(shear, "interior", lambda v, form: calls.append(form) or interior(v, form))
+        report = validate_shear(g, data)
+        assert report == expected and report.nu == nu and len(calls) == interior_calls
+
+    def test_each_monomial_defect_is_built_once_and_read_by_mask(self, monkeypatch):
+        # d e_m - eta ^ e_m in one term dict, for every monomial of bases with
+        # eta zero and not, X in the frame and not
+        built = []
+        real = shear._monomial_defect
+        monkeypatch.setattr(shear, "_monomial_defect", lambda g, eta, mask: built.append(mask) or real(g, eta, mask))
+        for g, x, alpha in LEG_FREE_BASES + [(parse_salamon("(12,34,0,0)"), (1, 0, 0, 0), mono(4, (1,)))]:
+            g = LieAlgebra(list(g.diffs))  # keeps no base, whatever other tests did with g
+            base = decompose_dalpha(g, Vector(x), alpha)
+            built.clear()
+            masks = [(1 << i) | (1 << j) for i, j in combinations(range(g.dim), 2)]
+            for mask in masks * 2:
+                e = KForm(g.dim, 2, {mask: 1})
+                assert base.defect(mask) == g.d(e) - wedge(base.eta, e)
+            assert built == masks
 
     def test_eta_closed_only_fails_off_jacobi(self):
         # eta is minus the character of the ideal span(X), closed by Jacobi
