@@ -344,14 +344,16 @@ def one_form(row: Sequence) -> KForm:
     return KForm(len(row), 1, {1 << k: c for k, c in enumerate(row) if c})
 
 
-def form_row(form: KForm) -> list[Coeff]:
-    """Coordinate row of a one-form, the inverse of `one_form`."""
-    if form.degree != 1 and form.terms:
-        raise ValueError(f"expected a one-form, got degree {form.degree}")
-    row: list[Coeff] = [0] * form.dim
+def form_matrix(form: KForm) -> list[list[Coeff]]:
+    """Coefficient matrix of a two-form: W[i][j] = f(E_i, E_j), so row i is
+    the coordinate row of E_i . f and W is antisymmetric."""
+    if form.degree != 2 and form.terms:
+        raise ValueError(f"expected a two-form, got degree {form.degree}")
+    w: list[list[Coeff]] = [[0] * form.dim for _ in range(form.dim)]
     for mask, c in form.terms.items():
-        row[mask.bit_length() - 1] = c
-    return row
+        i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        w[i][j], w[j][i] = c, -c
+    return w
 
 
 def hodge_star_orthonormal(a: KForm, orientation: int = 1) -> KForm:

@@ -37,7 +37,10 @@ unbounded.  The subspace questions of the package are asked here:
 - `rank_at(rows, pivots)`: the rank of rows inside the span of echelon rows
   with those pivot columns, read at the pivots alone.  Each step of a series
   chain lies inside the term before it, so its brackets span that term
-  exactly when this rank is full, and a repeating term costs no `rref`;
+  exactly when this rank is full, and a repeating term costs no `rref`.
+  At every column it is the rank of the rows: a two-form is nondegenerate
+  exactly when its matrix has full rank, which is all `symplectic_check`
+  computes, with no Pfaffian beside it;
 - `nullspace(rows, ncols)`: the canonical basis of {x : M x = 0};
 - `complement(basis, ncols)`: the column indices j whose unit vectors
   greedily complete span(basis) to the whole space.

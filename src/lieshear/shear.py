@@ -18,8 +18,8 @@ from typing import Sequence
 
 from . import linalg
 from ._value import Value
-from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_row, interior, one_form,
-                       wedge)
+from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_matrix, interior,
+                       one_form, wedge)
 from .lie import LieAlgebra, _columns, _d_terms
 
 CONDITION_NAMES = (
@@ -409,14 +409,16 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     """Twist a nilpotent algebra: d(beta) = d(alpha) + F for closed F in Lambda^2 V_1.
 
     The twist runs along the circle fibre: Z is the echelon basis of
-    n^(r-1), the last nonzero lower-central term, or of ker F on an abelian
-    base, and X = z / alpha(z) for z the last row of Z with alpha(z) != 0.
-    As Z is reduced, X is the one vector of span(Z) with alpha(X) = 1 that
-    vanishes at the pivots of the other rows of Z.  The shear path with
-    a = -1 then gives the new differential d e_j + e_j(X) F, the direct
-    twist construction, as both eta parts vanish.  The echelon basis, so X,
-    depends on the frame: with dim Z >= 2, two frames can give twists that
-    differ by e_j(Y) F, Y in Z with alpha(Y) = 0.
+    n^(r-1), the last nonzero lower-central term, or on an abelian base of
+    ker F, the `nullspace` of F's matrix (`form_matrix`, the matrix whose
+    rank decides `symplectic_check`), and X = z / alpha(z) for z the last
+    row of Z with alpha(z) != 0.  As Z is reduced, X is the one vector of
+    span(Z) with alpha(X) = 1 that vanishes at the pivots of the other rows
+    of Z.  The shear path with a = -1 then gives the new differential
+    d e_j + e_j(X) F, the direct twist construction, as both eta parts
+    vanish.  The echelon basis, so X, depends on the frame: with dim Z >= 2,
+    two frames can give twists that differ by e_j(Y) F, Y in Z with
+    alpha(Y) = 0.
     """
     if alpha.dim != g.dim or f2.dim != g.dim:
         raise TwistError("dimension mismatch in twist data")
@@ -430,9 +432,8 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     if not g.d(f2).is_zero():
         raise TwistError("F must be closed")
     if rep.is_abelian:
-        # ker F = {v : i_v F = 0}, the kernel of the rows i_{E_i} F
-        legs = [form_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)]
-        zs = [*map(Vector, linalg.nullspace(legs, g.dim))]
+        # ker F = {v : i_v F = 0}, the kernel of F's matrix, whose rows are the i_{E_i} F
+        zs = [*map(Vector, linalg.nullspace(form_matrix(f2), g.dim))]
     else:
         zs = [*map(Vector, rep.lower_central[-2])]
     z = next((v for v in reversed(zs) if alpha(v)), None)

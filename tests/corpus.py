@@ -8,7 +8,7 @@ from math import gcd
 
 from lieshear import (EigenSpace, KForm, LieAlgebra, SearchHit, ShearData, ShearLineError, ShearLineReport, ShearReport,
                       TwistError, Vector, decompose_dalpha, linalg, parse_salamon, preserves_closure, pullback, wedge)
-from lieshear.exterior import form_row, interior
+from lieshear.exterior import interior
 from lieshear.literals import format_vector
 from lieshear.shear import REQUIRED_CONDITIONS, _sheared, validate_shear
 
@@ -107,6 +107,27 @@ INCREMENTAL_BASES = [*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
 
 
 COEFF_POOL = [Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+def reference_row(form: KForm) -> list:
+    """Coordinate row of a one-form, read term by term off its sorted terms:
+    the tests' own reader, which shares no code with the package's
+    `form_matrix`."""
+    row = [0] * form.dim
+    for (i,), c in form.sorted_terms():
+        row[i - 1] = c
+    return row
+
+
+def reference_nondegenerate(omega: KForm) -> bool:
+    """omega^(n/2) != 0, by n/2 - 1 wedges: the Pfaffian test of a two-form's
+    nondegeneracy, the oracle for symplectic_check, which reads the rank of
+    omega's matrix instead.  Its middle powers have up to C(n, n/2 - 1)
+    terms, so it is for small n only."""
+    power = omega
+    for _ in range(omega.dim // 2 - 1):
+        power = wedge(power, omega)
+    return not power.is_zero()
 
 
 def random_form(rng: random.Random, dim: int, degree: int, max_terms: int = 4) -> KForm:
@@ -633,7 +654,7 @@ def reference_shear(g: LieAlgebra, data: ShearData) -> tuple[ShearReport, dict[s
         "xi_ideal": True,  # decompose_dalpha raises otherwise
         "df_eff_eq_eta0_wedge_f_eff": g.d(f_eff) == wedge(eta_0, f_eff),
         "eta0_closed": g.d(eta_0).is_zero(),
-        "eta0_vanishes_on_xi": sum(c * x for c, x in zip(form_row(eta_0), data.X.components)) == 0,
+        "eta0_vanishes_on_xi": sum(c * x for c, x in zip(reference_row(eta_0), data.X.components)) == 0,
         "dnu_wedge_nu_zero": wedge(dnu, nu).is_zero(),
         "dnu_zero": dnu.is_zero(),
         "f0_compatible_with_eta_g": (
@@ -696,7 +717,7 @@ def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     if not g.d(f2).is_zero():
         raise TwistError("F must be closed")
     chain = g.twist_filtration().chain
-    alpha_row = form_row(alpha)
+    alpha_row = reference_row(alpha)
     if len(chain) > 1:
         w_rows = chain[1]
         if in_span(w_rows, alpha_row):
@@ -708,7 +729,7 @@ def reference_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
     else:
         if alpha.is_zero():
             raise TwistError("alpha must lie outside V1")
-        w_rows = linalg.span_rref([form_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)])
+        w_rows = linalg.span_rref([reference_row(interior(Vector.basis(g.dim, i), f2)) for i in range(1, g.dim + 1)])
         if in_span(w_rows, alpha_row):
             raise TwistError("F must have no alpha-leg on an abelian base")
     frame = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]

@@ -16,8 +16,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from corpus import mono, reference_enumerate_f0, replaced
-from lieshear import SearchSpec, Vector, cli, linalg, parse_salamon
+from corpus import mono, reference_det, reference_enumerate_f0, replaced
+from lieshear import KForm, SearchSpec, Vector, cli, linalg, parse_salamon
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -420,6 +420,36 @@ class TestCheckStructure:
         result = json.loads(out)["result"]
         assert (code, result["passed"]) == (0, False)
         assert [name for name, ok in result["checks"].items() if not ok] == failed
+
+    @pytest.mark.parametrize("rank, verdict", [(14, "pass"), (12, "FAIL")], ids=["nondegenerate", "rank-12"])
+    def test_a_dense_omega_with_100_digit_parts_finishes(self, tmp_path, rank, verdict):
+        # all 91 terms of a dim-14 omega are p/q with 100-digit p and q, about
+        # 19 KB of literal; the rank of omega's matrix decides the check, where
+        # the wedge powers up to omega^7 took over a minute.  The rank-12 form
+        # repeats E_13 . omega as E_14 . omega, so E_13 - E_14 is in its kernel
+        rng = random.Random(14)
+        n = 14
+        w = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w[i][j] = Fraction(rng.choice((-1, 1)) * rng.randrange(10**99, 10**100),
+                                   rng.randrange(10**99, 10**100))
+                w[j][i] = -w[i][j]
+        if rank == 12:
+            for i in range(n - 2):
+                w[i][n - 1], w[n - 1][i] = w[i][n - 2], w[n - 2][i]
+            w[n - 2][n - 1] = w[n - 1][n - 2] = Fraction(0)
+        assert (reference_det(w) != 0) == (rank == n) and reference_det([row[:12] for row in w[:12]]) != 0
+        omega = KForm(n, 2, {(1 << i) | (1 << j): w[i][j] for i in range(n) for j in range(i + 1, n)})
+        doc = tmp_path / "flat14.json"
+        doc.write_text(json.dumps({"dim": n, "d": {}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieshear", "check-structure", str(doc), "--type", "symplectic",
+             "--omega", str(omega)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"passed: {verdict}" in proc.stdout.splitlines()
 
     def test_symplectic_fail_is_exit_0(self, capsys, files):
         code, out, _ = run(capsys, "check-structure", files["ab6"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from corpus import random_form, reference_det
 from lieshear import KForm, Vector, hodge_star_orthonormal, interior, pullback, wedge
-from lieshear.exterior import form_row, indices_of, one_form
+from lieshear.exterior import form_matrix, indices_of, one_form
 
 
 def mono(dim, idx, c=1):
@@ -187,16 +187,36 @@ class TestWedge:
         assert wedge(mono(3, (1, 2)), mono(3, (2, 3))).is_zero()
 
 
-class TestOneFormRows:
-    def test_round_trip(self):
-        row = [Fraction(0), Fraction(2, 3), Fraction(-1)]
-        alpha = one_form(row)
-        assert alpha == Fraction(2, 3) * mono(3, (2,)) - mono(3, (3,))
-        assert form_row(alpha) == row and form_row(KForm.zero(3, 2)) == [0, 0, 0]
+two_forms = st.integers(2, 9).flatmap(lambda n: st.dictionaries(
+    st.sets(st.integers(1, n), min_size=2, max_size=2).map(lambda idx: sum(1 << (i - 1) for i in idx)),
+    small_rationals, max_size=8).map(lambda terms: KForm(n, 2, terms)))
 
+
+class TestFormMatrix:
+    @settings(max_examples=100)
+    @given(two_forms)
+    def test_entries_are_the_values_on_frame_pairs(self, f):
+        # W[i][j] = f(E_i, E_j) by KForm.__call__, so W is antisymmetric, and
+        # row i is E_i . f, read back by one_form
+        n = f.dim
+        w = form_matrix(f)
+        frame = [Vector.basis(n, i) for i in range(1, n + 1)]
+        assert w == [[f(a, b) for b in frame] for a in frame]
+        assert all(w[i][j] == -w[j][i] for i in range(n) for j in range(n))
+        assert [one_form(row) for row in w] == [interior(a, f) for a in frame]
+
+    def test_examples(self):
+        w = form_matrix(Fraction(2, 3) * mono(3, (1, 3)) - mono(3, (2, 3)))
+        assert w == [[0, 0, Fraction(2, 3)], [0, 0, -1], [Fraction(-2, 3), 1, 0]]
+        # a zero form of any degree is the zero two-form
+        assert form_matrix(KForm.zero(3, 1)) == [[0] * 3] * 3
+
+
+class TestOneFormRows:
     def test_rejects_higher_degree(self):
-        with pytest.raises(ValueError):
-            form_row(mono(3, (1, 2)))
+        # the rows of W are the one-forms E_i . f, so only a two-form has them
+        with pytest.raises(ValueError, match="^expected a two-form, got degree 3$"):
+            form_matrix(mono(3, (1, 2, 3)))
 
 
 class TestInterior:
@@ -374,7 +394,8 @@ REFUSALS = {
     "vector-assign": (AttributeError, lambda: assign(E1_3, "components"), "Vector is immutable"),
     "wedge-dimension": (ValueError, lambda: wedge(mono(3, (1,)), mono(4, (2,))), "dimension mismatch: 3 vs 4"),
     "interior-dimension": (ValueError, lambda: interior(E1_4, mono(3, (1,))), "dimension mismatch: 4 vs 3"),
-    "form-row-degree": (ValueError, lambda: form_row(mono(3, (1, 2))), "expected a one-form, got degree 2"),
+    "form-matrix-degree": (ValueError, lambda: form_matrix(mono(3, (1,))), "expected a two-form, got degree 1"),
+    "form-row-degree": (ValueError, lambda: form_matrix(mono(3, (1, 2, 3))), "expected a two-form, got degree 3"),
     "hodge-orientation": (ValueError, lambda: hodge_star_orthonormal(mono(3, (1,)), 2), "orientation must be +1 or -1"),
     "pullback-rows": (ValueError, lambda: pullback([[1, 0], [0, 1]], mono(3, (1,))), "matrix must be 3x3"),
     "pullback-ragged": (ValueError, lambda: pullback([[1, 0, 0], [0, 1], [0, 0, 1]], mono(3, (1,))),

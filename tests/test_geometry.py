@@ -5,8 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import (change_basis, g_lm, h_lm, mono, omega_std, paper_algebras, phi0, psi4, random_almost_abelian,
-                    random_form, random_nilpotent, random_unimodular, reference_det, reference_nijenhuis)
+from corpus import (COEFF_POOL, change_basis, g_lm, h_lm, mono, omega_std, paper_algebras, phi0, psi4,
+                    random_almost_abelian, random_form, random_frame, random_nilpotent, random_unimodular,
+                    reference_det, reference_nijenhuis, reference_nondegenerate)
 from lieshear import (
     ComplexStructure,
     KForm,
@@ -139,6 +140,27 @@ class TestSymplectic:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             symplectic_check(LieAlgebra.abelian(5), KForm.zero(5, 2))
+
+    @settings(max_examples=6)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_nondegeneracy_is_the_wedge_power_verdict(self, seed, perturbed):
+        # in each even dimension n <= 12 and for each k <= n/2, the sum of k
+        # decomposable forms c_t e_(2t+1) ^ e_(2t+2), moved by a random rational
+        # frame, has rank 2k, so it is degenerate for every k < n/2; perturbed,
+        # it also gets a random form.  On the abelian algebra every form is
+        # closed, so the check is nondegeneracy alone, which must be the verdict
+        # of omega^(n/2) != 0
+        rng = random.Random(seed)
+        for n in range(2, 13, 2):
+            for k in range(n // 2 + 1):
+                base = sum((rng.choice(COEFF_POOL) * mono(n, (2 * t + 1, 2 * t + 2)) for t in range(k)),
+                           KForm.zero(n, 2))
+                omega = pullback(random_frame(rng, n, rational=True)[0], base)
+                if perturbed:
+                    omega = omega + random_form(rng, n, 2, max_terms=n)
+                expected = reference_nondegenerate(omega)
+                assert perturbed or expected == (2 * k == n)
+                assert symplectic_check(LieAlgebra.abelian(n), omega) == expected, (n, k, str(omega))
 
 
 class TestNijenhuis:

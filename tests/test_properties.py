@@ -1,4 +1,5 @@
 """Property-based checks of the algebraic laws behind every construction."""
+import functools
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -88,7 +89,7 @@ def assert_canonical(form: KForm) -> None:
 class TestCanonicalCoefficients:
     @given(st.data())
     def test_every_operation_stores_canonical_terms(self, data):
-        g = data.draw(st.sampled_from(ALGEBRAS))
+        g = data.draw(st.sampled_from(algebras()))
         n = g.dim
         ka = data.draw(st.integers(0, n))
         a = data.draw(public_forms(n, ka))
@@ -173,13 +174,18 @@ class TestStarLaws:
         assert hodge_star_orthonormal(a + b) == hodge_star_orthonormal(a) + hodge_star_orthonormal(b)
 
 
-ALGEBRAS = paper_algebras()
+@functools.cache
+def algebras():
+    """The paper algebras, built at their first use inside a test, so that a
+    fault in the kernel fails the tests that use them, not the collection of
+    this module."""
+    return paper_algebras()
 
 
 class TestDifferentialLaws:
     @given(st.data())
     def test_d_antiderivation(self, data):
-        g = data.draw(st.sampled_from(ALGEBRAS))
+        g = data.draw(st.sampled_from(algebras()))
         a = data.draw(forms(dim=g.dim, max_terms=3))
         b = data.draw(forms(dim=g.dim, max_terms=3))
         sign = Fraction((-1) ** a.degree)
@@ -187,14 +193,14 @@ class TestDifferentialLaws:
 
     @given(st.data())
     def test_d_squared_zero_on_corpus(self, data):
-        g = data.draw(st.sampled_from(ALGEBRAS))
+        g = data.draw(st.sampled_from(algebras()))
         f = data.draw(forms(dim=g.dim))
         assert g.d(g.d(f)).is_zero()
 
     @given(st.data())
     def test_cartan_formula_consistency(self, data):
         # L_v(a ^ b) = L_v a ^ b + a ^ L_v b
-        g = data.draw(st.sampled_from(ALGEBRAS))
+        g = data.draw(st.sampled_from(algebras()))
         a = data.draw(forms(dim=g.dim, max_terms=2))
         b = data.draw(forms(dim=g.dim, max_terms=2))
         v = data.draw(vectors(g.dim))
@@ -252,7 +258,7 @@ class TestJacobiEquivalence:
         assert g.jacobi_check().passed == bracket_jacobi_oracle(g)
 
     def test_on_corpus(self):
-        for g in ALGEBRAS:
+        for g in algebras():
             assert bracket_jacobi_oracle(g)
 
     @given(st.data())
@@ -397,7 +403,7 @@ class TestShearLaws:
     @given(st.data())
     @settings(max_examples=40)
     def test_validity_iff_jacobi(self, data):
-        g = data.draw(st.sampled_from([a for a in ALGEBRAS if frame_ideal_indices(a)]))
+        g = data.draw(st.sampled_from([a for a in algebras() if frame_ideal_indices(a)]))
         k = data.draw(st.sampled_from(frame_ideal_indices(g)))
         f0 = data.draw(forms(dim=g.dim, degree=2, max_terms=3))
         a = data.draw(st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2)]))
@@ -407,7 +413,7 @@ class TestShearLaws:
 
     @given(st.data())
     def test_frame_preservation(self, data):
-        g = data.draw(st.sampled_from([a for a in ALGEBRAS if frame_ideal_indices(a)]))
+        g = data.draw(st.sampled_from([a for a in algebras() if frame_ideal_indices(a)]))
         k = data.draw(st.sampled_from(frame_ideal_indices(g)))
         f0 = data.draw(forms(dim=g.dim, degree=2, max_terms=2))
         shear_data = ShearData(X=Vector.basis(g.dim, k), alpha=KForm.monomial(g.dim, (k,)), F0=f0)
@@ -418,13 +424,16 @@ class TestShearLaws:
                 assert out.diffs[j] == g.diffs[j]
 
 
-RANDOM_SHEARS = random_shears()
+@functools.cache
+def random_shear_cases():
+    """random_shears()'s stream, built at its first use inside a test."""
+    return random_shears()
 
 
 class TestDecomposition:
     def test_eta_bracket_matches_the_bracket(self):
         # eta_bracket(E_i) = alpha([E_i, X]), computed here from g.bracket
-        for g, data in RANDOM_SHEARS:
+        for g, data in random_shear_cases():
             n = g.dim
             mus = [data.alpha(g.bracket(Vector.basis(n, i), data.X)) for i in range(1, n + 1)]
             by_bracket = KForm(n, 1, {1 << k: mu for k, mu in enumerate(mus)})
@@ -433,7 +442,7 @@ class TestDecomposition:
 
 class TestPreparedShearBase:
     def test_eta0_vanishes_on_xi_identically(self):
-        for g, data in RANDOM_SHEARS:
+        for g, data in random_shear_cases():
             rep = validate_shear(g, data)
             assert rep.eta_0(data.X) == 0
             assert rep.conditions["eta0_vanishes_on_xi"] is True
