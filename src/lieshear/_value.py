@@ -7,6 +7,12 @@ when those fields are; an instance of any other class is not, and the hash
 is that of the field tuple, so a value holding a dict is unhashable.
 Assignment and deletion raise AttributeError.  The repr is `Name(field=...)`
 over the fields not in `_hidden`.  Defining a subclass generates no code.
+
+A subclass defines its own __init__ only for defaults or checks, or for
+speed where a search builds one per hit: `SearchHit` and `ShearReport`
+keep hand-written ones.  With keywords they take 1.0 and 1.4 us per call
+against 2.8 and 4.3 us through `Value.__init__`, where the s5 reference
+search spends about 18 us per hit (CPython 3.11, a 2-CPU Xeon host).
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ class Value:
 
     def __init__(self, *args, **kwargs):
         """Every field, by position or by keyword and without defaults; a
-        class with defaults or checks defines its own __init__."""
+        class with defaults, checks or a per-hit cost defines its own."""
         names = self._fields
         if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
             raise TypeError(f"{type(self).__name__}() takes exactly the fields {', '.join(names)}")

@@ -177,6 +177,8 @@ def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KFo
         raise ValueError("Kaehler check needs even dimension")
     if {metric.dim, js.dim, omega.dim} != {g.dim}:
         raise ValueError("metric, J and omega must live on the algebra's dimension")
+    if not (omega.degree == 2 or omega.is_zero()):
+        raise ValueError("omega must be a two-form on the algebra")
     # M = G J is all the matrix work: omega(E_i, E_j) = metric(J E_i, E_j) = M[j][i],
     # and since J^2 = -Id and G is symmetric, J^T G J = G exactly when M^T = -M.
     # Only then is metric(J., .) a two-form, so otherwise omega cannot equal it:
@@ -185,11 +187,10 @@ def kahler_check(g: LieAlgebra, metric: Metric, js: ComplexStructure, omega: KFo
     n = g.dim
     m = linalg.mat_mul(metric.gram, js.j)
     invariant = all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
-    two_form = omega.degree == 2 or omega.is_zero()
     checks = {
         "metric_positive_definite": metric.is_positive_definite(),
         "metric_j_invariant": invariant,
-        "omega_equals_metric_j": invariant and two_form and form_matrix(omega) == [[*col] for col in zip(*m)],
+        "omega_equals_metric_j": invariant and form_matrix(omega) == [[*col] for col in zip(*m)],
         "omega_closed": is_closed(g, omega),
         "nijenhuis_vanishes": nijenhuis(g, js).integrable,
     }

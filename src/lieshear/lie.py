@@ -40,11 +40,7 @@ class ShearLineError(ValueError):
 
 
 class JacobiReport(Value):
-    _fields = ("passed", "failures")
-
-    def __init__(self, passed: bool, failures: tuple[tuple[int, KForm], ...]):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failures", failures)  # (generator index, d(d e_k)) for each violation
+    _fields = ("passed", "failures")  # bool, and (generator index, d(d e_k)) for each violation
 
 
 _PASSED = JacobiReport(True, ())  # immutable, so every passing algebra shares it
@@ -105,8 +101,8 @@ class LieAlgebra:
     `_columns`: the bracket, the series, the centralizer, the shear lines,
     the ideal test of a shear and the Nijenhuis tensor of `geometry` all go
     through it, and no bracket table or ad matrix is ever built.  Only
-    [g, g] skips it: its spanning brackets [E_i, E_j] are the terms of one
-    index pair each.
+    [g, g] skips it: its spanning brackets [E_i, E_j] are read off `diffs`,
+    one index pair each, on that pair's own denominators.
 
     Two slots are filled on use: `_series` caches the series with the
     integral terms it bracketed by, which the shear lines read, and `_decomp`
@@ -231,7 +227,11 @@ class LieAlgebra:
 
     def _int_terms(self) -> tuple[int, list[tuple[int, int, int, int]]]:
         """(scale, terms): (i, j, k, scale*c) for each term c e_ij (0-based i < j)
-        of d e_k, scale the lcm of the denominators of the c."""
+        of d e_k, scale the lcm of the denominators of the c.
+
+        The one scale serves `_columns`' sums, which add the terms of many
+        d e_k; [g, g]'s rows each hold one index pair and are read off
+        `diffs` on their own denominators (`series`)."""
         terms = [((mask & -mask).bit_length() - 1, mask.bit_length() - 1, k, c)
                  for k, f in enumerate(self.diffs) for mask, c in f.terms.items()]
         scale = lcm(*{c.denominator for _, _, _, c in terms})
@@ -254,8 +254,9 @@ class LieAlgebra:
         """The series report; `_series` caches it with its lower central and
         derived chains as `Rows`, and the `_int_terms` they were bracketed by.
 
-        [g, g] is read off the terms: one vector, scale [E_i, E_j], per pair
-        i < j with a term.  Each later step brackets into its predecessor s
+        [g, g] is read off `diffs`: one row [E_i, E_j] per index pair i < j
+        with a term, holding that pair's own coefficients, which `rref`
+        makes primitive.  Each later step brackets into its predecessor s
         by `_brackets`, through the columns [E_i, v] of each row v of s, taken
         once per row in this call: the lower-central step [g, s] and the
         derived step [s, s] share them, and for g' = [g, g] both brackets of
@@ -269,9 +270,10 @@ class LieAlgebra:
             n = self.dim
             int_terms = self._int_terms()
             terms = int_terms[1]
-            pairs: dict[int, list[int]] = {}
-            for i, j, k, c in terms:  # d e_k has one term per pair, so each entry is set once
-                pairs.setdefault(i * n + j, [0] * n)[k] = -c
+            pairs: dict[int, list[Coeff]] = {}
+            for k, f in enumerate(self.diffs):
+                for mask, c in f.terms.items():
+                    pairs.setdefault(mask, [0] * n)[k] = -c
             full = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
             columns: dict[linalg.Row, list[list[int]]] = {}
             lower = _chain(linalg.span_rref(list(pairs.values())), lambda s: _brackets(full, s, terms, columns))

@@ -114,10 +114,11 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     test F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma
     computed once per search.  F0 is assembled from stored coefficients,
     and F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
-    itself when -1/a is 1.  Each hit's algebra is built by _sheared from the
-    base's plan (ShearBase.plan): the generators X touches, whose d e_k it
-    replaces, and the Jacobi re-check set, which adds those whose d e_k has
-    a monomial on one of them.  Every other d(d e_k) is the base's, zero
+    itself when -1/a is 1, as KForm.__mul__ returns the form for 1.  Each
+    hit's algebra is built by _sheared from the base's plan
+    (ShearBase.plan): the generators X touches, whose d e_k it replaces,
+    and the Jacobi re-check set, which adds those whose d e_k has a
+    monomial on one of them.  Every other d(d e_k) is the base's, zero
     when the base passes (LieAlgebra._replacing); a base that fails gets the
     full check.  The re-check's d signs by the two-bit rule of
     LieAlgebra.d, and every passing algebra shares one JacobiReport(True, ()).
@@ -134,7 +135,6 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     if not spec.a:
         raise ShearDataError("transfer constant a must be nonzero")
     neg_inv_a = _as_coeff(-1 / spec.a)
-    unit = neg_inv_a == 1  # then F_eff is F0 itself
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     legs = [interior(spec.X, s) for s in spec.preserve]
     columns = _condition_columns(base, masks, legs)
@@ -151,7 +151,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
                 if any(sum(map(mul, ks, r)) for r in rows):
                     continue
                 f0 = _make(n, 2, dict(zip(mons, coeffs)))
-                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 if unit else f0 * neg_inv_a)
+                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
                 report = validate_shear(spec.base, data)
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))

@@ -275,9 +275,9 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
         raise ShearDataError("eta_g must be closed")
     f_eff = data.f_eff
     f0 = data.F0
-    # a two-form F0 with no monomial on X's support has nu = X . F0 = 0,
-    # taken without the interior product
-    nu = interior(data.X, f0) if f0.degree != 2 or any(m & base._xmask for m in f0.terms) else _ZERO_ONE_FORMS[g.dim]
+    # an F0 with no monomial on X's support (ShearData admits a two-form or a
+    # zero F0) has nu = X . F0 = 0, taken without the interior product
+    nu = interior(data.X, f0) if any(m & base._xmask for m in f0.terms) else _ZERO_ONE_FORMS[g.dim]
     if not nu.terms:
         # eta' = 0 and d(nu) = 0: eta_0 = eta and f' = F_eff, so the required
         # conditions are base.eta_closed and leg_free_defect(F0) = 0

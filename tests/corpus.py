@@ -1,6 +1,7 @@
 """Shared fixtures: reference algebras, forms, and seeded random generators."""
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -101,9 +102,15 @@ def paper_algebras() -> list[LieAlgebra]:
     return algebras
 
 
-# bases for a shear-shaped change d e_j + x_j F; the last two fail Jacobi
-INCREMENTAL_BASES = [*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
-                     parse_salamon("(12,34,0,0)"), parse_salamon("(0,12,0,23)")]
+@functools.cache
+def incremental_bases() -> tuple[LieAlgebra, ...]:
+    """Bases for a shear-shaped change d e_j + x_j F; the last two fail Jacobi.
+
+    Built at its first use inside a test, so that a fault in the kernel fails
+    the tests that use it, not the collection of the modules that import it.
+    """
+    return (*paper_algebras(), g_lm(1, 2), LieAlgebra.abelian(5),
+            parse_salamon("(12,34,0,0)"), parse_salamon("(0,12,0,23)"))
 
 
 COEFF_POOL = [Fraction(c) for c in (-3, -2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
@@ -557,6 +564,19 @@ def random_closed_two_form(rng: random.Random, g: LieAlgebra) -> KForm:
 def random_diff_candidate(rng: random.Random, dim: int) -> LieAlgebra:
     """Arbitrary generator differentials; usually fails the Jacobi identity."""
     return LieAlgebra([random_form(rng, dim, 2, max_terms=2) for _ in range(dim)])
+
+
+def two_step_document(rng: random.Random, digits: int) -> dict:
+    """A dimension-14 algebra document, 2-step nilpotent: d e_1, ..., d e_7 are
+    zero, and d e_8, ..., d e_14 each hold all 21 terms +-p/q e_ij with
+    i < j <= 7, p and q of `digits` digits.  d(d e_k) = 0 for every k, so it
+    passes Jacobi, and [g, g] is spanned by 21 rows of such coefficients."""
+    low, high = 10 ** (digits - 1), 10 ** digits
+    masks = [(1 << i) | (1 << j) for i, j in combinations(range(7), 2)]
+    diffs = {str(k): str(KForm(14, 2, {m: Fraction(rng.choice((-1, 1)) * rng.randrange(low, high),
+                                                   rng.randrange(low, high)) for m in masks}))
+             for k in range(8, 15)}
+    return {"dim": 14, "d": diffs}
 
 
 def frame_ideal_indices(g: LieAlgebra) -> list[int]:

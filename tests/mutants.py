@@ -64,8 +64,8 @@ MUTANTS = [
     ),
     Mutant(
         "derived-sign-of-e1", "lie.py",
-        "pairs.setdefault(i * n + j, [0] * n)[k] = -c",
-        "pairs.setdefault(i * n + j, [0] * n)[k] = -c if k else c",
+        "pairs.setdefault(mask, [0] * n)[k] = -c",
+        "pairs.setdefault(mask, [0] * n)[k] = -c if k else c",
         ("tests/test_lie.py::TestSeries::test_chains_match_the_dense_reference",
          "tests/test_lie.py::TestFrameChange::test_the_series_moves_with_the_frame",
          "tests/test_shear.py::TestFrameChange::test_the_twist_moves_with_the_frame"),
@@ -318,6 +318,11 @@ MUTANTS = [
         ("tests/test_lie.py::TestDifferentialOracle::test_d_matches_the_koszul_formula",
          "tests/test_lie.py::TestDifferential::test_extension_on_solvable_example",
          "tests/test_lie.py::TestDifferential::test_antiderivation_rule",
+         "tests/test_lie.py::TestJacobi::test_paper_algebras_pass",
+         "tests/test_lie.py::TestIncrementalJacobi::test_pinned_changes[valid-basis-x]",
+         "tests/test_search.py::TestEnumerate::test_finds_paper_deformation",
+         "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check",
+         "tests/test_search.py::TestEnumerate::test_matches_the_reference_on_random_specs",
          "tests/test_shear.py::TestDerivedForms::test_derived_forms_match_their_formulas",
          "tests/test_shear.py::TestValidate::test_golden_valid",
          "tests/test_properties.py::TestDecomposition::test_eta_bracket_matches_the_bracket",
@@ -325,8 +330,8 @@ MUTANTS = [
     ),
     Mutant(
         "nu-shortcut-without-mask", "shear.py",
-        "if f0.degree != 2 or any(m & base._xmask for m in f0.terms) else",
-        "if f0.degree != 2 else",
+        "interior(data.X, f0) if any(m & base._xmask for m in f0.terms) else",
+        "interior(data.X, f0) if False else",
         ("tests/test_shear.py::TestShearBase::test_nu_is_computed_only_for_an_f0_on_the_support_of_x[x-leg-2]",
          "tests/test_shear.py::TestValidate::test_golden_invalid",
          "tests/test_search.py::TestEnumerate::test_matches_the_reference_on_random_specs"),
@@ -341,10 +346,28 @@ MUTANTS = [
     ),
     Mutant(
         "f-eff-is-f0-for-every-a", "search.py",
-        "    unit = neg_inv_a == 1",
-        "    unit = True",
+        "f0, spec.a, f0 * neg_inv_a)",
+        "f0, spec.a, f0)",
         ("tests/test_search.py::TestEnumerate::test_per_search_constants_give_the_reference_hits[2]",
          "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check"),
+    ),
+    Mutant(
+        # a repeating term's brackets have full rank at its pivots, but not at
+        # each row's last nonzero column: the chain would append the term forever
+        "chain-pivots-at-last-nonzero-column", "lie.py",
+        "linalg.rank_at(vecs, [next(c for c, x in enumerate(v) if x) for v in s])",
+        "linalg.rank_at(vecs, [max(c for c, x in enumerate(v) if x) for v in s])",
+        ("tests/test_lie.py::TestSeries::test_a_chain_brackets_at_most_dim_plus_one_times[(21+13,3.21+23,3.31+23)]",
+         "tests/test_lie.py::TestSeries::test_a_chain_brackets_at_most_dim_plus_one_times"
+         "[(2.41+51,2.21+2.42+52,2.31+2.43+53,4.41+2.54,4.14+2.51+4.45)]",
+         "tests/test_lie.py::TestSeries::test_a_chain_brackets_at_most_dim_plus_one_times"
+         "[(2.12+2.31+23,2.12+9.31+2.23,5.12+2.31+2.23,4.21+10.31)]"),
+    ),
+    Mutant(
+        "kahler-degree-unchecked", "geometry.py",
+        "    if not (omega.degree == 2 or omega.is_zero()):\n",
+        "    if False:\n",
+        ("tests/test_geometry.py::test_malformed_arguments_are_refused[kahler-degree]",),
     ),
     Mutant(
         "shear-without-x-k", "shear.py",

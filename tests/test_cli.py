@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from corpus import mono, reference_det, reference_enumerate_f0, replaced
+from corpus import mono, reference_det, reference_enumerate_f0, replaced, two_step_document
 from lieshear import KForm, SearchSpec, Vector, cli, linalg, parse_salamon
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
@@ -137,6 +137,22 @@ class TestAlgebraCheck:
         code, out, _ = run(capsys, "algebra-check", files["h3"])
         assert code == 0
         assert "nilpotent" in out and "step 2" in out
+
+    def test_400_digit_brackets_finish_with_the_recorded_result(self, tmp_path):
+        # the 21 rows spanning [g, g] each hold one index pair's 400-digit
+        # coefficients; scaled by the lcm of all 147 denominators, about 58k
+        # digits, one elimination of them took 8 s.  The digest was recorded
+        # while the rows carried that scale: their own denominators must give
+        # the same result
+        doc = tmp_path / "two_step.json"
+        doc.write_text(json.dumps(two_step_document(random.Random(400), 400)))
+        proc = subprocess.run([sys.executable, "-m", "lieshear", "algebra-check", str(doc), "--json"],
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["classification"]["nilpotent"] and len(result["lower_central"]) == 2
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        assert digest == "ae91db104d6a310817bd5bf0c86cf49f84ef82af983914898bf68163c3c8fcdb"
 
 
 class TestSubstitutions:

@@ -76,6 +76,8 @@ REFUSALS = {
                                          omega_std(4)), "Kaehler check needs even dimension"),
     "kahler-dim": (lambda: kahler_check(LieAlgebra.abelian(4), Metric.standard(6), ComplexStructure.standard(4),
                                         omega_std(4)), "metric, J and omega must live on the algebra's dimension"),
+    "kahler-degree": (lambda: kahler_check(LieAlgebra.abelian(6), Metric.standard(6), ComplexStructure.standard(6),
+                                           mono(6, (1, 2, 3))), "omega must be a two-form on the algebra"),
     "half-flat-dim": (lambda: half_flat_check(LieAlgebra.abelian(4), KForm.zero(4, 2), KForm.zero(4, 3)),
                       "half-flat structures live in dimension 6"),
     "half-flat-omega": (lambda: half_flat_check(LieAlgebra.abelian(6), mono(6, (1,)), KForm.zero(6, 3)),

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from corpus import (INCREMENTAL_BASES, change_basis, g_lm, h_lm, mono, paper_algebras, permutation_frame, psi4,
+from corpus import (change_basis, g_lm, h_lm, incremental_bases, mono, paper_algebras, permutation_frame, psi4,
                     random_almost_abelian, random_frame, random_nilpotent, random_solvable_extension,
                     random_unimodular, reference_bracket_span, reference_chain, reference_d, reference_shear_lines)
 from lieshear import (
@@ -462,7 +462,7 @@ def incremental_report(g, x, f):
 
 @st.composite
 def shear_changes(draw):
-    g = draw(st.sampled_from(INCREMENTAL_BASES))
+    g = draw(st.sampled_from(incremental_bases()))
     x = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=g.dim, max_size=g.dim))
     # frame monomials off X's support: on the abelian base such an F always passes
     leg_free = draw(st.booleans())
@@ -569,6 +569,37 @@ class TestSeries:
     def test_series_requires_jacobi(self):
         with pytest.raises(ValueError):
             parse_salamon("(0,12,0,23)").series()
+
+    @pytest.mark.parametrize("text", [
+        "(21+13,3.21+23,3.31+23)",  # (13,23,0) in a tilted frame: g' repeats
+        "(2.41+51,2.21+2.42+52,2.31+2.43+53,4.41+2.54,4.14+2.51+4.45)",  # (51,52,53,2.54,0), tilted
+        "(2.12+2.31+23,2.12+9.31+2.23,5.12+2.31+2.23,4.21+10.31)",  # so(3) + R, tilted: both chains repeat
+        "(0,0,12,13,14,15)",  # filiform: the lower central chain shrinks to zero
+    ])
+    def test_a_chain_brackets_at_most_dim_plus_one_times(self, monkeypatch, text):
+        # each bracketing step shrinks its term or ends the chain, so a chain
+        # brackets at most dim + 1 times: a fault that keeps a repeating term
+        # going (pivots read off the wrong columns, say) fails at that bound,
+        # not at a time or memory limit
+        chain = lie._chain
+
+        def bounded(first, brackets):
+            steps = 0
+
+            def counted(s):
+                nonlocal steps
+                steps += 1
+                if steps > len(s[0]) + 1:
+                    pytest.fail(f"a chain asked for {steps} bracket steps in dimension {len(s[0])}")
+                return brackets(s)
+
+            return chain(first, counted)
+
+        monkeypatch.setattr(lie, "_chain", bounded)
+        g = parse_salamon(text)
+        rep = g.series()
+        if rep.is_solvable and not rep.is_abelian:
+            g.find_shear_lines()
 
     @given(st.randoms(use_true_random=False), st.sampled_from(["shrinks", "repeats", "both"]))
     @settings(max_examples=40)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from corpus import INCREMENTAL_BASES, g_lm, mono, psi4, random_form, reference_enumerate_f0, replaced
+from corpus import g_lm, incremental_bases, mono, psi4, random_form, reference_enumerate_f0, replaced
 from lieshear import (
     KForm,
     LieAlgebra,
@@ -352,7 +353,7 @@ class TestEnumerate:
         rng = random.Random(23)
         x_leg_hits = refused = 0
         for _ in range(30):
-            g, x, alpha = rng.choice(RANDOM_BASES)
+            g, x, alpha = rng.choice(random_bases())
             X, pairs = Vector(x), list(combinations(range(1, g.dim + 1), 2))
             legged = [(i, j) for i, j in pairs if x[i - 1] or x[j - 1]]
             support = tuple({*rng.sample(legged, 2), *rng.sample(pairs, 3)})
@@ -403,22 +404,28 @@ class TestEnumerate:
                 assert h.sheared.jacobi_check().passed
 
 
-# (algebra, X, alpha): X spans an ideal; the non-basis X are eigenvectors of a
-# repeated eigenvalue, and some alpha have a leg off X's frame vectors
-RANDOM_BASES = [
-    *((parse_salamon(f"(51,52,53,{c}.54,0)"), (0, 0, 0, 1, 0), mono(5, (4,))) for c in ("1", "2", "-1", "1/2")),
-    (parse_salamon(S5), (1, 1, 0, 0, 0), mono(5, (1,))),
-    (parse_salamon(S5), (1, -2, 3, 0, 0), mono(5, (3,), Fraction(1, 3)) + mono(5, (4,), 2)),
-    (g_lm(1, 2), (1, 0, 0, 0, 0, 0, 0), mono(7, (1,))),
-    (g_lm(1, 1), (0, 1, 1, 0, 0, 0, 0), mono(7, (2,), Fraction(1, 2)) + mono(7, (3,), Fraction(1, 2))),
-    (parse_salamon("(0,0,12,13)"), (0, 0, 0, 1), mono(4, (4,))),
-    (LieAlgebra.abelian(5), (1, 1, 0, 0, 0), mono(5, (2,)) - mono(5, (5,))),
-]
+@functools.cache
+def random_bases():
+    """(algebra, X, alpha): X spans an ideal; the non-basis X are eigenvectors of a
+    repeated eigenvalue, and some alpha have a leg off X's frame vectors.  Built
+    at its first use inside a test, so that a fault in the kernel fails the
+    tests that use it, not the collection of this module."""
+    return (
+        *((parse_salamon(f"(51,52,53,{c}.54,0)"), (0, 0, 0, 1, 0), mono(5, (4,))) for c in ("1", "2", "-1", "1/2")),
+        (parse_salamon(S5), (1, 1, 0, 0, 0), mono(5, (1,))),
+        (parse_salamon(S5), (1, -2, 3, 0, 0), mono(5, (3,), Fraction(1, 3)) + mono(5, (4,), 2)),
+        (g_lm(1, 2), (1, 0, 0, 0, 0, 0, 0), mono(7, (1,))),
+        (g_lm(1, 1), (0, 1, 1, 0, 0, 0, 0), mono(7, (2,), Fraction(1, 2)) + mono(7, (3,), Fraction(1, 2))),
+        (parse_salamon("(0,0,12,13)"), (0, 0, 0, 1), mono(4, (4,))),
+        (LieAlgebra.abelian(5), (1, 1, 0, 0, 0), mono(5, (2,)) - mono(5, (5,))),
+    )
+
+
 RANDOM_COEFFS = [(-1, 0, 1), (-2, -1, 0, 1, 2), (-1, 0, Fraction(1, 2), 1), (0, Fraction(1, 3), Fraction(-3, 2))]
 
 
 def _random_spec(rng):
-    g, x, alpha = rng.choice(RANDOM_BASES)
+    g, x, alpha = rng.choice(random_bases())
     n = g.dim
     support = None
     if rng.random() < 0.5:
@@ -442,8 +449,11 @@ def ideal_vectors(g):
     return frame + [v for v in sums if check_xi_ideal(g, v) is None]
 
 
-# the Jacobi-passing bases, each with its ideal vectors
-HIT_BASES = [(g, ideal_vectors(g)) for g in INCREMENTAL_BASES if g.jacobi_check().passed]
+@functools.cache
+def hit_bases():
+    """The Jacobi-passing bases, each with its ideal vectors, built at their
+    first draw."""
+    return tuple([(g, ideal_vectors(g)) for g in incremental_bases() if g.jacobi_check().passed])
 
 
 @st.composite
@@ -451,7 +461,7 @@ def hit_specs(draw):
     """Search specs with a != -1 on a base passing Jacobi: X a multiple of an
     ideal vector, alpha(X) = 1 with an optional leg off X, and a support of
     leg-free monomials only, or of any monomials, X-legs included."""
-    g, vectors = draw(st.sampled_from(HIT_BASES))
+    g, vectors = draw(st.sampled_from(hit_bases()))
     n = g.dim
     X = draw(st.sampled_from(vectors)) * draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 2)]))
     x = X.components
