@@ -1,12 +1,18 @@
-"""The base of the package's immutable value classes: reports, search specs and shear data.
+"""The base of the package's immutable values: forms, vectors, Lie algebras,
+and the reports, search specs and shear data built from them.
 
 A subclass names its compared fields in `_fields`, in constructor order,
-and sets them with object.__setattr__ or through __dict__, as its own
-__setattr__ refuses.  Instances of one class are equal
-when those fields are; an instance of any other class is not, and the hash
-is that of the field tuple, so a value holding a dict is unhashable.
-Assignment and deletion raise AttributeError.  The repr is `Name(field=...)`
+and sets them with object.__setattr__ or through __dict__, as __setattr__
+refuses.  Not every attribute is a field: a KForm leaves out its degree,
+so a zero form has a degree in name only, and a LieAlgebra its caches.
+Instances of one class are equal when those fields are; an instance of
+any other class, a subclass included, is not, and the hash is that of the
+field tuple, so a value holding a dict is unhashable (KForm hashes its
+terms itself).  Assignment and deletion raise AttributeError; copies and
+unpickled values are filled by __setstate__.  The repr is `Name(field=...)`
 over the fields not in `_hidden`.  Defining a subclass generates no code.
+`__slots__ = ()` keeps the slotted KForm, Vector and LieAlgebra without an
+instance dict: the s5 reference search keeps 1,545 hit algebras.
 
 A subclass defines its own __init__ only for defaults or checks, or for
 speed where a search builds one per hit: `SearchHit` and `ShearReport`
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 
 class Value:
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()  # compared, but left out of the repr
 
@@ -49,7 +56,14 @@ class Value:
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        """Restore a copy or an unpickled value: object.__getstate__ gives the
+        __dict__, or (__dict__ or None, slots) for a class with slots."""
+        attrs, slots = state if type(state) is tuple else (state, None)
+        for name, value in {**(attrs or {}), **(slots or {})}.items():
+            object.__setattr__(self, name, value)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._value import Value
+
 MAX_DIM = 14
 
 Coeff = Fraction | int
@@ -75,15 +77,18 @@ def _signed_mask(indices: Iterable[int], dim: int) -> tuple[int, int]:
     return sign, mask
 
 
-class KForm:
+class KForm(Value):
     """Homogeneous exterior form of any degree k >= 0 on an n-dimensional frame.
 
-    Immutable value type: term map monomial-mask -> nonzero coefficient, an
-    int when integral and a Fraction otherwise.  The constructor checks
-    every mask and coefficient; the kernel's own results come from `_make`.
+    Immutable value: term map monomial-mask -> nonzero coefficient, an int
+    when integral and a Fraction otherwise.  It compares by dimension and
+    terms, as every mask has `degree` bits; its own hash reads the terms as
+    a frozenset.  The constructor checks every mask and coefficient; the
+    kernel's own results come from `_make`.
     """
 
     __slots__ = ("dim", "degree", "terms")
+    _fields = ("dim", "terms")
 
     def __init__(self, dim: int, degree: int, terms: Mapping[int, Coeff] | None = None):
         if not 0 < dim <= MAX_DIM:
@@ -105,9 +110,6 @@ class KForm:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KForm is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -173,12 +175,6 @@ class KForm:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KForm):
-            return NotImplemented
-        # every mask has `degree` bits, so equal nonzero term maps have equal degrees
-        return self.dim == other.dim and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
@@ -234,14 +230,15 @@ def _make(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:
     return form
 
 
-# the slot setters, which KForm.__setattr__ would refuse
+# the slot setters, which Value.__setattr__ would refuse
 _set_dim, _set_degree, _set_terms = KForm.dim.__set__, KForm.degree.__set__, KForm.terms.__set__
 
 
-class Vector:
+class Vector(Value):
     """Vector in the frame E_1, ..., E_n with exact rational components."""
 
     __slots__ = ("dim", "components")
+    _fields = ("components",)
 
     def __init__(self, components: Sequence):
         comps = tuple(_as_fraction(c) for c in components)
@@ -249,9 +246,6 @@ class Vector:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {len(comps)}")
         object.__setattr__(self, "dim", len(comps))
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "Vector":
@@ -283,14 +277,6 @@ class Vector:
         return Vector([c * v for v in self.components])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.components)

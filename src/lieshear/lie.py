@@ -89,7 +89,7 @@ class ShearLineReport(Value):
     )
 
 
-class LieAlgebra:
+class LieAlgebra(Value):
     """Lie algebra of dimension n >= 2 given by the two-forms d e_1, ..., d e_n.
 
     Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k;
@@ -114,10 +114,12 @@ class LieAlgebra:
     only ever assigned a complete value, an atomic store, so a reader sees
     the old value or the new one.  The base's caches grow by such stores
     too, one complete entry at a time, and a race between two writers only
-    costs one recomputation.
+    costs one recomputation.  An algebra compares and hashes by its d e_k
+    alone, never by what it has cached.
     """
 
     __slots__ = ("dim", "diffs", "_jacobi", "_series", "_decomp")
+    _fields = ("diffs",)
 
     def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
         diffs = tuple(diffs)
@@ -174,20 +176,9 @@ class LieAlgebra:
             return tuple(range(self.dim))
         return tuple([k for k, f in enumerate(self.diffs) if reduce(or_, f.terms, 1 << k) & changed])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
         return cls([KForm.zero(dim, 2)] * dim)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return self.diffs == other.diffs
-
-    def __hash__(self):
-        return hash(self.diffs)
 
     def __repr__(self) -> str:
         if self.dim <= 9:

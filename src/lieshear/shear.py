@@ -22,16 +22,6 @@ from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _
                        one_form, wedge)
 from .lie import LieAlgebra, _columns, _d_terms
 
-CONDITION_NAMES = (
-    "xi_ideal",
-    "df_eff_eq_eta0_wedge_f_eff",
-    "eta0_closed",
-    "eta0_vanishes_on_xi",
-    "dnu_wedge_nu_zero",
-    "dnu_zero",
-    "f0_compatible_with_eta_g",
-)
-
 #: conditions that decide validity (the rest are geometric diagnostics;
 #: eta0_vanishes_on_xi holds for all shear data, see validate_shear)
 REQUIRED_CONDITIONS = (

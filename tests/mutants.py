@@ -370,6 +370,30 @@ MUTANTS = [
         ("tests/test_geometry.py::test_malformed_arguments_are_refused[kahler-degree]",),
     ),
     Mutant(
+        "value-slots-dropped", "_value.py",
+        "    __slots__ = ()\n",
+        "",
+        ("tests/test_value.py::test_kernel_values_have_no_instance_dict[KForm]",
+         "tests/test_value.py::test_kernel_values_have_no_instance_dict[Vector]",
+         "tests/test_value.py::test_kernel_values_have_no_instance_dict[LieAlgebra]"),
+    ),
+    Mutant(
+        "kform-equality-reads-degree", "exterior.py",
+        '    _fields = ("dim", "terms")\n',
+        '    _fields = ("dim", "degree", "terms")\n',
+        ("tests/test_acceptance.py::test_criterion_7_exterior_property_suite",
+         "tests/test_value.py::test_zero_forms_of_different_degrees_are_equal"),
+    ),
+    Mutant(
+        "setstate-drops-slots", "_value.py",
+        "        for name, value in {**(attrs or {}), **(slots or {})}.items():\n",
+        "        for name, value in (attrs or {}).items():\n",
+        ("tests/test_value.py::test_value_semantics[KForm]",
+         "tests/test_value.py::test_value_semantics[Vector]",
+         "tests/test_value.py::test_value_semantics[LieAlgebra]",
+         "tests/test_value.py::test_a_round_trip_keeps_an_algebra_and_its_kept_base_together"),
+    ),
+    Mutant(
         "shear-without-x-k", "shear.py",
         "            v = x * c\n",
         "            v = c\n",

@@ -557,7 +557,9 @@ class TestValidate:
         assert rep.eta_0 == mono(5, (5,), 2)  # eta_0 = eta
         assert rep.nu.is_zero()
         # the CLI prints the conditions in the report's own order
-        assert tuple(rep.conditions) == lieshear.shear.CONDITION_NAMES
+        assert tuple(rep.conditions) == ("xi_ideal", "df_eff_eq_eta0_wedge_f_eff", "eta0_closed",
+                                         "eta0_vanishes_on_xi", "dnu_wedge_nu_zero", "dnu_zero",
+                                         "f0_compatible_with_eta_g")
 
     def test_golden_invalid(self):
         g = parse_salamon(S5)

@@ -33,19 +33,44 @@ def _names_used(node: ast.AST) -> set[str]:
     return used
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
 def test_every_top_level_definition_is_used_or_exported():
-    # a function or class nothing names outside its own body is dead code
+    # a function, class or module constant nothing names outside its own
+    # statement is dead code; dunders (__all__) are exempt
     modules = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
     top = [node for module in modules for node in module.body]
     uses = [_names_used(node) for node in top]
     unused = [
-        node.name
+        name
         for i, node in enumerate(top)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in lieshear.__all__
-        and not any(node.name in used for j, used in enumerate(uses) if j != i)
+        for name in _defined_names(node)
+        if name not in lieshear.__all__ and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in used for j, used in enumerate(uses) if j != i)
     ]
     assert SOURCES and not unused, unused
+
+
+def test_only_value_defines_immutability_and_equality():
+    # one rule for every immutable value: a class with its own __setattr__,
+    # __delattr__ or __eq__ would restate `_value.Value`'s, and drift from it
+    found = [
+        f"{path.name}: {node.name}.{item.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name != "Value"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in {"__setattr__", "__delattr__", "__eq__"}
+        or isinstance(item, ast.Assign) and {"__setattr__", "__delattr__", "__eq__"} & set(_defined_names(item))
+    ]
+    assert SOURCES and not found, found
 
 
 def test_every_module_level_import_is_used():

@@ -1,5 +1,6 @@
-"""Value semantics of the package's reports, specs and shear data."""
+"""Value semantics of the package's forms, vectors, algebras, reports, specs and shear data."""
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lieshear import (
     JacobiReport,
     KahlerReport,
     KForm,
+    LieAlgebra,
     Metric,
     NijenhuisResult,
     PhiStabilityReport,
@@ -24,9 +26,9 @@ from lieshear import (
     ShearLineReport,
     ShearReport,
     Vector,
+    decompose_dalpha,
     parse_salamon,
 )
-from lieshear.shear import CONDITION_NAMES
 
 F = Fraction
 E3 = ((F(0), F(0), F(1)),)
@@ -36,13 +38,18 @@ X5, ALPHA5 = Vector.basis(5, 4), mono(5, (4,))
 BASE = dict(g=S5, X=X5, alpha=ALPHA5, eta=mono(5, (5,), 2), f=KForm.zero(5, 2))
 REPORT = dict(valid=True, decomp=ShearBase(**BASE), eta_prime=KForm.zero(5, 1), eta_0=mono(5, (5,), 2),
               f_prime=mono(5, (1, 2)), nu=KForm.zero(5, 1), f_eff=mono(5, (1, 2)),
-              conditions=dict.fromkeys(CONDITION_NAMES, True))
+              conditions=dict.fromkeys(("xi_ideal", "df_eff_eq_eta0_wedge_f_eff", "eta0_closed",
+                                        "eta0_vanishes_on_xi", "dnu_wedge_nu_zero", "dnu_zero",
+                                        "f0_compatible_with_eta_g"), True))
 # the forms these values derive from their fields, read-only like the fields
 DERIVED = {ShearBase: dict(eta_bracket=mono(5, (5,), -2)),
            ShearReport: dict(eta_tilde=mono(5, (5,), 2), f_tilde=mono(5, (1, 2)))}
 
 # every value class, with the keywords of one valid construction
 CASES = [
+    (KForm, dict(dim=3, degree=2, terms={0b011: 1})),
+    (Vector, dict(components=(F(1), F(0), F(-2)))),
+    (LieAlgebra, dict(diffs=(KForm.zero(3, 2), KForm.zero(3, 2), mono(3, (1, 2))))),
     (JacobiReport, dict(passed=False, failures=((3, mono(4, (1, 2, 3))),))),
     (SeriesReport, dict(lower_central=(E3, ()), derived=(E3, ()), is_abelian=False, is_nilpotent=True,
                         is_solvable=True, step_length=2, derived_length=2)),
@@ -65,6 +72,11 @@ CASES = [
 ]
 HOLDS_A_DICT = {ShearReport, SearchHit, KahlerReport}
 IDS = [cls.__name__ for cls, _ in CASES]
+SLOTTED = (KForm, Vector, LieAlgebra)
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
 
 
 @pytest.mark.parametrize("cls, kwargs", CASES, ids=IDS)
@@ -76,7 +88,8 @@ def test_value_semantics(cls, kwargs):
             hash(value)
     else:
         assert hash(value) == hash(twin)
-    assert copy.copy(value) == value
+    for twin_of in (copy.copy, copy.deepcopy, _pickled):
+        assert twin_of(value) == value
     # equality needs the same class, not only the same fields
     other = type("Other", (cls,), {})(**kwargs)
     assert value != other and other != value
@@ -96,6 +109,40 @@ def test_value_semantics(cls, kwargs):
         cls(**kwargs, unknown=None)
 
 
+@pytest.mark.parametrize("cls", SLOTTED, ids=[cls.__name__ for cls in SLOTTED])
+def test_kernel_values_have_no_instance_dict(cls):
+    # slots keep them small: the s5 reference search keeps 1,545 hit algebras
+    value = cls(**dict(CASES)[cls])
+    assert not hasattr(value, "__dict__")
+    assert not hasattr(_pickled(value), "__dict__")
+
+
+def test_zero_forms_of_different_degrees_are_equal():
+    # a form compares by dimension and terms: a zero form has a degree in name only
+    assert KForm.zero(3, 1) == KForm.zero(3, 2) and hash(KForm.zero(3, 1)) == hash(KForm.zero(3, 2))
+    assert KForm.zero(3, 1) != KForm.zero(4, 1)
+
+
+def test_no_attribute_of_a_kernel_value_can_be_deleted():
+    g, k, v = parse_salamon("(0,0,12)"), mono(3, (1, 2)), Vector.basis(3, 1)
+    g.series()
+    for value, name in [(g, "_series"), (g, "_decomp"), (g, "diffs"), (k, "degree"), (k, "terms"),
+                        (v, "components")]:
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            delattr(value, name)
+    assert g.series().is_nilpotent and k.degree == 2 and v.components == (1, 0, 0)
+
+
+def test_a_round_trip_keeps_an_algebra_and_its_kept_base_together():
+    g = parse_salamon("(51,52,53,2.54,0)")
+    base = decompose_dalpha(g, X5, ALPHA5)
+    g.series()
+    for twin_of in (copy.deepcopy, _pickled):
+        twin = twin_of(g)
+        assert twin == g and twin._decomp.g is twin and twin._decomp == base
+        assert twin._series == g._series and twin.jacobi_check() == g.jacobi_check()
+
+
 def test_defaults():
     data = ShearData(X=X5, alpha=ALPHA5, F0=mono(5, (1, 2)))
     assert (data.a, data.eta_g) == (F(-1), None) and type(data.a) is Fraction
@@ -111,9 +158,13 @@ def test_a_shear_base_compares_without_its_defect_cache():
     assert "_defects" not in repr(base)
 
 
-# captured from the dataclass versions of these classes; ShearBase's fields,
+# the kernel types' reprs as they were, the rest captured from the dataclass
+# versions of those classes; ShearBase's fields,
 # and so the reports holding one, are those of the split d(alpha) = eta ^ alpha + f
 REPRS = {
+    "KForm": "KForm(3, 2, e12)",
+    "Vector": "Vector([Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1)])",
+    "LieAlgebra": "LieAlgebra('(0,0,12)')",
     "JacobiReport": 'JacobiReport(passed=False, failures=((3, KForm(4, 3, e123)),))',
     "SeriesReport": ('SeriesReport(lower_central=(((Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)),), ()), '
                      'derived=(((Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)),), ()), is_abelian=False, '
