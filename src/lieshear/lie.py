@@ -98,7 +98,8 @@ class LieAlgebra(Value):
     replaced, and checks only the generators `_recheck` names for them; the
     report is the full check's either way.  Brackets are
     read off the terms of the d e_k when asked for, by the one formula of
-    `_columns`: the bracket, the series, the centralizer, the shear lines,
+    `_columns`, and summed over a left factor by `linalg.mat_mul`: the
+    bracket, the series, the centralizer, the shear lines,
     the ideal test of a shear and the Nijenhuis tensor of `geometry` all go
     through it, and no bracket table or ad matrix is ever built.  Only
     [g, g] skips it: its spanning brackets [E_i, E_j] are read off `diffs`,
@@ -205,16 +206,11 @@ class LieAlgebra(Value):
             raise ValueError("dimension mismatch in bracket")
         if not self._jacobi.passed:
             warnings.warn("bracket on an algebra failing the Jacobi identity", RuntimeWarning)
-        # the columns are scale [E_i, w]: each nonzero v_i is divided by scale
-        # once, and only the nonzero column entries are added
+        # the columns are scale [E_i, w], summed over the nonzero v_i by the one
+        # matrix product; an all-zero sum is the int 0, so Fraction divides
         scale, terms = self._int_terms()
-        cols = _columns(terms, w.components)
-        out = [Fraction(0)] * self.dim
-        for x, col in zip(v.components, cols):
-            if x:
-                x /= scale
-                out = [o + x * c if c else o for o, c in zip(out, col)]
-        return Vector(out)
+        row = linalg.mat_mul([v.components], _columns(terms, w.components))[0]
+        return Vector([Fraction(x, scale) for x in row])
 
     def _int_terms(self) -> tuple[int, list[tuple[int, int, int, int]]]:
         """(scale, terms): (i, j, k, scale*c) for each term c e_ij (0-based i < j)
@@ -265,9 +261,8 @@ class LieAlgebra(Value):
             for k, f in enumerate(self.diffs):
                 for mask, c in f.terms.items():
                     pairs.setdefault(mask, [0] * n)[k] = -c
-            full = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
             columns: dict[linalg.Row, list[list[int]]] = {}
-            lower = _chain(linalg.span_rref(list(pairs.values())), lambda s: _brackets(full, s, terms, columns))
+            lower = _chain(linalg.span_rref(list(pairs.values())), lambda s: _brackets(None, s, terms, columns))
             derived = _chain(lower[0], lambda s: _brackets(s, s, terms, columns))
             is_nilpotent, is_solvable = not lower[-1], not derived[-1]
             first = linalg.reduced(lower[0])  # the derived chain starts at g' too
@@ -378,17 +373,15 @@ class LieAlgebra(Value):
                 coords = [[im[p] * (big // b[p]) for b, p in zip(basis, pivots)] for im in images]
                 if linalg.mat_mul(coords, basis) != [[big * x for x in im] for im in images]:
                     raise RuntimeError("complement action does not preserve the target subspace")
-                # the restricted matrix has entries im_j[p_i] / d_i, d_i = scale b_i[p_i] > 0.
-                # Row i's reduced denominators have the lcm d_i / gcd(d_i, im_1[p_i], ...), so
-                # with den the lcm of those, R = den A is the least integer multiple of A
-                rows = [[im[p] for im in images] for p in pivots]
-                ds = [scale * b[p] for b, p in zip(basis, pivots)]
-                den = lcm(*(d // gcd(d, *row) for d, row in zip(ds, rows)))
-                restricted = [[x * den // d for x in row] for d, row in zip(ds, rows)]
+                # coords[j][i] = im_j[p_i] L / b_i[p_i] is scale L times the entry (i, j) of
+                # the restricted matrix A, so R, coords transposed and divided by the gcd
+                # of its entries (1 when all are 0), is the primitive integer multiple of A
+                common = gcd(*(x for row in coords for x in row)) or 1
+                restricted = [[x // common for x in col] for col in zip(*coords)]
                 # det(xI - R) is monic over the integers, so its rational roots are
                 # integers mu, read block by block off R's strongly connected
                 # components (a 1x1 block is its own root, with no polynomial); the
-                # eigenvalues of A are mu / den, with the eigenspaces of R, the
+                # eigenvalues of A are mu common / (scale L), with the eigenspaces of R, the
                 # nullspaces of the integer rows R - mu I, each taken on the rows
                 # that reach a block of root mu
                 eigenspaces, nonrational_here = linalg.rational_eigenspaces(restricted)
@@ -399,7 +392,7 @@ class LieAlgebra(Value):
                 for mu, kernel in eigenspaces:
                     sums = linalg.mat_mul(kernel, basis)
                     eigvecs = tuple([tuple([x // g for x in v]) for v in sums for g in (gcd(*v),)])
-                    refined.append((eigs + (Fraction(mu, den),), eigvecs))
+                    refined.append((eigs + (Fraction(mu * common, scale * big),), eigvecs))
             spaces = refined
         public = {dsub: rep.derived[0]}  # each subspace reduced once: the target is often g'
 
@@ -458,31 +451,26 @@ def _chain(first: Rows, brackets: Callable[[Rows], list[list[int]]]) -> list[Row
     return chain
 
 
-def _brackets(left: Rows, right: Rows, terms, columns: dict) -> list[list[int]]:
+def _brackets(left: Rows | None, right: Rows, terms, columns: dict) -> list[list[int]]:
     """The nonzero scale [u, v] for u in `left` and v in `right`, integer rows
     bracketed through the `_int_terms`, whose span is blind to the scale.
 
     `columns` keeps the columns scale [E_i, v] of each right row v, one pass of
-    `_columns` over the terms per row for all the steps of one chain or two;
-    then [u, v] sums u_i [E_i, v] over the nonzero u_i only, a column lookup
-    for the unit rows of a lower-central step.  A self-span, as each derived
+    `_columns` over the terms per row for all the steps of one chain or two.
+    With `left` None, a lower-central step [g, s], the brackets are those
+    columns themselves; otherwise [u, v] = sum_i u_i [E_i, v] is the matrix
+    product of the rows u with the columns.  A self-span, as each derived
     step, takes each unordered pair once: [u, v] = -[v, u] and [v, v] = 0 for
     any two-form structure constants.
     """
-    supports = [[(i, x) for i, x in enumerate(u) if x] for u in left]
     same = left == right
     vecs = []
     for k, v in enumerate(right):
-        lefts = supports[:k] if same else supports
-        if not lefts:
+        if same and not k:
             continue
         cols = columns.get(v) or columns.setdefault(v, _columns(terms, v))
-        for (i, x), *rest in lefts:
-            b = cols[i] if x == 1 else [x * c for c in cols[i]]
-            for i, x in rest:
-                b = [p + x * c for p, c in zip(b, cols[i])]
-            if any(b):
-                vecs.append(b)
+        products = cols if left is None else linalg.mat_mul(left[:k] if same else left, cols)
+        vecs += [b for b in products if any(b)]
     return vecs
 
 

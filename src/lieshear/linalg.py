@@ -4,7 +4,8 @@ The eliminations and polynomials here compute on `int` rows: `rref` and
 `definiteness` make a `Fraction` row `primitive` first, and `reduced` gives
 `Fraction` rows back.  `mat_mul`, the package's one matrix product, takes
 either kind of entry and keeps int factors int; it is sparse in its left
-factor, and `charpoly`, the shear lines' eigenvectors, their check that the
+factor, and the bracket, the bracket spans of the series and the shear
+lines, `charpoly`, the shear lines' eigenvectors, their check that the
 action keeps the target and the structure checks of `geometry` all go
 through it.  That check is one product: with L the lcm of the pivot entries
 of echelon rows B, a vector v lies in span(B) exactly when L v equals the

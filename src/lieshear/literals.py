@@ -94,7 +94,8 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     or of degree 0 when none is expected, which sums and compares as a zero
     of any degree.  The terms are summed in any order: a literal is refused
     when the terms left after cancelling mix degrees, and one whose terms all
-    cancel has the degree of its last term."""
+    cancel is the zero form of the expected degree, like "0", or of the
+    degree of its last term when none is expected."""
     s = text.strip()
     if s == "0":
         return KForm.zero(dim, degree or 0)
@@ -117,7 +118,7 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     degrees = sorted({m.bit_count() for m in terms})
     if len(degrees) > 1:
         raise LiteralError(f"mixed degrees {', '.join(map(str, degrees))} in a form literal")
-    total = KForm(dim, degrees[0] if degrees else mask.bit_count(), terms)  # else: the last term's
+    total = KForm(dim, degrees[0] if degrees else mask.bit_count() if degree is None else degree, terms)
     if degree is not None and not total.is_zero() and total.degree != degree:
         raise LiteralError(f"expected a degree-{degree} form, got degree {total.degree}")
     return total

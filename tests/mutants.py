@@ -180,8 +180,8 @@ MUTANTS = [
     ),
     Mutant(
         "bracket-unscaled", "lie.py",
-        "                x /= scale\n",
-        "",
+        "Fraction(x, scale)",
+        "Fraction(x)",
         ("tests/test_properties.py::TestJacobiEquivalence::test_bracket_is_minus_d_on_the_pair",
          "tests/test_properties.py::TestSparseBrackets::test_bracket_is_ad_applied"),
     ),
@@ -199,11 +199,19 @@ MUTANTS = [
         ("tests/test_properties.py::TestSparseBrackets::test_a_self_span_brackets_each_unordered_pair_once",),
     ),
     Mutant(
+        # the eigenvalue mu common / (scale L) with the gcd common left out
         "shear-line-den-one", "lie.py",
-        "den = lcm(*(d // gcd(d, *row) for d, row in zip(ds, rows)))",
-        "den = 1",
-        ("tests/test_lie.py::TestShearLines::test_fractional_eigenvalues_in_a_tilted_frame",
-         "tests/test_lie.py::TestShearLines::test_matches_the_elimination_reference"),
+        "Fraction(mu * common, scale * big)",
+        "Fraction(mu, scale * big)",
+        ("tests/test_lie.py::TestShearLines::test_matches_the_elimination_reference",
+         "tests/test_lie.py::TestShearLines::test_an_action_with_a_common_factor"),
+    ),
+    Mutant(
+        "lower-central-step-drops-e1", "lie.py",
+        "products = cols if left is None",
+        "products = cols[1:] if left is None",
+        ("tests/test_lie.py::TestSeries::test_chains_match_the_dense_reference_when_e1_alone_acts[(0,0,12,13,14,15)]",
+         "tests/test_lie.py::TestSeries::test_chains_match_the_dense_reference_when_e1_alone_acts[(0,12,13)]"),
     ),
     Mutant(
         "rref-without-pivot-sign", "linalg.py",

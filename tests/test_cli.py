@@ -291,6 +291,12 @@ class TestShearCommand:
         assert code == 3
         assert "alpha(X)" in err
 
+    @pytest.mark.parametrize("command", [["shear", "--f0", "e13"], ["search"]])
+    @pytest.mark.parametrize("alpha", ["0", "e12-e12", "e12 - e12 + 0*e3"])
+    def test_a_cancelled_alpha_is_the_zero_one_form(self, capsys, files, command, alpha):
+        code, out, err = run(capsys, command[0], files["s5"], "--x", "E4", "--alpha", alpha, *command[1:])
+        assert (code, out, err) == (3, "", "error: alpha(X) must be 1, got 0\n")
+
 
 GATED_COMMANDS = {
     "shear": ["--x", "E4", "--alpha", "e4", "--f0", "e12"],

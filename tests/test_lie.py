@@ -11,6 +11,7 @@ from corpus import (change_basis, g_lm, h_lm, incremental_bases, mono, paper_alg
                     random_almost_abelian, random_frame, random_nilpotent, random_solvable_extension,
                     random_unimodular, reference_bracket_span, reference_chain, reference_d, reference_shear_lines)
 from lieshear import (
+    EigenSpace,
     JacobiReport,
     KForm,
     LieAlgebra,
@@ -619,11 +620,24 @@ class TestSeries:
         assume(kind != "repeats" or not rep.is_nilpotent)  # every action nilpotent: no repeat
         assert (rep.is_nilpotent, rep.is_solvable) == {"shrinks": (True, True), "repeats": (False, True),
                                                        "both": (False, False)}[kind]
-        units = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
-        lower = reference_chain(reference_bracket_span(g, units, units), lambda s: reference_bracket_span(g, units, s))
-        derived = reference_chain(lower[0], lambda s: reference_bracket_span(g, s, s))
-        assert rep.lower_central == tuple(lower)
-        assert rep.derived == tuple(derived)
+        assert_chains_match_the_dense_reference(g)
+
+    @pytest.mark.parametrize("text", [
+        "(0,0,12,13,14,15)",  # filiform: E1 alone brackets each lower-central term into the next
+        "(0,12,13)",  # E1 alone acts, on g' = span{E2, E3}, so [g, g'] = g' repeats
+    ])
+    def test_chains_match_the_dense_reference_when_e1_alone_acts(self, text):
+        # a lower-central step [g, s] that drops [E1, s] would end both chains at g'
+        assert_chains_match_the_dense_reference(parse_salamon(text))
+
+
+def assert_chains_match_the_dense_reference(g):
+    rep = g.series()
+    units = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+    lower = reference_chain(reference_bracket_span(g, units, units), lambda s: reference_bracket_span(g, units, s))
+    derived = reference_chain(lower[0], lambda s: reference_bracket_span(g, s, s))
+    assert rep.lower_central == tuple(lower)
+    assert rep.derived == tuple(derived)
 
 
 def direct_sum(g, h):
@@ -904,7 +918,8 @@ class TestShearLines:
     def test_fractional_eigenvalues_in_a_tilted_frame(self):
         # E5 acts on R^4 by diag(1/2, -3/4) and [[0, 2], [1, 0]] (eigenvalues +-sqrt(2)).
         # In this frame every echelon row of the target has pivot 3, and the
-        # restricted matrix has fractional entries: the eigen step scales it by den > 1
+        # restricted matrix has fractional entries: the eigen step scales its roots
+        # back by scale L / gcd > 1
         action = [[Fraction(1, 2), 0, 0, 0], [0, Fraction(-3, 4), 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
         diffs = [sum((mono(5, (j + 1, 5), c) for j, c in enumerate(row) if c), KForm.zero(5, 2)) for row in action]
         g = change_basis(LieAlgebra(diffs + [KForm.zero(5, 2)]), 55, 12)
@@ -968,6 +983,17 @@ class TestShearLines:
             seen["tilted"] += any(sum(map(bool, row)) > 1 for row in got.target)
             seen["nonrational"] += got.nonrational_present
         assert min(seen[key] for key in ("refused", "three acting", "plane", "tilted", "nonrational")) >= 2, seen
+
+    def test_an_action_with_a_common_factor(self, monkeypatch):
+        # on g' = span{E1}, E2 acts by 0 and E3 by -2: the eigen step takes the
+        # primitive multiples [[0]] and [[-1]] and scales the root -1 back by 2
+        restricted = []
+        eigenspaces = linalg.rational_eigenspaces
+        monkeypatch.setattr(linalg, "rational_eigenspaces", lambda r: restricted.append(r) or eigenspaces(r))
+        rep = parse_salamon("(2.31,0,0)").find_shear_lines()
+        assert restricted == [[[0]], [[-1]]]
+        assert rep.eigenspaces == (EigenSpace(eigenvalues=(Fraction(0), Fraction(-2)), basis=((Fraction(1), 0, 0),)),)
+        assert rep == reference_shear_lines(parse_salamon("(2.31,0,0)"))
 
     @pytest.mark.parametrize("frame", ["identity", "permutation"])
     def test_frame_aligned_extensions_match_the_elimination_reference(self, monkeypatch, frame):

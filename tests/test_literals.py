@@ -77,6 +77,13 @@ class TestParseForm:
         assert parse_form("0*e3 + e12 - e12", 3).degree == 2
         assert parse_form("e12 + e3 - e12 - e3", 3).is_zero()
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_cancelled_terms_take_the_expected_degree(self, degree):
+        # as a bare "0" does, whatever the degree of the last term
+        for text in ("e12 - e12", "e12 - e12 + 0*e3", "e1 - e1", "0"):
+            form = parse_form(text, 3, degree=degree)
+            assert (form.is_zero(), form.degree) == (True, degree)
+
     @settings(max_examples=300)
     @given(st.data())
     def test_any_term_order_gives_the_same_form_or_refusal(self, data):
