@@ -2,7 +2,8 @@
 and the reports, search specs and shear data built from them.
 
 A subclass names its compared fields in `_fields`, in constructor order,
-and sets them with object.__setattr__ or through __dict__, as __setattr__
+and sets them with object.__setattr__, through __dict__ or, on a slotted
+class, through the setters `slot_setters` returns, as __setattr__
 refuses.  Not every attribute is a field: a KForm leaves out its degree,
 so a zero form has a degree in name only, and a LieAlgebra its caches.
 Instances of one class are equal when those fields are; an instance of
@@ -11,14 +12,16 @@ field tuple, so a value holding a dict is unhashable (KForm hashes its
 terms itself).  Assignment and deletion raise AttributeError; copies and
 unpickled values are filled by __setstate__.  The repr is `Name(field=...)`
 over the fields not in `_hidden`.  Defining a subclass generates no code.
-`__slots__ = ()` keeps the slotted KForm, Vector and LieAlgebra without an
-instance dict: the s5 reference search keeps 1,545 hit algebras.
+`__slots__ = ()` keeps the slotted KForm, Vector, LieAlgebra, ShearReport
+and SearchHit without an instance dict: the s5 reference search keeps
+1,545 hits, each with its F0, report and algebra.
 
 A subclass defines its own __init__ only for defaults or checks, or for
 speed where a search builds one per hit: `SearchHit` and `ShearReport`
-keep hand-written ones.  With keywords they take 1.0 and 1.4 us per call
-against 2.8 and 4.3 us through `Value.__init__`, where the s5 reference
-search spends about 18 us per hit (CPython 3.11, a 2-CPU Xeon host).
+keep hand-written ones, which fill their slots through `slot_setters`.
+With keywords they take 0.5 and 0.9 us per call against 1.8 and 2.9 us
+through `Value.__init__`, where the s5 reference search spends about
+14 us per hit (CPython 3.11, a 2-CPU Xeon host).
 """
 from __future__ import annotations
 
@@ -67,3 +70,10 @@ class Value:
         attrs, slots = state if type(state) is tuple else (state, None)
         for name, value in {**(attrs or {}), **(slots or {})}.items():
             object.__setattr__(self, name, value)
+
+
+def slot_setters(cls: type) -> tuple:
+    """The setter of each slot of `cls`, in `__slots__` order: they fill a
+    slotted value, which Value.__setattr__ refuses, without the lookup by
+    name of object.__setattr__."""
+    return tuple([getattr(cls, name).__set__ for name in cls.__slots__])

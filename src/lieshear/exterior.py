@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._value import Value
+from ._value import Value, slot_setters
 
 MAX_DIM = 14
 
@@ -230,8 +230,7 @@ def _make(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:
     return form
 
 
-# the slot setters, which Value.__setattr__ would refuse
-_set_dim, _set_degree, _set_terms = KForm.dim.__set__, KForm.degree.__set__, KForm.terms.__set__
+_set_dim, _set_degree, _set_terms = slot_setters(KForm)
 
 
 class Vector(Value):

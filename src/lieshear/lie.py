@@ -20,7 +20,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from . import linalg
-from ._value import Value
+from ._value import Value, slot_setters
 from .exterior import Coeff, KForm, Vector, _make, interior
 
 Subspace = tuple[tuple[Fraction, ...], ...]  # reduced echelon rows, pivots 1: the public form
@@ -92,8 +92,10 @@ class ShearLineReport(Value):
 class LieAlgebra(Value):
     """Lie algebra of dimension n >= 2 given by the two-forms d e_1, ..., d e_n.
 
-    Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k;
-    every algebra that passes shares one immutable JacobiReport(True, ()).
+    Only the Jacobi verdict is computed eagerly, as d(d e_k) = 0 for each k:
+    each d(d e_k) is summed into a term dict by the rule of `d` and read
+    there, and only a failing one is built as a form.  Every algebra that
+    passes shares one immutable JacobiReport(True, ()).
     `_replacing` builds an algebra from a checked one with a few d e_k
     replaced, and checks only the generators `_recheck` names for them; the
     report is the full check's either way.  Brackets are
@@ -153,18 +155,19 @@ class LieAlgebra(Value):
         return g
 
     def _fill(self, diffs: tuple[KForm, ...], check: Sequence[int]) -> None:
-        object.__setattr__(self, "dim", len(diffs))
-        object.__setattr__(self, "diffs", diffs)
         failures = []
         for k in check:
-            dd = self.d(diffs[k])
-            if dd.terms:
-                failures.append((k + 1, dd))
-        object.__setattr__(self, "_jacobi", JacobiReport(False, tuple(failures)) if failures else _PASSED)
+            # d(d e_k) by the rule of `d`, read off its term dict: only a failure is built
+            dd = _d_terms(diffs, diffs[k].terms.items(), {})
+            if any(dd.values()):
+                failures.append((k + 1, _make(len(diffs), 3, dd)))
+        _set_dim(self, len(diffs))
+        _set_diffs(self, diffs)
+        _set_jacobi(self, JacobiReport(False, tuple(failures)) if failures else _PASSED)
         # filled on first use; assigning an immutable value is atomic, so
         # shared readers need no synchronization
-        object.__setattr__(self, "_series", None)
-        object.__setattr__(self, "_decomp", None)
+        _set_series(self, None)
+        _set_decomp(self, None)
 
     def _recheck(self, changed: int) -> tuple[int, ...]:
         """The generators whose d(d e_k) can change when the d e_i of the
@@ -275,7 +278,7 @@ class LieAlgebra(Value):
                 step_length=len(lower) if is_nilpotent else None,
                 derived_length=len(derived) if is_solvable else None,
             )
-            object.__setattr__(self, "_series", (report, lower, derived, int_terms))
+            _set_series(self, (report, lower, derived, int_terms))
         return self._series[0]
 
     def twist_filtration(self) -> Filtration:
@@ -406,6 +409,9 @@ class LieAlgebra(Value):
             eigenspaces=tuple(EigenSpace(eigenvalues=e, basis=reduced(b)) for e, b in spaces),
             nonrational_present=nonrational,
         )
+
+
+_set_dim, _set_diffs, _set_jacobi, _set_series, _set_decomp = slot_setters(LieAlgebra)
 
 
 def _d_terms(diffs: Sequence[KForm], items, terms: dict[int, Coeff]) -> dict[int, Coeff]:

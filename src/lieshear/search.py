@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb, lcm
 from operator import mul
 
-from ._value import Value
+from ._value import Value, slot_setters
 from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, interior, wedge
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
@@ -91,12 +91,15 @@ def _is_int(value) -> bool:
 
 
 class SearchHit(Value):
-    _fields = ("f0", "report", "sheared")
+    __slots__ = _fields = ("f0", "report", "sheared")
 
     def __init__(self, f0: KForm, report: ShearReport, sheared: LieAlgebra):
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "sheared", sheared)
+        _set_f0(self, f0)
+        _set_report(self, report)
+        _set_sheared(self, sheared)
+
+
+_set_f0, _set_report, _set_sheared = slot_setters(SearchHit)
 
 
 def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
@@ -120,8 +123,11 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     and the Jacobi re-check set, which adds those whose d e_k has a
     monomial on one of them.  Every other d(d e_k) is the base's, zero
     when the base passes (LieAlgebra._replacing); a base that fails gets the
-    full check.  The re-check's d signs by the two-bit rule of
-    LieAlgebra.d, and every passing algebra shares one JacobiReport(True, ()).
+    full check.  The guard sums each re-checked d(d e_k) into a term dict
+    from the built algebra's own d e_k, by the rule of LieAlgebra.d, and
+    builds a form only for a failure; every passing algebra shares one
+    JacobiReport(True, ()).  F0, the reports and the hits are slotted values
+    with no instance dict.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -130,13 +136,13 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     nonzero = tuple(_as_coeff(c) for c in spec.coefficients if c)  # stored form: ints stay ints
     scale = lcm(*(c.denominator for c in nonzero))
     scaled = tuple(int(c * scale) for c in nonzero)
-    n = spec.base.dim
-    base = decompose_dalpha(spec.base, spec.X, spec.alpha)
-    if not spec.a:
+    g, X, alpha, a, trusted = spec.base, spec.X, spec.alpha, spec.a, ShearData._trusted
+    base = decompose_dalpha(g, X, alpha)
+    if not a:
         raise ShearDataError("transfer constant a must be nonzero")
-    neg_inv_a = _as_coeff(-1 / spec.a)
+    neg_inv_a = _as_coeff(-1 / a)
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
-    legs = [interior(spec.X, s) for s in spec.preserve]
+    legs = [interior(X, s) for s in spec.preserve]
     columns = _condition_columns(base, masks, legs)
     hits: list[SearchHit] = []
     for t in range(min(spec.max_terms, len(support)) + 1):
@@ -150,11 +156,10 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
             for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
                 if any(sum(map(mul, ks, r)) for r in rows):
                     continue
-                f0 = _make(n, 2, dict(zip(mons, coeffs)))
-                data = ShearData._trusted(spec.X, spec.alpha, f0, spec.a, f0 * neg_inv_a)
-                report = validate_shear(spec.base, data)
+                f0 = _make(g.dim, 2, dict(zip(mons, coeffs)))
+                report = validate_shear(g, trusted(X, alpha, f0, a, f0 * neg_inv_a))
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
-                    hits.append(SearchHit(f0=f0, report=report, sheared=_sheared(report)))
+                    hits.append(SearchHit(f0, report, _sheared(report)))
     return hits
 
 

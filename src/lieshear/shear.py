@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from ._value import Value
+from ._value import Value, slot_setters
 from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_matrix, interior,
                        one_form, wedge)
 from .lie import LieAlgebra, _columns, _d_terms
@@ -90,13 +90,19 @@ class ShearData(Value):
 class ShearReport(Value):
     """Every shear condition of one F0, with `decomp` the base it was judged on."""
 
-    _fields = ("valid", "decomp", "eta_prime", "eta_0", "f_prime", "nu", "f_eff", "conditions")
+    __slots__ = _fields = ("valid", "decomp", "eta_prime", "eta_0", "f_prime", "nu", "f_eff", "conditions")
     _hidden = ("conditions",)
 
     def __init__(self, valid: bool, decomp: ShearBase, eta_prime: KForm, eta_0: KForm,
                  f_prime: KForm, nu: KForm, f_eff: KForm, conditions: dict[str, bool | None]):
-        self.__dict__.update(valid=valid, decomp=decomp, eta_prime=eta_prime, eta_0=eta_0,
-                             f_prime=f_prime, nu=nu, f_eff=f_eff, conditions=conditions)
+        _set_valid(self, valid)
+        _set_decomp(self, decomp)
+        _set_eta_prime(self, eta_prime)
+        _set_eta_0(self, eta_0)
+        _set_f_prime(self, f_prime)
+        _set_nu(self, nu)
+        _set_f_eff(self, f_eff)
+        _set_conditions(self, conditions)
 
     # the paper's eta_tilde and f_tilde restate the fields, so they are read off them
     @property
@@ -106,6 +112,10 @@ class ShearReport(Value):
     @property
     def f_tilde(self) -> KForm:
         return self.decomp.f + self.f_prime
+
+
+(_set_valid, _set_decomp, _set_eta_prime, _set_eta_0, _set_f_prime, _set_nu, _set_f_eff,
+ _set_conditions) = slot_setters(ShearReport)
 
 
 def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
@@ -220,7 +230,7 @@ class ShearBase(Value):
         """The terms of leg_free_defect(f0), zeros of cancelled sums kept."""
         terms: dict[int, Coeff] = {}
         for mask, c in f0.terms.items():
-            for m, v in self.defect(mask).terms.items():
+            for m, v in (self._defects.get(mask) or self.defect(mask)).terms.items():
                 terms[m] = terms[m] + c * v if m in terms else c * v
         return terms
 
@@ -296,8 +306,7 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
         ),
     }
     valid = all(conditions[name] for name in REQUIRED_CONDITIONS)
-    return ShearReport(valid=valid, decomp=base, eta_prime=eta_prime, eta_0=eta_0, f_prime=f_prime,
-                       nu=nu, f_eff=f_eff, conditions=conditions)
+    return ShearReport(valid, base, eta_prime, eta_0, f_prime, nu, f_eff, conditions)
 
 
 def shear_candidate(g: LieAlgebra, data: ShearData) -> LieAlgebra:

@@ -354,8 +354,8 @@ MUTANTS = [
     ),
     Mutant(
         "f-eff-is-f0-for-every-a", "search.py",
-        "f0, spec.a, f0 * neg_inv_a)",
-        "f0, spec.a, f0)",
+        "f0, a, f0 * neg_inv_a)",
+        "f0, a, f0)",
         ("tests/test_search.py::TestEnumerate::test_per_search_constants_give_the_reference_hits[2]",
          "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check"),
     ),
@@ -383,7 +383,9 @@ MUTANTS = [
         "",
         ("tests/test_value.py::test_kernel_values_have_no_instance_dict[KForm]",
          "tests/test_value.py::test_kernel_values_have_no_instance_dict[Vector]",
-         "tests/test_value.py::test_kernel_values_have_no_instance_dict[LieAlgebra]"),
+         "tests/test_value.py::test_kernel_values_have_no_instance_dict[LieAlgebra]",
+         "tests/test_value.py::test_kernel_values_have_no_instance_dict[ShearReport]",
+         "tests/test_value.py::test_kernel_values_have_no_instance_dict[SearchHit]"),
     ),
     Mutant(
         "kform-equality-reads-degree", "exterior.py",
@@ -400,6 +402,28 @@ MUTANTS = [
          "tests/test_value.py::test_value_semantics[Vector]",
          "tests/test_value.py::test_value_semantics[LieAlgebra]",
          "tests/test_value.py::test_a_round_trip_keeps_an_algebra_and_its_kept_base_together"),
+    ),
+    Mutant(
+        # a d(d e_k) whose sums cancel leaves zeros in its term dict: read as
+        # keys, they would fail an algebra that satisfies Jacobi
+        "guard-reads-cancelled-zeros", "lie.py",
+        "            if any(dd.values()):\n",
+        "            if dd:\n",
+        ("tests/test_lie.py::TestDifferentialOracle::test_the_jacobi_report_is_the_koszul_d_of_each_d_e_k",
+         "tests/test_lie.py::TestJacobi::test_paper_algebras_pass",
+         "tests/test_lie.py::TestIncrementalJacobi::test_pinned_changes[valid-basis-x]",
+         "tests/test_search.py::TestEnumerate::test_finds_paper_deformation"),
+    ),
+    Mutant(
+        # slot_setters returns the setters in __slots__ order: two names bound
+        # out of that order fill each other's slot
+        "report-setters-swapped", "shear.py",
+        "(_set_valid, _set_decomp, _set_eta_prime, _set_eta_0,",
+        "(_set_valid, _set_decomp, _set_eta_0, _set_eta_prime,",
+        ("tests/test_shear.py::TestValidate::test_golden_valid",
+         "tests/test_shear.py::TestValidate::test_golden_invalid",
+         "tests/test_value.py::test_value_semantics[ShearReport]",
+         "tests/test_cli.py::TestGoldenText::test_text_report[shear]"),
     ),
     Mutant(
         "shear-without-x-k", "shear.py",

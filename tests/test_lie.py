@@ -378,6 +378,15 @@ class TestDifferentialOracle:
         g, form = case
         assert g.d(form) == reference_d(g, form)
 
+    @settings(max_examples=150)
+    @given(algebras_and_forms())
+    def test_the_jacobi_report_is_the_koszul_d_of_each_d_e_k(self, case):
+        # the check sums d(d e_k) as a term dict and builds only a failure:
+        # a sum that cancels to zero must not count, a nonzero one must
+        g, _ = case
+        failures = tuple((k, dd) for k, f in enumerate(g.diffs, start=1) if not (dd := reference_d(g, f)).is_zero())
+        assert g.jacobi_check() == JacobiReport(not failures, failures)
+
     def test_the_oracle_reads_the_bracket_convention(self):
         # d e_3 = e12 on the Heisenberg algebra: [E1, E2] = -E3 and d e_3 = e12 back
         g = parse_salamon("(0,0,12)")
@@ -498,23 +507,30 @@ class TestIncrementalJacobi:
 
     def test_checks_only_the_changed_and_touching_generators(self, monkeypatch):
         # S5 = (51,52,53,2.54,0): changing d e_4 leaves d e_1, d e_2, d e_3 and
-        # d e_5 alone, and only d e_4 has a monomial on e_4
+        # d e_5 alone, and only d e_4 has a monomial on e_4.  Each check is one
+        # sum of d(d e_k) on the built algebra's own d e_k, read as a term dict
         g = parse_salamon(S5)
         diffs = [*g.diffs[:3], g.diffs[3] + mono(5, (1, 2)), g.diffs[4]]
         checked = []
-        real = LieAlgebra.d
-        monkeypatch.setattr(LieAlgebra, "d", lambda self, form: checked.append(form) or real(self, form))
-        replacing(g, diffs)
-        assert checked == [diffs[3]]
+        real = lie._d_terms
+        monkeypatch.setattr(lie, "_d_terms",
+                            lambda ds, items, terms: checked.append((ds, dict(items))) or real(ds, items, terms))
+
+        def reads(algebra, ks):
+            return [(algebra.diffs, algebra.diffs[k].terms) for k in ks]
+
+        sheared = replacing(g, diffs)
+        assert checked == reads(sheared, [3]) and checked[0][0] is sheared.diffs
         checked.clear()
-        LieAlgebra(diffs)
-        assert checked == diffs
+        full = LieAlgebra(diffs)
+        assert checked == reads(full, range(5)) and all(ds is full.diffs for ds, _ in checked)
         # a base failing Jacobi gets the full check, whatever changed
         g = parse_salamon("(12,34,0,0)")
         diffs = [*g.diffs[:3], g.diffs[3] + mono(4, (1, 2))]
         checked.clear()
-        replacing(g, diffs)
-        assert checked == diffs
+        sheared = replacing(g, diffs)
+        assert checked == reads(sheared, range(4)) and all(ds is sheared.diffs for ds, _ in checked)
+        assert not sheared.jacobi_check().passed
 
 
 class TestBracket:

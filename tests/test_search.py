@@ -20,6 +20,7 @@ from lieshear import (
     enumerate_f0,
     interior,
     is_closed,
+    lie,
     parse_salamon,
     preserves_closure,
     search,
@@ -166,26 +167,30 @@ class TestEnumerate:
 
     def test_per_hit_work_on_the_s5_reference_search(self, monkeypatch):
         # counts, not timings: on leg-free hits validate_shear takes nu as the
-        # shared zero one-form, the guard computes d(d e_k) once per hit for
-        # each generator of the re-check set, and each support monomial's
-        # defect is built once per base
+        # shared zero one-form, the guard sums d(d e_k) once per hit for each
+        # generator of the re-check set, on that hit's own d e_k, and each
+        # support monomial's defect is built once per base
         g = parse_salamon(S5)
         spec = spec_on(g, 4, max_terms=3, coefficients=tuple(range(-2, 3)))
         base = shear.decompose_dalpha(g, spec.X, spec.alpha)
         assert base.eta_closed  # computed before the count, like the split
         interiors, defects, ds = [], [], []
-        real_interior, real_defect, real_d = shear.interior, shear._monomial_defect, LieAlgebra.d
+        real_interior, real_defect, real_d_terms = shear.interior, shear._monomial_defect, lie._d_terms
         monkeypatch.setattr(shear, "interior", lambda v, form: interiors.append(form) or real_interior(v, form))
         monkeypatch.setattr(shear, "_monomial_defect",
                             lambda g, eta, mask: defects.append(mask) or real_defect(g, eta, mask))
-        monkeypatch.setattr(LieAlgebra, "d", lambda self, form: ds.append(self) or real_d(self, form))
+        monkeypatch.setattr(lie, "_d_terms",
+                            lambda diffs, items, terms: ds.append((diffs, dict(items))) or
+                            real_d_terms(diffs, items, terms))
         hits = enumerate_f0(spec)
         assert len(hits) == spec.candidate_count() == 1545
         assert all(interior(spec.X, h.f0).is_zero() for h in hits)
         assert interiors == []
         _, recheck = base.plan
         assert recheck == (3,)  # d e_4 = -2 e45 is the one generator with a monomial on E4
-        assert [id(g) for g in ds] == [id(h.sheared) for h in hits for _ in recheck]
+        assert len(ds) == len(hits) * len(recheck)
+        reads = [(h.sheared.diffs, h.sheared.diffs[k].terms) for h in hits for k in recheck]
+        assert all(diffs is own and terms == own_terms for (diffs, terms), (own, own_terms) in zip(ds, reads))
         masks = [(1 << i - 1) | (1 << j - 1) for i, j in spec.effective_support()]
         assert sorted(defects) == sorted(masks) and len(masks) == 6
 
