@@ -426,6 +426,19 @@ MUTANTS = [
          "tests/test_cli.py::TestGoldenText::test_text_report[shear]"),
     ),
     Mutant(
+        "render-yes-no", "cli.py",
+        'else ("yes" if value else "no")',
+        'else ("no" if value else "no")',
+        ("tests/test_cli.py::TestShearLines::test_an_irrational_leftover",),
+    ),
+    Mutant(
+        "jacobi-gate-exit", "cli.py",
+        "            return EXIT_JACOBI\n",
+        "            return EXIT_INVALID_DATA\n",
+        ("tests/test_cli.py::TestJacobiGate::test_jacobi_gate[shear]",
+         "tests/test_cli.py::TestJacobiGate::test_jacobi_gate[shear-lines]"),
+    ),
+    Mutant(
         "shear-without-x-k", "shear.py",
         "            v = x * c\n",
         "            v = c\n",

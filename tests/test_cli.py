@@ -16,16 +16,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from cli_cases import CASES, DOCUMENTS, GATED_COMMANDS, IDENTITY6, J6, PHI_LITERAL, run_commands, run_in_process
 from corpus import mono, reference_det, reference_enumerate_f0, replaced, two_step_document
 from lieshear import KForm, SearchSpec, Vector, cli, linalg, parse_salamon
 from lieshear.cli import _VALUE_FLAGS, UsageError, _normalize_argv, build_parser, main
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-PSI_LITERAL = "e1425 + e1436 + e2536 - e4567 + e4237 + e1267 + e1537"
-PHI_LITERAL = "e123+e145+e167+e246-e257-e347-e356"
-IDENTITY6 = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
-J6 = "0,-1,0,0,0,0;1,0,0,0,0,0;0,0,0,-1,0,0;0,0,1,0,0,0;0,0,0,0,0,-1;0,0,0,0,1,0"
 MINUS_J6 = ";".join(",".join(str(-int(v)) for v in row.split(",")) for row in J6.split(";"))
 
 # text reports pinned byte for byte, one file each in tests/golden/
@@ -54,31 +50,9 @@ GOLDEN_TEXT = {
 
 @pytest.fixture
 def files(tmp_path):
-    paths = {}
-    for name, text in {
-        "s5": "(51,52,53,2.54,0)",
-        "h3": "(0,0,12)",
-        "h3a": "(0,0,a.12)",
-        "ab2": "(0,0)",
-        "ab3": "(0,0,0)",
-        "ab6": "(0,0,0,0,0,0)",
-        "kahler6": "(12,0,0,0,0,0)",
-        "bad": "(0,12,0,23)",
-        "broken": "(13,0)",
-        "glm": json.dumps({
-            "salamon": "(s.17, l.27, m.37, 0.47+s.74, 0.57+l.75, 0.67+m.76, 0)",
-            "substitutions": {"l": "1", "m": "2", "s": "3"},
-        }),
-        "json_doc": json.dumps({
-            "dim": 4,
-            "d": {"3": "e12", "4": "c*e13"},
-            "substitutions": {"c": "2"},
-        }),
-    }.items():
-        p = tmp_path / f"{name}.alg"
-        p.write_text(text)
-        paths[name] = str(p)
-    return paths
+    for name, text in DOCUMENTS.items():
+        (tmp_path / f"{name}.alg").write_text(text)
+    return {name: str(tmp_path / f"{name}.alg") for name in DOCUMENTS}
 
 
 def subparsers(parser) -> argparse._SubParsersAction:
@@ -112,32 +86,6 @@ def run(capsys, *argv):
 
 
 class TestAlgebraCheck:
-    def test_pass(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["s5"])
-        assert code == 0
-        assert "jacobi: pass" in out
-        assert "solvable" in out and "derived length 2" in out
-
-    def test_jacobi_failure_exit_2(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["bad"])
-        assert code == 2
-        assert "jacobi: FAIL" in out
-        assert "d2(e4) = e123" in out
-
-    def test_parse_error_exit_1(self, capsys, files):
-        code, _, err = run(capsys, "algebra-check", files["broken"])
-        assert code == 1
-        assert "exceeds dimension" in err
-
-    def test_missing_file_exit_1(self, capsys, tmp_path):
-        code, _, err = run(capsys, "algebra-check", str(tmp_path / "nope.alg"))
-        assert code == 1
-
-    def test_nilpotent_classification(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["h3"])
-        assert code == 0
-        assert "nilpotent" in out and "step 2" in out
-
     def test_400_digit_brackets_finish_with_the_recorded_result(self, tmp_path):
         # the 21 rows spanning [g, g] each hold one index pair's 400-digit
         # coefficients; scaled by the lcm of all 147 denominators, about 58k
@@ -156,22 +104,6 @@ class TestAlgebraCheck:
 
 
 class TestSubstitutions:
-    def test_document_substitutions(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["glm"])
-        assert code == 0
-        assert "algebra: (3.17,27,2.37,3.74,75,2.76,0)" in out
-
-    def test_cli_override(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["glm"],
-                           "--set", "l=1", "--set", "m=-1", "--set", "s=0")
-        assert code == 0
-        assert "algebra: (0,27,73,0,75,67,0)" in out
-
-    def test_json_document_with_form_literals(self, capsys, files):
-        code, out, _ = run(capsys, "algebra-check", files["json_doc"])
-        assert code == 0
-        assert "algebra: (0,0,12,2.13)" in out
-
     @pytest.mark.parametrize("name", ["e", "c"])
     def test_a_name_before_a_bracket_is_left_to_the_monomial(self, capsys, tmp_path, name):
         # the e of e[1,2] is not the parameter e, which replaces only the bare name
@@ -181,26 +113,6 @@ class TestSubstitutions:
         assert (code, err) == (0, "")
         assert json.loads(json.loads(out)["result"]["algebra"])["d"]["10"] == "2*e[1,2]"
 
-
-WRONG_SHAPE_DOCUMENTS = {
-    '{"dim":3,"d":[1,2]}': '"d" must be an object',
-    '{"salamon":5}': '"salamon" must be a string',
-    '{"salamon":"(0,0,12)","substitutions":[1]}': '"substitutions" must be an object of strings',
-    '{"dim":3.9,"d":{"3":"e12"}}': '"dim" must be an integer',
-    '{"dim":"3","d":{"3":"e12"}}': '"dim" must be an integer',
-    '{"dim":true,"d":{}}': '"dim" must be an integer',
-    '{"dim":3,"d":{"03":"e12"}}': 'bad generator key \'03\' in "d"',
-    '{"dim":3,"d":{"\\u0663":"e12"}}': 'bad generator key \'\u0663\' in "d"',
-    '{"dim":3,"d":{"4":"e12"}}': 'bad generator key \'4\' in "d"',
-    '{"dim":1,"d":{}}': '"dim" must be in 2..14, got 1',
-    '{"dim":15,"d":{}}': '"dim" must be in 2..14, got 15',
-    '{"dim":0,"d":{}}': '"dim" must be in 2..14, got 0',
-    '{"dim":-2,"d":{}}': '"dim" must be in 2..14, got -2',
-    '{"dim":3,"d":{"3":["e12"]}}': '"d" must be an object of strings',
-    '{"dim":3,"d":{"3":true}}': '"d" must be an object of strings',
-    '{"dim":3,"d":{"3":12}}': '"d" must be an object of strings',
-    '{"dim":3,"d":{"3":"e12","4":{}}}': '"d" must be an object of strings',
-}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-20, 20) | st.floats() | st.text(max_size=6),
@@ -220,29 +132,6 @@ documents = st.fixed_dictionaries({}, optional={
 
 
 class TestDocumentShape:
-    @pytest.mark.parametrize("text", list(WRONG_SHAPE_DOCUMENTS))
-    def test_wrong_shape_is_a_usage_error(self, capsys, tmp_path, text):
-        p = tmp_path / "doc.alg"
-        p.write_text(text)
-        code, out, err = run(capsys, "algebra-check", str(p), "--json")
-        assert (code, out) == (1, "")
-        assert err == f"error: {WRONG_SHAPE_DOCUMENTS[text]}\n"
-
-    @pytest.mark.parametrize("doc, flags, message", [
-        ("(0,0,12)", ["--set", "1x=2"], "bad substitution name '1x'"),
-        # a name that is a monomial or a frame vector, from a document or from --set
-        (json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2", "e12": "5"}}), [],
-         "bad substitution name 'e12'"),
-        (json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2"}}), ["--set", "E1=5"],
-         "bad substitution name 'E1'"),
-        ('{"salamon": ' + "[" * 100_000 + "]" * 100_000 + "}", [], "document nests too deeply"),
-    ], ids=["substitution-name", "monomial-name", "frame-vector-name", "deep-nesting"])
-    def test_input_error_is_one_line(self, capsys, tmp_path, doc, flags, message):
-        p = tmp_path / "doc.alg"
-        p.write_text(doc)
-        code, out, err = run(capsys, "algebra-check", str(p), *flags)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-
     @given(documents, st.sampled_from(["algebra-check", "shear-lines"]),
            st.lists(st.sampled_from(["a=2", "b=1/2", "a", "1x=3", "a=x"]), max_size=2))
     def test_any_document_ends_in_a_documented_exit_code(self, doc, command, sets):
@@ -258,18 +147,6 @@ class TestDocumentShape:
 
 
 class TestShearCommand:
-    def test_golden(self, capsys, files):
-        code, out, _ = run(capsys, "shear", files["s5"],
-                           "--x", "E4", "--alpha", "e4", "--f0", "e13", "--a", "-1")
-        assert code == 0
-        assert "sheared: (51,52,53,13+2.54,0)" in out
-
-    def test_decomposable_deformation(self, capsys, files):
-        code, out, _ = run(capsys, "shear", files["s5"],
-                           "--x", "E4", "--alpha", "e4", "--f0", "-2*e54")
-        assert code == 0
-        assert "sheared: (51,52,53,0,0)" in out
-
     def test_invalid_exit_3_with_table(self, capsys, files):
         code, out, _ = run(capsys, "shear", files["s5"],
                            "--x", "E4", "--alpha", "e4", "--f0", "e14")
@@ -285,56 +162,13 @@ class TestShearCommand:
         assert "valid: pass" in out
         assert "sheared:" not in out
 
-    def test_bad_alpha_exit_3(self, capsys, files):
-        code, _, err = run(capsys, "shear", files["s5"],
-                           "--x", "E4", "--alpha", "e5", "--f0", "e13")
-        assert code == 3
-        assert "alpha(X)" in err
-
-    @pytest.mark.parametrize("command", [["shear", "--f0", "e13"], ["search"]])
-    @pytest.mark.parametrize("alpha", ["0", "e12-e12", "e12 - e12 + 0*e3"])
-    def test_a_cancelled_alpha_is_the_zero_one_form(self, capsys, files, command, alpha):
-        code, out, err = run(capsys, command[0], files["s5"], "--x", "E4", "--alpha", alpha, *command[1:])
-        assert (code, out, err) == (3, "", "error: alpha(X) must be 1, got 0\n")
-
-
-GATED_COMMANDS = {
-    "shear": ["--x", "E4", "--alpha", "e4", "--f0", "e12"],
-    "twist": ["--alpha", "e4", "--f", "e12"],
-    "form-ds": ["--x", "E4", "--alpha", "e4", "--f0", "e12", "--form", "e1"],
-    "check-structure": ["--type", "symplectic", "--omega", "e12+e34"],
-    "search": ["--x", "E4", "--alpha", "e4"],
-    "shear-lines": [],
-}
-
 
 class TestJacobiGate:
-    @pytest.mark.parametrize("command", list(GATED_COMMANDS))
-    def test_jacobi_gate(self, capsys, files, command):
-        code, out, err = run(capsys, command, files["bad"], "--json", *GATED_COMMANDS[command])
-        assert (code, out) == (2, "")
-        assert err == "error: input algebra fails the Jacobi identity\n"
-
     def test_every_other_command_is_gated(self):
         assert set(subcommands(build_parser())) == {"algebra-check", *GATED_COMMANDS}
 
 
 class TestTwistCommand:
-    def test_golden_pair(self, capsys, files):
-        code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-e12")
-        assert code == 0 and "twisted: (0,0,0)" in out
-        code, out, _ = run(capsys, "twist", files["ab3"], "--alpha", "e3", "--f", "e12")
-        assert code == 0 and "twisted: (0,0,12)" in out
-
-    def test_v1_violation_exit_3(self, capsys, files):
-        code, out, err = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "e13")
-        assert (code, out) == (3, "")
-        assert err == "error: F is not in Lambda^2 V1: i_v F = -e1 for v = E3\n"
-
-    def test_alpha_inside_v1_exit_3(self, capsys, files):
-        code, out, err = run(capsys, "twist", files["h3"], "--alpha", "e1", "--f", "e12")
-        assert (code, out, err) == (3, "", "error: alpha must lie outside V1\n")
-
     def test_invalid_shear_report_names_command_and_input(self, capsys, files, monkeypatch):
         from lieshear import shear
 
@@ -362,48 +196,7 @@ class TestTwistCommand:
         assert report["exit_status"] == 3 and report["result"]["report"]["valid"] is False
 
 
-class TestFormDs:
-    def test_psi_transfer(self, capsys, files):
-        code, out, _ = run(capsys, "form-ds", files["glm"],
-                           "--x", "E1", "--alpha", "e1", "--f0", "e23", "--a", "-1",
-                           "--form", PSI_LITERAL)
-        assert code == 0
-        assert "ds: 0" in out
-
-    def test_omega_transfer(self, capsys, files):
-        code, out, _ = run(capsys, "form-ds", files["ab6"],
-                           "--x", "E1", "--alpha", "e1", "--f0", "e12",
-                           "--form", "e12+e34+e56")
-        assert code == 0
-        assert "ds: 0" in out
-
-    def test_no_x_leg_gives_plain_d(self, capsys, files):
-        code, out, _ = run(capsys, "form-ds", files["s5"],
-                           "--x", "E4", "--alpha", "e4", "--f0", "e13",
-                           "--form", "e15")
-        assert code == 0
-        assert "ds: 0" in out  # d(e15) = e51 ^ e5 = 0
-
-    def test_zero_form(self, capsys, files):
-        code, out, _ = run(capsys, "form-ds", files["s5"],
-                           "--x", "E4", "--alpha", "e4", "--f0", "e13", "--form", "0")
-        assert code == 0
-        assert "form: 0\nds: 0\n" in out
-
-
 class TestCheckStructure:
-    def test_g2_cocal(self, capsys, files):
-        code, out, _ = run(capsys, "check-structure", files["glm"],
-                           "--type", "g2-cocal", "--psi", PSI_LITERAL)
-        assert code == 0
-        assert "passed: pass" in out
-
-    def test_kahler_standard(self, capsys, files):
-        code, out, _ = run(capsys, "check-structure", files["kahler6"],
-                           "--type", "kahler", "--standard")
-        assert code == 0
-        assert "passed: pass" in out
-
     def test_a_metric_with_120_digit_entries_finishes(self, tmp_path):
         # a 12x12 diagonally dominant metric whose numerators and denominators
         # all have 120 digits, about 35 KB of literal: its pivots stay bounded by
@@ -473,49 +266,6 @@ class TestCheckStructure:
         assert proc.returncode == 0, proc.stderr
         assert f"passed: {verdict}" in proc.stdout.splitlines()
 
-    def test_symplectic_fail_is_exit_0(self, capsys, files):
-        code, out, _ = run(capsys, "check-structure", files["ab6"],
-                           "--type", "symplectic", "--omega", "e12+e34")
-        assert code == 0
-        assert "passed: FAIL" in out
-
-    def test_g2_phi(self, capsys, files):
-        code, out, _ = run(capsys, "check-structure", files["glm"],
-                           "--type", "g2-phi", "--phi", PHI_LITERAL)
-        assert code == 0
-        assert "definiteness: positive" in out
-
-    def test_half_flat(self, capsys, files):
-        code, out, _ = run(capsys, "check-structure", files["ab6"],
-                           "--type", "half-flat", "--omega", "e12+e34+e56",
-                           "--rho-minus", "e235+e145+e136-e246")
-        assert code == 0
-        assert "passed: pass" in out
-
-    @pytest.mark.parametrize("doc, flags, message", [
-        ("ab6", ["--type", "symplectic"], "symplectic structure needs forms: omega"),
-        ("ab6", ["--type", "kahler"], "kahler structure needs forms: omega"),
-        ("ab6", ["--type", "half-flat"], "half-flat structure needs forms: omega, rho_minus"),
-        ("ab6", ["--type", "half-flat", "--omega", "e12"], "half-flat structure needs forms: rho_minus"),
-        ("ab6", ["--type", "half-flat", "--rho-minus", "e123"], "half-flat structure needs forms: omega"),
-        ("glm", ["--type", "g2-cocal"], "g2-cocal structure needs forms: psi"),
-        ("glm", ["--type", "g2-phi"], "g2-phi structure needs forms: phi"),
-        ("ab6", ["--type", "kahler", "--omega", "e12"],
-         "kahler structure needs a metric and a complex structure"),
-        ("ab6", ["--type", "kahler", "--omega", "e12", "--metric", IDENTITY6],
-         "kahler structure needs a metric and a complex structure"),
-        ("ab6", ["--type", "kahler", "--omega", "e12", "--j", J6],
-         "kahler structure needs a metric and a complex structure"),
-        ("ab6", ["--type", "g2-phi", "--phi", "e123"], "g2-phi check needs a dimension-7 algebra"),
-        ("ab3", ["--type", "kahler", "--standard"], "--standard needs an even dimension"),
-        ("ab3", ["--type", "symplectic", "--standard"], "--standard needs an even dimension"),
-        # a zero four-form exists on any frame, so the dimension gate is what refuses it
-        ("ab2", ["--type", "g2-cocal", "--psi", "0"], "co-calibrated structures live in dimension 7"),
-    ])
-    def test_usage_error(self, capsys, files, doc, flags, message):
-        code, out, err = run(capsys, "check-structure", files[doc], *flags)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-
     def test_unknown_type(self, capsys, files):
         code, out, err = run(capsys, "check-structure", files["ab6"], "--type", "hyperkahler")
         kinds = ["symplectic", "kahler", "half-flat", "g2-cocal", "g2-phi"]
@@ -528,19 +278,6 @@ class TestCheckStructure:
 
 
 class TestSearchCommand:
-    def test_reproduces_deformation(self, capsys, files):
-        code, out, _ = run(capsys, "search", files["s5"],
-                           "--x", "E4", "--alpha", "e4",
-                           "--support", "e12,e13,e15,e23,e25,e35", "--max-terms", "1")
-        assert code == 0
-        assert "F0 = e13 -> (51,52,53,13+2.54,0)" in out
-
-    def test_psi_preserving(self, capsys, files):
-        code, out, _ = run(capsys, "search", files["glm"],
-                           "--x", "E1", "--alpha", "e1", "--preserve", PSI_LITERAL)
-        assert code == 0
-        assert "F0 = e23 ->" in out
-
     def test_zero_form_preserves_everything(self, capsys, files):
         argv = ["search", files["s5"], "--x", "E4", "--alpha", "e4", "--max-terms", "1",
                 "--coeffs", "-1,0,1", "--json"]
@@ -560,35 +297,8 @@ class TestSearchCommand:
         assert (code, result["candidates"]) == (0, 233)
         assert [h["f0"] for h in result["hits"]] == [str(h.f0) for h in reference_enumerate_f0(spec)]
 
-    def test_cap_exit_4(self, capsys, files):
-        code, _, err = run(capsys, "search", files["ab6"],
-                           "--x", "E1", "--alpha", "e1", "--max-terms", "6", "--cap", "10")
-        assert code == 4
-        assert "cap" in err
-
-    @pytest.mark.parametrize("doc, x", [("s5", "E4"), ("h3", "E3")])
-    def test_zero_constant_exit_3(self, capsys, files, doc, x):
-        code, out, err = run(capsys, "search", files[doc], "--x", x, "--alpha", x.lower(), "--a", "0")
-        assert (code, out, err) == (3, "", "error: transfer constant a must be nonzero\n")
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--cap", "-1"], "cap must be nonnegative"),
-        (["--coeffs", "0,1/0"], "bad rational '1/0': zero denominator"),
-        (["--support", "e33"], "repeated index 3"),
-        (["--support", "2*e12"], "support entries must be bare monomials, got '2*e12'"),
-    ])
-    def test_usage_error(self, capsys, files, flags, message):
-        code, out, err = run(capsys, "search", files["h3"], "--x", "E3", "--alpha", "e3", *flags)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-
 
 class TestShearLines:
-    def test_solvable(self, capsys, files):
-        code, out, _ = run(capsys, "shear-lines", files["s5"])
-        assert code == 0
-        assert "eigenvalues (-2): span{E4}" in out
-        assert "eigenvalues (-1): span{E1, E2, E3}" in out
-
     def test_large_prime_eigenvalues_finish(self, tmp_path):
         # the action has char poly (x - 1000000007)(x - 999999937); a divisor
         # search over its constant term would run for minutes
@@ -601,17 +311,6 @@ class TestShearLines:
         assert proc.returncode == 0
         spaces = json.loads(proc.stdout)["result"]["eigenspaces"]
         assert [s["eigenvalues"] for s in spaces] == [["999999937"], ["1000000007"]]
-
-    def test_abelian_exit_3(self, capsys, files):
-        code, _, err = run(capsys, "shear-lines", files["ab6"])
-        assert code == 3
-        assert "no canonical line" in err
-
-    def test_non_solvable_exit_3(self, capsys, tmp_path):
-        doc = tmp_path / "so3.alg"
-        doc.write_text("(23,-13,12)")
-        code, out, err = run(capsys, "shear-lines", str(doc))
-        assert (code, out, err) == (3, "", "error: shear lines require a solvable algebra\n")
 
     def test_an_internal_value_error_is_not_invalid_data(self, capsys, files, monkeypatch):
         # only the two documented refusals (ShearLineError) read as invalid
@@ -632,9 +331,11 @@ class TestReports:
         doc = json.loads(out)
         assert doc["exit_status"] == 0
         assert doc["result"]["sheared"] == "(51,52,53,13+2.54,0)"
-        assert doc["result"]["report"]["valid"] is True
-        assert doc["result"]["report"]["eta_0"] == "2*e5"
-        assert doc["input"]["sha256"]
+        assert doc["input"]["sha256"] == hashlib.sha256(Path(files["s5"]).read_bytes()).hexdigest()
+        # the report's derived entries beside its validity
+        report = doc["result"]["report"]
+        assert report["valid"] is True and report["eta_0"] == report["eta_tilde"] == "2*e5"
+        assert (report["eta_bracket"], report["f_tilde"]) == ("-2*e5", "e13")
 
     def test_byte_identical_runs(self, capsys, files):
         argv = ["search", files["s5"], "--json", "--x", "E4", "--alpha", "e4",
@@ -668,14 +369,18 @@ class TestReports:
         code, out, _ = run(capsys, "algebra-check", files["s5"])
         assert "\x1b[" not in out
 
-    def test_console_script_subprocess(self, files):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lieshear", "algebra-check", files["s5"]],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "jacobi: pass" in proc.stdout
+    def test_console_script_subprocess(self):
+        # the rows' command mode, which CI runs on every row against the installed
+        # script: a refusal, a plain pass, and a row that also runs under python -O
+        row = {case.name: case for case in CASES}
+        refusal, plain, optimized = (row["TestShearLines::test_non_solvable_exit_3"],
+                                     row["TestShearLines::test_an_irrational_leftover"],
+                                     row["TestSearchCommand::test_the_reference_box_is_all_hits"])
+        command = [sys.executable, "-m", "lieshear"]
+        assert optimized.optimized and run_commands([refusal, plain, optimized], command) == []
+        # and a row the run does not meet is reported
+        [failure] = run_commands([refusal._replace(code=0)], command)
+        assert failure.startswith(f"FAIL {refusal.name} (") and "exit 3, expected 0" in failure
 
     @pytest.mark.parametrize("argv, code", [
         (["algebra-check", "s5", "--json"], 0),
@@ -742,18 +447,6 @@ class TestReports:
         assert run(capsys, "algebra-check", files["h3"], "--set", "a=1e4300") == plain
         assert run(capsys, "algebra-check", files["h3"], "--set", "a=x") == plain
 
-    def test_space_inside_a_rational_is_refused(self, capsys, files):
-        code, out, err = run(capsys, "shear", files["h3"], "--x", "E3", "--alpha", "e3",
-                             "--f0", "e12", "--a", "1 2")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: bad rational '1 2'") and err.count("\n") == 1
-
-    def test_usage_error_exit_1(self, capsys):
-        code = main(["shear"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error" in err
-
 
 class TestArgv:
     def test_parser_surface_is_pinned(self):
@@ -798,6 +491,13 @@ class TestArgv:
                 assert getattr(args, action.dest) in ("-e1", ["-e1"]), flag
 
 
+class TestNonAsciiDigits:
+    def test_exponent_coefficient(self, capsys, files):
+        code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-1e-3*e12", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["twisted"] == "(0,0,999/1000.12)"
+
+
 class TestGoldenText:
     @pytest.mark.parametrize("name", list(GOLDEN_TEXT))
     def test_text_report(self, capsys, files, monkeypatch, name):
@@ -806,49 +506,27 @@ class TestGoldenText:
         assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
-class TestHighDimensionDocuments:
-    def test_dim_ten_json_document(self, capsys, tmp_path):
-        doc = {"dim": 10, "d": {"3": "e[1,2]", "10": "2*e[1,9]"}}
-        p = tmp_path / "big.alg"
-        p.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "algebra-check", str(p))
-        assert code == 0
-        assert '"dim": 10' in out  # shorthand falls back to the JSON form
-        assert "jacobi: pass" in out
+def _row_test(rows_by_id: dict):
+    """A test method running in process the rows of each parameter id (None: the test has no parameter)."""
+    def test(self, tmp_path, rows):
+        assert [(case.argv, found) for case in rows if (found := run_in_process(case, tmp_path))] == []
+
+    if list(rows_by_id) == [None]:
+        return lambda self, tmp_path: test(self, tmp_path, rows_by_id[None])
+    return pytest.mark.parametrize("rows", list(rows_by_id.values()), ids=list(rows_by_id))(test)
 
 
-class TestNonAsciiDigits:
-    # digits are ASCII [0-9]: other scripts' digits are refused, never read as
-    # numbers and never passed to int()
-    @pytest.mark.parametrize("doc, flags, message", [
-        ("(0,0,\u00b9\u00b2)", [], "expected an index pair of two digits (at position 5)"),
-        ("(0,0,\u0661\u0662)", [], "expected an index pair of two digits (at position 5)"),
-        ("(0,0,\u00b2/3.12)", [], "expected an index pair of two digits (at position 5)"),
-        (json.dumps({"dim": 3, "d": {"3": "e\u00b9\u00b2"}}), [], "expected digit indices, got '\u00b9\u00b2'"),
-        (json.dumps({"dim": 3, "d": {"3": "e\u0661\u0662"}}), [], "expected digit indices, got '\u0661\u0662'"),
-        ("(0,0,12)", ["--x", "E\u00b9"], "bad frame index in 'E\u00b9'"),
-        ("(0,0,12)", ["--f0", "e\u00b9\u00b2"], "expected digit indices, got '\u00b9\u00b2'"),
-        ("(0,0,12)", ["--a", "\u0662"], "bad rational '\u0662': digits must be ASCII"),
-        ("(0,0,12)", ["--f0", "e12 -"], "malformed expression 'e12 -'"),
-        ("(0,0,12)", ["--a", "1/0"], "bad rational '1/0': zero denominator"),
-        ("(0,0,12)", ["--f0", "1/0*e12"], "bad rational '1/0': zero denominator"),
-        ("(0,0,12)", ["--coeffs", ","], "bad rational '': expected an integer, p/q or a decimal"),
-        ("(0,0,12)", ["--coeffs", "0,,1"], "bad rational '': expected an integer, p/q or a decimal"),
-        ("(0,0,12)", ["--f0", "e13 + 1"], "expected a monomial like e13, got '1'"),
-    ])
-    def test_refused_in_one_error_line(self, capsys, tmp_path, doc, flags, message):
-        path = tmp_path / "doc.alg"
-        path.write_text(doc, encoding="utf-8")
-        name = "search" if "--coeffs" in flags else "shear"  # --coeffs is a search option
-        argv = {"--x": "E3", "--alpha": "e3"} | ({} if name == "search" else {"--f0": "e12"})
-        argv.update(zip(flags[::2], flags[1::2]))
-        command = [name, *(x for kv in argv.items() for x in kv)] if flags else ["algebra-check"]
-        code, out, err = run(capsys, command[0], str(path), *command[1:])
-        assert (code, out) == (1, "")
-        assert err == f"error: {message}\n"
-        assert "invalid literal for int()" not in err
+def _collect_rows() -> None:
+    """Put each row of tests/cli_cases.py under the test id its name gives, in the class it names."""
+    tests: dict[str, dict] = {}
+    for case in CASES:
+        test, _, parameter = case.name.partition("[")
+        tests.setdefault(test, {}).setdefault(parameter[:-1] or None, []).append(case)
+    for test, rows_by_id in tests.items():
+        class_name, function = test.split("::")
+        cls = globals().setdefault(class_name, type(class_name, (), {}))
+        assert not hasattr(cls, function), f"the row {test} would replace the test of that name"
+        setattr(cls, function, _row_test(rows_by_id))
 
-    def test_exponent_coefficient(self, capsys, files):
-        code, out, _ = run(capsys, "twist", files["h3"], "--alpha", "e3", "--f", "-1e-3*e12", "--json")
-        assert code == 0
-        assert json.loads(out)["result"]["twisted"] == "(0,0,999/1000.12)"
+
+_collect_rows()

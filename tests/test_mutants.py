@@ -3,7 +3,10 @@ import re
 
 import pytest
 
+from cli_cases import CASES
 from mutants import MUTANTS, ROOT, SOURCE
+
+ROW_NAMES = {case.name for case in CASES}
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
@@ -14,6 +17,8 @@ def test_each_snippet_occurs_once_and_each_killer_exists(mutant):
     for node in mutant.killers:
         assert " " not in node  # the runner reads the failed ids off pytest's summary lines
         path, *names = node.split("::")
+        if path == "tests/test_cli.py" and "::".join(names) in ROW_NAMES:
+            continue  # a row of tests/cli_cases.py, which test_cli.py collects under its name
         source = (ROOT / path).read_text(encoding="utf-8")
         *classes, function = names
         for name in classes:

@@ -1,10 +1,10 @@
 """The README's examples run as written."""
 import json
 import re
-import shlex
 from pathlib import Path
 
-from lieshear.cli import load_document, main
+from cli_cases import DOCUMENTS, Case, run_in_process
+from lieshear.cli import load_document
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -40,23 +40,16 @@ def test_algebra_document_examples_load(tmp_path):
         assert info["path"] == str(path)
 
 
-# the documents the CLI examples name, as the README describes them
-SHELL_DOCUMENTS = {
-    "s5": "(51,52,53,2.54,0)",
-    "h3": "(0,0,12)",
-    "glm": "(3.17,27,2.37,3.74,75,2.76,0)",
-    "k6": "(12,0,0,0,0,0)",
-}
-
-
-def test_shell_examples_exit_0(tmp_path, capsys):
-    for name, text in SHELL_DOCUMENTS.items():
-        assert f"`{name}.alg`" in README and f"`{text}`" in README
-        (tmp_path / f"{name}.alg").write_text(text, encoding="utf-8")
+def test_shell_examples_exit_0(tmp_path):
+    # each example document is named with its text, as cli_cases.DOCUMENTS holds it
+    names = re.findall(r"`(\w+)\.alg`", README.split("In the examples below", 1)[1].split("```", 1)[0])
+    assert names == ["s5", "h3", "kahler6", "glm"]
+    for name in names:
+        assert " ".join(DOCUMENTS[name].split()) in " ".join(README.split()), name
     lines = [line for block in fenced_blocks(README, "sh")
              for line in block.replace("\\\n", " ").splitlines() if line.startswith("lieshear ")]
     assert len(lines) == 8
     for line in lines:
-        argv = [str(tmp_path / arg) if arg.endswith(".alg") else arg for arg in shlex.split(line)[1:]]
-        code = main(argv)
-        assert (code, capsys.readouterr().err) == (0, ""), line
+        name = re.search(r"(\w+)\.alg", line)[1]
+        case = Case(line, name, line.removeprefix("lieshear ").replace(f"{name}.alg", "{doc}"))
+        assert run_in_process(case, tmp_path) == [], line
