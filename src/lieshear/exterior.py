@@ -220,13 +220,24 @@ def _make(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:
     that every value is an int or a Fraction; this only drops zeros and
     demotes integral Fractions to int.
     """
-    form = object.__new__(KForm)
-    _set_dim(form, dim)
-    _set_degree(form, degree)
-    _set_terms(form, {
+    return _stored(dim, degree, {
         m: c if type(c) is int or c.denominator != 1 else c.numerator
         for m, c in terms.items() if c
     })
+
+
+def _stored(dim: int, degree: int, terms: dict[int, Coeff]) -> KForm:
+    """KForm whose term dict is `terms` itself, unchecked: the one place a
+    KForm's slots are filled by hand.
+
+    The caller vouches for what `_make` asks and also that every value is in
+    stored form already: a nonzero int, or a Fraction that is not integral
+    (`_as_coeff`).
+    """
+    form = object.__new__(KForm)
+    _set_dim(form, dim)
+    _set_degree(form, degree)
+    _set_terms(form, terms)
     return form
 
 

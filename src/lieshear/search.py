@@ -7,7 +7,7 @@ from math import comb, lcm
 from operator import mul
 
 from ._value import Value, slot_setters
-from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, interior, wedge
+from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, _stored, interior, wedge
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
 
@@ -115,8 +115,9 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     monomial defects, with nu the shared zero one-form and no defect form
     built.  A candidate with an X-leg goes through validate_shear and the
     test F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma
-    computed once per search.  F0 is assembled from stored coefficients,
-    and F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
+    computed once per search.  F0 is assembled from stored nonzero
+    coefficients on distinct masks, so `_stored` takes them unchecked, and
+    F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
     itself when -1/a is 1, as KForm.__mul__ returns the form for 1.  Each
     hit's algebra is built by _sheared from the base's plan
     (ShearBase.plan): the generators X touches, whose d e_k it replaces,
@@ -156,7 +157,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
             for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
                 if any(sum(map(mul, ks, r)) for r in rows):
                     continue
-                f0 = _make(g.dim, 2, dict(zip(mons, coeffs)))
+                f0 = _stored(g.dim, 2, dict(zip(mons, coeffs)))
                 report = validate_shear(g, trusted(X, alpha, f0, a, f0 * neg_inv_a))
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0, report, _sheared(report)))

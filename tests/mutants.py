@@ -446,6 +446,19 @@ MUTANTS = [
          "tests/test_shear.py::TestFrameChange::test_the_twist_moves_with_the_frame",
          "tests/test_shear.py::TestApplyTwist::test_matches_the_splitting_construction"),
     ),
+    Mutant(
+        "namespace-home-imports-the-name", "__init__.py",
+        '"interior": "exterior",',
+        '"interior": "lie",',
+        ("tests/test_source.py::test_each_public_name_is_the_object_its_home_module_defines",),
+    ),
+    Mutant(
+        "namespace-eager-geometry", "__init__.py",
+        "import importlib\n",
+        "import importlib\n\nfrom . import geometry\n",
+        ("tests/test_source.py::test_package_import_loads_a_submodule_only_on_first_use",
+         "tests/test_source.py::test_every_module_level_import_is_used"),
+    ),
 ]
 
 

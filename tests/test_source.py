@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lieshear
 
 SOURCES = sorted(Path(lieshear.__file__).parent.glob("*.py"))
@@ -75,7 +77,8 @@ def test_only_value_defines_immutability_and_equality():
 
 def test_every_module_level_import_is_used():
     # a leftover import (an operator.mul whose last caller went) is dead code;
-    # __future__ imports and the package's re-exports in __init__.py are exempt
+    # __future__ imports are exempt, and __init__.py re-exports nothing by
+    # import, as its names load on first use
     unused = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -86,8 +89,7 @@ def test_every_module_level_import_is_used():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
-                    exported = path.name == "__init__.py" and name in lieshear.__all__
-                    if name not in used and not exported:
+                    if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert SOURCES and not unused, unused
 
@@ -139,14 +141,81 @@ def test_no_floats_or_tolerances():
     assert SOURCES and not found, found
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # start-up budget: the value classes generate no code, so importing the
-    # CLI pulls in neither dataclasses nor inspect (with its ast, dis and
-    # tokenize), which no command needs
-    script = "import sys, lieshear.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+def _fresh_python(script: str) -> str:
+    """What `script` prints in a new interpreter that imports this lieshear."""
     src = str(Path(lieshear.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     flags = ["-O"] if sys.flags.optimize else []
     proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # start-up budget: the value classes generate no code, so importing the
+    # CLI pulls in neither dataclasses nor inspect (with its ast, dis and
+    # tokenize), which no command needs
+    script = "import sys, lieshear.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    assert _fresh_python(script) == "[]\n"
+
+
+def test_package_import_loads_a_submodule_only_on_first_use():
+    # a caller pays only for the layers it touches: `import lieshear` loads
+    # no submodule, a public name loads its home and what that imports, and
+    # a bare `import lieshear` still reaches every submodule by attribute
+    script = (
+        "import sys, lieshear\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('lieshear.'))\n"
+        "print(loaded())\n"
+        "lieshear.LieAlgebra\n"
+        "print(loaded())\n"
+        "print(all(getattr(lieshear, m) is sys.modules['lieshear.' + m] for m in lieshear._SUBMODULES))\n"
+    )
+    assert _fresh_python(script).splitlines() == [
+        "[]",
+        "['lieshear._value', 'lieshear.exterior', 'lieshear.lie', 'lieshear.linalg']",
+        "True",
+    ]
+
+
+PUBLIC_NAMES = [
+    "KForm", "Vector", "wedge", "interior", "hodge_star_orthonormal", "pullback",
+    "LieAlgebra", "parse_salamon", "print_salamon", "SalamonError", "JacobiReport", "SeriesReport",
+    "Filtration", "EigenSpace", "ShearLineError", "ShearLineReport",
+    "ShearData", "ShearBase", "ShearDataError", "ShearReport", "InvalidShearError", "TwistError",
+    "decompose_dalpha", "validate_shear", "apply_shear", "shear_candidate", "apply_twist", "ds_form",
+    "is_automorphic", "invert_shear",
+    "Metric", "ComplexStructure", "NijenhuisResult", "KahlerReport", "HalfFlatReport", "PhiStabilityReport",
+    "is_closed", "symplectic_check", "nijenhuis", "type_components", "kahler_check", "half_flat_check",
+    "g2_cocal_check", "phi_stability", "preserves_closure",
+    "SearchSpec", "SearchHit", "SearchSpaceError", "SearchSpecError", "enumerate_f0",
+]
+
+
+def test_public_names_and_dir():
+    assert lieshear.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) | {"__version__"} <= set(dir(lieshear))
+    # every .py module of the package but its dunder files is reachable by attribute
+    assert sorted(lieshear._SUBMODULES) == [p.stem for p in SOURCES if not p.stem.startswith("__")]
+
+
+def test_each_public_name_is_the_object_its_home_module_defines():
+    # the table names the module that defines each name, not one that merely
+    # imports it, so a name loads no more than its own layer needs
+    wrong = []
+    for name in lieshear.__all__:
+        value = getattr(lieshear, name)
+        home = sys.modules[f"lieshear.{lieshear._HOMES[name]}"]
+        if getattr(home, name) is not value or value.__module__ != home.__name__:
+            wrong.append(name)
+    assert not wrong, wrong
+
+
+def test_star_import_binds_exactly_all_and_unknown_names_are_missing():
+    namespace: dict = {}
+    exec("from lieshear import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(lieshear.__all__)
+    assert not hasattr(lieshear, "no_such_name") and not hasattr(lieshear, "__main__")
+    with pytest.raises(AttributeError, match="^module 'lieshear' has no attribute 'no_such_name'$"):
+        lieshear.no_such_name
