@@ -459,6 +459,23 @@ MUTANTS = [
         ("tests/test_source.py::test_package_import_loads_a_submodule_only_on_first_use",
          "tests/test_source.py::test_every_module_level_import_is_used"),
     ),
+    Mutant(
+        # the command would run with the collector off, so a long search never
+        # frees its own cycles
+        "entry-leaves-the-collector-off", "__main__.py",
+        "    gc.enable()\n",
+        "",
+        ("tests/test_cli.py::TestReports"
+         "::test_the_process_entry_freezes_start_up_and_runs_the_command_with_the_collector_on",),
+    ),
+    Mutant(
+        # every collection of the command, and the one at exit, would trace the start-up heap again
+        "entry-freezes-nothing", "__main__.py",
+        "    gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::TestReports"
+         "::test_the_process_entry_freezes_start_up_and_runs_the_command_with_the_collector_on",),
+    ),
 ]
 
 

@@ -382,6 +382,21 @@ class TestReports:
         [failure] = run_commands([refusal._replace(code=0)], command)
         assert failure.startswith(f"FAIL {refusal.name} (") and "exit 3, expected 0" in failure
 
+    def test_the_process_entry_freezes_start_up_and_runs_the_command_with_the_collector_on(self):
+        # lieshear.__main__.run, behind both `python -m lieshear` and the script,
+        # with a probe in place of cli.main: the command sees the collector on and
+        # the start-up objects frozen, and run() returns the command's exit code
+        script = (
+            "import gc, lieshear.cli\n"
+            "seen = []\n"
+            "lieshear.cli.main = lambda: seen.append((gc.isenabled(), gc.get_freeze_count() > 0)) or 3\n"
+            "from lieshear.__main__ import run\n"
+            "print(gc.get_freeze_count(), run(), seen)\n"
+        )
+        proc = subprocess.run([sys.executable, *(["-O"] if sys.flags.optimize else []), "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 3 [(True, True)]\n")
+
     @pytest.mark.parametrize("argv, code", [
         (["algebra-check", "s5", "--json"], 0),
         (["algebra-check", "s5"], 0),

@@ -110,6 +110,19 @@ def test_imports_only_the_standard_library():
     assert SOURCES and not found, found
 
 
+def test_only_the_process_entry_imports_gc():
+    # the collector is a setting of the whole process: the library leaves it
+    # alone for callers that run cli.main or the API in process
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names}
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module == "gc"
+    ]
+    assert found == ["__main__.py"], found
+
+
 def test_environment_is_read_only_for_no_color():
     # README: no environment variable other than NO_COLOR is read
     names = {"environ", "getenv", "environb", "getenvb"}
