@@ -12,16 +12,18 @@ field tuple, so a value holding a dict is unhashable (KForm hashes its
 terms itself).  Assignment and deletion raise AttributeError; copies and
 unpickled values are filled by __setstate__.  The repr is `Name(field=...)`
 over the fields not in `_hidden`.  Defining a subclass generates no code.
-`__slots__ = ()` keeps the slotted KForm, Vector, LieAlgebra, ShearReport
-and SearchHit without an instance dict: the s5 reference search keeps
-1,545 hits, each with its F0, report and algebra.
+`__slots__ = ()` keeps the slotted KForm, Vector, LieAlgebra, ShearData,
+ShearReport and SearchHit without an instance dict: the s5 reference
+search builds a ShearData per hit and keeps 1,545 hits, each with its F0,
+report and algebra.  A slot need not be a field (ShearData's f_eff).
 
 A subclass defines its own __init__ only for defaults or checks, or for
 speed where a search builds one per hit: `SearchHit` and `ShearReport`
-keep hand-written ones, which fill their slots through `slot_setters`.
-With keywords they take 0.5 and 0.9 us per call against 1.8 and 2.9 us
-through `Value.__init__`, where the s5 reference search spends about
-14 us per hit (CPython 3.11, a 2-CPU Xeon host).
+keep hand-written ones, and `ShearData._trusted` skips the checks; they
+fill their slots through `slot_setters`.  With keywords SearchHit and
+ShearReport take 0.5 and 0.9 us per call against 1.8 and 2.9 us through
+`Value.__init__`, where the s5 reference search spends about 11 us per
+hit (CPython 3.11, a 2-CPU Xeon host).
 """
 from __future__ import annotations
 

@@ -496,7 +496,3 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     _emit({"command": args.cmd, "input": info, "result": result}, code, args.json)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -118,17 +118,19 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     computed once per search.  F0 is assembled from stored nonzero
     coefficients on distinct masks, so `_stored` takes them unchecked, and
     F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
-    itself when -1/a is 1, as KForm.__mul__ returns the form for 1.  Each
-    hit's algebra is built by _sheared from the base's plan
-    (ShearBase.plan): the generators X touches, whose d e_k it replaces,
-    and the Jacobi re-check set, which adds those whose d e_k has a
-    monomial on one of them.  Every other d(d e_k) is the base's, zero
+    itself when -1/a is 1.  A monomial set whose condition columns are all
+    zero has no row to test.  Each hit's algebra is built by _sheared from
+    the base's plan (ShearBase.plan): the generators X touches, whose d e_k
+    it replaces, and the Jacobi re-check set, which adds those whose d e_k
+    has a monomial on one of them.  Each replaced d e_k + x_k F_eff is the two
+    term dicts merged when x_k = 1 and F_eff has no monomial of d e_k, and
+    summed otherwise (_shear_by).  Every other d(d e_k) is the base's, zero
     when the base passes (LieAlgebra._replacing); a base that fails gets the
     full check.  The guard sums each re-checked d(d e_k) into a term dict
     from the built algebra's own d e_k, by the rule of LieAlgebra.d, and
     builds a form only for a failure; every passing algebra shares one
-    JacobiReport(True, ()).  F0, the reports and the hits are slotted values
-    with no instance dict.
+    JacobiReport(True, ()).  F0, the shear data, the reports and the hits
+    are slotted values with no instance dict.
     """
     count = spec.candidate_count()
     if count > spec.cap:
@@ -142,6 +144,7 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
     if not a:
         raise ShearDataError("transfer constant a must be nonzero")
     neg_inv_a = _as_coeff(-1 / a)
+    unit = neg_inv_a == 1  # F_eff is F0 itself
     masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
     legs = [interior(X, s) for s in spec.preserve]
     columns = _condition_columns(base, masks, legs)
@@ -155,10 +158,10 @@ def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
             rows = [r for r in zip(*cols) if any(r)] if screened else []
             mons = [masks[m] for m in monomials]
             for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
-                if any(sum(map(mul, ks, r)) for r in rows):
+                if rows and any(sum(map(mul, ks, r)) for r in rows):
                     continue
                 f0 = _stored(g.dim, 2, dict(zip(mons, coeffs)))
-                report = validate_shear(g, trusted(X, alpha, f0, a, f0 * neg_inv_a))
+                report = validate_shear(g, trusted(X, alpha, f0, a, f0 if unit else f0 * neg_inv_a))
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0, report, _sheared(report)))
     return hits

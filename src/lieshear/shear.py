@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from . import linalg
 from ._value import Value, slot_setters
-from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, form_matrix, interior,
-                       one_form, wedge)
+from .exterior import (MAX_DIM, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, _stored, form_matrix,
+                       interior, one_form, wedge)
 from .lie import LieAlgebra, _columns, _d_terms
 
 #: conditions that decide validity (the rest are geometric diagnostics;
@@ -29,6 +30,7 @@ REQUIRED_CONDITIONS = (
     "df_eff_eq_eta0_wedge_f_eff",
     "eta0_closed",
 )
+_required = itemgetter(*REQUIRED_CONDITIONS)  # a report's required values, in one call
 
 
 class ShearDataError(ValueError):
@@ -45,46 +47,64 @@ class InvalidShearError(ValueError):
 
 
 class ShearData(Value):
-    """Input of one shear: X spans the ideal, alpha(X) = 1, F0 deforms, a transfers."""
+    """Input of one shear: X spans the ideal, alpha(X) = 1, F0 deforms, a transfers.
+
+    F_eff = -(1/a) F0 is kept in the slot `f_eff`, which is not a field.
+    """
 
     _fields = ("X", "alpha", "F0", "a", "eta_g")
+    __slots__ = (*_fields, "f_eff")
 
     def __init__(self, X: Vector, alpha: KForm, F0: KForm, a: Fraction = Fraction(-1),
                  eta_g: KForm | None = None):
-        self.__dict__.update(X=X, alpha=alpha, F0=F0, a=_as_fraction(a), eta_g=eta_g)
-        dims = {self.X.dim, self.alpha.dim, self.F0.dim}
-        if self.eta_g is not None:
-            dims.add(self.eta_g.dim)
+        a = _as_fraction(a)
+        dims = {X.dim, alpha.dim, F0.dim}
+        if eta_g is not None:
+            dims.add(eta_g.dim)
         if len(dims) != 1:
             raise ShearDataError(f"mixed dimensions in shear data: {sorted(dims)}")
-        if self.alpha.degree != 1:
+        if alpha.degree != 1:
             raise ShearDataError("alpha must be a one-form")
-        if not (self.F0.degree == 2 or self.F0.is_zero()):
+        if not (F0.degree == 2 or F0.is_zero()):
             raise ShearDataError("F0 must be a two-form")
-        if self.eta_g is not None and not (self.eta_g.degree == 1 or self.eta_g.is_zero()):
+        if eta_g is not None and not (eta_g.degree == 1 or eta_g.is_zero()):
             raise ShearDataError("eta_g must be a one-form")
-        if self.a == 0:
+        if a == 0:
             raise ShearDataError("transfer constant a must be nonzero")
-        pairing = self.alpha(self.X)
+        pairing = alpha(X)
         if pairing != 1:
             raise ShearDataError(f"alpha(X) must be 1, got {pairing}")
-        if self.eta_g is not None and self.eta_g.degree == 1:
-            val = self.eta_g(self.X)
+        if eta_g is not None and eta_g.degree == 1:
+            val = eta_g(X)
             if val != 0:
                 raise ShearDataError(f"eta_g(X) must vanish, got {val}")
-        self.__dict__["f_eff"] = self.F0 * (-1 / self.a)
+        _set_X(self, X)
+        _set_alpha(self, alpha)
+        _set_F0(self, F0)
+        _set_a(self, a)
+        _set_eta_g(self, eta_g)
+        _set_data_f_eff(self, F0 * (-1 / a))
 
     @classmethod
     def _trusted(cls, X: Vector, alpha: KForm, F0: KForm, a: Fraction, f_eff: KForm) -> "ShearData":
-        """ShearData without the checks of __init__, for a search.
+        """ShearData without the checks of __init__, for a search: one per
+        candidate that reaches validate_shear, its slots filled by their setters.
 
         The caller vouches for them: decompose_dalpha checked X and alpha,
         a is a nonzero Fraction, F0 a two-form of the same dimension, and
         f_eff is -(1/a) * F0.
         """
         data = object.__new__(cls)
-        data.__dict__.update(X=X, alpha=alpha, F0=F0, a=a, eta_g=None, f_eff=f_eff)
+        _set_X(data, X)
+        _set_alpha(data, alpha)
+        _set_F0(data, F0)
+        _set_a(data, a)
+        _set_eta_g(data, None)
+        _set_data_f_eff(data, f_eff)
         return data
+
+
+_set_X, _set_alpha, _set_F0, _set_a, _set_eta_g, _set_data_f_eff = slot_setters(ShearData)
 
 
 class ShearReport(Value):
@@ -277,7 +297,12 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
     f0 = data.F0
     # an F0 with no monomial on X's support (ShearData admits a two-form or a
     # zero F0) has nu = X . F0 = 0, taken without the interior product
-    nu = interior(data.X, f0) if any(m & base._xmask for m in f0.terms) else _ZERO_ONE_FORMS[g.dim]
+    nu = _ZERO_ONE_FORMS[g.dim]
+    xmask = base._xmask
+    for m in f0.terms:
+        if m & xmask:
+            nu = interior(data.X, f0)
+            break
     if not nu.terms:
         # eta' = 0 and d(nu) = 0: eta_0 = eta and f' = F_eff, so the required
         # conditions are base.eta_closed and leg_free_defect(F0) = 0
@@ -305,7 +330,7 @@ def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
             None if data.eta_g is None else g.d(f0) == wedge(data.eta_g, f0)
         ),
     }
-    valid = all(conditions[name] for name in REQUIRED_CONDITIONS)
+    valid = all(_required(conditions))
     return ShearReport(valid, base, eta_prime, eta_0, f_prime, nu, f_eff, conditions)
 
 
@@ -352,13 +377,21 @@ def _shear_by(g: LieAlgebra, support: tuple[tuple[int, Coeff], ...], f_eff: KFor
     """The algebra with d e_j + x_j * F_eff on the common frame: the one shear formula.
 
     `support` is _support(X); the Jacobi report reads d(d e_k) for the k of
-    `check` only (LieAlgebra._replacing).
+    `check` only (LieAlgebra._replacing).  When x_k = 1 and no mask of
+    F_eff is one of d e_k, the sum is the two stored term dicts merged, as
+    every value is canonical already; otherwise it is summed and `_make`
+    drops the zeros and demotes integral Fractions.
     """
     replaced = []
+    fterms = f_eff.terms
     for k, x in support:
+        dk = g.diffs[k].terms
+        if x == 1 and dk.keys().isdisjoint(fterms):
+            replaced.append((k, _stored(g.dim, 2, {**dk, **fterms})))
+            continue
         # summed in one pass into a two-form, whatever the degree of a zero F_eff
-        terms = dict(g.diffs[k].terms)
-        for m, c in f_eff.terms.items():
+        terms = dict(dk)
+        for m, c in fterms.items():
             v = x * c
             terms[m] = terms[m] + v if m in terms else v
         replaced.append((k, _make(g.dim, 2, terms)))

@@ -338,8 +338,8 @@ MUTANTS = [
     ),
     Mutant(
         "nu-shortcut-without-mask", "shear.py",
-        "interior(data.X, f0) if any(m & base._xmask for m in f0.terms) else",
-        "interior(data.X, f0) if False else",
+        "        if m & xmask:\n",
+        "        if False:\n",
         ("tests/test_shear.py::TestShearBase::test_nu_is_computed_only_for_an_f0_on_the_support_of_x[x-leg-2]",
          "tests/test_shear.py::TestValidate::test_golden_invalid",
          "tests/test_search.py::TestEnumerate::test_matches_the_reference_on_random_specs"),
@@ -354,8 +354,8 @@ MUTANTS = [
     ),
     Mutant(
         "f-eff-is-f0-for-every-a", "search.py",
-        "f0, a, f0 * neg_inv_a)",
-        "f0, a, f0)",
+        "f0 if unit else f0 * neg_inv_a)",
+        "f0)",
         ("tests/test_search.py::TestEnumerate::test_per_search_constants_give_the_reference_hits[2]",
          "tests/test_search.py::TestEnumerate::test_hits_equal_the_unguarded_shear_and_the_full_check"),
     ),
@@ -445,6 +445,23 @@ MUTANTS = [
         ("tests/test_shear.py::TestFrameChange::test_validity_and_the_sheared_algebra_move_with_the_frame",
          "tests/test_shear.py::TestFrameChange::test_the_twist_moves_with_the_frame",
          "tests/test_shear.py::TestApplyTwist::test_matches_the_splitting_construction"),
+    ),
+    Mutant(
+        # d e_k's term on a mask F_eff shares is overwritten, not summed
+        "shear-merges-overlapping-masks", "shear.py",
+        "if x == 1 and dk.keys().isdisjoint(fterms):",
+        "if x == 1:",
+        ("tests/test_shear.py::TestShearBy::test_is_the_public_sum_with_canonical_coefficients",
+         "tests/test_shear.py::TestApplyShear::test_golden_triple",
+         "tests/test_search.py::TestEnumerate::test_completeness_against_brute_force_oracle"),
+    ),
+    Mutant(
+        # F_eff is merged in unscaled when x_k != 1
+        "shear-merges-for-every-x-k", "shear.py",
+        "if x == 1 and dk.keys().isdisjoint(fterms):",
+        "if dk.keys().isdisjoint(fterms):",
+        ("tests/test_shear.py::TestShearBy::test_is_the_public_sum_with_canonical_coefficients",
+         "tests/test_shear.py::TestFrameChange::test_validity_and_the_sheared_algebra_move_with_the_frame"),
     ),
     Mutant(
         "namespace-home-imports-the-name", "__init__.py",

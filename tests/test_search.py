@@ -169,14 +169,19 @@ class TestEnumerate:
         # counts, not timings: on leg-free hits validate_shear takes nu as the
         # shared zero one-form, the guard sums d(d e_k) once per hit for each
         # generator of the re-check set, on that hit's own d e_k, and each
-        # support monomial's defect is built once per base
+        # support monomial's defect is built once per base.  x_4 = 1 and no
+        # F0 has a monomial on d e_4 = -2 e45, so each hit's d e_4 + F_eff is
+        # merged: the defects are the only forms shear._make builds
         g = parse_salamon(S5)
         spec = spec_on(g, 4, max_terms=3, coefficients=tuple(range(-2, 3)))
         base = shear.decompose_dalpha(g, spec.X, spec.alpha)
         assert base.eta_closed  # computed before the count, like the split
-        interiors, defects, ds = [], [], []
+        interiors, defects, ds, makes = [], [], [], []
         real_interior, real_defect, real_d_terms = shear.interior, shear._monomial_defect, lie._d_terms
+        real_make = shear._make
         monkeypatch.setattr(shear, "interior", lambda v, form: interiors.append(form) or real_interior(v, form))
+        monkeypatch.setattr(shear, "_make", lambda dim, degree, terms: makes.append(degree) or
+                            real_make(dim, degree, terms))
         monkeypatch.setattr(shear, "_monomial_defect",
                             lambda g, eta, mask: defects.append(mask) or real_defect(g, eta, mask))
         monkeypatch.setattr(lie, "_d_terms",
@@ -193,6 +198,7 @@ class TestEnumerate:
         assert all(diffs is own and terms == own_terms for (diffs, terms), (own, own_terms) in zip(ds, reads))
         masks = [(1 << i - 1) | (1 << j - 1) for i, j in spec.effective_support()]
         assert sorted(defects) == sorted(masks) and len(masks) == 6
+        assert makes == [3] * len(defects)
 
     @pytest.mark.parametrize("algebra, k", [(S5, 4), ("(12,34,0,0)", 1)], ids=["s5", "eta-not-closed"])
     def test_zero_constant_is_refused_once_per_search(self, algebra, k):

@@ -188,6 +188,38 @@ class TestDerivedForms:
         assert report.decomp.eta_bracket == -report.decomp.eta == derived["eta_bracket"]
 
 
+TWO_FORM_MASKS_4 = [m for m in range(16) if m.bit_count() == 2]
+NONZERO_FRACTIONS = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+class TestShearBy:
+    @given(st.lists(st.dictionaries(st.sampled_from(TWO_FORM_MASKS_4), NONZERO_FRACTIONS, max_size=4),
+                    min_size=4, max_size=4),
+           st.integers(0, 3), st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+           st.sampled_from(["disjoint", "overlap", "cancel"]),
+           st.dictionaries(st.sampled_from(TWO_FORM_MASKS_4), NONZERO_FRACTIONS, max_size=4))
+    def test_is_the_public_sum_with_canonical_coefficients(self, diffs, k, x, kind, drawn):
+        # _shear_by merges the term dicts of d e_k and F_eff when x_k = 1 and
+        # their masks are disjoint, and sums them otherwise; either way each
+        # d e_j + x_j F_eff is the sum of KForm's own operators, stored canonically
+        g = LieAlgebra([KForm(4, 2, terms) for terms in diffs])
+        dk = g.diffs[k].terms
+        if kind == "disjoint":
+            fterms = {m: c for m, c in drawn.items() if m not in dk}
+        elif kind == "overlap":
+            fterms = {**drawn, **{m: c + 1 for m, c in dk.items()}}
+        else:  # d e_k + x_k F_eff is zero on every mask of d e_k
+            fterms = {**drawn, **{m: -Fraction(c) / x for m, c in dk.items()}}
+        f_eff = KForm(4, 2, fterms)
+        X = Vector([x if j == k else 0 for j in range(4)])
+        sheared = shear._shear_by(g, shear._support(X), f_eff, ())
+        for j, (form, x_j) in enumerate(zip(sheared.diffs, X.components)):
+            assert form == g.diffs[j] + x_j * f_eff
+            assert form.degree == 2
+            for c in form.terms.values():
+                assert c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+
+
 class TestFrameChange:
     def test_validity_and_the_sheared_algebra_move_with_the_frame(self):
         # every fifth case of the stream, moved to the coframe f = P e: X goes

@@ -123,6 +123,19 @@ def test_only_the_process_entry_imports_gc():
     assert found == ["__main__.py"], found
 
 
+def test_only_the_process_entry_runs_as_a_script():
+    # `lieshear` and `python -m lieshear` both run lieshear.__main__.run; a
+    # `__name__ == "__main__"` guard in another module would be a third
+    # launch path, one that skips the entry's start-up freeze
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "__name__"
+    ]
+    assert found == ["__main__.py"], found
+
+
 def test_environment_is_read_only_for_no_color():
     # README: no environment variable other than NO_COLOR is read
     names = {"environ", "getenv", "environb", "getenvb"}

@@ -72,7 +72,7 @@ CASES = [
 ]
 HOLDS_A_DICT = {ShearReport, SearchHit, KahlerReport}
 IDS = [cls.__name__ for cls, _ in CASES]
-SLOTTED = (KForm, Vector, LieAlgebra, ShearReport, SearchHit)
+SLOTTED = (KForm, Vector, LieAlgebra, ShearData, ShearReport, SearchHit)
 
 
 def _pickled(value):
@@ -112,12 +112,16 @@ def test_value_semantics(cls, kwargs):
 @pytest.mark.parametrize("cls", SLOTTED, ids=[cls.__name__ for cls in SLOTTED])
 def test_kernel_values_have_no_instance_dict(cls):
     # slots keep them small: the s5 reference search keeps 1,545 hits, each
-    # with its F0, report and algebra; copies are filled through the slots
+    # with its F0, report and algebra, and builds a ShearData per hit; copies
+    # are filled through the slots, those that are not fields (ShearData's
+    # f_eff) included
     value = cls(**dict(CASES)[cls])
     assert not hasattr(value, "__dict__")
     for twin_of in (copy.deepcopy, _pickled):
         twin = twin_of(value)
         assert not hasattr(twin, "__dict__") and twin == value
+        for name in cls.__slots__:
+            assert getattr(twin, name, None) == getattr(value, name, None), name
 
 
 def test_zero_forms_of_different_degrees_are_equal():
