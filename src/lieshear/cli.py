@@ -8,20 +8,47 @@ Documents are UTF-8 files holding either a shorthand string like
 
 Exit codes: 0 success, 1 parse/usage error, 2 Jacobi failure,
 3 invalid construction data, 4 search-space cap exceeded.
+
+A process runs only the layers its command uses.  Every command runs
+literals, exterior and lie; geometry, search and shear are bound as lazy
+modules, each in sys.modules from this module's import on and run on the
+first read of one of its attributes: check-structure runs geometry, search
+runs search and shear, and shear, twist and form-ds run shear.  --help shows
+this docstring up to this paragraph.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import geometry, literals, search, shear
-from .exterior import MAX_DIM, KForm, Vector
+from . import literals
+from .exterior import DEFAULT_CAP, MAX_DIM, KForm, Vector
 from .lie import LieAlgebra, ShearLineError, parse_salamon, print_salamon
+
+
+def _layer(name: str):
+    """The submodule lieshear.<name>, whose code runs on the first read of one
+    of its attributes; one already loaded is returned as it is.  Like an
+    import, it goes into sys.modules and onto the package at once, so a caller
+    that looks it up there (bench/tracing.py) finds the module this one uses."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+geometry, search, shear = _layer("geometry"), _layer("search"), _layer("shear")
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -427,13 +454,13 @@ def _commands() -> dict:
             ("--support", {"help": "comma-separated monomials, e.g. 'e12,e13'"}),
             ("--max-terms", {"type": int, "default": 1}),
             ("--preserve", {"action": "append", "help": "form to keep closed (repeatable)"}),
-            ("--cap", {"type": int, "default": search.DEFAULT_CAP}))),
+            ("--cap", {"type": int, "default": DEFAULT_CAP}))),
         "shear-lines": ("invariant lines usable for shearing", cmd_shear_lines, ()),
     }
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="lieshear", description=__doc__,
+    parser = _Parser(prog="lieshear", description=__doc__.rsplit("\n\n", 1)[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (help_text, handler, flags) in _commands().items():
@@ -466,11 +493,23 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _input_error(exc: Exception) -> int:
+    """Print a usage, parse, literal, JSON, decode or OS error as its one line; exit 1."""
+    message = str(exc)
+    if literals.is_digit_limit(exc):
+        message = (f"a number exceeds CPython's limit of {sys.get_int_max_str_digits()} "
+                   "digits for integer string conversion")
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def main(argv=None) -> int:
     """Run one command: parse argv, load the document, apply the Jacobi gate,
     call the handler and emit its result wrapped in the report envelope."""
     if argv is None:
         argv = sys.argv[1:]
+    # no layer has run before the handler, so its errors are told apart
+    # without naming a layer's error class, which would load the layer
     try:
         args = build_parser().parse_args(_normalize_argv(list(argv)))
         g, info = load_document(args.file, args.set)
@@ -478,6 +517,9 @@ def main(argv=None) -> int:
         if args.cmd != "algebra-check" and not g.jacobi_check().passed:
             print("error: input algebra fails the Jacobi identity", file=sys.stderr)
             return EXIT_JACOBI
+    except (UsageError, ValueError, OSError) as exc:
+        return _input_error(exc)
+    try:
         result, code = args.handler(g, args)
     except search.SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -487,12 +529,7 @@ def main(argv=None) -> int:
     except (shear.ShearDataError, shear.TwistError, ShearLineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
-    except (UsageError, ValueError, OSError) as exc:  # parse, literal, JSON and decode errors
-        message = str(exc)
-        if literals.is_digit_limit(exc):
-            message = (f"a number exceeds CPython's limit of {sys.get_int_max_str_digits()} "
-                       "digits for integer string conversion")
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_PARSE
+    except (UsageError, ValueError, OSError) as exc:
+        return _input_error(exc)
     _emit({"command": args.cmd, "input": info, "result": result}, code, args.json)
     return code

@@ -19,6 +19,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._value import Value, slot_setters
 
 MAX_DIM = 14
+# a search over more F0 candidates than this is refused, unless its spec sets its own cap
+DEFAULT_CAP = 10**6
 
 Coeff = Fraction | int
 

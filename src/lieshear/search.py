@@ -7,11 +7,9 @@ from math import comb, lcm
 from operator import mul
 
 from ._value import Value, slot_setters
-from .exterior import Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, _stored, interior, wedge
+from .exterior import DEFAULT_CAP, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, _stored, interior, wedge
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
-
-DEFAULT_CAP = 10**6
 
 
 class SearchSpaceError(ValueError):

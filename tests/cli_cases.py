@@ -60,11 +60,14 @@ GATED_COMMANDS = {
 }
 
 
+class Text(NamedTuple):
+    """A row's own document, written out where a row would otherwise name one of DOCUMENTS."""
+    text: str
+
+
 class Case(NamedTuple):
     name: str  # the test id under tests/test_cli.py: Class::test or Class::test[parameter id]
-    # a name in DOCUMENTS, a document's own text, which begins with "(" or "{" as no name
-    # does, or None for a path with no file
-    document: str | None
+    document: str | Text | None  # a name in DOCUMENTS, the row's own Text, or None for a path with no file
     argv: str
     code: int = 0
     lines: tuple[str, ...] = ()
@@ -73,13 +76,15 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case("TestArgv::test_help", None, "--help"),
+    # the docstring's last paragraph, about the module, is left out of the description
+    Case("TestArgv::test_help", None, "--help",
+         lines=("3 invalid construction data, 4 search-space cap exceeded.", "", "positional arguments:")),
     Case("TestAlgebraCheck::test_pass", "s5", "algebra-check {doc}",
          lines=("jacobi: pass", "classification: solvable; derived length 2")),
     Case("TestAlgebraCheck::test_jacobi_failure_exit_2", "bad", "algebra-check {doc}", 2,
          ("jacobi: FAIL", "  d2(e4) = e123")),
     # the guard's failure path: d(d e_4) = e124 is the one failure
-    Case("TestAlgebraCheck::test_jacobi_guard_names_the_one_failure", "(0,0,12,34)", "algebra-check {doc}", 2,
+    Case("TestAlgebraCheck::test_jacobi_guard_names_the_one_failure", Text("(0,0,12,34)"), "algebra-check {doc}", 2,
          ("  d2(e4) = e124",)),
     Case("TestAlgebraCheck::test_parse_error_exit_1", "broken", "algebra-check {doc}", 1,
          error="index 3 exceeds dimension 2 (at position 2)"),
@@ -89,12 +94,12 @@ CASES = [
          lines=("classification: nilpotent, solvable; step 2; derived length 2",)),
     # the series chains: one that shrinks to 0, and one that stops on its first
     # repeat, found by the rank of its brackets at the term's pivots
-    Case("TestAlgebraCheck::test_a_lower_central_series_that_reaches_0", "(0,0,12,13,14)", "algebra-check {doc}",
+    Case("TestAlgebraCheck::test_a_lower_central_series_that_reaches_0", Text("(0,0,12,13,14)"), "algebra-check {doc}",
          lines=("lower-central: span{E3, E4, E5} > span{E4, E5} > span{E5} > 0",)),
-    Case("TestAlgebraCheck::test_a_lower_central_series_that_stops_on_a_repeat", "(41,43,2.42,0)",
+    Case("TestAlgebraCheck::test_a_lower_central_series_that_stops_on_a_repeat", Text("(41,43,2.42,0)"),
          "algebra-check {doc}", lines=("lower-central: span{E1, E2, E3}",)),
     Case("TestHighDimensionDocuments::test_dim_ten_json_document",
-         json.dumps({"dim": 10, "d": {"3": "e[1,2]", "10": "2*e[1,9]"}}), "algebra-check {doc}",
+         Text(json.dumps({"dim": 10, "d": {"3": "e[1,2]", "10": "2*e[1,9]"}})), "algebra-check {doc}",
          # shorthand falls back to the JSON form
          lines=('algebra: {"d": {"1": "0", "10": "2*e[1,9]", "2": "0", "3": "e[1,2]", "4": "0", "5": "0", '
                 '"6": "0", "7": "0", "8": "0", "9": "0"}, "dim": 10}', "jacobi: pass")),
@@ -104,7 +109,7 @@ CASES = [
          lines=("algebra: (0,27,73,0,75,67,0)",)),
     Case("TestSubstitutions::test_json_document_with_form_literals", "json_doc", "algebra-check {doc}",
          lines=("algebra: (0,0,12,2.13)",)),
-    *(Case(f"TestDocumentShape::test_wrong_shape_is_a_usage_error[{doc}]", doc, "algebra-check {doc} --json", 1,
+    *(Case(f"TestDocumentShape::test_wrong_shape_is_a_usage_error[{doc}]", Text(doc), "algebra-check {doc} --json", 1,
            error=message) for doc, message in {
         '{"dim":3,"d":[1,2]}': '"d" must be an object',
         '{"salamon":5}': '"salamon" must be a string',
@@ -129,10 +134,10 @@ CASES = [
            error=message) for name, doc, flags, message in [
         ("substitution-name", "h3", "--set 1x=2", "bad substitution name '1x'"),
         ("monomial-name",
-         json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2", "e12": "5"}}), "",
+         Text(json.dumps({"dim": 4, "d": {"3": "e12", "4": "c*e13"}, "substitutions": {"c": "2", "e12": "5"}})), "",
          "bad substitution name 'e12'"),
         ("frame-vector-name", "json_doc", "--set E1=5", "bad substitution name 'E1'"),
-        ("deep-nesting", '{"salamon": ' + "[" * 100_000 + "]" * 100_000 + "}", "", "document nests too deeply"),
+        ("deep-nesting", Text('{"salamon": ' + "[" * 100_000 + "]" * 100_000 + "}"), "", "document nests too deeply"),
     ]),
     Case("TestShearCommand::test_golden", "s5", "shear {doc} --x E4 --alpha e4 --f0 e13 --a -1",
          lines=("sheared: (51,52,53,13+2.54,0)",)),
@@ -177,9 +182,11 @@ CASES = [
     Case("TestCheckStructure::test_symplectic_standard", "ab6", "check-structure {doc} --type symplectic --standard",
          lines=("passed: pass",)),
     # N of the fractional J vanishes on (0,0,0,0,12,34), where omega is not closed, and not on (0,0,0,0,13,24)
-    Case("TestCheckStructure::test_a_fractional_j", "(0,0,0,0,12,34)", f"check-structure {{doc}} {FRACTIONAL_KAHLER}",
+    Case("TestCheckStructure::test_a_fractional_j", Text("(0,0,0,0,12,34)"),
+         f"check-structure {{doc}} {FRACTIONAL_KAHLER}",
          lines=("  omega_closed: FAIL", "  nijenhuis_vanishes: pass")),
-    Case("TestCheckStructure::test_a_fractional_j", "(0,0,0,0,13,24)", f"check-structure {{doc}} {FRACTIONAL_KAHLER}",
+    Case("TestCheckStructure::test_a_fractional_j", Text("(0,0,0,0,13,24)"),
+         f"check-structure {{doc}} {FRACTIONAL_KAHLER}",
          lines=("  nijenhuis_vanishes: FAIL",)),
     Case("TestCheckStructure::test_g2_phi", "glm", f"check-structure {{doc}} --type g2-phi --phi {PHI_LITERAL}",
          lines=("definiteness: positive",)),
@@ -245,18 +252,18 @@ CASES = [
          lines=("  eigenvalues (-2): span{E4}", "  eigenvalues (-1): span{E1, E2, E3}")),
     # E4 acts on the frame by a 1x1 block (-1) and a 2x2 block with roots +-sqrt(2),
     # so one rational line and an irrational leftover
-    Case("TestShearLines::test_an_irrational_leftover", "(41,43,2.42,0)", "shear-lines {doc}",
+    Case("TestShearLines::test_an_irrational_leftover", Text("(41,43,2.42,0)"), "shear-lines {doc}",
          lines=("  eigenvalues (-1): span{E1}", "nonrational_present: yes")),
     # a doubled root 1 with a Jordan block, and a root 2 reached from no other
     # row, whose eigenspace is taken on that one row, U_2 = {E3}
-    Case("TestShearLines::test_a_jordan_block_and_a_lone_root", "(14,14+24,24+2.34,0)", "shear-lines {doc}",
+    Case("TestShearLines::test_a_jordan_block_and_a_lone_root", Text("(14,14+24,24+2.34,0)"), "shear-lines {doc}",
          lines=("  eigenvalues (1): span{E2 - E3}", "  eigenvalues (2): span{E3}")),
     # E3 acts on span{E1} by -2, whose primitive multiple -1 the eigen step scales back, and E2 by 0
-    Case("TestShearLines::test_an_action_with_a_common_factor", "(2.31,0,0)", "shear-lines {doc}",
+    Case("TestShearLines::test_an_action_with_a_common_factor", Text("(2.31,0,0)"), "shear-lines {doc}",
          lines=("  eigenvalues (0, -2): span{E1}",)),
     *(Case("TestShearLines::test_abelian_exit_3", doc, "shear-lines {doc}", 3,
            error="abelian algebra has no canonical line") for doc in ["ab3", "ab6"]),
-    Case("TestShearLines::test_non_solvable_exit_3", "(23,-13,12)", "shear-lines {doc}", 3,
+    Case("TestShearLines::test_non_solvable_exit_3", Text("(23,-13,12)"), "shear-lines {doc}", 3,
          error="shear lines require a solvable algebra"),
     Case("TestReports::test_space_inside_a_rational_is_refused", "h3",
          "shear {doc} --x E3 --alpha e3 --f0 e12 --a '1 2'", 1,
@@ -265,7 +272,7 @@ CASES = [
          error="the following arguments are required: file, --x, --alpha, --f0"),
     # digits are ASCII [0-9]: other scripts' digits are refused, never read as
     # numbers and never passed to int()
-    *(Case(f"TestNonAsciiDigits::test_refused_in_one_error_line[{doc}-flags{k}-{message}]", doc, argv, 1,
+    *(Case(f"TestNonAsciiDigits::test_refused_in_one_error_line[{doc}-flags{k}-{message}]", Text(doc), argv, 1,
            error=message) for k, (doc, argv, message) in enumerate([
         ("(0,0,\u00b9\u00b2)", "algebra-check {doc}", "expected an index pair of two digits (at position 5)"),
         ("(0,0,\u0661\u0662)", "algebra-check {doc}", "expected an index pair of two digits (at position 5)"),
@@ -294,7 +301,7 @@ def _prepare(case: Case, directory: Path) -> tuple[str, list[str]]:
     """The document's path, its file written unless the row has none, and the argv naming it."""
     path = directory / ("doc.alg" if case.document is not None else "missing.alg")
     if case.document is not None:
-        text = case.document if case.document.startswith(("(", "{")) else DOCUMENTS[case.document]
+        text = case.document.text if isinstance(case.document, Text) else DOCUMENTS[case.document]
         path.write_text(text, encoding="utf-8")
     return str(path), [str(path) if arg == "{doc}" else arg for arg in shlex.split(case.argv)]
 

@@ -493,6 +493,34 @@ MUTANTS = [
         ("tests/test_cli.py::TestReports"
          "::test_the_process_entry_freezes_start_up_and_runs_the_command_with_the_collector_on",),
     ),
+    Mutant(
+        # every process would run all three layers' module code, whatever its command
+        "cli-eager-layers", "cli.py",
+        'geometry, search, shear = _layer("geometry"), _layer("search"), _layer("shear")',
+        "from . import geometry, search, shear",
+        ("tests/test_source.py::test_each_command_runs_only_the_layers_it_uses",),
+    ),
+    Mutant(
+        # an import inside a function, on each read: the commands still run, but a
+        # layer is in sys.modules only once a command reads it, so bench/tracing.py's
+        # lookup right after `import lieshear.cli` would fail
+        "cli-layer-left-out-of-sys-modules", "cli.py",
+        "    fullname = f\"{__package__}.{name}\"\n"
+        "    if fullname in sys.modules:\n"
+        "        return sys.modules[fullname]\n"
+        "    spec = importlib.util.find_spec(fullname)\n"
+        "    spec.loader = importlib.util.LazyLoader(spec.loader)\n"
+        "    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)\n"
+        "    setattr(sys.modules[__package__], name, module)\n"
+        "    spec.loader.exec_module(module)\n"
+        "    return module\n",
+        "    class Layer:\n"
+        "        def __getattr__(self, attr):\n"
+        "            from importlib import import_module\n"
+        "            return getattr(import_module(f\"{__package__}.{name}\"), attr)\n"
+        "    return Layer()\n",
+        ("tests/test_source.py::test_each_command_runs_only_the_layers_it_uses",),
+    ),
 ]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lieshear
+from cli_cases import DOCUMENTS
 
 SOURCES = sorted(Path(lieshear.__file__).parent.glob("*.py"))
 
@@ -203,6 +204,45 @@ def test_package_import_loads_a_submodule_only_on_first_use():
         "['lieshear._value', 'lieshear.exterior', 'lieshear.lie', 'lieshear.linalg']",
         "True",
     ]
+
+
+# each command line, its exit code and the layers whose code it runs in a fresh process
+LAYER_RUNS = [
+    ("algebra-check {h3}", 0, []),
+    ("shear-lines {s5}", 0, []),
+    ("shear {s5} --x E4 --alpha e4 --f0 e13", 0, ["shear"]),
+    ("twist {h3} --alpha e3 --f -e12", 0, ["shear"]),
+    ("form-ds {s5} --x E4 --alpha e4 --f0 e13 --form e15", 0, ["shear"]),
+    ("check-structure {ab6} --type symplectic --omega e12+e34+e56", 0, ["geometry"]),
+    ("search {s5} --x E4 --alpha e4", 0, ["search", "shear"]),
+    # refused before the handler runs: a usage error, and a document that does not parse
+    ("search {s5}", 1, []),
+    ("search {broken} --x E4 --alpha e4", 1, []),
+]
+
+
+def test_each_command_runs_only_the_layers_it_uses(tmp_path):
+    # cli binds geometry, search and shear lazily: each is in sys.modules from
+    # `import lieshear.cli` on, where bench/tracing.py looks it up, and its code
+    # runs on the first read of one of its attributes.  Until then it keeps
+    # LazyLoader's module subclass, so a module of the plain type has run
+    docs = {}
+    for name in ("h3", "s5", "ab6", "broken"):
+        docs[name] = str(tmp_path / f"{name}.alg")
+        Path(docs[name]).write_text(DOCUMENTS[name])
+    found = []
+    for line, _, _ in LAYER_RUNS:
+        script = (
+            "import contextlib, io, sys, types, lieshear.cli\n"
+            "layers = ['geometry', 'search', 'shear']\n"
+            "def ran(): return [m for m in layers if type(sys.modules.get('lieshear.' + m)) is types.ModuleType]\n"
+            "print(all('lieshear.' + m in sys.modules for m in layers), ran())\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = lieshear.cli.main({line.format(**docs).split()!r})\n"
+            "print(code, ran())\n"
+        )
+        found.append((line, *_fresh_python(script).splitlines()))
+    assert found == [(line, "True []", f"{code} {layers}") for line, code, layers in LAYER_RUNS]
 
 
 PUBLIC_NAMES = [
