@@ -303,21 +303,19 @@ def cmd_search(g: LieAlgebra, args) -> tuple[dict, int]:
     coeffs = tuple(literals.parse_rational(c) for c in args.coeffs.split(","))
     support = None
     if args.support:
-        support = []
+        support = []  # SearchSpec keeps it as a sorted tuple
         for token in args.support.split(","):
-            f = literals.parse_form(token.strip(), g.dim, degree=2)
-            terms = f.sorted_terms()
+            terms = literals.parse_form(token.strip(), g.dim, degree=2).sorted_terms()
             if len(terms) != 1 or terms[0][1] != 1:
                 raise UsageError(f"support entries must be bare monomials, got {token!r}")
             support.append(terms[0][0])
-        support = tuple(support)
     preserve = tuple(literals.parse_form(p, g.dim) for p in (args.preserve or []))
     spec = search.SearchSpec(base=g, X=x, alpha=alpha, a=a, coefficients=coeffs, support=support,
                              max_terms=args.max_terms, preserve=preserve, cap=args.cap)
     hits = search.enumerate_f0(spec)
     result = {
         "algebra": print_salamon(g),
-        "candidates": spec.candidate_count(),
+        "candidates": spec._count,  # the box count the search was planned on
         "hits": [{"f0": str(h.f0), "sheared": print_salamon(h.sheared)} for h in hits],
     }
     return result, EXIT_OK
@@ -521,15 +519,21 @@ def main(argv=None) -> int:
         return _input_error(exc)
     try:
         result, code = args.handler(g, args)
+    # errors that no layer defines come first, as naming a layer's error class loads the layer
+    except (UsageError, literals.LiteralError) as exc:
+        return _input_error(exc)
+    except ShearLineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_DATA
     except search.SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_CAP
     except shear.InvalidShearError as exc:
         result, code = {"report": _report_json(exc.report)}, EXIT_INVALID_DATA
-    except (shear.ShearDataError, shear.TwistError, ShearLineError) as exc:
+    except (shear.ShearDataError, shear.TwistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _input_error(exc)
     _emit({"command": args.cmd, "input": info, "result": result}, code, args.json)
     return code

@@ -7,7 +7,7 @@ from math import comb, lcm
 from operator import mul
 
 from ._value import Value, slot_setters
-from .exterior import DEFAULT_CAP, Coeff, KForm, Vector, _as_coeff, _as_fraction, _make, _stored, interior, wedge
+from .exterior import DEFAULT_CAP, Coeff, KForm, Vector, _as_coeff, _as_fraction, _stored, interior, merge_sign, wedge
 from .lie import LieAlgebra
 from .shear import ShearBase, ShearData, ShearDataError, ShearReport, _sheared, decompose_dalpha, validate_shear
 
@@ -69,19 +69,16 @@ class SearchSpec(Value):
     def effective_support(self) -> tuple[tuple[int, int], ...]:
         if self.support is not None:
             return self.support
-        n = self.base.dim
-        comps = self.X.components
-        return tuple(
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if not comps[i - 1] and not comps[j - 1]
-        )
+        return tuple(combinations([i for i, x in enumerate(self.X.components, 1) if not x], 2))
 
     def candidate_count(self) -> int:
-        support = self.effective_support()
-        k = len(self.coefficients) - 1  # nonzero choices
-        return sum(comb(len(support), t) * k**t for t in range(min(self.max_terms, len(support)) + 1))
+        return _box_count(self, len(self.effective_support()))
+
+
+def _box_count(spec: SearchSpec, size: int) -> int:
+    """The candidates of `spec` on a support of `size` monomials."""
+    k = len(spec.coefficients) - 1  # nonzero choices
+    return sum(comb(size, t) * k**t for t in range(min(spec.max_terms, size) + 1))
 
 
 def _is_int(value) -> bool:
@@ -101,84 +98,85 @@ _set_f0, _set_report, _set_sheared = slot_setters(SearchHit)
 
 
 def enumerate_f0(spec: SearchSpec) -> list[SearchHit]:
-    """All valid, structure-preserving deformations, in canonical order.
+    """All valid, structure-preserving deformations, in canonical order:
+    by term count, then monomial tuple, then coefficient tuple.
 
-    Candidates are ordered by (term count, monomial tuple, coefficient tuple).
-    The (base, X, alpha) part is checked and split before the first
-    candidate (decompose_dalpha); the base algebra keeps that ShearBase, and
-    every validate_shear reads it, caches and all.  A leg-free candidate
-    whose condition columns, times its coefficients, do not sum to zero (or
-    any, when eta is not closed) is dropped unbuilt; a survivor preserves
-    every form, and validate_shear confirms it from the base's per-mask
-    monomial defects, with nu the shared zero one-form and no defect form
-    built.  A candidate with an X-leg goes through validate_shear and the
-    test F0 ^ (X . sigma) = 0 of preserves_closure, on the legs X . sigma
-    computed once per search.  F0 is assembled from stored nonzero
-    coefficients on distinct masks, so `_stored` takes them unchecked, and
-    F_eff = -(1/a) F0 from -1/a, computed once per search: F_eff is F0
-    itself when -1/a is 1.  A monomial set whose condition columns are all
-    zero has no row to test.  Each hit's algebra is built by _sheared from
-    the base's plan (ShearBase.plan): the generators X touches, whose d e_k
-    it replaces, and the Jacobi re-check set, which adds those whose d e_k
-    has a monomial on one of them.  Each replaced d e_k + x_k F_eff is the two
-    term dicts merged when x_k = 1 and F_eff has no monomial of d e_k, and
-    summed otherwise (_shear_by).  Every other d(d e_k) is the base's, zero
-    when the base passes (LieAlgebra._replacing); a base that fails gets the
-    full check.  The guard sums each re-checked d(d e_k) into a term dict
-    from the built algebra's own d e_k, by the rule of LieAlgebra.d, and
-    builds a form only for a failure; every passing algebra shares one
-    JacobiReport(True, ()).  F0, the shear data, the reports and the hits
-    are slotted values with no instance dict.
+    A search is a plan and a walk.  The plan (_Plan), built once per search,
+    holds everything fixed before the first candidate: the box count under
+    the cap, which the spec keeps for the CLI's report, the checked and split
+    base (decompose_dalpha), each support monomial's condition column, and
+    the per-search constants.  The walk drops a leg-free monomial set unbuilt
+    when d(eta) != 0 or when it is one monomial with a nonzero column, and a
+    leg-free candidate whose columns times its coefficients do not sum to
+    zero.  Every other candidate goes through validate_shear, which judges
+    it again from the base's monomial defects; an X-leg candidate must also
+    have F0 ^ (X . sigma) = 0 on each leg.  A hit's algebra is built by
+    _sheared, behind the Jacobi guard.
     """
-    count = spec.candidate_count()
-    if count > spec.cap:
-        raise SearchSpaceError(count, spec.cap)
-    support = spec.effective_support()
-    nonzero = tuple(_as_coeff(c) for c in spec.coefficients if c)  # stored form: ints stay ints
-    scale = lcm(*(c.denominator for c in nonzero))
-    scaled = tuple(int(c * scale) for c in nonzero)
+    plan = _Plan(spec)
+    object.__setattr__(spec, "_count", plan.count)  # for the CLI to report; not a field, and only a search sets it
     g, X, alpha, a, trusted = spec.base, spec.X, spec.alpha, spec.a, ShearData._trusted
-    base = decompose_dalpha(g, X, alpha)
-    if not a:
-        raise ShearDataError("transfer constant a must be nonzero")
-    neg_inv_a = _as_coeff(-1 / a)
+    nonzero, scaled, neg_inv_a, legs, eta_closed = plan.nonzero, plan.scaled, plan.neg_inv_a, plan.legs, plan.eta_closed
     unit = neg_inv_a == 1  # F_eff is F0 itself
-    masks = {(i, j): (1 << (i - 1)) | (1 << (j - 1)) for i, j in support}
-    legs = [interior(X, s) for s in spec.preserve]
-    columns = _condition_columns(base, masks, legs)
     hits: list[SearchHit] = []
-    for t in range(min(spec.max_terms, len(support)) + 1):
-        for monomials in combinations(support, t):
-            cols = [columns[m] for m in monomials]
+    for t in range(min(spec.max_terms, len(plan.masks)) + 1):
+        for mons, cols in zip(combinations(plan.masks, t), combinations(plan.columns, t)):
             screened = None not in cols
-            if screened and not base.eta_closed:
+            # no nonzero multiple of one nonzero column vanishes
+            if screened and (not eta_closed or t == 1 and any(cols[0])):
                 continue
             rows = [r for r in zip(*cols) if any(r)] if screened else []
-            mons = [masks[m] for m in monomials]
             for coeffs, ks in zip(product(nonzero, repeat=t), product(scaled, repeat=t)):
                 if rows and any(sum(map(mul, ks, r)) for r in rows):
                     continue
-                f0 = _stored(g.dim, 2, dict(zip(mons, coeffs)))
+                f0 = _stored(g.dim, 2, dict(zip(mons, coeffs)))  # stored coefficients, distinct masks
                 report = validate_shear(g, trusted(X, alpha, f0, a, f0 if unit else f0 * neg_inv_a))
                 if report.valid and (screened or all(wedge(f0, leg).is_zero() for leg in legs)):
                     hits.append(SearchHit(f0, report, _sheared(report)))
     return hits
 
 
-def _condition_columns(base: ShearBase, masks: dict[tuple[int, int], int], legs: list[KForm]
-                       ) -> dict[tuple[int, int], tuple[Coeff, ...] | None]:
-    """Image of each support monomial e_m under the linear conditions, on common rows.
-
-    `masks` maps each support monomial (i, j) to its bitmask.  The
-    conditions are the base's monomial `defect` and each e_m ^ (X . sigma),
-    with `legs` the X . sigma.  None marks a monomial with an X-leg, on
-    which they are not linear.
+class _Plan:
+    """What a search fixes before its first candidate, in one pass over the
+    spec: the support (SearchSpec.effective_support) and its box count, refused
+    over the cap; the base, checked and split once (decompose_dalpha); a != 0
+    and -1/a; the nonzero coefficients in stored form, and on integers;
+    the legs X . sigma; and each support monomial as its mask and condition
+    column (_condition_columns), in two lists.
     """
-    n = base.g.dim
-    images = {mon: None if mask & base._xmask
-              else [base.defect(mask), *(wedge(_make(n, 2, {mask: 1}), leg) for leg in legs)]
-              for mon, mask in masks.items()}
-    rows = sorted({(k, m) for image in images.values() if image is not None
-                   for k, f in enumerate(image) for m in f.terms})
-    return {mon: None if image is None else tuple(image[k].terms.get(m, 0) for k, m in rows)
-            for mon, image in images.items()}
+
+    __slots__ = ("count", "masks", "columns", "legs", "nonzero", "scaled", "neg_inv_a", "eta_closed")
+
+    def __init__(self, spec: SearchSpec):
+        support = spec.effective_support()
+        self.count = _box_count(spec, len(support))
+        if self.count > spec.cap:
+            raise SearchSpaceError(self.count, spec.cap)
+        base = decompose_dalpha(spec.base, spec.X, spec.alpha)
+        if not spec.a:
+            raise ShearDataError("transfer constant a must be nonzero")
+        self.neg_inv_a = _as_coeff(-1 / spec.a)
+        self.nonzero = tuple(_as_coeff(c) for c in spec.coefficients if c)  # stored form: ints stay ints
+        scale = lcm(*(c.denominator for c in self.nonzero))
+        self.scaled = tuple(int(c * scale) for c in self.nonzero)
+        self.masks = [(1 << i - 1) | (1 << j - 1) for i, j in support]
+        self.legs = [interior(spec.X, s) for s in spec.preserve]
+        self.columns = _condition_columns(base, self.masks, self.legs)
+        self.eta_closed = base.eta_closed
+
+
+def _condition_columns(base: ShearBase, masks: list[int], legs: list[KForm]) -> list[tuple[Coeff, ...] | None]:
+    """The image of each monomial e_m of `masks` under the linear conditions, on
+    common rows: its defect (ShearBase.defect) and each e_m ^ (X . sigma), with
+    `legs` the X . sigma.  Both are read from term dicts, the wedge signed by
+    merge_sign, as a leg need not be a one-form.  A row is a defect's mask,
+    or the mask of a term of e_m ^ leg k tagged with k above the frame's n
+    bits.  None marks a monomial with an X-leg, on which the conditions are
+    not linear.
+    """
+    n, xmask = base.g.dim, base._xmask
+    images = [None if mask & xmask else {**base.defect(mask).terms, **{
+        k << n | m | mask: c if merge_sign(mask, m) > 0 else -c
+        for k, leg in enumerate(legs, 1) for m, c in leg.terms.items() if not m & mask}} for mask in masks]
+    rows = sorted({r for image in images if image is not None for r in image})
+    return [None if image is None else tuple([image.get(r, 0) for r in rows]) for image in images]

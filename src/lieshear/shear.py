@@ -144,11 +144,11 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
     (i_X dw)(E_i) = -w([X, E_i]) = w([E_i, X]): one pass of the bracket formula
     gives every b = [E_i, X], on integer multiples, as a zero test is blind to
     scale.  With x_q the last nonzero coordinate of X, span(X) is an ideal
-    when x_q b = b_q x for every b, one comparison per column.  Only when a
-    column fails is the witness sought: Ann(X) has the reduced echelon basis
-    w_j = e_j - (x_j/x_q) e_q, j != q, and x_q w_j(b) is the cross product
-    x_q b_j - x_j b_q, so the first w_j with one nonzero is returned.  Span(0)
-    is the zero ideal.
+    when x_q b = b_q x for every b: a zero b passes untested, any other in
+    one comparison.  Only when a column fails is the witness sought: Ann(X)
+    has the reduced echelon basis w_j = e_j - (x_j/x_q) e_q, j != q, and
+    x_q w_j(b) is the cross product x_q b_j - x_j b_q, so the first w_j with
+    one nonzero is returned.  Span(0) is the zero ideal.
     """
     x = linalg.primitive(X.components)
     q = next((q for q in reversed(range(g.dim)) if x[q]), None)
@@ -156,7 +156,7 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
         return None
     brackets = _columns(g._int_terms()[1], x)
     xq = x[q]
-    if all([xq * c for c in b] == [b[q] * c for c in x] for b in brackets):
+    if all(not any(b) or [xq * c for c in b] == [b[q] * c for c in x] for b in brackets):
         return None
     # a failing column differs at some j, never at q, where both sides are x_q b_q
     for j, xj in enumerate(x):

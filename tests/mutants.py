@@ -265,9 +265,42 @@ MUTANTS = [
     ),
     Mutant(
         "screen-column-of-e1j-doubled", "search.py",
-        "tuple(image[k].terms.get(m, 0) for k, m in rows)",
-        "tuple((1 + (mon[0] == 1)) * image[k].terms.get(m, 0) for k, m in rows)",
-        ("tests/test_search.py::TestEnumerate::test_completeness_against_brute_force_oracle",),
+        "tuple([image.get(r, 0) for r in rows]) for image in images]",
+        "tuple([(1 + (mask & 1)) * image.get(r, 0) for r in rows]) for image, mask in zip(images, masks)]",
+        ("tests/test_search.py::TestEnumerate::test_completeness_against_brute_force_oracle",
+         "tests/test_search.py::TestEnumerate::test_condition_columns_are_the_defects_and_the_wedges_with_the_legs"),
+    ),
+    Mutant(
+        # a bracket column zero at q alone is not zero: x_q b = b_q x then asks b = 0
+        "xi-ideal-skips-a-column-zero-at-q", "shear.py",
+        "not any(b) or",
+        "not b[q] or",
+        ("tests/test_properties.py::TestSparseBrackets::test_xi_ideal_matches_the_d_based_reference",
+         "tests/test_properties.py::TestSparseBrackets::test_xi_ideal_pinned_cases[(13,23,0)-x4-e1]"),
+    ),
+    Mutant(
+        # right when the leg is a one-form; a 3-form's leg is a two-form
+        "leg-sign-by-one-bit-parity", "search.py",
+        "c if merge_sign(mask, m) > 0 else -c",
+        "c if not (mask >> m.bit_length()).bit_count() & 1 else -c",
+        ("tests/test_search.py::TestEnumerate::test_completeness_against_brute_force_oracle",
+         "tests/test_search.py::TestEnumerate::test_condition_columns_are_the_defects_and_the_wedges_with_the_legs"),
+    ),
+    Mutant(
+        "single-monomial-skip-on-a-zero-column", "search.py",
+        "t == 1 and any(cols[0])",
+        "t == 1",
+        ("tests/test_search.py::TestEnumerate::test_finds_paper_deformation",
+         "tests/test_search.py::TestEnumerate::test_per_hit_work_on_the_s5_reference_search",
+         "tests/test_cli.py::TestSearchCommand::test_the_reference_box_is_all_hits"),
+    ),
+    Mutant(
+        "count-on-a-support-with-x-legs", "search.py",
+        "self.count = _box_count(spec, len(support))",
+        "self.count = _box_count(spec, len(spec.support or tuple(combinations(range(1, spec.base.dim + 1), 2))))",
+        ("tests/test_search.py::TestEnumerate::test_one_support_scan_and_one_defect_per_monomial_per_search[s5]",
+         "tests/test_cli.py::TestSearchCommand::test_max_terms_reaches_the_search",
+         "tests/test_cli.py::TestSearchCommand::test_cap_exit_4"),
     ),
     Mutant(
         "invariance-check-deleted", "lie.py",

@@ -26,6 +26,7 @@ from lieshear import (
     search,
     shear,
     shear_candidate,
+    wedge,
 )
 from lieshear.shear import check_xi_ideal
 
@@ -200,6 +201,56 @@ class TestEnumerate:
         assert sorted(defects) == sorted(masks) and len(masks) == 6
         assert makes == [3] * len(defects)
 
+    @pytest.mark.parametrize("psi", [False, True], ids=["s5", "glm-psi4"])
+    def test_one_support_scan_and_one_defect_per_monomial_per_search(self, monkeypatch, psi):
+        # counts, not timings: a search reads its support once, for the box
+        # count and the walk alike, and builds each support monomial's defect
+        # once; building and counting a spec, as set-up may do untimed, runs
+        # none of that and keeps nothing on the spec
+        g = g_lm(1, 2) if psi else parse_salamon(S5)
+        spec = spec_on(g, 1, max_terms=2, preserve=(psi4(),)) if psi else spec_on(g, 4, max_terms=3)
+        assert spec.candidate_count() == (451 if psi else 233)
+        assert g._decomp is None and vars(spec).keys() == set(SearchSpec._fields)
+        scans, defects = [], []
+        real_support, real_defect = SearchSpec.effective_support, shear._monomial_defect
+        monkeypatch.setattr(SearchSpec, "effective_support", lambda spec: scans.append(spec) or real_support(spec))
+        monkeypatch.setattr(shear, "_monomial_defect",
+                            lambda g, eta, mask: defects.append(mask) or real_defect(g, eta, mask))
+        hits = enumerate_f0(spec)
+        assert scans == [spec] and spec._count == (451 if psi else 233)  # the count the CLI reports
+        masks = [(1 << i - 1) | (1 << j - 1) for i, j in real_support(spec)]
+        assert sorted(defects) == sorted(masks) and len(masks) == (15 if psi else 6)
+        # a second search plans again, on the defects the base keeps
+        assert enumerate_f0(spec) == hits and scans == [spec, spec] and len(defects) == len(masks)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_condition_columns_are_the_defects_and_the_wedges_with_the_legs(self, data):
+        # the plan's matrix, read from term dicts, against KForm arithmetic:
+        # ShearBase.defect and e_m ^ (X . sigma), for sigma of degree 3 and 4,
+        # on supports with and without X-legs; the rows are compared as a
+        # multiset, as the screen reads them in no particular order
+        g, x, alpha = data.draw(st.sampled_from(random_bases()))
+        n, X = g.dim, Vector(x)
+        base = shear.decompose_dalpha(g, X, alpha)
+        pairs = list(combinations(range(1, n + 1), 2))
+        support = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+        masks = [(1 << i - 1) | (1 << j - 1) for i, j in support]
+        legs = []
+        for degree in (3, 4):
+            terms = data.draw(st.dictionaries(st.sampled_from(list(combinations(range(1, n + 1), degree))),
+                                              st.sampled_from([1, -2, Fraction(1, 2)]), min_size=1, max_size=4))
+            legs.append(interior(X, sum((mono(n, idx, c) for idx, c in terms.items()), KForm.zero(n, degree))))
+        images = [None if m & base._xmask else [base.defect(m), *(wedge(KForm(n, 2, {m: 1}), leg) for leg in legs)]
+                  for m in masks]
+        rows = sorted({(k, m) for image in images if image for k, f in enumerate(image) for m in f.terms})
+        expected = [image and tuple(image[k].terms.get(m, 0) for k, m in rows) for image in images]
+        got = search._condition_columns(base, masks, legs)
+        assert [col is None for col in got] == [col is None for col in expected]
+        got, expected = ([col for col in cols if col is not None] for cols in (got, expected))
+        assert len({len(col) for col in got}) <= 1  # one row count: the columns are a matrix
+        assert sorted(zip(*got)) == sorted(zip(*expected))
+
     @pytest.mark.parametrize("algebra, k", [(S5, 4), ("(12,34,0,0)", 1)], ids=["s5", "eta-not-closed"])
     def test_zero_constant_is_refused_once_per_search(self, algebra, k):
         # on (12,34,0,0) eta is not closed, so every candidate is dropped unbuilt
@@ -234,7 +285,7 @@ class TestEnumerate:
         # validate_shear too, which refuses them: the hits stay the same
         spec = spec_on(g_lm(1, 2), 1, max_terms=2)
         expected = enumerate_f0(spec)
-        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: {m: () for m in masks})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: [() for _ in masks])
         assert enumerate_f0(spec) == expected == reference_enumerate_f0(spec)
 
     def test_jacobi_guard_catches_a_hit_validation_let_through(self, monkeypatch):
@@ -244,7 +295,7 @@ class TestEnumerate:
         # `python -O`, as the guard raises rather than asserts
         real = search.validate_shear
         monkeypatch.setattr(search, "validate_shear", lambda g, data: replaced(real(g, data), valid=True))
-        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: {m: () for m in masks})
+        monkeypatch.setattr(search, "_condition_columns", lambda base, masks, legs: [() for _ in masks])
         with pytest.raises(AssertionError, match="^validity/Jacobi equivalence broken for F_eff = "):
             enumerate_f0(spec_on(g_lm(1, 2), 1))
 

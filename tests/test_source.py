@@ -218,6 +218,11 @@ LAYER_RUNS = [
     # refused before the handler runs: a usage error, and a document that does not parse
     ("search {s5}", 1, []),
     ("search {broken} --x E4 --alpha e4", 1, []),
+    # refused by the handler with an error of no layer: a usage error, an
+    # algebra without shear lines and a bad literal
+    ("check-structure {ab6} --type symplectic", 1, []),
+    ("shear-lines {nonsolvable}", 3, []),
+    ("twist {h3} --alpha e3 --f e12x", 1, []),
 ]
 
 
@@ -227,9 +232,9 @@ def test_each_command_runs_only_the_layers_it_uses(tmp_path):
     # runs on the first read of one of its attributes.  Until then it keeps
     # LazyLoader's module subclass, so a module of the plain type has run
     docs = {}
-    for name in ("h3", "s5", "ab6", "broken"):
+    for name, text in {**DOCUMENTS, "nonsolvable": "(23,-13,12)"}.items():
         docs[name] = str(tmp_path / f"{name}.alg")
-        Path(docs[name]).write_text(DOCUMENTS[name])
+        Path(docs[name]).write_text(text)
     found = []
     for line, _, _ in LAYER_RUNS:
         script = (
