@@ -107,21 +107,23 @@ class LieAlgebra(Value):
     [g, g] skips it: its spanning brackets [E_i, E_j] are read off `diffs`,
     one index pair each, on that pair's own denominators.
 
-    Two slots are filled on use: `_series` caches the series with the
-    integral terms it bracketed by, which the shear lines read, and `_decomp`
-    holds the `shear.ShearBase` of the last decomposition
-    `shear.decompose_dalpha` made of this algebra, so a shear validated,
-    applied and probed along one (X, alpha) splits d(alpha) once and fills
-    the base's caches once.  An algebra built by `_replacing` starts with
-    both empty.  Instances are safe to share between threads: each slot is
-    only ever assigned a complete value, an atomic store, so a reader sees
-    the old value or the new one.  The base's caches grow by such stores
-    too, one complete entry at a time, and a race between two writers only
-    costs one recomputation.  An algebra compares and hashes by its d e_k
-    alone, never by what it has cached.
+    One slot is filled on use: `_series` caches the series with the
+    integral terms it bracketed by, which the shear lines read.  No algebra
+    holds a `shear.ShearBase`: `shear.decompose_dalpha` keeps the last two
+    it built for the process, two for a shear round trip, so a shear
+    validated, applied and probed along one (X, alpha) splits d(alpha)
+    once, a dropped algebra is freed without a collection once it has left
+    that memo, and a copy or an unpickled algebra carries no shear cache.
+    An algebra built by `_replacing` starts with no series.  Instances are
+    safe to share between threads: each slot is only ever assigned a
+    complete value, an atomic store, so a reader sees the old value or the
+    new one; the memo of bases is replaced whole the same way, and the
+    base's caches grow one complete entry at a time, so a race between two
+    writers only costs one recomputation.  An algebra compares and hashes
+    by its d e_k alone, never by what it has cached.
     """
 
-    __slots__ = ("dim", "diffs", "_jacobi", "_series", "_decomp")
+    __slots__ = ("dim", "diffs", "_jacobi", "_series")
     _fields = ("diffs",)
 
     def __init__(self, diffs: list[KForm] | tuple[KForm, ...]):
@@ -167,7 +169,6 @@ class LieAlgebra(Value):
         # filled on first use; assigning an immutable value is atomic, so
         # shared readers need no synchronization
         _set_series(self, None)
-        _set_decomp(self, None)
 
     def _recheck(self, changed: int) -> tuple[int, ...]:
         """The generators whose d(d e_k) can change when the d e_i of the
@@ -411,7 +412,7 @@ class LieAlgebra(Value):
         )
 
 
-_set_dim, _set_diffs, _set_jacobi, _set_series, _set_decomp = slot_setters(LieAlgebra)
+_set_dim, _set_diffs, _set_jacobi, _set_series = slot_setters(LieAlgebra)
 
 
 def _d_terms(diffs: Sequence[KForm], items, terms: dict[int, Coeff]) -> dict[int, Coeff]:

@@ -164,24 +164,36 @@ def check_xi_ideal(g: LieAlgebra, X: Vector) -> KForm | None:
             return one_form([Fraction(k == j) if k != q else Fraction(-xj, xq) for k in range(g.dim)])
 
 
+#: the last two bases decompose_dalpha built, newest first: the one memo of
+#: the process, replaced whole by one assignment of a new tuple
+_BASES: tuple[ShearBase, ...] = ()
+
+
 def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> ShearBase:
     """The shear's base: (g, X, alpha) checked, and d(alpha) = eta ^ alpha + f
     split with eta = -X . d(alpha) and f killing X.
 
-    g keeps the base of its last decomposition (`LieAlgebra._decomp`), so a
-    call with equal X and alpha returns that base itself, caches and all,
-    without the checks, which they passed, or the split.  A failing
-    (X, alpha) is not kept, and raises on every call.
+    The process keeps the last two bases built here, newest first, and no
+    algebra holds one: a call on the same g (by identity) with equal X and
+    alpha returns its base itself, caches and all, without the checks,
+    which they passed, or the split.  Two, because a shear round trip
+    needs two: validating and applying on g, inverting and applying back on
+    the sheared algebra, then probing g again split each d(alpha) once.
+    Memory held for bases is bounded, and a dropped algebra is freed once
+    it has left the memo.  The memo is replaced whole, by one assignment of
+    a new tuple, so a thread reads one state or the other, and a race costs
+    only a recomputation.  A failing (X, alpha) is not kept, and raises on
+    every call.
     """
-    base = g._decomp
-    # a tuple compares its items by identity first, then by ==
-    if base is not None and (base.X, base.alpha) == (X, alpha):
-        return base
+    global _BASES
+    for base in _BASES:
+        # a tuple compares its items by identity first, then by ==
+        if base.g is g and (base.X, base.alpha) == (X, alpha):
+            return base
     if X.dim != g.dim:
         raise ShearDataError(f"dimension mismatch: {X.dim} vs {g.dim}")
-    pairing = alpha(X)
-    if pairing != 1:
-        raise ShearDataError(f"alpha(X) must be 1, got {pairing}")
+    if alpha(X) != 1:
+        raise ShearDataError(f"alpha(X) must be 1, got {alpha(X)}")
     bad = check_xi_ideal(g, X)
     if bad is not None:
         raise ShearDataError(f"span(X) is not an ideal: i_X d({bad}) != 0")
@@ -189,7 +201,7 @@ def decompose_dalpha(g: LieAlgebra, X: Vector, alpha: KForm) -> ShearBase:
     eta = -interior(X, dalpha)
     # eta(X) = -dalpha(X, X) = 0, and X . f = X . dalpha + eta = 0 as alpha(X) = 1
     base = ShearBase(g=g, X=X, alpha=alpha, eta=eta, f=dalpha - wedge(eta, alpha))
-    object.__setattr__(g, "_decomp", base)
+    _BASES = (base, *_BASES[:1])
     return base
 
 
@@ -197,13 +209,15 @@ class ShearBase(Value):
     """The part of a shear fixed by (g, X, alpha): d(alpha) = eta ^ alpha + f,
     with both parts annihilating X.
 
-    decompose_dalpha checks and splits it once, and g keeps it as its last
-    decomposition, so its caches (`plan`, `eta_closed`, the monomial
-    defects) are computed once per (g, X, alpha) while g keeps it.
-    validate_shear then only does the work that depends on F0, a and
-    eta_g.  For an F0 with X . F0 = 0, `leg_free_defect` and `eta_closed`
-    decide validity.  The base holds X's support as a mask: a two-form F0
-    with no monomial on it has nu = X . F0 = 0, the shared zero one-form.
+    decompose_dalpha checks and splits it once and keeps it among the last
+    two bases of the process (two for a shear round trip, on g and on the
+    sheared algebra; the memo is replaced whole, so threads read whole
+    states), so its caches (`plan`, `eta_closed`, the monomial defects) are
+    computed once per (g, X, alpha) while it is kept.  validate_shear then
+    only does the work that depends on F0, a and eta_g.  For an F0 with
+    X . F0 = 0, `leg_free_defect` and `eta_closed` decide validity.  The
+    base holds X's support as a mask: a two-form F0 with no monomial on it
+    has nu = X . F0 = 0, the shared zero one-form.
     Each monomial's defect d e_m - eta ^ e_m is built once, in one term
     dict (`defect`), and read by mask by leg_free_defect and the search.
     """
@@ -282,9 +296,10 @@ def _monomial_defect(g: LieAlgebra, eta: KForm, mask: int) -> KForm:
 def validate_shear(g: LieAlgebra, data: ShearData) -> ShearReport:
     """Evaluate every shear condition; validity means the sheared algebra exists.
 
-    The report's base is decompose_dalpha(g, data.X, data.alpha), the one g
-    keeps for that X and alpha, so many F0 on one (g, X, alpha) share its
-    split and its caches.
+    The report's base is decompose_dalpha(g, data.X, data.alpha), one of the
+    last two bases the process keeps (two for a shear round trip; replaced
+    whole, so threads read whole states), so many F0 on one (g, X, alpha)
+    in a row share its split and its caches.
 
     eta0_vanishes_on_xi is reported True without evaluation, because it holds
     for all shear data: eta_0 = eta - X . F_eff, where eta(X) = -dalpha(X, X) = 0
@@ -476,13 +491,13 @@ def apply_twist(g: LieAlgebra, alpha: KForm, f2: KForm) -> LieAlgebra:
             raise TwistError("F must have no alpha-leg on an abelian base")
         raise TwistError("alpha must lie outside V1")
     if not rep.is_abelian:
-        from .literals import format_vector
-
         # F lies in Lambda^2 V1 exactly when i_v F = 0 for the vectors V1 kills:
         # as V1 = Ann(n^(r-1)), they have the echelon basis Z of n^(r-1)
         for v in zs:
             leg = interior(v, f2)
             if not leg.is_zero():
+                from .literals import format_vector  # for the message alone
+
                 raise TwistError(f"F is not in Lambda^2 V1: i_v F = {leg} for v = {format_vector(v)}")
     # both eta parts vanish, so the shear is the twist.  eta(A) = -d(alpha)(X, A)
     # = alpha([X, A]) is zero, as X lies in n^(r-1) and [g, n^(r-1)] = n^(r) = 0,

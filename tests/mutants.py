@@ -7,7 +7,7 @@ in the tier-1 suite, that each snippet occurs exactly once in its file, so
 a refactor that moves the code updates the table in the same change.
 A test is listed as a killer only when it fails with the mutant applied
 when run alone, so no entry leans on state that other tests leave behind
-(a kept ShearBase on a shared algebra, say); a fault no test kills alone
+(a base the memo of shear.py keeps, say); a fault no test kills alone
 is left out of the table.
 
 Run as a script, it applies each mutant in turn to a copy of src/ in a
@@ -110,17 +110,17 @@ MUTANTS = [
     ),
     Mutant(
         "memo-returns-a-new-base", "shear.py",
-        "        return base\n    if X.dim != g.dim:",
-        "        return ShearBase(g=g, X=X, alpha=alpha, eta=base.eta, f=base.f)\n    if X.dim != g.dim:",
+        "            return base\n    if X.dim != g.dim:",
+        "            return ShearBase(g=g, X=X, alpha=alpha, eta=base.eta, f=base.f)\n    if X.dim != g.dim:",
         ("tests/test_shear.py::TestDecompose::test_only_a_new_pair_is_checked_and_split",
          "tests/test_shear.py::TestDecompose::test_one_plan_and_one_d_eta_per_pair",
          "tests/test_search.py::TestEnumerate::test_decomposes_dalpha_once_per_search"),
     ),
     Mutant(
-        "sheared-algebra-keeps-the-base", "lie.py",
-        "        g._fill(tuple(diffs), check)\n        return g\n",
-        "        g._fill(tuple(diffs), check)\n        object.__setattr__(g, \"_decomp\", base._decomp)\n"
-        "        return g\n",
+        # a base found for an equal algebra: the sheared algebra would read the base of the one it came from
+        "sheared-algebra-keeps-the-base", "shear.py",
+        "base.g is g and (base.X, base.alpha) == (X, alpha)",
+        "(base.X, base.alpha) == (X, alpha)",
         ("tests/test_shear.py::TestDecompose::test_a_sheared_algebra_is_decomposed_afresh",
          "tests/test_shear.py::TestInvert::test_roundtrip_over_corpus"),
     ),
@@ -128,11 +128,39 @@ MUTANTS = [
         "failing-pair-kept", "shear.py",
         "    if bad is not None:\n        raise ShearDataError",
         "    if bad is not None:\n"
-        "        object.__setattr__(g, \"_decomp\", ShearBase(g=g, X=X, alpha=alpha, eta=alpha, f=alpha))\n"
+        "        _BASES = (ShearBase(g=g, X=X, alpha=alpha, eta=alpha, f=alpha), *_BASES[:1])\n"
         "        raise ShearDataError",
         ("tests/test_shear.py::TestDecompose::test_only_a_new_pair_is_checked_and_split",
          "tests/test_shear.py::TestDecompose::test_interleaved_calls_match_the_reference_on_a_fresh_algebra",
-         "tests/test_shear.py::TestDecompose::test_a_kept_decomposition_equals_a_fresh_one"),
+         "tests/test_shear.py::TestDecompose::test_a_kept_decomposition_equals_a_fresh_one",
+         "tests/test_shear.py::TestDecompose::test_a_failing_pair_neither_enters_nor_trims_the_memo[ideal]"),
+    ),
+    Mutant(
+        # a pair failing alpha(X) = 1 stored before the raise: the next call returns it
+        "failing-pairing-stored-before-the-raise", "shear.py",
+        "    if alpha(X) != 1:\n        raise",
+        "    if alpha(X) != 1:\n"
+        "        _BASES = (ShearBase(g=g, X=X, alpha=alpha, eta=alpha, f=alpha), *_BASES[:1])\n"
+        "        raise",
+        ("tests/test_shear.py::TestDecompose::test_rejects_unnormalized_alpha",
+         "tests/test_shear.py::TestDecompose::test_a_failing_pair_neither_enters_nor_trims_the_memo[pairing]"),
+    ),
+    Mutant(
+        # every base ever built stays reachable, with its algebra
+        "memo-never-trimmed", "shear.py",
+        "_BASES = (base, *_BASES[:1])",
+        "_BASES = (base, *_BASES)",
+        ("tests/test_shear.py::TestDecompose::test_a_third_algebra_evicts_the_oldest_base",
+         "tests/test_shear.py::TestDecompose::test_a_dropped_algebra_is_freed_without_a_collection",
+         "tests/test_shear.py::TestDecompose::test_validating_fresh_algebras_keeps_at_most_two_bases"),
+    ),
+    Mutant(
+        # the first base built is kept for good, and every later one evicts its predecessor
+        "memo-new-base-put-last", "shear.py",
+        "_BASES = (base, *_BASES[:1])",
+        "_BASES = (*_BASES[:1], base)",
+        ("tests/test_shear.py::TestDecompose::test_only_a_new_pair_is_checked_and_split",
+         "tests/test_shear.py::TestDecompose::test_a_third_algebra_evicts_the_oldest_base"),
     ),
     Mutant(
         "plan-per-call", "shear.py",
@@ -434,7 +462,7 @@ MUTANTS = [
         ("tests/test_value.py::test_value_semantics[KForm]",
          "tests/test_value.py::test_value_semantics[Vector]",
          "tests/test_value.py::test_value_semantics[LieAlgebra]",
-         "tests/test_value.py::test_a_round_trip_keeps_an_algebra_and_its_kept_base_together"),
+         "tests/test_value.py::test_a_round_trip_of_an_algebra_carries_no_shear_cache"),
     ),
     Mutant(
         # a d(d e_k) whose sums cancel leaves zeros in its term dict: read as

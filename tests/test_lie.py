@@ -428,9 +428,9 @@ class TestConstruction:
 
 
     def test_an_algebra_is_immutable_and_equal_only_to_algebras(self):
-        # the kept series and decomposition are set by their owners alone
+        # the kept series is set by its owner alone
         g = parse_salamon("(0,0,12)")
-        for name in ("diffs", "_decomp"):
+        for name in ("diffs", "_series"):
             with pytest.raises(AttributeError) as err:
                 setattr(g, name, None)
             assert str(err.value) == "LieAlgebra is immutable"

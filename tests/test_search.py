@@ -122,9 +122,9 @@ class TestEnumerate:
             assert is_closed(h.sheared, psi4()) or h.f0.is_zero()
 
     def test_decomposes_dalpha_once_per_search(self, monkeypatch):
-        # the screen and every hit's validate_shear read the base the algebra
-        # keeps, so (base, X, alpha) is checked and split once, and not again
-        # by a second search on the same algebra
+        # the screen and every hit's validate_shear read the base the plan
+        # built, first in the memo, so (base, X, alpha) is checked and split
+        # once, and not again by a second search on the same algebra
         calls = []
         real = shear.check_xi_ideal
         monkeypatch.setattr(shear, "check_xi_ideal", lambda g, X: calls.append(X) or real(g, X))
@@ -208,9 +208,10 @@ class TestEnumerate:
         # once; building and counting a spec, as set-up may do untimed, runs
         # none of that and keeps nothing on the spec
         g = g_lm(1, 2) if psi else parse_salamon(S5)
+        before = shear._BASES
         spec = spec_on(g, 1, max_terms=2, preserve=(psi4(),)) if psi else spec_on(g, 4, max_terms=3)
         assert spec.candidate_count() == (451 if psi else 233)
-        assert g._decomp is None and vars(spec).keys() == set(SearchSpec._fields)
+        assert shear._BASES is before and vars(spec).keys() == set(SearchSpec._fields)
         scans, defects = [], []
         real_support, real_defect = SearchSpec.effective_support, shear._monomial_defect
         monkeypatch.setattr(SearchSpec, "effective_support", lambda spec: scans.append(spec) or real_support(spec))

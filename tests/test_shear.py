@@ -42,6 +42,7 @@ from lieshear import (
     InvalidShearError,
     KForm,
     LieAlgebra,
+    ShearBase,
     ShearData,
     ShearDataError,
     ShearReport,
@@ -376,9 +377,11 @@ class TestDecompose:
         assert str(err.value) == f"span(X) is not an ideal: i_X d({w}) != 0"
 
     def test_rejects_unnormalized_alpha(self):
+        # on every call: a failing pair is never kept
         g = LieAlgebra.abelian(3)
-        with pytest.raises(ShearDataError):
-            decompose_dalpha(g, Vector.basis(3, 1), mono(3, (1,), 2))
+        for _ in range(2):
+            with pytest.raises(ShearDataError, match="alpha\\(X\\) must be 1, got 2"):
+                decompose_dalpha(g, Vector.basis(3, 1), mono(3, (1,), 2))
 
     # on (51,52,53,2.54,0): E4, E1 + E2 and 2 E3 span ideals, E1 + E4 and E5 do not
     KEPT_XS = [(0, 0, 0, 1, 0), (1, 1, 0, 0, 0), (1, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 2, 0, 0)]
@@ -414,21 +417,72 @@ class TestDecompose:
         check = lieshear.shear.check_xi_ideal
         monkeypatch.setattr(lieshear.shear, "check_xi_ideal", lambda g, X: calls.append(X) or check(g, X))
         g = parse_salamon(S5)
-        kept, failing, other = (Vector.basis(5, 4), mono(5, (4,))), (Vector.basis(5, 5), mono(5, (5,))), \
-            (Vector([1, 1, 0, 0, 0]), mono(5, (1,)))
+        kept, failing, other, third = (Vector.basis(5, 4), mono(5, (4,))), (Vector.basis(5, 5), mono(5, (5,))), \
+            (Vector([1, 1, 0, 0, 0]), mono(5, (1,))), (Vector([0, 0, 2, 0, 0]), mono(5, (3,), Fraction(1, 2)))
         bases = []
-        for x, alpha in (kept, kept, failing, kept, other, kept):
+        for x, alpha in (kept, kept, failing, kept, other, kept, third, other, kept):
             try:
                 bases.append(decompose_dalpha(g, x, alpha))
             except ShearDataError:
                 bases.append(None)
-        # the failing pair is not kept, so the kept one survives it
-        assert calls == [kept[0], failing[0], other[0], kept[0]]
-        # the kept base itself comes back, until another pair replaces it
-        assert bases[0] is bases[1] is bases[3] and bases[5] == bases[0] and bases[5] is not bases[0]
-        assert bases[2] is None and bases[4].X == other[0]
+        # the failing pair is not kept, so it evicts nothing; a hit does not
+        # move a base up, so the third pair evicts the kept one, built first
+        assert calls == [kept[0], failing[0], other[0], third[0], kept[0]]
+        # a kept base itself comes back, until two newer ones replace it
+        assert bases[0] is bases[1] is bases[3] is bases[5] and bases[4] is bases[7]
+        assert bases[8] == bases[0] and bases[8] is not bases[0]
+        assert bases[2] is None and bases[4].X == other[0] and bases[6].X == third[0]
+        assert lieshear.shear._BASES == (bases[8], bases[6]) and lieshear.shear._BASES[0] is bases[8]
         with pytest.raises(ShearDataError, match="not an ideal"):
             decompose_dalpha(g, *failing)
+
+    def test_a_third_algebra_evicts_the_oldest_base(self, monkeypatch):
+        # the memo is of the process, not of an algebra: the bases of the
+        # last two algebras decomposed come back, newest first, and the
+        # third evicts the first, though the pair is the same on all three
+        calls = []
+        check = lieshear.shear.check_xi_ideal
+        monkeypatch.setattr(lieshear.shear, "check_xi_ideal", lambda g, X: calls.append(g) or check(g, X))
+        pair = (Vector.basis(5, 4), mono(5, (4,)))
+        g1, g2, g3 = (parse_salamon(S5) for _ in range(3))
+        b1, b2 = decompose_dalpha(g1, *pair), decompose_dalpha(g2, *pair)
+        assert lieshear.shear._BASES[0] is b2 and lieshear.shear._BASES[1] is b1
+        assert decompose_dalpha(g1, *pair) is b1 and decompose_dalpha(g2, *pair) is b2
+        b3 = decompose_dalpha(g3, *pair)
+        assert b3.g is g3 and lieshear.shear._BASES[0] is b3 and lieshear.shear._BASES[1] is b2
+        again = decompose_dalpha(g1, *pair)
+        assert again is not b1 and again == b1 and again.g is g1
+        assert len(calls) == 4 and all(h is g for h, g in zip(calls, (g1, g2, g3, g1)))
+
+    @pytest.mark.parametrize("failing", ["dimension", "pairing", "ideal"])
+    def test_a_failing_pair_neither_enters_nor_trims_the_memo(self, failing):
+        g = parse_salamon(S5)
+        kept = decompose_dalpha(g, Vector.basis(5, 4), mono(5, (4,)))
+        other = decompose_dalpha(g, Vector([1, 1, 0, 0, 0]), mono(5, (1,)))
+        x, alpha = {"dimension": (Vector.basis(4, 4), mono(4, (4,))),
+                    "pairing": (Vector.basis(5, 4), mono(5, (4,), 2)),
+                    "ideal": (Vector.basis(5, 5), mono(5, (5,)))}[failing]
+        for _ in range(2):
+            with pytest.raises(ShearDataError):
+                decompose_dalpha(g, x, alpha)
+        memo = lieshear.shear._BASES
+        assert len(memo) == 2 and memo[0] is other and memo[1] is kept
+
+    def test_a_round_trip_and_a_probe_build_two_bases(self, monkeypatch):
+        # validate and apply on g, invert and apply back on the sheared
+        # algebra, then probe g: the traffic the memo is sized for
+        built = []
+        check = lieshear.shear.check_xi_ideal
+        monkeypatch.setattr(lieshear.shear, "check_xi_ideal", lambda g, X: built.append(g) or check(g, X))
+        g = parse_salamon(S5)
+        data, probe = data_on(g, 4, mono(5, (1, 3))), data_on(g, 4, mono(5, (2, 3)))
+        report = validate_shear(g, data)
+        sheared = apply_shear(g, data)
+        back = apply_shear(sheared, invert_shear(sheared, data))
+        probed = validate_shear(g, probe)
+        assert back == g and report.valid and probed.valid
+        assert len(built) == 2 and built[0] is g and built[1] is sheared
+        assert probed.decomp is report.decomp and report.decomp.g is g
 
     def test_a_sheared_algebra_is_decomposed_afresh(self):
         # shearing by e13 along E4 adds F_eff = e13 to d e4 = d(alpha), so the
@@ -442,10 +496,11 @@ class TestDecompose:
         assert again.f == base.f + mono(5, (1, 3)) == sheared.d(data.alpha) - wedge(again.eta, data.alpha)
         assert invert_shear(sheared, data).F0 == -data.F0
 
-    def test_a_kept_base_is_a_cycle_that_the_collector_frees(self):
-        # g._decomp holds a ShearBase whose field g is the algebra itself: with
-        # the cyclic collector off, dropping g leaves it alive in that cycle,
-        # and one collection frees it, so a decomposed algebra does not leak
+    def test_a_dropped_algebra_is_freed_without_a_collection(self):
+        # no algebra holds its base, so a decomposed algebra is in no
+        # reference cycle: with the cyclic collector off, the memo keeps a
+        # dropped algebra alive only until two newer bases replace its own,
+        # and then it is freed at once, its base's caches filled or not
         class Referable(LieAlgebra):
             __slots__ = ("__weakref__",)
 
@@ -454,18 +509,39 @@ class TestDecompose:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            decompose_dalpha(g, Vector.basis(5, 4), mono(5, (4,)))
+            data = data_on(g, 4, mono(5, (1, 3)))
+            apply_shear(g, data)
+            validate_shear(g, data_on(g, 4, mono(5, (1, 4))))
             del g
             assert ref() is not None
-            gc.collect()
+            decompose_dalpha(parse_salamon(S5), data.X, data.alpha)
+            assert ref() is not None
+            decompose_dalpha(parse_salamon(S5), data.X, data.alpha)
             assert ref() is None
         finally:
             if enabled:
                 gc.enable()
 
+    def test_validating_fresh_algebras_keeps_at_most_two_bases(self):
+        # memory held for decompositions is bounded: with the collector off,
+        # so that no base waits in a cycle, 1,000 algebras validated in turn
+        # and dropped leave two of their bases tracked, the two the memo keeps
+        diffs = parse_salamon(S5).diffs
+        data = data_on(parse_salamon(S5), 4, mono(5, (1, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(1000):
+                validate_shear(LieAlgebra(diffs), data)
+            ours = [o for o in gc.get_objects() if type(o) is ShearBase and o.g.diffs is diffs]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(ours) == 2 and all(any(o is b for b in lieshear.shear._BASES) for o in ours)
+
     def test_threads_sharing_an_algebra_read_whole_decompositions(self):
         # each thread decomposes and validates along its own (X, alpha) on one
-        # algebra, so the kept base is overwritten under it all the time while
+        # algebra, so the memo of bases is replaced under it all the time while
         # other threads fill its monomial defects and cached properties; a
         # reader that mixed two bases, or read a half-filled cache, would
         # return a base or a report that differs from the fresh one
@@ -498,7 +574,7 @@ class TestDecompose:
 
     def test_one_plan_and_one_d_eta_per_pair(self, monkeypatch):
         # validate_shear, apply_shear and a leg-free probe, validated and
-        # applied, on one (g, X, alpha) share the base g keeps: one shear
+        # applied, on one (g, X, alpha) share the base the memo keeps: one shear
         # plan, whose re-check set is the one _recheck call, and d(eta)
         # taken once
         g = parse_salamon(S5)
@@ -527,8 +603,9 @@ class TestDecompose:
         calls = []
         recheck = LieAlgebra._recheck
         monkeypatch.setattr(LieAlgebra, "_recheck", lambda h, changed: calls.append(changed) or recheck(h, changed))
+        before = lieshear.shear._BASES
         candidate = shear_candidate(g, data_on(g, 4, mono(5, (1, 4))))
-        assert calls == [] and g._decomp is None
+        assert calls == [] and lieshear.shear._BASES is before
         assert not candidate.jacobi_check().passed
         assert candidate.jacobi_check() == LieAlgebra(list(candidate.diffs)).jacobi_check()
 
@@ -540,7 +617,8 @@ class TestDecompose:
     def test_interleaved_calls_match_the_reference_on_a_fresh_algebra(self, steps):
         # validate_shear, apply_shear and invert_shear in turn on one algebra,
         # over several (X, alpha), failing pairs among them: each outcome is
-        # the reference's on a fresh algebra, which keeps nothing
+        # the reference's on a fresh algebra, whose bases are its own, and a
+        # validation's base is the one the memo hands back for g
         g = parse_salamon(S5)
         monomials = list(combinations(range(1, 6), 2))
         for op, i, terms in steps:
@@ -552,10 +630,14 @@ class TestDecompose:
             call, reference = {"validate": (validate_shear, reference_validate_shear),
                                "apply": (apply_shear, reference_apply),
                                "invert": (invert_shear, reference_invert)}[op]
-            got, want = outcome(call, g, data), outcome(reference, LieAlgebra(g.diffs), data)
-            assert got == want, (op, comps, str(f0))
+            got = outcome(call, g, data)
             if op == "validate" and isinstance(got, ShearReport):
-                assert got.decomp is decompose_dalpha(g, x, alpha)
+                assert got.decomp is decompose_dalpha(g, x, alpha) and got.decomp.g is g
+            fresh = LieAlgebra(g.diffs)
+            want = outcome(reference, fresh, data)
+            assert got == want, (op, comps, str(f0))
+            if isinstance(want, ShearReport):
+                assert want.decomp.g is fresh
 
 
 def reference_apply(g, data):

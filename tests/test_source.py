@@ -9,6 +9,7 @@ import pytest
 
 import lieshear
 from cli_cases import DOCUMENTS
+from code_lines import code_lines
 
 SOURCES = sorted(Path(lieshear.__file__).parent.glob("*.py"))
 
@@ -203,6 +204,33 @@ def test_package_import_loads_a_submodule_only_on_first_use():
         "[]",
         "['lieshear._value', 'lieshear.exterior', 'lieshear.lie', 'lieshear.linalg']",
         "True",
+    ]
+
+
+def test_the_code_line_counter_skips_comments_docstrings_and_blank_lines(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Module."""\n# a comment\n\ndef f(x):\n    """Doc,\n    two lines."""\n'
+                    '    y = """a string\n    over two lines"""\n    return x  # trailing\n')
+    assert code_lines(path) == 4  # the def, the two lines of y and the return
+
+
+def test_a_library_twist_loads_literals_only_for_a_refusal():
+    # apply_twist reads format_vector for one TwistError's message alone: a
+    # twist of h3 runs shear but not literals, and a refused one loads it
+    script = (
+        "import sys\n"
+        "from lieshear import KForm, LieAlgebra, TwistError, apply_twist\n"
+        "h3 = LieAlgebra([KForm.zero(3, 2), KForm.zero(3, 2), KForm.monomial(3, (1, 2))])\n"
+        "twisted = apply_twist(h3, KForm.monomial(3, (3,)), KForm.monomial(3, (1, 2), -1))\n"
+        "print(twisted.jacobi_check().passed, sorted({'lieshear.shear', 'lieshear.literals'} & sys.modules.keys()))\n"
+        "try:\n"
+        "    apply_twist(h3, KForm.monomial(3, (3,)), KForm.monomial(3, (1, 3)))\n"
+        "except TwistError as exc:\n"
+        "    print(exc, 'lieshear.literals' in sys.modules)\n"
+    )
+    assert _fresh_python(script).splitlines() == [
+        "True ['lieshear.shear']",
+        "F is not in Lambda^2 V1: i_v F = -e1 for v = E3 True",
     ]
 
 
